@@ -3,7 +3,7 @@
 
 How many squats does a target take?  What is the most a configuration can
 ever store?  How does the force cap trade against iteration count?  The
-sweep is deterministic: rows follow grid order whatever the worker count.
+sweep is deterministic: rows follow grid order.
 """
 
 from pathlib import Path
@@ -37,7 +37,7 @@ points = [
     for cap in np.linspace(150.0, 350.0, 5)
     for k in (800.0, 1000.0, 1200.0)
 ]
-rows = sweep(config, points, workers=4)
+rows = sweep(config, points)
 print()
 print(f"{'cap [N]':>8} {'k [N/m]':>8} {'squats':>7} {'full@':>6} {'E [J]':>8} {'E/E1max':>8}")
 for row in rows:

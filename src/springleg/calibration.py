@@ -50,6 +50,8 @@ class MeasuredCycle:
             raise DataError(f"cycle {self.iteration}: no samples")
         if len(self.hip_displacement) != len(self.hip_force):
             raise DataError(f"cycle {self.iteration}: displacement/force length mismatch")
+        if not (np.isfinite(self.hip_displacement).all() and np.isfinite(self.hip_force).all()):
+            raise DataError(f"cycle {self.iteration}: displacements and forces must be finite")
         if np.any(np.diff(self.hip_displacement) < 0):
             raise DataError(f"cycle {self.iteration}: displacements must be non-decreasing")
 

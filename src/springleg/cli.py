@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--grid", required=True, help="grid specification file")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit the loss model to measured cycles")
@@ -182,7 +182,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     points = parse_grid(args.grid)
-    rows = sweep(config, points, workers=args.workers)
+    rows = sweep(config, points)
     keys = list(points[0].keys())
     path = emit_sweep_csv(rows, keys, Path(args.out) / "sweep.csv")
     ok = sum(1 for r in rows if r.status == "ok")

@@ -7,13 +7,16 @@ extends, and the endpoints retract toward the knee so that the next squat
 starts within the force cap again.  Losses enter as an energy efficiency per
 lock/retract transition, and a ratchet pitch quantizes the retracted
 position, leaving a force-free dead band at the start of the next squat.
+A run keeps one scalar record per squat; sampled strokes are derived from
+the records only when read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +72,13 @@ class SquatRecord:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Full record of a multi-squat run."""
+    """Full record of a multi-squat run.
+
+    Only the per-squat records are stored.  ``trajectories`` samples every
+    squat's stroke from its record on first access and keeps the samples.
+    """
 
     records: tuple[SquatRecord, ...]
-    trajectories: tuple[Trajectory, ...]
     final_energy: float  # J
     iterations_to_full_compression: int | None  # None = not reached
     normalization: tuple[float, float]  # (e1_max, force_cap)
@@ -81,6 +87,23 @@ class SimResult:
     @property
     def final_spring_length(self) -> float:
         return self.records[-1].state.spring_length_end
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """Sampled stroke of every squat, in record order.
+
+        Only the engaged stroke is sampled, since the dead band carries no
+        force and no spring motion; an ENGAGED_ONLY squat is slack throughout.
+        """
+        strokes = []
+        for record in self.records:
+            state = record.state
+            x, stop = state.spring_position, record.leg_travel_used
+            if record.stop_reason is StopReason.ENGAGED_ONLY:
+                strokes.append(_stroke(self.config, x, 0.0, stop, state.spring_length_start))
+            else:
+                strokes.append(_stroke(self.config, x, state.dead_band, stop))
+        return tuple(strokes)
 
 
 @dataclass(frozen=True)
@@ -113,9 +136,7 @@ def start_force(state: CycleState, config: Configuration) -> float:
     return hip_force(state.spring_position, state.spring_length_start, config.leg, config.spring)
 
 
-def squat_step(
-    state: CycleState, config: Configuration
-) -> tuple[CycleState, SquatRecord, Trajectory]:
+def squat_step(state: CycleState, config: Configuration) -> tuple[CycleState, SquatRecord]:
     """Run one squat at fixed spring position and return the completed state.
 
     The spring length decreases with the leg until the first stop: hip force
@@ -149,72 +170,30 @@ def squat_step(
     s_range = ratio * (geom.standing_length - geom.max_deformation)
     candidates.append((s_range, StopReason.LEG_RANGE))
     candidates.append((spring.solid_length, StopReason.SPRING_SOLID))
+    # max() keeps the first of equal candidates, which gives the tie order.
+    s_end, reason = max(candidates, key=lambda candidate: candidate[0])
 
-    s_end = max(s for s, _ in candidates)
-    reason = next(r for s, r in candidates if s == s_end)
-
-    if s_end >= s_start:
-        if reason is StopReason.LEG_RANGE and state.dead_band > 0:
-            # The quantized retraction left so much slack that the leg range
-            # is used up before (or exactly when) the cable re-tensions.
-            return _engaged_only_step(state, config)
+    if s_end < s_start:
+        f_start = ratio * spring.stiffness * (spring.free_length - s_start)
+        f_end = ratio * spring.stiffness * (spring.free_length - s_end)
+        e_before = spring_energy(s_start, spring)
+        e_after = spring_energy(s_end, spring)
+        leg_travel = geom.standing_length - s_end * geom.segment_length / x
+    elif reason is StopReason.LEG_RANGE and state.dead_band > 0:
+        # The quantized retraction left so much slack that the leg range is
+        # used up before (or exactly when) the cable re-tensions.
+        s_end, reason = s_start, StopReason.ENGAGED_ONLY
+        f_start = f_end = hip_force(x, s_start, geom, spring)
+        e_before = e_after = spring_energy(s_start, spring)
+        leg_travel = geom.max_deformation
+    else:
         raise StallError(
             f"squat {state.iteration}: no compression possible below spring length "
             f"{s_start} (binding stop: {reason.value} at {s_end})"
         )
 
-    f_start = ratio * spring.stiffness * (spring.free_length - s_start)
-    f_end = ratio * spring.stiffness * (spring.free_length - s_end)
-    e_before = spring_energy(s_start, spring)
-    e_after = spring_energy(s_end, spring)
-    leg_travel = geom.standing_length - s_end * geom.segment_length / x
-
-    # Uniform samples in leg deformation over the engaged stroke; the dead
-    # band carries no force and no spring motion, so it is not sampled.
-    deformation = np.linspace(state.dead_band, leg_travel, config.sample_count)
-    s_samples = ratio * (geom.standing_length - deformation)
-    f_samples = ratio * spring.stiffness * (spring.free_length - s_samples)
-    e_samples = 0.5 * spring.stiffness * (spring.free_length - s_samples) ** 2
-    trajectory = Trajectory(deformation, s_samples, f_samples, e_samples)
-
-    done = replace(state, spring_length_end=s_end)
-    record = SquatRecord(
-        state=done,
-        start_force=f_start,
-        end_force=f_end,
-        energy_before=e_before,
-        energy_after=e_after,
-        leg_travel_used=leg_travel,
-        stop_reason=reason,
-    )
-    return done, record, trajectory
-
-
-def _engaged_only_step(
-    state: CycleState, config: Configuration
-) -> tuple[CycleState, SquatRecord, Trajectory]:
-    s = state.spring_length_start
-    f = hip_force(state.spring_position, s, config.leg, config.spring)
-    e = spring_energy(s, config.spring)
-    travel = config.leg.max_deformation
-    deformation = np.array([0.0, travel])
-    trajectory = Trajectory(
-        deformation,
-        np.full(2, s),
-        np.zeros(2),  # cable slack: the spring never loads the hip
-        np.full(2, e),
-    )
-    done = replace(state, spring_length_end=s)
-    record = SquatRecord(
-        state=done,
-        start_force=f,
-        end_force=f,
-        energy_before=e,
-        energy_after=e,
-        leg_travel_used=travel,
-        stop_reason=StopReason.ENGAGED_ONLY,
-    )
-    return done, record, trajectory
+    done = CycleState(state.iteration, x, s_start, s_end, state.dead_band)
+    return done, SquatRecord(done, f_start, f_end, e_before, e_after, leg_travel, reason)
 
 
 def lock_and_retract(state: CycleState, config: Configuration) -> CycleState:
@@ -276,18 +255,16 @@ def simulate(config: Configuration) -> SimResult:
     """
     state = initial_state(config)
     records: list[SquatRecord] = []
-    trajectories: list[Trajectory] = []
     full_at: int | None = None
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            state, record, trajectory = squat_step(state, config)
+            state, record = squat_step(state, config)
         except StallError:
             if iteration == 1:
                 raise
             break
         records.append(record)
-        trajectories.append(trajectory)
 
         s_end = record.state.spring_length_end
         if s_end <= config.spring.solid_length + config.tol_abs:
@@ -301,7 +278,6 @@ def simulate(config: Configuration) -> SimResult:
 
     return SimResult(
         records=tuple(records),
-        trajectories=tuple(trajectories),
         final_energy=records[-1].energy_after,
         iterations_to_full_compression=full_at,
         normalization=(e1_max(config.body, config.leg), config.force_cap),
@@ -347,16 +323,33 @@ def release_profile(
 
     s_end = min(spring.free_length, ratio * geom.standing_length)
     leg_end = s_end / ratio
-    deformation = np.linspace(
-        geom.standing_length - leg_start, geom.standing_length - leg_end, config.sample_count
-    )
-    s_samples = ratio * (geom.standing_length - deformation)
-    f_samples = ratio * spring.stiffness * (spring.free_length - s_samples)
-    e_samples = 0.5 * spring.stiffness * (spring.free_length - s_samples) ** 2
-    trajectory = Trajectory(deformation, s_samples, f_samples, e_samples)
-
     return ReleaseProfile(
-        trajectory=trajectory,
+        trajectory=_stroke(
+            config, x_release, geom.standing_length - leg_start, geom.standing_length - leg_end
+        ),
         peak_force=hip_force(x_release, spring_length, geom, spring),
         released_energy=spring_energy(spring_length, spring) - spring_energy(s_end, spring),
     )
+
+
+def _stroke(
+    config: Configuration, x: float, start: float, stop: float, slack_length: float | None = None
+) -> Trajectory:
+    """Quasi-static stroke at spring position ``x``, sampled uniformly in leg
+    deformation from ``start`` to ``stop``.
+
+    With ``slack_length`` the cable stays slack over the stroke: the spring
+    keeps that length and loads nothing, so the two endpoints suffice.
+    """
+    spring = config.spring
+    if slack_length is not None:
+        energy = spring_energy(slack_length, spring)
+        return Trajectory(
+            np.array([start, stop]), np.full(2, slack_length), np.zeros(2), np.full(2, energy)
+        )
+    ratio = x / config.leg.segment_length
+    deformation = np.linspace(start, stop, config.sample_count)
+    s_samples = ratio * (config.leg.standing_length - deformation)
+    f_samples = ratio * spring.stiffness * (spring.free_length - s_samples)
+    e_samples = 0.5 * spring.stiffness * (spring.free_length - s_samples) ** 2
+    return Trajectory(deformation, s_samples, f_samples, e_samples)

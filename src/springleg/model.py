@@ -32,6 +32,10 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require(0 < value < math.inf, f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class BodyParams:
     """Point-mass user or robot: mass and gravitational field."""
@@ -40,11 +44,8 @@ class BodyParams:
     gravity: float = 9.80665  # m/s^2
 
     def __post_init__(self) -> None:
-        _require(self.mass > 0 and math.isfinite(self.mass), f"mass must be > 0, got {self.mass}")
-        _require(
-            self.gravity > 0 and math.isfinite(self.gravity),
-            f"gravity must be > 0, got {self.gravity}",
-        )
+        _require_positive("mass", self.mass)
+        _require_positive("gravity", self.gravity)
 
     @property
     def weight(self) -> float:
@@ -73,7 +74,8 @@ class LegGeometry:
     max_deformation: float
 
     def __post_init__(self) -> None:
-        _require(self.segment_length > 0, f"segment_length must be > 0, got {self.segment_length}")
+        # A finite segment length bounds the other two lengths as well.
+        _require_positive("segment_length", self.segment_length)
         _require(
             0 < self.standing_length <= 2 * self.segment_length,
             f"standing_length must satisfy 0 < standing_length <= 2*segment_length "
@@ -95,7 +97,8 @@ class SpringParams:
     solid_length: float = 0.0  # m
 
     def __post_init__(self) -> None:
-        _require(self.stiffness > 0, f"stiffness must be > 0, got {self.stiffness}")
+        _require_positive("stiffness", self.stiffness)
+        _require_positive("free_length", self.free_length)
         _require(
             0 <= self.solid_length < self.free_length,
             f"solid_length must satisfy 0 <= solid_length < free_length "
@@ -121,7 +124,10 @@ class LossModel:
             0 < self.efficiency <= 1.0,
             f"efficiency must lie in (0, 1], got {self.efficiency}",
         )
-        _require(self.ratchet_pitch >= 0, f"ratchet_pitch must be >= 0, got {self.ratchet_pitch}")
+        _require(
+            self.ratchet_pitch >= 0 and math.isfinite(self.ratchet_pitch),
+            f"ratchet_pitch must be finite and >= 0, got {self.ratchet_pitch}",
+        )
 
 
 class CompressionPolicy(enum.Enum):
@@ -165,7 +171,7 @@ class Configuration:
             f"initial_spring_position must lie in (0, segment_length] "
             f"({self.leg.segment_length}), got {self.initial_spring_position}",
         )
-        _require(self.force_cap > 0, f"force_cap must be > 0, got {self.force_cap}")
+        _require_positive("force_cap", self.force_cap)
         _require(self.max_iterations >= 1, f"max_iterations must be >= 1, got {self.max_iterations}")
         _require(self.sample_count >= 2, f"sample_count must be >= 2, got {self.sample_count}")
         _require(self.tol_abs >= 0, f"tol_abs must be >= 0, got {self.tol_abs}")

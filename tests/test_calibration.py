@@ -78,6 +78,14 @@ class TestMeasuredCycleValidation:
             MeasuredCycle(1, np.array([0.0, 0.1, 0.05]), np.array([0.0, 1.0, 2.0]))
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            MeasuredCycle(1, np.array([0.0, bad]), np.array([0.0, 1.0]))
+        with pytest.raises(DataError, match="finite"):
+            MeasuredCycle(1, np.array([0.0, 0.1]), np.array([bad, 1.0]))
+
+
 class TestEstimateEfficiency:
     def test_lossless_data(self):
         cycles = cycles_from_simulation(worked_config())

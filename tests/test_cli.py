@@ -43,6 +43,12 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text((CONFIG_DIR / "prototype.cfg").read_text() + "ratchet_pitch_m = inf\n")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "ratchet_pitch must be finite" in capsys.readouterr().err
+
     def test_first_squat_stall_exits_3(self, tmp_path, capsys):
         stall = write_stall_config(tmp_path)
         assert main(["simulate", "--config", stall, "--out", str(tmp_path)]) == 3

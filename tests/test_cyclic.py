@@ -1,6 +1,7 @@
 """Multi-squat engine: worked examples, invariants, and oracle equivalence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,7 +62,8 @@ class TestInitialState:
 class TestSquatStep:
     def test_worked_first_squat_is_range_limited(self):
         config = worked_config()
-        state, record, trajectory = squat_step(initial_state(config), config)
+        state, record = squat_step(initial_state(config), config)
+        trajectory = simulate(replace(config, max_iterations=1)).trajectories[0]
         assert state.spring_length_end == pytest.approx(0.08, rel=1e-12)
         assert record.stop_reason is StopReason.LEG_RANGE
         assert record.end_force == pytest.approx(16.0, rel=1e-12)
@@ -71,7 +73,7 @@ class TestSquatStep:
 
     def test_low_cap_stops_at_cap(self):
         config = worked_config(force_cap=10.0)
-        _, record, _ = squat_step(initial_state(config), config)
+        _, record = squat_step(initial_state(config), config)
         assert record.stop_reason is StopReason.FORCE_CAP
         assert record.end_force == pytest.approx(10.0, rel=1e-12)
 
@@ -79,13 +81,13 @@ class TestSquatStep:
         # cap chosen so the cap stop coincides with the range stop; either
         # label is admissible, the spring length is what matters
         config = worked_config(force_cap=16.0)
-        state, record, _ = squat_step(initial_state(config), config)
+        state, record = squat_step(initial_state(config), config)
         assert state.spring_length_end == pytest.approx(0.08, rel=1e-12)
         assert record.stop_reason in (StopReason.FORCE_CAP, StopReason.LEG_RANGE)
 
     def test_full_range_policy_ignores_cap(self):
         config = worked_config(force_cap=10.0, policy=CompressionPolicy.FULL_RANGE)
-        _, record, _ = squat_step(initial_state(config), config)
+        _, record = squat_step(initial_state(config), config)
         assert record.stop_reason is StopReason.LEG_RANGE
         assert record.end_force == pytest.approx(16.0, rel=1e-12)
 
@@ -106,7 +108,8 @@ class TestSquatStep:
 
     def test_trajectory_follows_fixed_position_kinematics(self):
         config = worked_config(sample_count=257)
-        _, record, trajectory = squat_step(initial_state(config), config)
+        _, record = squat_step(initial_state(config), config)
+        trajectory = simulate(replace(config, max_iterations=1)).trajectories[0]
         x = record.state.spring_position
         expected = x / 0.2 * (0.3 - trajectory.leg_deformation)
         np.testing.assert_allclose(trajectory.spring_length, expected, rtol=1e-12)
@@ -116,7 +119,7 @@ class TestSquatStep:
 class TestLockAndRetract:
     def test_ideal_transition_carries_length_and_position(self):
         config = worked_config()
-        state, _, _ = squat_step(initial_state(config), config)
+        state, _ = squat_step(initial_state(config), config)
         nxt = lock_and_retract(state, config)
         assert nxt.spring_length_start == pytest.approx(0.08, rel=1e-12)
         assert nxt.spring_position == pytest.approx(0.08 / 0.12 * 0.08, rel=1e-12)
@@ -133,7 +136,7 @@ class TestLockAndRetract:
 
     def test_lossy_transition_scales_energy_by_efficiency(self):
         config = worked_config(loss=LossModel(efficiency=0.84))
-        state, record, _ = squat_step(initial_state(config), config)
+        state, record = squat_step(initial_state(config), config)
         nxt = lock_and_retract(state, config)
         assert nxt.spring_length_start == pytest.approx(
             0.12 - math.sqrt(0.84) * 0.04, rel=1e-12
@@ -143,7 +146,7 @@ class TestLockAndRetract:
 
     def test_ratio_recurrence_matches_closed_form(self):
         config = worked_config()
-        state, _, _ = squat_step(initial_state(config), config)
+        state, _ = squat_step(initial_state(config), config)
         nxt = lock_and_retract(state, config)
         # iterating the per-transition ratio from x_1 gives the same position
         assert nxt.spring_position == pytest.approx(
@@ -154,7 +157,7 @@ class TestLockAndRetract:
     def test_ratchet_rounds_away_from_knee_with_dead_band(self):
         pitch = 0.015
         config = worked_config(loss=LossModel(efficiency=1.0, ratchet_pitch=pitch))
-        state, _, _ = squat_step(initial_state(config), config)
+        state, _ = squat_step(initial_state(config), config)
         nxt = lock_and_retract(state, config)
         target = nxt.spring_length_start * 0.2 / 0.3
         assert 0.0 <= nxt.spring_position - target < pitch
@@ -173,7 +176,7 @@ class TestLockAndRetract:
             force_cap=400.0,
             loss=LossModel(efficiency=0.01),
         )
-        state, _, _ = squat_step(initial_state(config), config)
+        state, _ = squat_step(initial_state(config), config)
         with pytest.raises(SimulationError, match="beyond the hip"):
             lock_and_retract(state, config)
 
@@ -185,7 +188,7 @@ class TestStartForce:
 
     def test_second_squat_matches_ratio_form(self):
         config = worked_config()
-        state, record, _ = squat_step(initial_state(config), config)
+        state, record = squat_step(initial_state(config), config)
         nxt = lock_and_retract(state, config)
         f = start_force(nxt, config)
         assert f == pytest.approx(10.0 + 2.0 / 3.0, rel=1e-12)
@@ -194,7 +197,7 @@ class TestStartForce:
 
     def test_zero_compression_keeps_previous_cap(self):
         config = worked_config(force_cap=16.0)
-        state, record, _ = squat_step(initial_state(config), config)
+        state, record = squat_step(initial_state(config), config)
         frozen = replace(state, spring_length_end=state.spring_length_start)
         nxt = lock_and_retract(frozen, config)
         assert start_force(nxt, config) == pytest.approx(record.start_force, rel=1e-12)
@@ -234,7 +237,7 @@ class TestSimulate:
     def test_single_iteration_equals_one_squat_step(self):
         config = worked_config(max_iterations=1)
         result = simulate(config)
-        _, record, _ = squat_step(initial_state(config), config)
+        _, record = squat_step(initial_state(config), config)
         assert len(result.records) == 1
         assert result.records[0] == record
         assert result.final_energy == record.energy_after
@@ -253,6 +256,25 @@ class TestSimulate:
         assert a.records == b.records
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert np.array_equal(ta.hip_force, tb.hip_force)
+
+    def test_samples_not_stored_per_squat(self):
+        # stored samples would need 4 arrays * 1000 samples * 8 B = 32 kB per
+        # squat, 64 MB for this run; records alone stay near 1 MB
+        config = worked_config(
+            force_cap=10.0,
+            loss=LossModel(efficiency=0.9),
+            max_iterations=2000,
+            sample_count=1000,
+            tol_gain=0.0,
+        )
+        tracemalloc.start()
+        try:
+            result = simulate(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 2000
+        assert peak < 8 * 2**20
 
     def test_engaged_only_squat_ends_run_gracefully(self):
         # a coarse ratchet overshoots so far that the next squat's dead band

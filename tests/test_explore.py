@@ -127,6 +127,12 @@ class TestSweep:
         assert "efficiency" in rows[0].reason
         assert rows[1].status == "ok"
 
+    def test_non_finite_point_flagged_without_abort(self):
+        points = [{"force_cap_n": 50.0}, {"ratchet_pitch_m": math.inf}, {"force_cap_n": 80.0}]
+        rows = sweep(worked_config(), points)
+        assert [r.status for r in rows] == ["ok", "invalid", "ok"]
+        assert "ratchet_pitch must be finite" in rows[1].reason
+
     def test_row_order_independent_of_workers(self):
         config = worked_config()
         points = [{"force_cap_n": c} for c in (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)]

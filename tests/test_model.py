@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from springleg import (
     BodyParams,
+    Configuration,
     ConfigurationError,
     DomainError,
     LegGeometry,
@@ -167,6 +168,25 @@ class TestParameterValidation:
             LossModel(efficiency=1.2)
         with pytest.raises(ConfigurationError, match="ratchet_pitch"):
             LossModel(efficiency=0.9, ratchet_pitch=-0.01)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="segment_length"):
+            LegGeometry(segment_length=bad, standing_length=0.3, max_deformation=0.1)
+        with pytest.raises(ConfigurationError, match="stiffness"):
+            SpringParams(stiffness=bad, free_length=0.1)
+        with pytest.raises(ConfigurationError, match="free_length"):
+            SpringParams(stiffness=100.0, free_length=bad)
+        with pytest.raises(ConfigurationError, match="ratchet_pitch"):
+            LossModel(ratchet_pitch=bad)
+        with pytest.raises(ConfigurationError, match="force_cap"):
+            Configuration(
+                body=BodyParams(mass=10.0),
+                leg=GEOM,
+                spring=SPRING,
+                initial_spring_position=0.08,
+                force_cap=bad,
+            )
 
     def test_weight(self):
         assert BodyParams(mass=10.0, gravity=10.0).weight == pytest.approx(100.0)
