@@ -28,6 +28,11 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 #: before it is reported as inconsistent data.
 RATIO_TOL = 1e-9
 
+#: Zooms of the 2-unknown grid onto its best cell, after the first grid.
+_ZOOMS = 3
+#: Shrinking golden-section passes of the 1-unknown search.
+_GOLDEN_PASSES = 3
+
 
 @dataclass(frozen=True)
 class MeasuredCycle:
@@ -132,7 +137,6 @@ def fit_model(
     efficiency_bounds: tuple[float, float] = (0.05, 1.0),
     force_cap_bounds: tuple[float, float] | None = None,
     grid_points: int = 17,
-    rounds: int = 3,
 ) -> FitReport:
     """Fit the loss model to measured cycles by least-squares on force.
 
@@ -156,8 +160,6 @@ def fit_model(
             raise DataError("measured forces must be finite and positive to bound the cap search")
         force_cap_bounds = (0.5 * f_max, 1.25 * f_max)
 
-    objective = _make_objective(ordered, config)
-
     eta = config.loss.efficiency
     cap = config.force_cap
     flat = False
@@ -170,10 +172,12 @@ def fit_model(
         eta_box = efficiency_bounds
         cap_box = force_cap_bounds
         eta_step = cap_step = 0.0
-        for zoom in range(rounds + 1):
+        for zoom in range(_ZOOMS + 1):
             eta_grid = np.linspace(*eta_box, grid_points)
             cap_grid = np.linspace(*cap_box, grid_points)
-            values = np.array([[objective(e, c) for c in cap_grid] for e in eta_grid])
+            values = np.array(
+                [[_residual(ordered, config, e, c)[0] for c in cap_grid] for e in eta_grid]
+            )
             if zoom == 0:
                 flat = _is_flat(values)
             i, j = np.unravel_index(int(np.argmin(values)), values.shape)
@@ -190,28 +194,28 @@ def fit_model(
             )
         for _ in range(2):
             eta = _golden_min(
-                lambda e: objective(e, cap),
+                lambda e: _residual(ordered, config, e, cap)[0],
                 max(efficiency_bounds[0], eta - eta_step),
                 min(efficiency_bounds[1], eta + eta_step),
             )
             cap = _golden_min(
-                lambda c: objective(eta, c),
+                lambda c: _residual(ordered, config, eta, c)[0],
                 max(force_cap_bounds[0], cap - cap_step),
                 min(force_cap_bounds[1], cap + cap_step),
             )
     elif fit_efficiency or fit_force_cap:
         if fit_efficiency:
             bounds = efficiency_bounds
-            value_of = lambda v: objective(v, cap)
+            value_of = lambda v: _residual(ordered, config, v, cap)[0]
         else:
             bounds = force_cap_bounds
-            value_of = lambda v: objective(eta, v)
+            value_of = lambda v: _residual(ordered, config, eta, v)[0]
         grid = np.linspace(*bounds, grid_points)
         values = np.array([value_of(v) for v in grid])
         flat = _is_flat(values)
         best = float(grid[int(np.argmin(values))])
         step = float(grid[1] - grid[0])
-        for _ in range(rounds):
+        for _ in range(_GOLDEN_PASSES):
             best = _golden_min(value_of, max(bounds[0], best - step), min(bounds[1], best + step))
             step *= _INV_PHI_SQ
         if fit_efficiency:
@@ -236,16 +240,6 @@ def fit_model(
         retention_ratios=ratios,
         flat_objective=flat,
     )
-
-
-def _make_objective(
-    cycles: Sequence[MeasuredCycle], config: Configuration
-) -> Callable[[float, float], float]:
-    def objective(eta: float, cap: float) -> float:
-        sse, _ = _residual(cycles, config, eta, cap)
-        return sse
-
-    return objective
 
 
 def _residual(

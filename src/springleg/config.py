@@ -12,65 +12,52 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ConfigurationError
 from .model import (
-    BodyParams,
-    CompressionPolicy,
-    Configuration,
-    LegGeometry,
-    LossModel,
-    SpringParams,
+    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams
 )
 
-REQUIRED_KEYS = (
-    "mass_kg",
-    "gravity_mps2",
-    "segment_length_m",
-    "standing_length_m",
-    "max_deformation_m",
-    "spring_stiffness_n_per_m",
-    "spring_free_length_m",
-    "spring_solid_length_m",
-    "initial_spring_position_m",
-)
+#: Flat key -> (Configuration part, field), in file order.  Part None is a
+#: field of Configuration itself.
+_FIELDS: dict[str, tuple[str | None, str]] = {
+    "mass_kg": ("body", "mass"),
+    "gravity_mps2": ("body", "gravity"),
+    "segment_length_m": ("leg", "segment_length"),
+    "standing_length_m": ("leg", "standing_length"),
+    "max_deformation_m": ("leg", "max_deformation"),
+    "spring_stiffness_n_per_m": ("spring", "stiffness"),
+    "spring_free_length_m": ("spring", "free_length"),
+    "spring_solid_length_m": ("spring", "solid_length"),
+    "initial_spring_position_m": (None, "initial_spring_position"),
+    "force_cap_n": (None, "force_cap"),
+    "efficiency": ("loss", "efficiency"),
+    "ratchet_pitch_m": ("loss", "ratchet_pitch"),
+    "policy": (None, "policy"),
+    "max_iterations": (None, "max_iterations"),
+    "sample_count": (None, "sample_count"),
+}
+_PARTS = {"body": BodyParams, "leg": LegGeometry, "spring": SpringParams, "loss": LossModel}
 
+#: Keys that may be left out; the defaults of ``model`` then apply.
 OPTIONAL_KEYS = (
-    "force_cap_n",  # default: body weight
-    "efficiency",  # default 1.0
-    "ratchet_pitch_m",  # default 0.0
-    "policy",  # force_limited | full_range, default force_limited
-    "max_iterations",  # default 100
-    "sample_count",  # default 1000
+    "force_cap_n", "efficiency", "ratchet_pitch_m", "policy", "max_iterations", "sample_count"
 )
+ALL_KEYS = tuple(_FIELDS)
+REQUIRED_KEYS = tuple(k for k in ALL_KEYS if k not in OPTIONAL_KEYS)
+_REQUIRED = frozenset(REQUIRED_KEYS)
 
-ALL_KEYS = REQUIRED_KEYS + OPTIONAL_KEYS
-
-_INT_KEYS = ("max_iterations", "sample_count")
-_POLICIES = {p.value: p for p in CompressionPolicy}
+_INT_KEYS = frozenset({"max_iterations", "sample_count"})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Configuration:
     """Parse configuration text; see :func:`parse_config` for the file form."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in ALL_KEYS:
-            raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, value.strip(), source, lineno)
-    missing = [k for k in REQUIRED_KEYS if k not in values]
-    if missing:
-        raise ConfigurationError(f"{source}: missing required keys: {', '.join(missing)}")
-    return config_from_values(values)
+    values = {key: _file_value(key, value, source, n) for n, key, value in _lines(text, source)}
+    try:
+        return config_from_values(values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> Configuration:
@@ -80,85 +67,38 @@ def parse_config(path: str | Path) -> Configuration:
     ------
     ConfigurationError
         On unknown, duplicate, or missing keys, unparsable values, or any
-        violated parameter bound; the message names the key and the bound.
+        violated parameter bound; the message names the file, the key and
+        the bound.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(_read(path, "config"), source=str(path))
 
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
-    unknown = [k for k in values if k not in ALL_KEYS]
-    if unknown:
-        raise ConfigurationError(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = [k for k in REQUIRED_KEYS if k not in values]
-    if missing:
+    if not values.keys() <= _FIELDS.keys():
+        unknown = sorted(k for k in values if k not in _FIELDS)
+        raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
+    if not values.keys() >= _REQUIRED:
+        missing = [k for k in REQUIRED_KEYS if k not in values]
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
-
-    def num(key: str) -> float:
-        return _coerce_float(key, values[key])
-
-    policy_raw = values.get("policy", CompressionPolicy.FORCE_LIMITED.value)
-    if isinstance(policy_raw, CompressionPolicy):
-        policy = policy_raw
-    elif str(policy_raw) in _POLICIES:
-        policy = _POLICIES[str(policy_raw)]
-    else:
-        raise ConfigurationError(
-            f"policy must be one of {sorted(_POLICIES)}, got {policy_raw!r}"
-        )
-
-    body = BodyParams(mass=num("mass_kg"), gravity=num("gravity_mps2"))
-    geom = LegGeometry(
-        segment_length=num("segment_length_m"),
-        standing_length=num("standing_length_m"),
-        max_deformation=num("max_deformation_m"),
-    )
-    spring = SpringParams(
-        stiffness=num("spring_stiffness_n_per_m"),
-        free_length=num("spring_free_length_m"),
-        solid_length=num("spring_solid_length_m"),
-    )
-    loss = LossModel(
-        efficiency=num("efficiency") if "efficiency" in values else 1.0,
-        ratchet_pitch=num("ratchet_pitch_m") if "ratchet_pitch_m" in values else 0.0,
-    )
-    return Configuration(
-        body=body,
-        leg=geom,
-        spring=spring,
-        initial_spring_position=num("initial_spring_position_m"),
-        force_cap=num("force_cap_n") if "force_cap_n" in values else None,
-        loss=loss,
-        policy=policy,
-        max_iterations=_coerce_int("max_iterations", values.get("max_iterations", 100)),
-        sample_count=_coerce_int("sample_count", values.get("sample_count", 1000)),
-    )
+    fields: dict[str | None, dict[str, object]] = {part: {} for part in (None, *_PARTS)}
+    for key, value in values.items():
+        part, name = _FIELDS[key]
+        fields[part][name] = _convert(key, value)
+    top = fields[None]
+    for part, cls in _PARTS.items():
+        top[part] = cls(**fields[part])
+    return Configuration(**top)
 
 
 def values_from_config(config: Configuration) -> dict[str, object]:
     """Flat key-value view of a Configuration (inverse of config_from_values)."""
-    return {
-        "mass_kg": config.body.mass,
-        "gravity_mps2": config.body.gravity,
-        "segment_length_m": config.leg.segment_length,
-        "standing_length_m": config.leg.standing_length,
-        "max_deformation_m": config.leg.max_deformation,
-        "spring_stiffness_n_per_m": config.spring.stiffness,
-        "spring_free_length_m": config.spring.free_length,
-        "spring_solid_length_m": config.spring.solid_length,
-        "initial_spring_position_m": config.initial_spring_position,
-        "force_cap_n": config.force_cap,
-        "efficiency": config.loss.efficiency,
-        "ratchet_pitch_m": config.loss.ratchet_pitch,
-        "policy": config.policy.value,
-        "max_iterations": config.max_iterations,
-        "sample_count": config.sample_count,
+    values = {
+        key: getattr(getattr(config, part) if part else config, name)
+        for key, (part, name) in _FIELDS.items()
     }
+    values["policy"] = config.policy.value
+    return values
 
 
 def parse_grid(path: str | Path) -> list[dict[str, object]]:
@@ -168,70 +108,71 @@ def parse_grid(path: str | Path) -> list[dict[str, object]]:
     points are the cartesian product of the listed values, in file order
     with the last key varying fastest.
     """
-    path = Path(path)
+    source = str(path)
+    columns: dict[str, list[object]] = {}
+    for lineno, key, rest in _lines(_read(path, "grid"), source):
+        items = [item.strip() for item in rest.split(",") if item.strip()]
+        if not items:
+            raise ConfigurationError(f"{source}:{lineno}: no values for key {key!r}")
+        columns[key] = [_file_value(key, item, source, lineno) for item in items]
+    if not columns:
+        raise ConfigurationError(f"{source}: empty grid file")
+    return [dict(zip(columns, combo)) for combo in itertools.product(*columns.values())]
+
+
+def _read(path: str | Path, kind: str) -> str:
     try:
-        text = path.read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read grid file {path}: {exc}") from exc
-    keys: list[str] = []
-    columns: list[list[object]] = []
+        raise ConfigurationError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _lines(text: str, source: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value text)`` for each non-blank line."""
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = v1, v2, ...', got {raw!r}")
-        key, _, rest = line.partition("=")
+        key, sep, value = line.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in keys:
-            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        items = [item.strip() for item in rest.split(",") if item.strip()]
-        if not items:
-            raise ConfigurationError(f"{path}:{lineno}: no values for key {key!r}")
-        parsed = [_parse_value(key, item, str(path), lineno) for item in items]
-        keys.append(key)
-        columns.append(parsed)
-    if not keys:
-        raise ConfigurationError(f"{path}: empty grid file")
-    return [dict(zip(keys, combo)) for combo in itertools.product(*columns)]
+        if not sep:
+            raise ConfigurationError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        if key not in _FIELDS:
+            raise ConfigurationError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        yield lineno, key, value.strip()
 
 
-def _parse_value(key: str, text: str, source: str, lineno: int) -> object:
+def _file_value(key: str, text: str, source: str, lineno: int) -> object:
+    """Check one value from a file; a policy stays text, as in a flat mapping."""
+    try:
+        value = _convert(key, text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}:{lineno}: {exc}") from exc
+    return text if key == "policy" else value
+
+
+def _convert(key: str, value: object) -> object:
+    """The one value rule, for file text and mappings alike.
+
+    Float keys take ``float(value)``; integer keys take a finite, integral,
+    non-bool number; ``policy`` takes a policy or its name.
+    """
     if key == "policy":
-        return text
-    if key in _INT_KEYS:
         try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{source}:{lineno}: key {key!r} needs an integer, got {text!r}"
-            ) from exc
+            return CompressionPolicy(value)
+        except ValueError:
+            names = sorted(p.value for p in CompressionPolicy)
+            raise ConfigurationError(f"policy must be one of {names}, got {value!r}") from None
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{source}:{lineno}: key {key!r} needs a number, got {text!r}"
-        ) from exc
-
-
-def _coerce_float(key: str, value: object) -> float:
-    try:
-        result = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"key {key!r} needs a number, got {value!r}") from exc
-    return result
-
-
-def _coerce_int(key: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if key not in _INT_KEYS:
+        return number
+    if isinstance(value, bool) or not number.is_integer():
         raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
-    try:
-        as_float = float(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}") from exc
-    result = int(as_float)
-    if result != as_float:
-        raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
-    return result
+    return int(value) if isinstance(value, int) else int(number)

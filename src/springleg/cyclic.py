@@ -165,7 +165,10 @@ def squat_step(state: CycleState, config: Configuration) -> tuple[CycleState, Sq
     ratio = x / geom.segment_length
     candidates: list[tuple[float, StopReason]] = []
     if config.policy is CompressionPolicy.FORCE_LIMITED:
-        s_cap = spring.free_length - config.force_cap / (spring.stiffness * ratio)
+        try:
+            s_cap = spring.free_length - config.force_cap / (spring.stiffness * ratio)
+        except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
+            s_cap = -math.inf
         candidates.append((s_cap, StopReason.FORCE_CAP))
     s_range = ratio * (geom.standing_length - geom.max_deformation)
     candidates.append((s_range, StopReason.LEG_RANGE))
@@ -222,7 +225,8 @@ def lock_and_retract(state: CycleState, config: Configuration) -> CycleState:
 
     pitch = config.loss.ratchet_pitch
     if pitch > 0:
-        x_next = min(pitch * math.ceil(x_target / pitch), geom.segment_length)
+        # The first tooth sits one pitch from the knee, never at it.
+        x_next = min(pitch * max(math.ceil(x_target / pitch), 1), geom.segment_length)
         dead_band = geom.standing_length - s_next * geom.segment_length / x_next
     else:
         x_next = x_target

@@ -172,6 +172,12 @@ class Configuration:
             f"({self.leg.segment_length}), got {self.initial_spring_position}",
         )
         _require_positive("force_cap", self.force_cap)
+        # The ratchet rounds onto a grid of segment_length / pitch teeth.
+        pitch = self.loss.ratchet_pitch
+        if pitch and not math.isfinite(self.leg.segment_length / pitch):
+            raise ConfigurationError(
+                f"ratchet_pitch {pitch} is too small: segment_length / ratchet_pitch overflows"
+            )
         _require(self.max_iterations >= 1, f"max_iterations must be >= 1, got {self.max_iterations}")
         _require(self.sample_count >= 2, f"sample_count must be >= 2, got {self.sample_count}")
         _require(self.tol_abs >= 0, f"tol_abs must be >= 0, got {self.tol_abs}")

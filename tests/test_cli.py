@@ -44,10 +44,15 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
-        config = tmp_path / "inf.cfg"
-        config.write_text((CONFIG_DIR / "prototype.cfg").read_text() + "ratchet_pitch_m = inf\n")
-        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
-        assert "ratchet_pitch must be finite" in capsys.readouterr().err
+        # 5e-324 is finite, but segment_length / pitch overflows
+        cases = (("inf", "ratchet_pitch must be finite"), ("5e-324", "ratchet_pitch"))
+        for value, message in cases:
+            config = tmp_path / "inf.cfg"
+            config.write_text(
+                (CONFIG_DIR / "prototype.cfg").read_text() + f"ratchet_pitch_m = {value}\n"
+            )
+            assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_first_squat_stall_exits_3(self, tmp_path, capsys):
         stall = write_stall_config(tmp_path)

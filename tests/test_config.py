@@ -1,18 +1,27 @@
 """Configuration and grid file parsing."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
+    ALL_KEYS,
     CompressionPolicy,
     ConfigurationError,
+    SimResult,
+    SimulationError,
     config_from_values,
+    emit_sweep_csv,
     parse_config,
     parse_config_text,
     parse_grid,
+    simulate,
+    sweep,
     values_from_config,
 )
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, worked_config
 
 MINIMAL = """
 mass_kg = 70.0
@@ -85,6 +94,20 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="max_iterations"):
             parse_config_text(MINIMAL + "max_iterations = 2.5\n")
 
+    def test_integral_number_accepted_for_integer_key(self):
+        assert parse_config_text(MINIMAL + "max_iterations = 1e2\n").max_iterations == 100
+        with pytest.raises(ConfigurationError, match=r"<config>:11: key 'max_iterations'"):
+            parse_config_text(MINIMAL + "max_iterations = 2.5\n")
+
+    def test_errors_name_the_source_file(self, tmp_path):
+        path = tmp_path / "short.cfg"
+        path.write_text(MINIMAL.replace("mass_kg = 70.0", ""))
+        with pytest.raises(ConfigurationError, match=r"short\.cfg: missing required keys: mass"):
+            parse_config(path)
+        path.write_text(MINIMAL + "efficiency = 1.2\n")
+        with pytest.raises(ConfigurationError, match=r"short\.cfg: efficiency must lie"):
+            parse_config(path)
+
 
 class TestValuesRoundTrip:
     def test_config_to_values_to_config(self):
@@ -117,8 +140,51 @@ class TestParseGrid:
         with pytest.raises(ConfigurationError, match="unknown key 'bogus'"):
             parse_grid(grid)
 
+    def test_policy_points_stay_text_in_sweep_csv(self, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("policy = force_limited, full_range\n")
+        points = parse_grid(grid)
+        assert points == [{"policy": "force_limited"}, {"policy": "full_range"}]
+        path = emit_sweep_csv(sweep(worked_config(), points), ["policy"], tmp_path / "sweep.csv")
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["force_limited", "ok"],
+            ["full_range", "ok"],
+        ]
+
+    def test_bad_value_names_grid_line(self, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("force_cap_n = 10, 20\npolicy = full_range, unlimited\n")
+        with pytest.raises(ConfigurationError, match=r"grid\.txt:2: policy must be one of"):
+            parse_grid(grid)
+
     def test_empty_grid_rejected(self, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text("# nothing here\n")
         with pytest.raises(ConfigurationError, match="empty grid"):
             parse_grid(grid)
+
+
+NUMERIC_KEYS = [key for key in ALL_KEYS if key != "policy"]
+WORKED_VALUES = values_from_config(worked_config())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(NUMERIC_KEYS), st.floats() | st.floats(0.0, 1.0)))
+@example({"ratchet_pitch_m": 5e-324})
+@example({"spring_stiffness_n_per_m": 5e-324})
+@example({"ratchet_pitch_m": 0.01, "spring_free_length_m": 1e200, "policy": "full_range"})
+def test_any_float_gives_a_config_or_configuration_error(overrides):
+    """Every float, inf and nan included, is either accepted or rejected
+    with ConfigurationError; an accepted config simulates or raises
+    SimulationError.  Nothing else escapes."""
+    try:
+        config = config_from_values({**WORKED_VALUES, **overrides})
+    except ConfigurationError:
+        return
+    # The cap bounds the runtime only; the first 200 squats are unchanged.
+    config = replace(config, max_iterations=min(config.max_iterations, 200))
+    try:
+        assert isinstance(simulate(config), SimResult)
+    except SimulationError:
+        pass

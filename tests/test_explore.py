@@ -128,10 +128,18 @@ class TestSweep:
         assert rows[1].status == "ok"
 
     def test_non_finite_point_flagged_without_abort(self):
-        points = [{"force_cap_n": 50.0}, {"ratchet_pitch_m": math.inf}, {"force_cap_n": 80.0}]
-        rows = sweep(worked_config(), points)
-        assert [r.status for r in rows] == ["ok", "invalid", "ok"]
-        assert "ratchet_pitch must be finite" in rows[1].reason
+        bad_points = [
+            ({"ratchet_pitch_m": math.inf}, "ratchet_pitch must be finite"),
+            ({"ratchet_pitch_m": 5e-324}, "ratchet_pitch"),
+            ({"max_iterations": math.inf}, "max_iterations"),
+            ({"sample_count": math.nan}, "sample_count"),
+            ({"max_iterations": "nan"}, "max_iterations"),
+        ]
+        for bad, reason in bad_points:
+            points = [{"force_cap_n": 50.0}, bad, {"force_cap_n": 80.0}]
+            rows = sweep(worked_config(), points)
+            assert [r.status for r in rows] == ["ok", "invalid", "ok"], bad
+            assert reason in rows[1].reason
 
     def test_row_order_independent_of_workers(self):
         config = worked_config()
