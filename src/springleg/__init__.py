@@ -38,6 +38,7 @@ from .cyclic import (
     SimResult,
     SquatRecord,
     StopReason,
+    Termination,
     initial_state,
     lock_and_retract,
     release_profile,
@@ -103,6 +104,7 @@ __all__ = [
     "StallError",
     "StopReason",
     "SweepRow",
+    "Termination",
     "Trajectory",
     "average_force",
     "baseline_result",

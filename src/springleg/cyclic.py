@@ -7,8 +7,9 @@ extends, and the endpoints retract toward the knee so that the next squat
 starts within the force cap again.  Losses enter as an energy efficiency per
 lock/retract transition, and a ratchet pitch quantizes the retracted
 position, leaving a force-free dead band at the start of the next squat.
-A run keeps one scalar record per squat; sampled strokes are derived from
-the records only when read.
+The squat and the lock/retract step are one plain-float map, streamed by
+``Run``; ``simulate`` keeps one scalar record per squat, and sampled strokes
+are derived from the records only when read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ class StopReason(enum.Enum):
     LEG_RANGE = "leg_range"  # leg deformation range exhausted
     SPRING_SOLID = "spring_solid"  # spring fully compressed
     ENGAGED_ONLY = "engaged_only"  # dead band consumed the stroke, no compression
+
+
+class Termination(enum.Enum):
+    """Why a run ended; a stalled run stalled on the squat after its last record."""
+
+    FULL_COMPRESSION = "full_compression"  # spring within tol_abs of solid
+    CONVERGED = "converged"  # net energy gain below tol_gain
+    STALLED = "stalled"  # the next squat could not compress
+    ITERATION_CAP = "iteration_cap"  # max_iterations squats run
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ class SimResult:
     iterations_to_full_compression: int | None  # None = not reached
     normalization: tuple[float, float]  # (e1_max, force_cap)
     config: Configuration
+    termination: Termination
 
     @property
     def final_spring_length(self) -> float:
@@ -154,49 +165,10 @@ def squat_step(state: CycleState, config: Configuration) -> tuple[CycleState, Sq
     """
     if state.spring_length_end is not None:
         raise SimulationError(f"squat {state.iteration} already completed")
-    geom, spring = config.leg, config.spring
-    x = state.spring_position
-    s_start = state.spring_length_start
-    if s_start <= spring.solid_length:
-        raise StallError(
-            f"squat {state.iteration}: spring already at solid length {spring.solid_length}"
-        )
-
-    ratio = x / geom.segment_length
-    candidates: list[tuple[float, StopReason]] = []
-    if config.policy is CompressionPolicy.FORCE_LIMITED:
-        try:
-            s_cap = spring.free_length - config.force_cap / (spring.stiffness * ratio)
-        except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
-            s_cap = -math.inf
-        candidates.append((s_cap, StopReason.FORCE_CAP))
-    s_range = ratio * (geom.standing_length - geom.max_deformation)
-    candidates.append((s_range, StopReason.LEG_RANGE))
-    candidates.append((spring.solid_length, StopReason.SPRING_SOLID))
-    # max() keeps the first of equal candidates, which gives the tie order.
-    s_end, reason = max(candidates, key=lambda candidate: candidate[0])
-
-    if s_end < s_start:
-        f_start = ratio * spring.stiffness * (spring.free_length - s_start)
-        f_end = ratio * spring.stiffness * (spring.free_length - s_end)
-        e_before = spring_energy(s_start, spring)
-        e_after = spring_energy(s_end, spring)
-        leg_travel = geom.standing_length - s_end * geom.segment_length / x
-    elif reason is StopReason.LEG_RANGE and state.dead_band > 0:
-        # The quantized retraction left so much slack that the leg range is
-        # used up before (or exactly when) the cable re-tensions.
-        s_end, reason = s_start, StopReason.ENGAGED_ONLY
-        f_start = f_end = hip_force(x, s_start, geom, spring)
-        e_before = e_after = spring_energy(s_start, spring)
-        leg_travel = geom.max_deformation
-    else:
-        raise StallError(
-            f"squat {state.iteration}: no compression possible below spring length "
-            f"{s_start} (binding stop: {reason.value} at {s_end})"
-        )
-
-    done = CycleState(state.iteration, x, s_start, s_end, state.dead_band)
-    return done, SquatRecord(done, f_start, f_end, e_before, e_after, leg_travel, reason)
+    squat, _ = _recurrence(config)
+    n = state.iteration
+    record = _record(n, squat(n, state.spring_position, state.spring_length_start, state.dead_band))
+    return record.state, record
 
 
 def lock_and_retract(state: CycleState, config: Configuration) -> CycleState:
@@ -212,38 +184,89 @@ def lock_and_retract(state: CycleState, config: Configuration) -> CycleState:
     """
     if state.spring_length_end is None:
         raise SimulationError(f"squat {state.iteration} has no completed compression to lock")
-    geom = config.leg
-    s0 = config.spring.free_length
-    s_next = s0 - math.sqrt(config.loss.efficiency) * (s0 - state.spring_length_end)
-    x_target = s_next * geom.segment_length / geom.standing_length
-    if x_target > geom.segment_length:
-        raise SimulationError(
-            f"retraction after squat {state.iteration} needs spring position {x_target} "
-            f"beyond the hip ({geom.segment_length}): the locked spring (length {s_next}) "
-            "no longer fits the standing leg"
+    _, retract = _recurrence(config)
+    x, s_start, dead_band = retract(state.iteration, state.spring_length_end)
+    return CycleState(state.iteration + 1, x, s_start, dead_band=dead_band)
+
+
+def _recurrence(config: Configuration):
+    """``squat(n, x, s_start, dead_band)`` -> squat tuple (see ``Run``) and
+    ``retract(n, s_end)`` -> next ``(x, s_start, dead_band)`` of ``config``
+    on plain floats: the maps behind ``squat_step`` and ``lock_and_retract``."""
+    geom, spring = config.leg, config.spring
+    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
+    k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
+    cap = config.force_cap if config.policy is CompressionPolicy.FORCE_LIMITED else None
+    root_efficiency = math.sqrt(config.loss.efficiency)
+    pitch = config.loss.ratchet_pitch
+    # Bound once: looking up an enum member costs more than a squat's arithmetic.
+    by_cap, by_range, by_solid = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID
+
+    def squat(n: int, x: float, s_start: float, dead_band: float) -> tuple:
+        if s_start <= solid:
+            raise StallError(f"squat {n}: spring already at solid length {solid}")
+        ratio = x / seg
+        s_range = ratio * (lstand - dlmax)
+        # A later stop binds only when strictly larger, which gives the tie order.
+        if cap is None:
+            s_end, stop = s_range, by_range
+        else:
+            try:
+                s_end = s0 - cap / (k * ratio)
+            except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
+                s_end = -math.inf
+            stop = by_cap
+            if s_range > s_end:
+                s_end, stop = s_range, by_range
+        if solid > s_end:
+            s_end, stop = solid, by_solid
+
+        if s_end < s_start:
+            f_start, f_end = ratio * k * (s0 - s_start), ratio * k * (s0 - s_end)
+            e_before, e_after = spring_energy(s_start, spring), spring_energy(s_end, spring)
+            travel = lstand - s_end * seg / x
+            return x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel
+        if stop is by_range and dead_band > 0:
+            # The quantized retraction left so much slack that the leg range is
+            # used up before (or exactly when) the cable re-tensions.
+            force = hip_force(x, s_start, geom, spring)
+            energy = spring_energy(s_start, spring)
+            stop = StopReason.ENGAGED_ONLY
+            return x, s_start, dead_band, s_start, stop, force, force, energy, energy, dlmax
+        raise StallError(
+            f"squat {n}: no compression possible below spring length "
+            f"{s_start} (binding stop: {stop.value} at {s_end})"
         )
 
-    pitch = config.loss.ratchet_pitch
-    if pitch > 0:
-        # The first tooth sits one pitch from the knee, never at it.
-        x_next = min(pitch * max(math.ceil(x_target / pitch), 1), geom.segment_length)
-        dead_band = geom.standing_length - s_next * geom.segment_length / x_next
-    else:
-        x_next = x_target
-        dead_band = 0.0
+    def retract(n: int, s_end: float) -> tuple[float, float, float]:
+        s_next = s0 - root_efficiency * (s0 - s_end)
+        x_target = s_next * seg / lstand
+        if x_target > seg:
+            raise SimulationError(
+                f"retraction after squat {n} needs spring position {x_target} "
+                f"beyond the hip ({seg}): the locked spring (length {s_next}) "
+                "no longer fits the standing leg"
+            )
+        if pitch > 0:
+            # The first tooth sits one pitch from the knee, never at it.
+            x_next = min(pitch * max(math.ceil(x_target / pitch), 1), seg)
+            return x_next, s_next, lstand - s_next * seg / x_next
+        return x_target, s_next, 0.0
 
-    return CycleState(
-        iteration=state.iteration + 1,
-        spring_position=x_next,
-        spring_length_start=s_next,
-        dead_band=dead_band,
-    )
+    return squat, retract
 
 
-def simulate(config: Configuration) -> SimResult:
-    """Alternate squats and lock/retract transitions until done.
+#: Index of ``energy_after`` in the tuples a ``Run`` yields.
+ENERGY_AFTER = 8
 
-    Termination, in order of precedence per iteration:
+
+class Run:
+    """The squats of one run, streamed as plain-float tuples.
+
+    Iterating yields ``(x, s_start, dead_band, s_end, stop, f_start, f_end,
+    e_before, e_after, leg_travel)`` per squat, the fields of ``SquatRecord``
+    and its ``CycleState``, and keeps nothing.  Termination, in order of
+    precedence per iteration:
 
     * full compression: post-squat spring length within ``tol_abs`` of the
       solid length;
@@ -251,42 +274,73 @@ def simulate(config: Configuration) -> SimResult:
       ``tol_gain`` (this detects both the vanishing-progress regime of the
       ideal mechanism and the loss/regain fixed point of a lossy one);
     * a stall on any squat after the first (no compression possible);
-    * ``max_iterations``.
+    * ``max_iterations`` squats, after the last of which nothing retracts.
 
-    A stall on the first squat raises, since the configuration can
-    accumulate nothing at all.  The result is a pure function of the
-    configuration: identical configurations give bit-identical results.
+    A stall on the first squat raises ``StallError``, since the
+    configuration can accumulate nothing at all.  ``termination`` says why
+    the run ended once the iteration is exhausted.
     """
-    state = initial_state(config)
-    records: list[SquatRecord] = []
-    full_at: int | None = None
 
-    for iteration in range(1, config.max_iterations + 1):
-        try:
-            state, record = squat_step(state, config)
-        except StallError:
-            if iteration == 1:
-                raise
-            break
-        records.append(record)
+    def __init__(self, config: Configuration, max_iterations: int) -> None:
+        self.config, self.max_iterations = config, max_iterations
+        self.termination: Termination | None = None
 
-        s_end = record.state.spring_length_end
-        if s_end <= config.spring.solid_length + config.tol_abs:
-            full_at = iteration
-            break
-        previous = records[-2].energy_after if len(records) >= 2 else records[0].energy_before
-        if record.energy_after - previous < config.tol_gain:
-            break
-        if iteration < config.max_iterations:
-            state = lock_and_retract(state, config)
+    def __iter__(self):
+        config, budget = self.config, self.max_iterations
+        squat, retract = _recurrence(config)
+        full_length = config.spring.solid_length + config.tol_abs
+        tol_gain = config.tol_gain
+        start = initial_state(config)
+        x, s_start, dead_band = start.spring_position, start.spring_length_start, start.dead_band
+        previous = None
+        for n in range(1, budget + 1):
+            try:
+                done = squat(n, x, s_start, dead_band)
+            except StallError:
+                if n == 1:
+                    raise
+                self.termination = Termination.STALLED
+                return
+            yield done
+            _, _, _, s_end, _, _, _, e_before, e_after, _ = done
+            if s_end <= full_length:
+                self.termination = Termination.FULL_COMPRESSION
+                return
+            if e_after - (e_before if previous is None else previous) < tol_gain:
+                self.termination = Termination.CONVERGED
+                return
+            if n < budget:
+                x, s_start, dead_band = retract(n, s_end)
+            previous = e_after
+        self.termination = Termination.ITERATION_CAP
 
+
+def simulate(config: Configuration) -> SimResult:
+    """Alternate squats and lock/retract transitions until done.
+
+    See ``Run`` for the termination rules.  The result is a pure function
+    of the configuration: identical configurations give bit-identical
+    results.
+    """
+    run = Run(config, config.max_iterations)
+    # Through a list: tuple() of a generator grows by resizing, which fragments the heap.
+    records = tuple([_record(n, squat) for n, squat in enumerate(run, 1)])
     return SimResult(
-        records=tuple(records),
+        records=records,
         final_energy=records[-1].energy_after,
-        iterations_to_full_compression=full_at,
+        iterations_to_full_compression=(
+            len(records) if run.termination is Termination.FULL_COMPRESSION else None
+        ),
         normalization=(e1_max(config.body, config.leg), config.force_cap),
         config=config,
+        termination=run.termination,
     )
+
+
+def _record(n: int, squat: tuple) -> SquatRecord:
+    x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel = squat
+    state = CycleState(n, x, s_start, s_end, dead_band)
+    return SquatRecord(state, f_start, f_end, e_before, e_after, travel, stop)
 
 
 def release_profile(

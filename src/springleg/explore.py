@@ -7,11 +7,12 @@ rows follow grid order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import config_from_values, values_from_config
-from .cyclic import SimResult, simulate
+from .cyclic import ENERGY_AFTER, Run, Termination, simulate
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
 from .model import Configuration, initial_spring_length, spring_energy
 
@@ -32,6 +33,9 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     None when the recurrence converges below the target (infeasible).  The
     run is extended beyond ``config.max_iterations`` if needed, so the
     answer is a property of the mechanism rather than of the iteration cap.
+    The whole run is streamed, also past the answer: a run that fails
+    raises here as in ``simulate`` and ``max_energy``, and the query's cost
+    does not depend on the target.
     """
     capacity = spring_capacity(config)
     if target_energy > capacity:
@@ -41,13 +45,14 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     preload_energy = spring_energy(initial_spring_length(config), config.spring)
     if target_energy <= preload_energy:
         return 0
-    result = _run_to_termination(config)
-    if result is None:
-        return None
-    for index, record in enumerate(result.records, 1):
-        if record.energy_after >= target_energy:
-            return index
-    return None
+    reached = None
+    try:
+        for n, squat in enumerate(_run_to_termination(config), 1):
+            if reached is None and squat[ENERGY_AFTER] >= target_energy:
+                reached = n
+    except StallError:
+        pass
+    return reached
 
 
 def max_energy(config: Configuration) -> float:
@@ -56,21 +61,20 @@ def max_energy(config: Configuration) -> float:
     The spring capacity if full compression is reached; otherwise the energy
     at the recurrence's fixed point, detected by the net-gain tolerance.
     """
-    result = _run_to_termination(config)
-    if result is None:
+    run = _run_to_termination(config)
+    try:
+        (last,) = deque(run, maxlen=1)
+    except StallError:
         # Not even one squat is possible; the fixed point is the start.
         return spring_energy(initial_spring_length(config), config.spring)
-    if result.iterations_to_full_compression is not None:
+    if run.termination is Termination.FULL_COMPRESSION:
         return spring_capacity(config)
-    return result.final_energy
+    return last[ENERGY_AFTER]
 
 
-def _run_to_termination(config: Configuration) -> SimResult | None:
-    budget = max(config.max_iterations, _EXHAUSTIVE_ITERATIONS)
-    try:
-        return simulate(replace(config, max_iterations=budget))
-    except StallError:
-        return None
+def _run_to_termination(config: Configuration) -> Run:
+    """The squats of ``config`` streamed to termination, without keeping any."""
+    return Run(config, max(config.max_iterations, _EXHAUSTIVE_ITERATIONS))
 
 
 @dataclass(frozen=True)

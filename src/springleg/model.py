@@ -104,6 +104,9 @@ class SpringParams:
             f"solid_length must satisfy 0 <= solid_length < free_length "
             f"({self.free_length}), got {self.solid_length}",
         )
+        # Every stored energy and force is bounded by the capacity's terms.
+        capacity = spring_energy(self.solid_length, self)
+        _require(math.isfinite(capacity), f"spring capacity must be finite, got {capacity} J")
 
 
 @dataclass(frozen=True)

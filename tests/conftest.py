@@ -89,6 +89,27 @@ def random_config(
     )
 
 
+def oracle_params(config: Configuration, max_iter: int | None = None) -> dict:
+    """The parameter dict of ``oracle.oracle_simulate`` for ``config``."""
+    leg, spring = config.leg, config.spring
+    return dict(
+        lt=leg.segment_length,
+        lstand=leg.standing_length,
+        dlmax=leg.max_deformation,
+        k=spring.stiffness,
+        s0=spring.free_length,
+        smin=spring.solid_length,
+        x1=config.initial_spring_position,
+        cap=config.force_cap,
+        eta=config.loss.efficiency,
+        pitch=config.loss.ratchet_pitch,
+        force_limited=config.policy is CompressionPolicy.FORCE_LIMITED,
+        max_iter=config.max_iterations if max_iter is None else max_iter,
+        tol_abs=config.tol_abs,
+        tol_gain=config.tol_gain,
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)

@@ -1,10 +1,17 @@
 """Command-line surface: subcommands, artifacts, exit codes."""
 
-import pytest
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from springleg import ALL_KEYS, values_from_config
 from springleg.cli import main
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, worked_config
 
 PROTO = str(CONFIG_DIR / "prototype_trend.cfg")
 DEMO = str(CONFIG_DIR / "four_squat_demo.cfg")
@@ -179,3 +186,30 @@ class TestPlotCommand:
         assert main(["plot", "--config", DEMO, "--out", str(out), "--kind", kind]) == 0
         svg = (out / f"{kind}.svg").read_text()
         assert svg.startswith("<svg")
+
+
+NUMERIC_KEYS = [key for key in ALL_KEYS if key != "policy"]
+WORKED_VALUES = values_from_config(worked_config())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(NUMERIC_KEYS), st.floats() | st.floats(0.0, 1.0)))
+@example({"ratchet_pitch_m": float("inf")})
+@example({"spring_free_length_m": 1e200, "policy": "full_range"})
+def test_any_float_in_a_config_file_exits_0_2_or_3(overrides):
+    """Every float, inf and nan included, in any numeric key of a config
+    file: ``springleg simulate`` exits 0, 2 or 3 and prints no traceback."""
+    values = {**WORKED_VALUES, **overrides}
+    # The caps bound the runtime and the CSV size only; they touch accepted
+    # counts alone, so the first 200 squats and every rejection are unchanged.
+    for key, cap in (("max_iterations", 200), ("sample_count", 16)):
+        if float(values[key]).is_integer() and values[key] > cap:
+            values[key] = cap
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        config = Path(folder) / "any.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(config), "--out", folder])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

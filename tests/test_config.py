@@ -1,5 +1,6 @@
 """Configuration and grid file parsing."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -174,10 +175,11 @@ WORKED_VALUES = values_from_config(worked_config())
 @example({"ratchet_pitch_m": 5e-324})
 @example({"spring_stiffness_n_per_m": 5e-324})
 @example({"ratchet_pitch_m": 0.01, "spring_free_length_m": 1e200, "policy": "full_range"})
+@example({"spring_free_length_m": 1e200, "policy": "full_range"})
 def test_any_float_gives_a_config_or_configuration_error(overrides):
     """Every float, inf and nan included, is either accepted or rejected
-    with ConfigurationError; an accepted config simulates or raises
-    SimulationError.  Nothing else escapes."""
+    with ConfigurationError; an accepted config simulates to a finite
+    energy or raises SimulationError.  Nothing else escapes."""
     try:
         config = config_from_values({**WORKED_VALUES, **overrides})
     except ConfigurationError:
@@ -185,6 +187,16 @@ def test_any_float_gives_a_config_or_configuration_error(overrides):
     # The cap bounds the runtime only; the first 200 squats are unchanged.
     config = replace(config, max_iterations=min(config.max_iterations, 200))
     try:
-        assert isinstance(simulate(config), SimResult)
+        result = simulate(config)
     except SimulationError:
-        pass
+        return
+    assert isinstance(result, SimResult)
+    assert math.isfinite(result.final_energy)
+
+
+def test_overflowing_spring_capacity_rejected():
+    # simulated to final_energy = inf before the capacity was bounded
+    with pytest.raises(ConfigurationError, match="spring capacity"):
+        config_from_values(
+            {**WORKED_VALUES, "spring_free_length_m": 1e200, "policy": "full_range"}
+        )

@@ -19,6 +19,7 @@ from springleg import (
     SpringParams,
     StallError,
     StopReason,
+    Termination,
     initial_state,
     lock_and_retract,
     release_profile,
@@ -28,7 +29,7 @@ from springleg import (
     start_force,
 )
 
-from conftest import exact_zero_preload_config, random_config, worked_config
+from conftest import exact_zero_preload_config, oracle_params, random_config, worked_config
 from oracle import oracle_simulate
 
 
@@ -289,6 +290,51 @@ class TestSimulate:
         assert result.records[-1].energy_after == result.records[-1].energy_before
 
 
+class TestTermination:
+    def test_full_compression(self):
+        result = simulate(worked_config())
+        assert result.termination is Termination.FULL_COMPRESSION
+        assert result.iterations_to_full_compression == len(result.records) == 3
+
+    def test_converged(self):
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+            force_cap=10.0,
+            max_iterations=500,
+        )
+        result = simulate(config)
+        assert result.termination is Termination.CONVERGED
+        assert len(result.records) < config.max_iterations
+
+    def test_stalled_after_squat_n(self):
+        # the ratchet rounds the position up after a cap-bound squat, so the
+        # fifth squat starts at the cap and cannot compress
+        config = worked_config(force_cap=10.0, loss=LossModel(efficiency=1.0, ratchet_pitch=0.001))
+        result = simulate(config)
+        assert result.termination is Termination.STALLED
+        assert len(result.records) == 4
+        last = result.records[-1].state
+        with pytest.raises(StallError, match="squat 5: no compression"):
+            squat_step(lock_and_retract(last, config), config)
+
+    def test_iteration_cap(self):
+        result = simulate(worked_config(max_iterations=2))
+        assert result.termination is Termination.ITERATION_CAP
+        assert len(result.records) == 2
+        assert result.iterations_to_full_compression is None
+
+    def test_step_wrappers_replay_the_run(self, rng):
+        # squat_step and lock_and_retract drive the same map as simulate
+        for pitch in (0.0, 0.004):
+            config = random_config(rng, efficiency=0.9, ratchet_pitch=pitch)
+            result = simulate(config)
+            state = initial_state(config)
+            for record in result.records:
+                done, replayed = squat_step(state, config)
+                assert replayed == record
+                state = lock_and_retract(done, config)
+
+
 class TestCyclicInvariants:
     def test_start_force_bound_per_iteration(self, rng):
         for _ in range(30):
@@ -355,23 +401,8 @@ class TestCyclicInvariants:
             efficiency = 1.0 if case % 3 else 0.9
             pitch = 0.0 if case % 4 else 0.004
             config = random_config(rng, efficiency=efficiency, ratchet_pitch=pitch)
-            params = dict(
-                lt=config.leg.segment_length,
-                lstand=config.leg.standing_length,
-                dlmax=config.leg.max_deformation,
-                k=config.spring.stiffness,
-                s0=config.spring.free_length,
-                smin=config.spring.solid_length,
-                x1=config.initial_spring_position,
-                cap=config.force_cap,
-                eta=efficiency,
-                pitch=pitch,
-                max_iter=config.max_iterations,
-                tol_abs=config.tol_abs,
-                tol_gain=config.tol_gain,
-            )
             result = simulate(config)
-            expected = oracle_simulate(params)
+            expected = oracle_simulate(oracle_params(config))
             assert len(result.records) == len(expected["records"])
             assert result.iterations_to_full_compression == expected["full_at"]
             for record, ref in zip(result.records, expected["records"]):

@@ -1,21 +1,47 @@
 """Design-space queries: squat counts, energy ceilings, sweeps."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from springleg import (
+    CompressionPolicy,
     DomainError,
     LossModel,
+    SimulationError,
     SpringParams,
     max_energy,
     min_squats,
     simulate,
     spring_capacity,
+    spring_energy,
     sweep,
 )
 
-from conftest import worked_config
+from conftest import oracle_params, random_config, worked_config
+from oracle import oracle_energy, oracle_simulate
+
+
+def oracle_answers(config, target: float) -> tuple[float, int | None, set[str]]:
+    """max_energy, min_squats(target) and the stop reasons met, from the
+    oracle's run to the queries' 10,000-squat budget."""
+    params = oracle_params(config, max_iter=10_000)
+    k, s0 = params["k"], params["s0"]
+    preload = oracle_energy(min(params["x1"] / params["lt"] * params["lstand"], s0), k, s0)
+    try:
+        ref = oracle_simulate(params)
+    except RuntimeError:  # first-squat stall: the start is the fixed point
+        return preload, 0 if target <= preload else None, {"stall"}
+    records = ref["records"]
+    if ref["full_at"] is not None:
+        ceiling = oracle_energy(params["smin"], k, s0)
+    else:
+        ceiling = records[-1]["e_after"]
+    reached = (n for n, r in enumerate(records, 1) if r["e_after"] >= target)
+    squats = 0 if target <= preload else next(reached, None)
+    return ceiling, squats, {r["reason"] for r in records}
 
 
 class TestMinSquats:
@@ -87,6 +113,69 @@ class TestMaxEnergy:
             ),
         )
         assert max_energy(config) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestQueriesAgainstOracle:
+    def test_random_configs_match_oracle(self, rng):
+        # ratchet, full_range and dead-band (ENGAGED_ONLY) squats all occur
+        seen = set()
+        for case in range(90):
+            pitch = (0.0, 0.004, float(rng.uniform(0.02, 0.12)))[case % 3]
+            config = random_config(
+                rng,
+                efficiency=1.0 if case % 4 else float(rng.uniform(0.8, 1.0)),
+                ratchet_pitch=pitch,
+                policy=(CompressionPolicy.FORCE_LIMITED, CompressionPolicy.FULL_RANGE)[case % 5 == 0],
+            )
+            target = float(rng.uniform(0.0, 1.0)) * spring_capacity(config)
+            ceiling, squats, stops = oracle_answers(config, target)
+            seen |= stops | {config.policy.value}
+            assert max_energy(config) == pytest.approx(ceiling, rel=1e-9, abs=1e-12)
+            assert min_squats(config, target) == squats
+        assert {"engaged_only", "force_cap", "leg_range", "full_range"} <= seen
+
+
+class TestQueryMemory:
+    def test_queries_keep_constant_memory(self):
+        # just below the critical cap k*s0^2/(4*standing) = 12 N the run
+        # neither converges nor compresses fully within the 10,000 budget
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+            force_cap=12.0 * (1 - 1e-7),
+        )
+        assert len(simulate(replace(config, max_iterations=10_000)).records) == 10_000
+        target = 0.99 * spring_capacity(config)
+        tracemalloc.start()
+        try:
+            energy = max_energy(config)
+            squats = min_squats(config, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert energy < target and squats is None
+        assert peak < 2**20
+
+    def test_min_squats_streams_past_the_answer(self):
+        # the lossy retraction after squat 1 needs a position beyond the hip:
+        # squat 1 already reaches the first target, but the run fails, so
+        # min_squats raises like simulate and max_energy, whatever the target
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.35, solid_length=0.01),
+            initial_spring_position=0.2,
+            force_cap=400.0,
+            loss=LossModel(efficiency=0.01),
+        )
+        with pytest.raises(SimulationError, match="beyond the hip"):
+            simulate(config)
+        with pytest.raises(SimulationError, match="beyond the hip"):
+            max_energy(config)
+        first = simulate(replace(config, max_iterations=1)).records[0]
+        preload = spring_energy(first.state.spring_length_start, config.spring)
+        reached = 0.5 * (preload + first.energy_after)
+        assert first.energy_after >= reached
+        for target in (reached, spring_capacity(config)):
+            with pytest.raises(SimulationError, match="beyond the hip"):
+                min_squats(config, target)
 
 
 class TestSweep:

@@ -162,6 +162,9 @@ class TestParameterValidation:
             SpringParams(stiffness=0.0, free_length=0.1)
         with pytest.raises(ConfigurationError, match="solid_length"):
             SpringParams(stiffness=100.0, free_length=0.1, solid_length=0.1)
+        # every value is finite, but 0.5 * k * (free_length - solid_length)^2 is not
+        with pytest.raises(ConfigurationError, match="spring capacity"):
+            SpringParams(stiffness=1.7e308, free_length=2.0)
 
     def test_loss_bounds(self):
         with pytest.raises(ConfigurationError, match=r"\(0, 1\]"):
