@@ -161,6 +161,7 @@ def _print_run_summary(result) -> None:
         "full compression        : "
         + (f"after {reached} squats" if reached is not None else "not reached")
     )
+    print(f"termination             : {result.termination.value}")
 
 
 def _cmd_release(args: argparse.Namespace) -> int:

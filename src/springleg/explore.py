@@ -90,6 +90,7 @@ class SweepRow:
     peak_force: float | None = None  # N
     final_over_e1max: float | None = None
     peak_over_cap: float | None = None
+    termination: str | None = None  # Termination value of an 'ok' run
 
 
 def sweep(
@@ -130,4 +131,5 @@ def _evaluate_point(base: dict[str, object], overrides: dict[str, object]) -> Sw
         peak_force=peak,
         final_over_e1max=result.final_energy / e1,
         peak_over_cap=peak / cap,
+        termination=result.termination.value,
     )

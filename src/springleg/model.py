@@ -26,6 +26,10 @@ from .errors import ConfigurationError, DomainError
 #: to the free length instead of being rejected as slack.
 SLACK_SNAP_RTOL = 1e-9
 
+#: Largest ``sample_count``: every emitted squat holds this many samples per
+#: array, so a larger count would only exhaust memory.
+MAX_SAMPLE_COUNT = 1_000_000
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -182,7 +186,10 @@ class Configuration:
                 f"ratchet_pitch {pitch} is too small: segment_length / ratchet_pitch overflows"
             )
         _require(self.max_iterations >= 1, f"max_iterations must be >= 1, got {self.max_iterations}")
-        _require(self.sample_count >= 2, f"sample_count must be >= 2, got {self.sample_count}")
+        _require(
+            2 <= self.sample_count <= MAX_SAMPLE_COUNT,
+            f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {self.sample_count}",
+        )
         _require(self.tol_abs >= 0, f"tol_abs must be >= 0, got {self.tol_abs}")
         _require(self.tol_gain >= 0, f"tol_gain must be >= 0, got {self.tol_gain}")
         # Validate the derived initial spring length: pre-compression is

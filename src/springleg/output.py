@@ -26,9 +26,13 @@ PLOT_KINDS = ("force_deflection", "energy")
 
 
 def format_number(value: float) -> str:
-    """Decimal (never scientific) notation with 9 significant digits."""
+    """Decimal (never scientific) notation with 9 significant digits: C-level
+    ``%.9g`` where that is positional, numpy's Dragon4 below 1e-4 and from 1e9 up."""
     if isinstance(value, int):
         return str(value)
+    text = "%.9g" % value
+    if "e" not in text:
+        return text
     return np.format_float_positional(
         float(value), precision=9, unique=False, fractional=False, trim="-"
     )
@@ -64,21 +68,13 @@ def _summary_path(path: Path) -> Path:
 
 
 def _trajectory_rows(trajectory: Trajectory, iteration: int) -> Iterable[str]:
-    for deformation, s, f, e in zip(
-        trajectory.leg_deformation,
-        trajectory.spring_length,
-        trajectory.hip_force,
-        trajectory.stored_energy,
-    ):
-        yield ",".join(
-            (
-                str(iteration),
-                format_number(deformation),
-                format_number(s),
-                format_number(f),
-                format_number(e),
-            )
-        )
+    # Each row is format_number's fast path; one with an exponent is redone per value.
+    template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
+    t = trajectory
+    columns = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
+    for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
+        line = template % row
+        yield line if "e" not in line else ",".join((str(iteration), *map(format_number, row)))
 
 
 def _summary_lines(result: SimResult) -> list[str]:
@@ -300,10 +296,10 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         y_hi = y_lo + 1.0
     y_hi *= 1.05
 
-    def sx(x: float) -> float:
+    def sx(x: float | np.ndarray) -> float | np.ndarray:
         return _LEFT + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - _LEFT - _RIGHT)
 
-    def sy(y: float) -> float:
+    def sy(y: float | np.ndarray) -> float | np.ndarray:
         return _HEIGHT - _BOTTOM - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - _TOP - _BOTTOM)
 
     parts = [
@@ -371,6 +367,8 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
 
 
 def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
-    points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+    # On float64 arrays sx/sy do a per-point call's IEEE operations, in order.
+    pairs = zip(sx(x).tolist(), sy(y).tolist())
+    points = " ".join(map("%.2f,%.2f".__mod__, pairs))
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash} points="{points}"/>'

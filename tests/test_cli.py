@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from springleg import ALL_KEYS, values_from_config
 from springleg.cli import main
+from springleg.model import MAX_SAMPLE_COUNT
 
 from conftest import CONFIG_DIR, worked_config
 
@@ -61,6 +62,14 @@ class TestExitCodes:
             assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
 
+    def test_sample_count_above_bound_exits_2(self, tmp_path, capsys):
+        for value in ("1e20", str(MAX_SAMPLE_COUNT + 1)):
+            config = tmp_path / "many.cfg"
+            demo = (CONFIG_DIR / "four_squat_demo.cfg").read_text()
+            config.write_text(demo.replace("sample_count = 1000", f"sample_count = {value}"))
+            assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+            assert f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}]" in capsys.readouterr().err
+
     def test_first_squat_stall_exits_3(self, tmp_path, capsys):
         stall = write_stall_config(tmp_path)
         assert main(["simulate", "--config", stall, "--out", str(tmp_path)]) == 3
@@ -79,6 +88,10 @@ class TestSimulateCommand:
         assert "full compression        : after 4 squats" in captured
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory_summary.csv").exists()
+
+    def test_summary_names_termination(self, tmp_path, capsys):
+        assert main(["simulate", "--config", DEMO, "--out", str(tmp_path)]) == 0
+        assert "termination             : full_compression" in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -210,6 +210,13 @@ class TestSweep:
         assert [r.status for r in rows] == ["ok", "stall", "ok"]
         assert "no compression" in rows[1].reason
 
+    def test_ok_rows_name_their_termination(self):
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.13, solid_length=0.04),
+        )
+        rows = sweep(config, [{}, {"force_cap_n": 1.0}, {"max_iterations": 1}])
+        assert [r.termination for r in rows] == ["full_compression", None, "iteration_cap"]
+
     def test_invalid_rows_flagged(self):
         rows = sweep(worked_config(), [{"efficiency": 1.2}, {"efficiency": 1.0}])
         assert rows[0].status == "invalid"

@@ -1,8 +1,10 @@
-"""Byte-for-byte guard on the artifacts of the four-squat and design-sweep demos.
+"""Byte-for-byte guard on every artifact emitter.
 
-The files under ``tests/golden/`` were written by
-``demos/02_multi_squat_accumulation.py`` and ``demos/05_design_sweep.py``.
-Regenerating them the same way must reproduce every byte.
+The trajectory, summary, plot and sweep files under ``tests/golden/`` were
+written by ``demos/02_multi_squat_accumulation.py`` and
+``demos/05_design_sweep.py``; the release CSV and the fit report were
+written by the calls below before the emitters switched to C-level float
+formatting.  Regenerating them the same way must reproduce every byte.
 """
 
 from pathlib import Path
@@ -10,13 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from springleg import (
+    FitReport,
     emit_plot_svg,
     emit_sweep_csv,
     emit_trajectory_csv,
     parse_config,
+    release_profile,
     simulate,
     sweep,
 )
+from springleg.output import emit_fit_report_csv, format_fit_report
 
 from conftest import CONFIG_DIR
 
@@ -31,6 +36,18 @@ def test_demo_artifacts_match_golden(tmp_path):
         for cap in np.linspace(150.0, 350.0, 5)
         for k in (800.0, 1000.0, 1200.0)
     ]
+    # Values below 1e-4 or from 1e9 up, subnormals and ties at the tenth
+    # digit are where positional and exponent formatting part ways.
+    report = FitReport(
+        efficiency=0.8765432109876,
+        force_cap=306.2500000049,
+        cycle_work=(12.345678951, 2.5e9, 0.0000123456789012, 1234567890123.4),
+        residual_rms=3.2e-7,
+        retention_ratios=(0.98765432149, 5e-324, 100000000.5),
+        flat_objective=False,
+    )
+    fit_text = tmp_path / "fit_report.txt"
+    fit_text.write_text(format_fit_report(report))
     written = [
         emit_trajectory_csv(result, tmp_path / "four_squat_trajectory.csv"),
         tmp_path / "four_squat_trajectory_summary.csv",
@@ -41,6 +58,13 @@ def test_demo_artifacts_match_golden(tmp_path):
             ["force_cap_n", "spring_stiffness_n_per_m"],
             tmp_path / "design_sweep.csv",
         ),
+        emit_trajectory_csv(
+            release_profile(result.final_spring_length, config).trajectory,
+            tmp_path / "four_squat_release.csv",
+            iteration=0,
+        ),
+        fit_text,
+        emit_fit_report_csv(report, tmp_path / "fit_report.csv"),
     ]
     assert sorted(p.name for p in written) == sorted(p.name for p in GOLDEN.iterdir())
     for path in written:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from springleg import (
     DomainError,
@@ -28,6 +29,19 @@ class TestFormatNumber:
         assert format_number(1.0 / 3.0) == "0.333333333"
         assert format_number(123456789.123) == "123456789"
 
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e-4)
+    @example(9.99999999e-5)
+    @example(1e9)
+    @example(999999999.5)
+    @example(100000000.5)
+    def test_matches_positional_dragon4(self, value):
+        assert format_number(value) == np.format_float_positional(
+            value, precision=9, unique=False, fractional=False, trim="-"
+        )
+
 
 class TestTrajectoryCsv:
     def test_single_sample_two_lines(self, tmp_path):
@@ -39,6 +53,17 @@ class TestTrajectoryCsv:
         assert len(lines) == 2
         assert lines[0] == TRAJECTORY_HEADER
         assert lines[1] == "1,0,0.12,0,0"
+
+    def test_exponent_range_rows_match_format_number(self, tmp_path):
+        columns = [
+            np.array([1e-5, 0.25, 2.5e9, 5e-324, 0.5]),
+            np.array([0.12, 3.2e-7, 1.0, -0.0, 0.12]),
+            np.array([999999999.5, 1e-4, 9.99999999e-5, 100000000.5, 306.0]),
+            np.array([0.0, 1e300, 7.0, float("inf"), 1.0 / 3.0]),
+        ]
+        path = emit_trajectory_csv(Trajectory(*columns), tmp_path / "exp.csv", iteration=3)
+        expected = [",".join(["3", *map(format_number, row)]) for row in zip(*columns)]
+        assert path.read_text().splitlines()[1:] == expected
 
     def test_newline_terminated(self, tmp_path):
         path = emit_trajectory_csv(simulate(worked_config()), tmp_path / "run.csv")
