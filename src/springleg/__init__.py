@@ -37,14 +37,11 @@ from .cyclic import (
     ReleaseProfile,
     SimResult,
     SquatRecord,
+    Squats,
     StopReason,
     Termination,
-    initial_state,
-    lock_and_retract,
     release_profile,
     simulate,
-    squat_step,
-    start_force,
 )
 from .errors import (
     ConfigurationError,
@@ -101,6 +98,7 @@ __all__ = [
     "SpringLegError",
     "SpringParams",
     "SquatRecord",
+    "Squats",
     "StallError",
     "StopReason",
     "SweepRow",
@@ -118,9 +116,7 @@ __all__ = [
     "fit_model",
     "hip_force",
     "initial_spring_length",
-    "initial_state",
     "integrate_work",
-    "lock_and_retract",
     "max_energy",
     "min_squats",
     "parse_config",
@@ -134,8 +130,6 @@ __all__ = [
     "spring_energy",
     "spring_force",
     "spring_length_from_leg",
-    "squat_step",
-    "start_force",
     "stored_energy_single",
     "sweep",
     "values_from_config",

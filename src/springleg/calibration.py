@@ -148,9 +148,13 @@ def fit_model(
 
     Raises
     ------
+    DomainError
+        If ``grid_points`` is not an integer >= 2.
     DataError
         On fewer than two cycles or a non-finite residual.
     """
+    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
+        raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
     ordered = sorted(cycles, key=lambda c: c.iteration)

@@ -143,16 +143,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _print_run_summary(result) -> None:
     e1, cap = result.normalization
-    for record in result.records:
-        state = record.state
+    q = result.squats
+    rows = zip(q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_after, q.stop)
+    for n, (x, s_start, s_end, f_start, f_end, e_after, stop) in enumerate(rows, 1):
         print(
-            f"squat {state.iteration}: x={format_number(state.spring_position)} m, "
-            f"s {format_number(state.spring_length_start)} -> "
-            f"{format_number(state.spring_length_end)} m, "
-            f"force {format_number(record.start_force)} -> "
-            f"{format_number(record.end_force)} N, "
-            f"energy {format_number(record.energy_after)} J "
-            f"[{record.stop_reason.value}]"
+            f"squat {n}: x={format_number(x)} m, "
+            f"s {format_number(s_start)} -> {format_number(s_end)} m, "
+            f"force {format_number(f_start)} -> {format_number(f_end)} N, "
+            f"energy {format_number(e_after)} J [{stop.value}]"
         )
     reached = result.iterations_to_full_compression
     print(f"final energy [J]        : {format_number(result.final_energy)}")

@@ -8,8 +8,8 @@ starts within the force cap again.  Losses enter as an energy efficiency per
 lock/retract transition, and a ratchet pitch quantizes the retracted
 position, leaving a force-free dead band at the start of the next squat.
 The squat and the lock/retract step are one plain-float map, streamed by
-``Run``; ``simulate`` keeps one scalar record per squat, and sampled strokes
-are derived from the records only when read.
+``Run``; ``simulate`` keeps its per-squat columns, and records and sampled
+strokes are derived from the columns only when read.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True)
 class CycleState:
-    """State at the start of squat ``iteration`` (end state once ``spring_length_end`` is set).
+    """Spring position and lengths of squat ``iteration``.
 
     ``dead_band`` is the leg travel at the start of the squat during which
     ratchet-induced cable slack keeps the hip force at zero; it is 0 for
@@ -63,8 +64,8 @@ class CycleState:
     iteration: int
     spring_position: float  # m, distance from the knee
     spring_length_start: float  # m, pre-squat spring length
-    spring_length_end: float | None = None  # m, post-squat spring length
-    dead_band: float = 0.0  # m
+    spring_length_end: float  # m, post-squat spring length
+    dead_band: float  # m
 
 
 @dataclass(frozen=True)
@@ -80,41 +81,78 @@ class SquatRecord:
     stop_reason: StopReason
 
 
+class Squats(NamedTuple):
+    """Per-squat columns of a run, one entry per squat, in the field order of
+    the tuples ``Run`` yields."""
+
+    x: tuple[float, ...]  # m, spring position
+    s_start: tuple[float, ...]  # m, pre-squat spring length
+    dead_band: tuple[float, ...]  # m
+    s_end: tuple[float, ...]  # m, post-squat spring length
+    stop: tuple[StopReason, ...]
+    f_start: tuple[float, ...]  # N, hip force when the spring engages
+    f_end: tuple[float, ...]  # N, hip force at the bottom of the stroke
+    e_before: tuple[float, ...]  # J
+    e_after: tuple[float, ...]  # J
+    travel: tuple[float, ...]  # m, dead band plus engaged stroke
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Full record of a multi-squat run.
 
-    Only the per-squat records are stored.  ``trajectories`` samples every
-    squat's stroke from its record on first access and keeps the samples.
+    Only the per-squat columns are stored.  ``records`` and ``trajectories``
+    are built from them on first access and kept.
     """
 
-    records: tuple[SquatRecord, ...]
-    final_energy: float  # J
-    iterations_to_full_compression: int | None  # None = not reached
+    squats: Squats
     normalization: tuple[float, float]  # (e1_max, force_cap)
     config: Configuration
     termination: Termination
 
     @property
+    def final_energy(self) -> float:
+        return self.squats.e_after[-1]
+
+    @property
     def final_spring_length(self) -> float:
-        return self.records[-1].state.spring_length_end
+        return self.squats.s_end[-1]
+
+    @property
+    def iterations_to_full_compression(self) -> int | None:
+        """Squats run if the run ended in full compression, else None."""
+        if self.termination is Termination.FULL_COMPRESSION:
+            return len(self.squats.x)
+        return None
+
+    @cached_property
+    def records(self) -> tuple[SquatRecord, ...]:
+        """One ``SquatRecord`` per squat, in run order."""
+        records = []
+        for n, squat in enumerate(zip(*self.squats), 1):
+            x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel = squat
+            state = CycleState(n, x, s_start, s_end, dead_band)
+            records.append(SquatRecord(state, f_start, f_end, e_before, e_after, travel, stop))
+        return tuple(records)
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
-        """Sampled stroke of every squat, in record order.
+        """Sampled stroke of every squat, in run order.
 
         Only the engaged stroke is sampled, since the dead band carries no
         force and no spring motion; an ENGAGED_ONLY squat is slack throughout.
         """
-        strokes = []
-        for record in self.records:
-            state = record.state
-            x, stop = state.spring_position, record.leg_travel_used
-            if record.stop_reason is StopReason.ENGAGED_ONLY:
-                strokes.append(_stroke(self.config, x, 0.0, stop, state.spring_length_start))
-            else:
-                strokes.append(_stroke(self.config, x, state.dead_band, stop))
-        return tuple(strokes)
+        config, q = self.config, self.squats
+        return tuple(
+            [
+                _stroke(config, x, 0.0, travel, s_start)
+                if stop is StopReason.ENGAGED_ONLY
+                else _stroke(config, x, dead_band, travel)
+                for x, s_start, dead_band, stop, travel in zip(
+                    q.x, q.s_start, q.dead_band, q.stop, q.travel
+                )
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -126,73 +164,19 @@ class ReleaseProfile:
     released_energy: float  # spring energy drop over the extension, J
 
 
-def initial_state(config: Configuration) -> CycleState:
-    """State before the first squat.
-
-    The pre-squat spring length follows from the configured spring position
-    at standing.  A length below the free length means the spring is
-    pre-loaded and the hip sees a nonzero force before any squat.
-    """
-    s_start = initial_spring_length(config)
-    return CycleState(
-        iteration=1,
-        spring_position=config.initial_spring_position,
-        spring_length_start=s_start,
-        dead_band=0.0,
-    )
-
-
-def start_force(state: CycleState, config: Configuration) -> float:
-    """Hip force at the moment the spring engages in squat ``state.iteration``."""
-    return hip_force(state.spring_position, state.spring_length_start, config.leg, config.spring)
-
-
-def squat_step(state: CycleState, config: Configuration) -> tuple[CycleState, SquatRecord]:
-    """Run one squat at fixed spring position and return the completed state.
-
-    The spring length decreases with the leg until the first stop: hip force
-    at the cap (skipped under the FULL_RANGE policy), leg range exhausted,
-    or spring solid.  The stop with the largest spring length binds; exact
-    ties are labeled FORCE_CAP over LEG_RANGE over SPRING_SOLID.
-
-    Raises
-    ------
-    StallError
-        If no stop candidate lies below the pre-squat spring length, i.e.
-        zero compression is possible (spring already solid, or the start
-        force already at the cap).  A ratchet dead band that eats the whole
-        leg range instead yields a zero-compression ENGAGED_ONLY record.
-    """
-    if state.spring_length_end is not None:
-        raise SimulationError(f"squat {state.iteration} already completed")
-    squat, _ = _recurrence(config)
-    n = state.iteration
-    record = _record(n, squat(n, state.spring_position, state.spring_length_start, state.dead_band))
-    return record.state, record
-
-
-def lock_and_retract(state: CycleState, config: Configuration) -> CycleState:
-    """Lock the spring, extend the leg, and retract the endpoints toward the knee.
-
-    The spring length carries over scaled by the loss model: the next
-    pre-squat length is ``s0 - sqrt(efficiency) * (s0 - s_end)``, so the
-    stored energy across the transition scales by exactly ``efficiency``.
-    With continuous locking the new position restores standing consistency
-    ``x = s * segment_length / standing_length``; a positive ratchet pitch
-    rounds the position away from the knee onto the tooth grid (never past
-    the hip), and the resulting cable slack becomes a force-free dead band.
-    """
-    if state.spring_length_end is None:
-        raise SimulationError(f"squat {state.iteration} has no completed compression to lock")
-    _, retract = _recurrence(config)
-    x, s_start, dead_band = retract(state.iteration, state.spring_length_end)
-    return CycleState(state.iteration + 1, x, s_start, dead_band=dead_band)
-
-
 def _recurrence(config: Configuration):
-    """``squat(n, x, s_start, dead_band)`` -> squat tuple (see ``Run``) and
-    ``retract(n, s_end)`` -> next ``(x, s_start, dead_band)`` of ``config``
-    on plain floats: the maps behind ``squat_step`` and ``lock_and_retract``."""
+    """The squat map of ``config`` on plain floats, as two closures.
+
+    ``squat(n, x, s_start, dead_band)`` compresses at fixed position ``x`` to
+    the stop with the largest spring length: force cap (not under FULL_RANGE),
+    leg range or solid spring, ties going FORCE_CAP, LEG_RANGE, SPRING_SOLID.
+    It returns the squat's tuple (see ``Squats``) and raises ``StallError`` if
+    no stop lies below ``s_start``.  ``retract(n, s_end)`` returns the next
+    ``(x, s_start, dead_band)``: the locked length relaxes to ``s0 -
+    sqrt(efficiency) * (s0 - s_end)``, so the stored energy scales by exactly
+    ``efficiency``, at the standing-consistent position, which a ratchet
+    rounds away from the knee onto its tooth grid (never past the hip).
+    """
     geom, spring = config.leg, config.spring
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
@@ -256,17 +240,11 @@ def _recurrence(config: Configuration):
     return squat, retract
 
 
-#: Index of ``energy_after`` in the tuples a ``Run`` yields.
-ENERGY_AFTER = 8
-
-
 class Run:
     """The squats of one run, streamed as plain-float tuples.
 
-    Iterating yields ``(x, s_start, dead_band, s_end, stop, f_start, f_end,
-    e_before, e_after, leg_travel)`` per squat, the fields of ``SquatRecord``
-    and its ``CycleState``, and keeps nothing.  Termination, in order of
-    precedence per iteration:
+    Iterating yields one tuple per squat, in the field order of ``Squats``,
+    and keeps nothing.  Termination, in order of precedence per iteration:
 
     * full compression: post-squat spring length within ``tol_abs`` of the
       solid length;
@@ -290,8 +268,7 @@ class Run:
         squat, retract = _recurrence(config)
         full_length = config.spring.solid_length + config.tol_abs
         tol_gain = config.tol_gain
-        start = initial_state(config)
-        x, s_start, dead_band = start.spring_position, start.spring_length_start, start.dead_band
+        x, s_start, dead_band = config.initial_spring_position, initial_spring_length(config), 0.0
         previous = None
         for n in range(1, budget + 1):
             try:
@@ -323,24 +300,14 @@ def simulate(config: Configuration) -> SimResult:
     results.
     """
     run = Run(config, config.max_iterations)
-    # Through a list: tuple() of a generator grows by resizing, which fragments the heap.
-    records = tuple([_record(n, squat) for n, squat in enumerate(run, 1)])
+    # Through a list: ``*run`` would grow a tuple by resizing, which fragments the heap.
+    squats = Squats(*zip(*list(run)))
     return SimResult(
-        records=records,
-        final_energy=records[-1].energy_after,
-        iterations_to_full_compression=(
-            len(records) if run.termination is Termination.FULL_COMPRESSION else None
-        ),
+        squats=squats,
         normalization=(e1_max(config.body, config.leg), config.force_cap),
         config=config,
         termination=run.termination,
     )
-
-
-def _record(n: int, squat: tuple) -> SquatRecord:
-    x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel = squat
-    state = CycleState(n, x, s_start, s_end, dead_band)
-    return SquatRecord(state, f_start, f_end, e_before, e_after, travel, stop)
 
 
 def release_profile(

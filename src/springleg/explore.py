@@ -7,12 +7,13 @@ rows follow grid order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .config import config_from_values, values_from_config
-from .cyclic import ENERGY_AFTER, Run, Termination, simulate
+from .cyclic import Run, Termination, simulate
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
 from .model import Configuration, initial_spring_length, spring_energy
 
@@ -36,8 +37,15 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     The whole run is streamed, also past the answer: a run that fails
     raises here as in ``simulate`` and ``max_energy``, and the query's cost
     does not depend on the target.
+
+    Raises
+    ------
+    DomainError
+        If ``target_energy`` is NaN or exceeds the spring capacity.
     """
     capacity = spring_capacity(config)
+    if math.isnan(target_energy):
+        raise DomainError("target energy must be a number, got nan")
     if target_energy > capacity:
         raise DomainError(
             f"target energy {target_energy} exceeds the spring capacity {capacity}"
@@ -46,10 +54,13 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     if target_energy <= preload_energy:
         return 0
     reached = None
+    squats = iter(_run_to_termination(config))
     try:
-        for n, squat in enumerate(_run_to_termination(config), 1):
-            if reached is None and squat[ENERGY_AFTER] >= target_energy:
+        for n, (_, _, _, _, _, _, _, _, e_after, _) in enumerate(squats, 1):
+            if e_after >= target_energy:
                 reached = n
+                break
+        deque(squats, maxlen=0)  # the rest of the run, for its errors
     except StallError:
         pass
     return reached
@@ -63,13 +74,13 @@ def max_energy(config: Configuration) -> float:
     """
     run = _run_to_termination(config)
     try:
-        (last,) = deque(run, maxlen=1)
+        ((_, _, _, _, _, _, _, _, e_after, _),) = deque(run, maxlen=1)
     except StallError:
         # Not even one squat is possible; the fixed point is the start.
         return spring_energy(initial_spring_length(config), config.spring)
     if run.termination is Termination.FULL_COMPRESSION:
         return spring_capacity(config)
-    return last[ENERGY_AFTER]
+    return e_after
 
 
 def _run_to_termination(config: Configuration) -> Run:
@@ -121,12 +132,13 @@ def _evaluate_point(base: dict[str, object], overrides: dict[str, object]) -> Sw
     except (StallError, SimulationError) as exc:
         return SweepRow(params=overrides, status="stall", reason=str(exc))
     e1, cap = result.normalization
-    peak = max(record.end_force for record in result.records)
+    f_end = result.squats.f_end
+    peak = max(f_end)
     return SweepRow(
         params=overrides,
         status="ok",
         final_energy=result.final_energy,
-        iterations=len(result.records),
+        iterations=len(f_end),
         iterations_to_full_compression=result.iterations_to_full_compression,
         peak_force=peak,
         final_over_e1max=result.final_energy / e1,

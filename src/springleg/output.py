@@ -49,10 +49,10 @@ def emit_trajectory_csv(
     path = Path(path)
     lines = [TRAJECTORY_HEADER]
     if isinstance(data, SimResult):
-        if not data.records:
+        if not data.squats.x:
             raise DomainError("cannot emit an empty simulation result")
-        for record, trajectory in zip(data.records, data.trajectories):
-            lines.extend(_trajectory_rows(trajectory, record.state.iteration))
+        for n, trajectory in enumerate(data.trajectories, 1):
+            lines.extend(_trajectory_rows(trajectory, n))
         _write_lines(path, lines)
         _write_lines(_summary_path(path), _summary_lines(data))
     else:
@@ -78,24 +78,11 @@ def _trajectory_rows(trajectory: Trajectory, iteration: int) -> Iterable[str]:
 
 
 def _summary_lines(result: SimResult) -> list[str]:
+    q = result.squats
+    numbers = zip(q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
     lines = [SUMMARY_HEADER]
-    for record in result.records:
-        state = record.state
-        lines.append(
-            ",".join(
-                (
-                    str(state.iteration),
-                    format_number(state.spring_position),
-                    format_number(state.spring_length_start),
-                    format_number(state.spring_length_end),
-                    format_number(record.start_force),
-                    format_number(record.end_force),
-                    format_number(record.energy_before),
-                    format_number(record.energy_after),
-                    record.stop_reason.value,
-                )
-            )
-        )
+    for n, (row, stop) in enumerate(zip(numbers, q.stop), 1):
+        lines.append(",".join((str(n), *map(format_number, row), stop.value)))
     return lines
 
 
@@ -255,7 +242,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     """
     if kind not in PLOT_KINDS:
         raise DomainError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
-    if not result.records:
+    if not result.squats.x:
         raise DomainError("cannot plot an empty simulation result")
     path = Path(path)
 

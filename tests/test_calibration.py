@@ -8,6 +8,7 @@ import pytest
 
 from springleg import (
     DataError,
+    DomainError,
     LossModel,
     MeasuredCycle,
     SpringParams,
@@ -165,6 +166,13 @@ class TestFitModel:
         cycles = cycles_from_simulation(worked_config())
         with pytest.raises(DataError, match="nothing to fit"):
             fit_model(cycles, worked_config(), fit_efficiency=False, fit_force_cap=False)
+
+    @pytest.mark.parametrize("grid_points", [0, 1, 2.5])
+    @pytest.mark.parametrize("fit_force_cap", [True, False])
+    def test_short_grid_rejected(self, grid_points, fit_force_cap):
+        cycles = cycles_from_simulation(worked_config())
+        with pytest.raises(DomainError, match="grid_points"):
+            fit_model(cycles, worked_config(), fit_force_cap=fit_force_cap, grid_points=grid_points)
 
     def test_report_carries_work_and_ratios(self):
         config = worked_config(loss=LossModel(efficiency=0.9), sample_count=200)

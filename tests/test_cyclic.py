@@ -20,14 +20,17 @@ from springleg import (
     StallError,
     StopReason,
     Termination,
-    initial_state,
-    lock_and_retract,
+    cli,
+    cyclic,
+    emit_plot_svg,
+    emit_trajectory_csv,
+    hip_force,
+    initial_spring_length,
     release_profile,
     simulate,
     spring_energy,
-    squat_step,
-    start_force,
 )
+from springleg.output import PLOT_KINDS
 
 from conftest import exact_zero_preload_config, oracle_params, random_config, worked_config
 from oracle import oracle_simulate
@@ -35,16 +38,15 @@ from oracle import oracle_simulate
 
 class TestInitialState:
     def test_zero_preload_when_lengths_match_exactly(self):
-        state = initial_state(exact_zero_preload_config())
-        assert state.spring_length_start == 0.12
-        assert start_force(state, exact_zero_preload_config()) == 0.0
-        assert state.dead_band == 0.0
-        assert state.iteration == 1
+        first = simulate(exact_zero_preload_config()).records[0]
+        assert first.state.spring_length_start == 0.12
+        assert first.start_force == 0.0
+        assert first.state.dead_band == 0.0
+        assert first.state.iteration == 1
 
     def test_worked_geometry(self):
-        config = worked_config()
-        state = initial_state(config)
-        assert state.spring_length_start == pytest.approx(0.12, rel=1e-12)
+        first = simulate(worked_config()).records[0]
+        assert first.state.spring_length_start == pytest.approx(0.12, rel=1e-12)
 
     def test_slack_start_rejected(self):
         with pytest.raises(ConfigurationError, match="slack"):
@@ -54,18 +56,18 @@ class TestInitialState:
         config = worked_config(
             spring=SpringParams(stiffness=1000.0, free_length=0.13, solid_length=0.04)
         )
-        state = initial_state(config)
-        assert start_force(state, config) == pytest.approx(
-            0.08 / 0.2 * 1000.0 * (0.13 - state.spring_length_start), rel=1e-12
+        first = simulate(config).records[0]
+        assert first.start_force == pytest.approx(
+            0.08 / 0.2 * 1000.0 * (0.13 - first.state.spring_length_start), rel=1e-12
         )
 
 
 class TestSquatStep:
     def test_worked_first_squat_is_range_limited(self):
         config = worked_config()
-        state, record = squat_step(initial_state(config), config)
-        trajectory = simulate(replace(config, max_iterations=1)).trajectories[0]
-        assert state.spring_length_end == pytest.approx(0.08, rel=1e-12)
+        result = simulate(replace(config, max_iterations=1))
+        record, trajectory = result.records[0], result.trajectories[0]
+        assert record.state.spring_length_end == pytest.approx(0.08, rel=1e-12)
         assert record.stop_reason is StopReason.LEG_RANGE
         assert record.end_force == pytest.approx(16.0, rel=1e-12)
         assert record.energy_after == pytest.approx(0.8, rel=1e-12)
@@ -73,45 +75,44 @@ class TestSquatStep:
         assert len(trajectory) == config.sample_count
 
     def test_low_cap_stops_at_cap(self):
-        config = worked_config(force_cap=10.0)
-        _, record = squat_step(initial_state(config), config)
+        record = simulate(worked_config(force_cap=10.0)).records[0]
         assert record.stop_reason is StopReason.FORCE_CAP
         assert record.end_force == pytest.approx(10.0, rel=1e-12)
 
     def test_cap_range_tie_labeled_force_cap_or_range(self):
         # cap chosen so the cap stop coincides with the range stop; either
         # label is admissible, the spring length is what matters
-        config = worked_config(force_cap=16.0)
-        state, record = squat_step(initial_state(config), config)
-        assert state.spring_length_end == pytest.approx(0.08, rel=1e-12)
+        record = simulate(worked_config(force_cap=16.0)).records[0]
+        assert record.state.spring_length_end == pytest.approx(0.08, rel=1e-12)
         assert record.stop_reason in (StopReason.FORCE_CAP, StopReason.LEG_RANGE)
 
     def test_full_range_policy_ignores_cap(self):
         config = worked_config(force_cap=10.0, policy=CompressionPolicy.FULL_RANGE)
-        _, record = squat_step(initial_state(config), config)
+        record = simulate(config).records[0]
         assert record.stop_reason is StopReason.LEG_RANGE
         assert record.end_force == pytest.approx(16.0, rel=1e-12)
 
     def test_solid_spring_stalls(self):
+        # no run starts a squat at the solid length (it ends at full
+        # compression first), so the map is driven directly
         config = worked_config()
-        state = initial_state(config)
-        solid = replace(state, spring_length_start=config.spring.solid_length)
+        squat, _ = cyclic._recurrence(config)
         with pytest.raises(StallError, match="solid"):
-            squat_step(solid, config)
+            squat(1, config.initial_spring_position, config.spring.solid_length, 0.0)
 
     def test_start_force_at_cap_stalls(self):
         config = worked_config(
             spring=SpringParams(stiffness=1000.0, free_length=0.13, solid_length=0.04),
             force_cap=1.0,  # below the 4 N preload force
         )
-        with pytest.raises(StallError, match="no compression"):
-            squat_step(initial_state(config), config)
+        with pytest.raises(StallError, match="squat 1: no compression"):
+            simulate(config)
 
     def test_trajectory_follows_fixed_position_kinematics(self):
         config = worked_config(sample_count=257)
-        _, record = squat_step(initial_state(config), config)
-        trajectory = simulate(replace(config, max_iterations=1)).trajectories[0]
-        x = record.state.spring_position
+        result = simulate(replace(config, max_iterations=1))
+        x = result.records[0].state.spring_position
+        trajectory = result.trajectories[0]
         expected = x / 0.2 * (0.3 - trajectory.leg_deformation)
         np.testing.assert_allclose(trajectory.spring_length, expected, rtol=1e-12)
         assert np.all(np.diff(trajectory.leg_deformation) > 0)
@@ -119,26 +120,26 @@ class TestSquatStep:
 
 class TestLockAndRetract:
     def test_ideal_transition_carries_length_and_position(self):
-        config = worked_config()
-        state, _ = squat_step(initial_state(config), config)
-        nxt = lock_and_retract(state, config)
+        nxt = simulate(worked_config()).records[1].state
         assert nxt.spring_length_start == pytest.approx(0.08, rel=1e-12)
         assert nxt.spring_position == pytest.approx(0.08 / 0.12 * 0.08, rel=1e-12)
         assert nxt.dead_band == 0.0
         assert nxt.iteration == 2
 
     def test_no_compression_is_a_fixed_point(self):
+        # a squat that compresses nothing is never retracted in a run (it
+        # converges first), so the map is driven directly
         config = worked_config()
-        state = initial_state(config)
-        frozen = replace(state, spring_length_end=state.spring_length_start)
-        nxt = lock_and_retract(frozen, config)
-        assert nxt.spring_length_start == pytest.approx(state.spring_length_start, rel=1e-12)
-        assert nxt.spring_position == pytest.approx(state.spring_position, rel=1e-12)
+        _, retract = cyclic._recurrence(config)
+        s_start = initial_spring_length(config)
+        x, s_next, _ = retract(1, s_start)
+        assert s_next == pytest.approx(s_start, rel=1e-12)
+        assert x == pytest.approx(config.initial_spring_position, rel=1e-12)
 
     def test_lossy_transition_scales_energy_by_efficiency(self):
         config = worked_config(loss=LossModel(efficiency=0.84))
-        state, record = squat_step(initial_state(config), config)
-        nxt = lock_and_retract(state, config)
+        record, following = simulate(config).records[:2]
+        nxt = following.state
         assert nxt.spring_length_start == pytest.approx(
             0.12 - math.sqrt(0.84) * 0.04, rel=1e-12
         )
@@ -146,9 +147,8 @@ class TestLockAndRetract:
         assert ratio == pytest.approx(0.84, rel=1e-12)
 
     def test_ratio_recurrence_matches_closed_form(self):
-        config = worked_config()
-        state, _ = squat_step(initial_state(config), config)
-        nxt = lock_and_retract(state, config)
+        first, second = simulate(worked_config()).records[:2]
+        state, nxt = first.state, second.state
         # iterating the per-transition ratio from x_1 gives the same position
         assert nxt.spring_position == pytest.approx(
             (nxt.spring_length_start / state.spring_length_start) * state.spring_position,
@@ -158,8 +158,7 @@ class TestLockAndRetract:
     def test_ratchet_rounds_away_from_knee_with_dead_band(self):
         pitch = 0.015
         config = worked_config(loss=LossModel(efficiency=1.0, ratchet_pitch=pitch))
-        state, _ = squat_step(initial_state(config), config)
-        nxt = lock_and_retract(state, config)
+        nxt = simulate(config).records[1].state
         target = nxt.spring_length_start * 0.2 / 0.3
         assert 0.0 <= nxt.spring_position - target < pitch
         assert nxt.spring_position == pytest.approx(pitch * math.ceil(target / pitch))
@@ -177,31 +176,29 @@ class TestLockAndRetract:
             force_cap=400.0,
             loss=LossModel(efficiency=0.01),
         )
-        state, _ = squat_step(initial_state(config), config)
-        with pytest.raises(SimulationError, match="beyond the hip"):
-            lock_and_retract(state, config)
+        with pytest.raises(SimulationError, match="retraction after squat 1 .* beyond the hip"):
+            simulate(config)
 
 
 class TestStartForce:
     def test_no_preload_no_force(self):
-        config = exact_zero_preload_config()
-        assert start_force(initial_state(config), config) == 0.0
+        assert simulate(exact_zero_preload_config()).records[0].start_force == 0.0
 
     def test_second_squat_matches_ratio_form(self):
-        config = worked_config()
-        state, record = squat_step(initial_state(config), config)
-        nxt = lock_and_retract(state, config)
-        f = start_force(nxt, config)
+        record, following = simulate(worked_config()).records[:2]
+        f = following.start_force
         assert f == pytest.approx(10.0 + 2.0 / 3.0, rel=1e-12)
-        ratio = nxt.spring_length_start / record.state.spring_length_start
+        ratio = following.state.spring_length_start / record.state.spring_length_start
         assert f == pytest.approx(ratio * record.end_force, rel=1e-12)
 
     def test_zero_compression_keeps_previous_cap(self):
+        # retracting a squat that compressed nothing, driven on the map directly
         config = worked_config(force_cap=16.0)
-        state, record = squat_step(initial_state(config), config)
-        frozen = replace(state, spring_length_end=state.spring_length_start)
-        nxt = lock_and_retract(frozen, config)
-        assert start_force(nxt, config) == pytest.approx(record.start_force, rel=1e-12)
+        record = simulate(config).records[0]
+        _, retract = cyclic._recurrence(config)
+        x, s_start, _ = retract(1, record.state.spring_length_start)
+        f = hip_force(x, s_start, config.leg, config.spring)
+        assert f == pytest.approx(record.start_force, rel=1e-12)
 
 
 class TestSimulate:
@@ -236,9 +233,8 @@ class TestSimulate:
         assert result.final_energy == pytest.approx(0.5 * k * (s0 - s_star) ** 2, rel=1e-12)
 
     def test_single_iteration_equals_one_squat_step(self):
-        config = worked_config(max_iterations=1)
-        result = simulate(config)
-        _, record = squat_step(initial_state(config), config)
+        result = simulate(worked_config(max_iterations=1))
+        record = simulate(worked_config()).records[0]
         assert len(result.records) == 1
         assert result.records[0] == record
         assert result.final_energy == record.energy_after
@@ -260,7 +256,7 @@ class TestSimulate:
 
     def test_samples_not_stored_per_squat(self):
         # stored samples would need 4 arrays * 1000 samples * 8 B = 32 kB per
-        # squat, 64 MB for this run; records alone stay near 1 MB
+        # squat, 64 MB for this run; the per-squat columns stay under 1 MB
         config = worked_config(
             force_cap=10.0,
             loss=LossModel(efficiency=0.9),
@@ -290,6 +286,21 @@ class TestSimulate:
         assert result.records[-1].energy_after == result.records[-1].energy_before
 
 
+class TestRecordsView:
+    def test_emission_builds_no_records(self, tmp_path, capsys):
+        result = simulate(worked_config(loss=LossModel(efficiency=0.9, ratchet_pitch=0.004)))
+        emit_trajectory_csv(result, tmp_path / "trajectory.csv")
+        for kind in PLOT_KINDS:
+            emit_plot_svg(result, kind, tmp_path / f"{kind}.svg")
+        cli._print_run_summary(result)
+        assert "records" not in vars(result)
+
+        records = result.records
+        assert [r.state.iteration for r in records] == list(range(1, len(records) + 1))
+        assert tuple(r.energy_after for r in records) == result.squats.e_after
+        assert tuple(r.end_force for r in records) == result.squats.f_end
+
+
 class TestTermination:
     def test_full_compression(self):
         result = simulate(worked_config())
@@ -313,26 +324,15 @@ class TestTermination:
         result = simulate(config)
         assert result.termination is Termination.STALLED
         assert len(result.records) == 4
-        last = result.records[-1].state
+        squat, retract = cyclic._recurrence(config)
         with pytest.raises(StallError, match="squat 5: no compression"):
-            squat_step(lock_and_retract(last, config), config)
+            squat(5, *retract(4, result.final_spring_length))
 
     def test_iteration_cap(self):
         result = simulate(worked_config(max_iterations=2))
         assert result.termination is Termination.ITERATION_CAP
         assert len(result.records) == 2
         assert result.iterations_to_full_compression is None
-
-    def test_step_wrappers_replay_the_run(self, rng):
-        # squat_step and lock_and_retract drive the same map as simulate
-        for pitch in (0.0, 0.004):
-            config = random_config(rng, efficiency=0.9, ratchet_pitch=pitch)
-            result = simulate(config)
-            state = initial_state(config)
-            for record in result.records:
-                done, replayed = squat_step(state, config)
-                assert replayed == record
-                state = lock_and_retract(done, config)
 
 
 class TestCyclicInvariants:

@@ -59,6 +59,12 @@ class TestMinSquats:
         with pytest.raises(DomainError, match="capacity"):
             min_squats(config, spring_capacity(config) * 1.01)
 
+    def test_nan_target_rejected(self):
+        config = worked_config()
+        with pytest.raises(DomainError, match="nan"):
+            min_squats(config, math.nan)
+        assert min_squats(config, -math.inf) == 0
+
     def test_exact_capacity_is_allowed(self):
         config = worked_config()
         assert min_squats(config, spring_capacity(config)) == 3
