@@ -2,10 +2,10 @@
 
 Measured (or synthetic) per-squat hip force traces are compared against
 simulated trajectories; the transition efficiency and the force cap are
-found by a deterministic grid-plus-golden-section search on the summed
-squared force residual.  Forces are the fitted quantity because they are
-what a load cell measures; energies are derived by trapezoidal work
-integration.
+found by one deterministic search on the summed squared force residual: a
+grid over the free unknowns zooms onto its best cell, then golden sections
+refine each one.  Forces are the fitted quantity because they are what a
+load cell measures; energies are derived by trapezoidal work integration.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 #: before it is reported as inconsistent data.
 RATIO_TOL = 1e-9
 
-#: Zooms of the 2-unknown grid onto its best cell, after the first grid.
+#: Search box of a fitted efficiency.
+_EFFICIENCY_BOX = (0.05, 1.0)
+#: Zooms of the fit grid onto its best cell, after the first grid.
 _ZOOMS = 3
-#: Shrinking golden-section passes of the 1-unknown search.
-_GOLDEN_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -134,100 +134,67 @@ def fit_model(
     config: Configuration,
     fit_efficiency: bool = True,
     fit_force_cap: bool = True,
-    efficiency_bounds: tuple[float, float] = (0.05, 1.0),
-    force_cap_bounds: tuple[float, float] | None = None,
     grid_points: int = 17,
 ) -> FitReport:
     """Fit the loss model to measured cycles by least-squares on force.
 
     The objective is the sum of squared differences between simulated hip
     forces and the measured traces linearly resampled onto the simulated
-    displacement grids.  A coarse grid over the unknowns locates the basin;
-    golden-section sweeps along each unknown refine it.  The search is fully
-    deterministic for identical inputs and settings.
+    displacement grids.  A fitted efficiency is searched in ``(0.05, 1)``,
+    a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
+    other parameter keeps its ``config`` value.  A grid over the free
+    unknowns zooms ``_ZOOMS`` times onto its best cell, then two rounds of
+    golden sections refine each free unknown within one grid step.  The
+    search is fully deterministic for identical inputs and settings.
 
     Raises
     ------
     DomainError
         If ``grid_points`` is not an integer >= 2.
     DataError
-        On fewer than two cycles or a non-finite residual.
+        On fewer than two cycles, a cycle with fewer than two samples,
+        nothing to fit, or a non-finite residual.
     """
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
         raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
-    ordered = sorted(cycles, key=lambda c: c.iteration)
-    if force_cap_bounds is None:
-        f_max = max(float(np.max(c.hip_force)) for c in ordered)
-        if not (math.isfinite(f_max) and f_max > 0):
-            raise DataError("measured forces must be finite and positive to bound the cap search")
-        force_cap_bounds = (0.5 * f_max, 1.25 * f_max)
-
-    eta = config.loss.efficiency
-    cap = config.force_cap
-    flat = False
-
-    if fit_efficiency and fit_force_cap:
-        # The objective valley runs diagonally (a low cap trades against a
-        # high efficiency), so axis-aligned descent alone crawls; zoom the
-        # 2-D grid onto the best cell first, then polish with golden
-        # sections along each axis.
-        eta_box = efficiency_bounds
-        cap_box = force_cap_bounds
-        eta_step = cap_step = 0.0
-        for zoom in range(_ZOOMS + 1):
-            eta_grid = np.linspace(*eta_box, grid_points)
-            cap_grid = np.linspace(*cap_box, grid_points)
-            values = np.array(
-                [[_residual(ordered, config, e, c)[0] for c in cap_grid] for e in eta_grid]
-            )
-            if zoom == 0:
-                flat = _is_flat(values)
-            i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-            eta, cap = float(eta_grid[i]), float(cap_grid[j])
-            eta_step = float(eta_grid[1] - eta_grid[0])
-            cap_step = float(cap_grid[1] - cap_grid[0])
-            eta_box = (
-                max(efficiency_bounds[0], eta - 1.5 * eta_step),
-                min(efficiency_bounds[1], eta + 1.5 * eta_step),
-            )
-            cap_box = (
-                max(force_cap_bounds[0], cap - 1.5 * cap_step),
-                min(force_cap_bounds[1], cap + 1.5 * cap_step),
-            )
-        for _ in range(2):
-            eta = _golden_min(
-                lambda e: _residual(ordered, config, e, cap)[0],
-                max(efficiency_bounds[0], eta - eta_step),
-                min(efficiency_bounds[1], eta + eta_step),
-            )
-            cap = _golden_min(
-                lambda c: _residual(ordered, config, eta, c)[0],
-                max(force_cap_bounds[0], cap - cap_step),
-                min(force_cap_bounds[1], cap + cap_step),
-            )
-    elif fit_efficiency or fit_force_cap:
-        if fit_efficiency:
-            bounds = efficiency_bounds
-            value_of = lambda v: _residual(ordered, config, v, cap)[0]
-        else:
-            bounds = force_cap_bounds
-            value_of = lambda v: _residual(ordered, config, eta, v)[0]
-        grid = np.linspace(*bounds, grid_points)
-        values = np.array([value_of(v) for v in grid])
-        flat = _is_flat(values)
-        best = float(grid[int(np.argmin(values))])
-        step = float(grid[1] - grid[0])
-        for _ in range(_GOLDEN_PASSES):
-            best = _golden_min(value_of, max(bounds[0], best - step), min(bounds[1], best + step))
-            step *= _INV_PHI_SQ
-        if fit_efficiency:
-            eta = best
-        else:
-            cap = best
-    else:
+    if not (fit_efficiency or fit_force_cap):
         raise DataError("nothing to fit: at least one of efficiency/force_cap must be unknown")
+    ordered = sorted(cycles, key=lambda c: c.iteration)
+    cycle_work = tuple(integrate_work(c) for c in ordered)
+    f_max = max(float(np.max(c.hip_force)) for c in ordered)
+    if not (math.isfinite(f_max) and f_max > 0):
+        raise DataError("measured forces must be finite and positive to bound the cap search")
+    eta, cap = config.loss.efficiency, config.force_cap
+    eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
+    cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
+
+    def objective(e: float, c: float) -> float:
+        return _residual(ordered, config, e, c)[0]
+
+    # The 2-unknown valley runs diagonally (a low cap trades against a high
+    # efficiency), so axis-aligned descent alone crawls: zoom the grid onto
+    # the best cell first, then polish with golden sections per free axis.
+    eta_box, cap_box = eta_bounds, cap_bounds
+    for zoom in range(_ZOOMS + 1):
+        eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
+        cap_grid = np.linspace(*cap_box, grid_points if fit_force_cap else 1)
+        values = np.array([[objective(e, c) for c in cap_grid] for e in eta_grid])
+        if zoom == 0:
+            flat = _is_flat(values)
+        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
+        eta, cap = float(eta_grid[i]), float(cap_grid[j])
+        eta_step, cap_step = (
+            float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid)
+        )
+        eta_box = _clip(eta_bounds, eta, 1.5 * eta_step)
+        cap_box = _clip(cap_bounds, cap, 1.5 * cap_step)
+    for _ in range(2):
+        if fit_efficiency:
+            eta = _golden_min(lambda e: objective(e, cap), *_clip(eta_bounds, eta, eta_step))
+        if fit_force_cap:
+            cap = _golden_min(lambda c: objective(eta, c), *_clip(cap_bounds, cap, cap_step))
 
     sse, n_points = _residual(ordered, config, eta, cap)
     if not math.isfinite(sse):
@@ -239,7 +206,7 @@ def fit_model(
     return FitReport(
         efficiency=eta,
         force_cap=cap,
-        cycle_work=tuple(integrate_work(c) for c in ordered),
+        cycle_work=cycle_work,
         residual_rms=math.sqrt(sse / n_points) if n_points else 0.0,
         retention_ratios=ratios,
         flat_objective=flat,
@@ -295,10 +262,13 @@ def _is_flat(values: np.ndarray, rtol: float = 1e-9) -> bool:
     return hi - lo <= rtol * (1.0 + abs(lo))
 
 
+def _clip(box: tuple[float, float], centre: float, half_width: float) -> tuple[float, float]:
+    """The interval ``centre`` +- ``half_width``, cut to ``box``."""
+    return max(box[0], centre - half_width), min(box[1], centre + half_width)
+
+
 def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of a unimodal function on [a, b]."""
-    if b < a:
-        a, b = b, a
+    """Golden-section minimum of a unimodal function on [a, b], a <= b."""
     h = b - a
     if h <= tol:
         return 0.5 * (a + b)

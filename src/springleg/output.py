@@ -102,7 +102,6 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
     groups: dict[int, list[tuple[float, float, float]]] = {}
-    order: list[int] = []
     for lineno, line in enumerate(lines[1:], 2):
         parts = line.split(",")
         if len(parts) != 5:
@@ -112,13 +111,9 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
             deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
-        if iteration not in groups:
-            groups[iteration] = []
-            order.append(iteration)
-        groups[iteration].append((deformation, s, f))
+        groups.setdefault(iteration, []).append((deformation, s, f))
     cycles = []
-    for iteration in order:
-        rows = groups[iteration]
+    for iteration, rows in groups.items():
         cycles.append(
             MeasuredCycle(
                 iteration=iteration,

@@ -12,6 +12,7 @@ from springleg import (
     LossModel,
     MeasuredCycle,
     SpringParams,
+    calibration,
     estimate_efficiency,
     fit_model,
     integrate_work,
@@ -157,6 +158,30 @@ class TestFitModel:
         report = fit_model(cycles, base, fit_force_cap=False)
         assert report.efficiency == pytest.approx(0.84, rel=0.05)
 
+    def test_cap_only_round_trip(self):
+        true_config = worked_config(
+            loss=LossModel(efficiency=0.84),
+            force_cap=12.0,
+            sample_count=400,
+            max_iterations=5,
+        )
+        cycles = cycles_from_simulation(true_config)
+        base = replace(true_config, force_cap=100.0)
+        report = fit_model(cycles, base, fit_efficiency=False)
+        assert report.efficiency == 0.84
+        assert report.force_cap == pytest.approx(12.0, rel=0.01)
+        assert report.residual_rms < 1e-3
+
+    def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("objective evaluated before the data was checked")
+
+        monkeypatch.setattr(calibration, "_residual", no_search)
+        cycles = cycles_from_simulation(worked_config())
+        cycles[1] = MeasuredCycle(2, np.array([0.0]), np.array([5.0]))
+        with pytest.raises(DataError, match="2 samples"):
+            fit_model(cycles, worked_config())
+
     def test_too_few_cycles_rejected(self):
         cycles = cycles_from_simulation(worked_config())[:1]
         with pytest.raises(DataError, match="at least 2"):
@@ -168,11 +193,22 @@ class TestFitModel:
             fit_model(cycles, worked_config(), fit_efficiency=False, fit_force_cap=False)
 
     @pytest.mark.parametrize("grid_points", [0, 1, 2.5])
-    @pytest.mark.parametrize("fit_force_cap", [True, False])
-    def test_short_grid_rejected(self, grid_points, fit_force_cap):
+    # Ids name the fit_force_cap flag of the efficiency fits; cap_only fits the cap alone.
+    @pytest.mark.parametrize(
+        "fit_efficiency, fit_force_cap",
+        [(True, True), (True, False), (False, True)],
+        ids=["True", "False", "cap_only"],
+    )
+    def test_short_grid_rejected(self, grid_points, fit_efficiency, fit_force_cap):
         cycles = cycles_from_simulation(worked_config())
         with pytest.raises(DomainError, match="grid_points"):
-            fit_model(cycles, worked_config(), fit_force_cap=fit_force_cap, grid_points=grid_points)
+            fit_model(
+                cycles,
+                worked_config(),
+                fit_efficiency=fit_efficiency,
+                fit_force_cap=fit_force_cap,
+                grid_points=grid_points,
+            )
 
     def test_report_carries_work_and_ratios(self):
         config = worked_config(loss=LossModel(efficiency=0.9), sample_count=200)
