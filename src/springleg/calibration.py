@@ -1,25 +1,28 @@
 """Recover loss-model parameters from measured force-displacement cycles.
 
 Measured (or synthetic) per-squat hip force traces are compared against
-simulated trajectories; the transition efficiency and the force cap are
-found by one deterministic search on the summed squared force residual: a
-grid over the free unknowns zooms onto its best cell, then golden sections
-refine each one.  Forces are the fitted quantity because they are what a
-load cell measures; energies are derived by trapezoidal work integration.
+simulated strokes; the transition efficiency and the force cap are found by
+one deterministic search on the summed squared force residual: a grid over
+the free unknowns zooms onto its best cell, then golden sections refine each
+one.  The objective evaluates many (efficiency, cap) points at once, one
+numpy lane each, on ``cyclic.run_lanes``: a whole zoom grid is one call, a
+golden-section point a one-lane call.  Forces are the fitted quantity
+because they are what a load cell measures; energies are derived by
+trapezoidal work integration.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cyclic import simulate
-from .errors import ConfigurationError, DataError, DomainError, SimulationError
-from .model import Configuration, SpringParams, spring_energy
+from .cyclic import LANE_STOPS, StopReason, run_lanes
+from .errors import DataError, DomainError
+from .model import CompressionPolicy, Configuration, SpringParams, spring_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -32,6 +35,9 @@ RATIO_TOL = 1e-9
 _EFFICIENCY_BOX = (0.05, 1.0)
 #: Zooms of the fit grid onto its best cell, after the first grid.
 _ZOOMS = 3
+#: Most lane-samples the objective holds in one temporary array.
+_BLOCK_ELEMENTS = 1 << 14
+_SLACK = LANE_STOPS.index(StopReason.ENGAGED_ONLY)
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,15 @@ def fit_model(
 ) -> FitReport:
     """Fit the loss model to measured cycles by least-squares on force.
 
-    The objective is the sum of squared differences between simulated hip
-    forces and the measured traces linearly resampled onto the simulated
-    displacement grids.  A fitted efficiency is searched in ``(0.05, 1)``,
+    The objective (see ``objective``) is the sum of squared differences
+    between simulated and measured hip forces, each resampled onto the
+    other's displacements.  A fitted efficiency is searched in ``(0.05, 1)``,
     a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
     other parameter keeps its ``config`` value.  A grid over the free
-    unknowns zooms ``_ZOOMS`` times onto its best cell, then two rounds of
-    golden sections refine each free unknown within one grid step.  The
-    search is fully deterministic for identical inputs and settings.
+    unknowns, evaluated in one objective call, zooms ``_ZOOMS`` times onto
+    its best cell, then two rounds of golden sections refine each free
+    unknown within one grid step, one point per call.  The search is fully
+    deterministic for identical inputs and settings.
 
     Raises
     ------
@@ -153,7 +160,8 @@ def fit_model(
         If ``grid_points`` is not an integer >= 2.
     DataError
         On fewer than two cycles, a cycle with fewer than two samples,
-        nothing to fit, or a non-finite residual.
+        nothing to fit, a force cap to fit under ``full_range`` (which
+        ignores the cap), or a non-finite residual.
     """
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
         raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
@@ -161,6 +169,8 @@ def fit_model(
         raise DataError("need at least 2 measured cycles to fit the loss model")
     if not (fit_efficiency or fit_force_cap):
         raise DataError("nothing to fit: at least one of efficiency/force_cap must be unknown")
+    if fit_force_cap and config.policy is CompressionPolicy.FULL_RANGE:
+        raise DataError("force cap has no effect under full_range: fit the efficiency only")
     ordered = sorted(cycles, key=lambda c: c.iteration)
     cycle_work = tuple(integrate_work(c) for c in ordered)
     f_max = max(float(np.max(c.hip_force)) for c in ordered)
@@ -170,8 +180,8 @@ def fit_model(
     eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
     cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
 
-    def objective(e: float, c: float) -> float:
-        return _residual(ordered, config, e, c)[0]
+    def at(e: float, c: float) -> float:
+        return objective(ordered, config, [e], [c])[0][0]
 
     # The 2-unknown valley runs diagonally (a low cap trades against a high
     # efficiency), so axis-aligned descent alone crawls: zoom the grid onto
@@ -180,7 +190,8 @@ def fit_model(
     for zoom in range(_ZOOMS + 1):
         eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
         cap_grid = np.linspace(*cap_box, grid_points if fit_force_cap else 1)
-        values = np.array([[objective(e, c) for c in cap_grid] for e in eta_grid])
+        etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
+        values = objective(ordered, config, etas.ravel(), caps.ravel())[0].reshape(etas.shape)
         if zoom == 0:
             flat = _is_flat(values)
         i, j = np.unravel_index(int(np.argmin(values)), values.shape)
@@ -192,11 +203,11 @@ def fit_model(
         cap_box = _clip(cap_bounds, cap, 1.5 * cap_step)
     for _ in range(2):
         if fit_efficiency:
-            eta = _golden_min(lambda e: objective(e, cap), *_clip(eta_bounds, eta, eta_step))
+            eta = _golden_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
         if fit_force_cap:
-            cap = _golden_min(lambda c: objective(eta, c), *_clip(cap_bounds, cap, cap_step))
+            cap = _golden_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
 
-    sse, n_points = _residual(ordered, config, eta, cap)
+    (sse,), (n_points,) = objective(ordered, config, [eta], [cap])
     if not math.isfinite(sse):
         raise DataError("non-finite force residual at the fitted parameters")
     try:
@@ -213,47 +224,88 @@ def fit_model(
     )
 
 
-def _residual(
-    cycles: Sequence[MeasuredCycle], config: Configuration, eta: float, cap: float
-) -> tuple[float, int]:
-    """Summed squared force error and the number of compared points.
+def objective(
+    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summed squared force error and compared-point count of each lane.
 
-    The comparison runs both ways: measured forces resampled onto the
-    simulated displacement grid and simulated forces onto the measured
-    grid, with endpoint clamping outside either stroke.  One-way
-    resampling onto the (possibly shorter) simulated stroke would ignore
-    the measured tail a too-low cap fails to reach, leaving only the
-    product sqrt(efficiency)*cap identifiable on cap-limited cycles.
+    Lane ``l`` runs ``config`` with efficiency ``eta[l]`` and force cap
+    ``cap[l]`` (1-D, of one length) for ``len(cycles)`` squats on
+    ``cyclic.run_lanes`` and compares squat ``i``'s stroke with cycle ``i``
+    both ways, with endpoint clamping outside either stroke:
 
-    Configurations that cannot run (stall, invalid derived state) are
-    penalized by treating every measured force as unexplained, which keeps
-    the objective finite and the search well defined.
+    * measured onto model: the measured trace ``np.interp``-olated at the
+      stroke's ``sample_count`` samples, one call per cycle and block;
+    * model onto measured: the simulated force is affine in deformation
+      within a stroke, so it is that line at each measured displacement
+      clamped into the stroke, in closed form.
+
+    One-way resampling onto the (possibly shorter) simulated stroke would
+    ignore the measured tail a too-low cap fails to reach, leaving only the
+    product sqrt(efficiency)*cap identifiable on cap-limited cycles.  A lane
+    whose run raises (a first-squat stall, a retraction beyond the hip)
+    treats every measured force as unexplained, and so does a cycle after
+    its run ended; this keeps the objective finite and the search well
+    defined.
+
+    Strokes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest
+    cycle)`` (cycle, lane) pairs at a time, so temporaries stay within
+    ``_BLOCK_ELEMENTS`` elements however many lanes there are.  The sums
+    equal those of ``simulate`` and ``np.interp`` on each lane to round-off.
     """
-    trial = replace(
-        config,
-        loss=replace(config.loss, efficiency=eta),
-        force_cap=cap,
-        max_iterations=len(cycles),
-    )
-    try:
-        result = simulate(trial)
-        trajectories = result.trajectories
-    except (ConfigurationError, SimulationError):
-        trajectories = ()
-    sse = 0.0
-    n_points = 0
-    for i, cycle in enumerate(cycles):
-        if i < len(trajectories):
-            model = trajectories[i]
-            on_model = np.interp(model.leg_deformation, cycle.hip_displacement, cycle.hip_force)
-            sse += float(np.sum((model.hip_force - on_model) ** 2))
-            on_measured = np.interp(cycle.hip_displacement, model.leg_deformation, model.hip_force)
-            sse += float(np.sum((on_measured - cycle.hip_force) ** 2))
-            n_points += len(model.leg_deformation) + len(cycle.hip_displacement)
-        else:
-            sse += float(np.sum(cycle.hip_force**2))
-            n_points += len(cycle.hip_force)
-    return sse, n_points
+    geom, spring = config.leg, config.spring
+    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
+    k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
+    run = run_lanes(config, eta, cap, len(cycles))
+    # Cycle i of a lane is compared with squat i while i < squats, unless the
+    # run raised; a slack (ENGAGED_ONLY) squat has zero force at 0 and dlmax.
+    modelled = np.arange(len(cycles))[:, None] < np.where(run.raised, 0, run.squats)
+    slack = modelled & (run.stop == _SLACK)
+    strokes = modelled & ~slack
+
+    # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;
+    # pairs without a stroke are replaced below.  Pair i * lanes + l is
+    # cycle i of lane l, so a block may span cycles.
+    ratio = run.x.reshape(-1) / seg
+    slope = ratio * k
+    start, stop = run.dead_band.reshape(-1), run.travel.reshape(-1)
+    step = (stop - start) / (samples - 1)
+    steps = np.arange(samples, dtype=float)
+    lanes = modelled.shape[1]
+    rows = max(1, _BLOCK_ELEMENTS // max(samples, *(len(c.hip_displacement) for c in cycles)))
+    # Squared errors of each pair: measured onto model, and model onto measured.
+    onto_model, onto_measured = np.empty(len(ratio)), np.empty(len(ratio))
+    for a in range(0, len(ratio), rows):
+        b = min(a + rows, len(ratio))
+        r, m = ratio[a:b, None], slope[a:b, None]
+        # np.linspace's arithmetic, one stroke per row, so that np.interp's
+        # search walks each stroke in order.
+        grid = steps * step[a:b, None] + start[a:b, None]
+        grid[:, -1] = stop[a:b]
+        model = m * (s0 - r * (lstand - grid))
+        for i in range(a // lanes, (b - 1) // lanes + 1):
+            d, f = cycles[i].hip_displacement, cycles[i].hip_force
+            lo, hi = max(i * lanes, a) - a, min(i * lanes + lanes, b) - a
+            error = model[lo:hi] - np.interp(grid[lo:hi], d, f)
+            onto_model[a + lo : a + hi] = np.vecdot(error, error)
+            # The line rises with d, so clamping it to the stroke's end forces
+            # is clamping d into the stroke.
+            line = m[lo:hi] * (s0 - r[lo:hi] * (lstand - d))
+            error = np.minimum(np.maximum(line, model[lo:hi, :1]), model[lo:hi, -1:]) - f
+            onto_measured[a + lo : a + hi] = np.vecdot(error, error)
+    onto_model = onto_model.reshape(modelled.shape)
+    onto_measured = onto_measured.reshape(modelled.shape)
+    if not strokes.all():
+        # Without a stroke every measured force is unexplained.
+        squared = [[np.sum(c.hip_force**2)] for c in cycles]
+        ends = [np.interp([0, dlmax], c.hip_displacement, c.hip_force) for c in cycles]
+        at_ends = [[np.sum(f**2)] for f in ends]
+        onto_model = np.where(strokes, onto_model, np.where(slack, at_ends, 0.0))
+        onto_measured = np.where(strokes, onto_measured, squared)
+
+    sse = (onto_model + onto_measured).sum(axis=0)
+    measured = sum(len(c.hip_displacement) for c in cycles)
+    return sse, measured + samples * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
 
 
 def _is_flat(values: np.ndarray, rtol: float = 1e-9) -> bool:

@@ -292,6 +292,101 @@ class Run:
         self.termination = Termination.ITERATION_CAP
 
 
+#: ``LaneRun.stop`` codes index this tuple: FORCE_CAP, LEG_RANGE, SPRING_SOLID, ENGAGED_ONLY.
+LANE_STOPS = tuple(StopReason)
+
+
+class LaneRun(NamedTuple):
+    """The squats of many runs of one configuration, one lane per run.
+
+    The per-squat arrays have shape ``(max_iterations, lanes)``: row ``n``
+    holds squat ``n + 1`` in the units of ``Squats``, and ``stop`` indexes
+    ``LANE_STOPS``.  A lane's rows from ``squats`` on mean nothing.
+    """
+
+    x: np.ndarray
+    s_start: np.ndarray
+    dead_band: np.ndarray
+    s_end: np.ndarray
+    stop: np.ndarray
+    travel: np.ndarray
+    squats: np.ndarray  # squats ``Run`` yields in each lane
+    raised: np.ndarray  # True where ``Run`` raises: first-squat stall or retraction beyond the hip
+
+
+def run_lanes(
+    config: Configuration, efficiency: np.ndarray, force_cap: np.ndarray, max_iterations: int
+) -> LaneRun:
+    """``Run`` of ``config`` with each lane's efficiency and force cap, on
+    numpy lanes.
+
+    Each lane follows the arithmetic and the rules of ``_recurrence`` and
+    ``Run`` in their order, so its squats equal ``Run``'s bit for bit and it
+    stops where its run stops.  The loop carries only the map: every lane
+    squats and retracts ``max_iterations`` times, values after its run ended
+    mean nothing, and where each run ended is found afterwards from all
+    squats at once.  ``efficiency`` and ``force_cap`` are 1-D arrays of one
+    length and are not validated.
+    """
+    geom, spring = config.leg, config.spring
+    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
+    k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
+    pitch = config.loss.ratchet_pitch
+    root_efficiency, cap = np.sqrt(efficiency), np.asarray(force_cap, dtype=float)
+    lanes = root_efficiency.shape
+    x = np.full(lanes, config.initial_spring_position)
+    s_start = np.full(lanes, initial_spring_length(config))
+    dead_band, slack = np.zeros(lanes), np.zeros(lanes, bool)
+    s_cap = np.full(lanes, -np.inf)  # no cap stop under FULL_RANGE
+    rows, slacks = [], []
+    # Only the cap's division can divide by zero or overflow: where k * ratio
+    # underflows, the cap is never reached and s_cap is -inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        for n in range(max_iterations):
+            ratio = x / seg
+            s_range = ratio * (lstand - dlmax)
+            if config.policy is CompressionPolicy.FORCE_LIMITED:
+                s_cap = s0 - cap / (k * ratio)
+            # The stop with the largest spring length binds; ties are equal lengths.
+            s_end = np.maximum(np.maximum(s_range, s_cap), solid)
+            if pitch > 0:  # only a ratchet leaves a dead band
+                # The leg range binds at or above s_start behind it: ENGAGED_ONLY,
+                # unless the spring is already solid, which stalls first.
+                slack = (s_range > s_cap) & (s_range >= solid) & (s_end >= s_start)
+                slack &= (dead_band > 0) & (s_start > solid)
+                s_end = np.where(slack, s_start, s_end)
+            rows.append((x, s_start, dead_band, s_end, s_range, s_cap))
+            slacks.append(slack)
+            if n + 1 < max_iterations:
+                s_start = s0 - root_efficiency * (s0 - s_end)
+                x = s_start * seg / lstand
+                if pitch > 0:
+                    # The first tooth sits one pitch from the knee, never at it.
+                    x = np.minimum(pitch * np.maximum(np.ceil(x / pitch), 1.0), seg)
+                    dead_band = lstand - s_start * seg / x
+    # One contiguous (squats, lanes) array per column.
+    x, s_start, dead_band, s_end, s_range, s_cap = np.array(rows).transpose(1, 0, 2).copy()
+    slack = np.array(slacks)
+    squat = (s_end < s_start) | slack  # else the squat stalls
+    travel = lstand - s_end * seg / x
+    travel[slack] = dlmax
+    d = s0 - np.concatenate((s_start[:1], s_end))
+    energy = 0.5 * k * d * d  # spring_energy's order of operations
+    gain = energy[1:] - energy[:-1]
+    # Full compression, then tol_gain, end the run after a squat; then the
+    # retraction may need a position beyond the hip.
+    going = squat & (s_end > solid + config.tol_abs) & (gain >= config.tol_gain)
+    beyond = s_start[1:] * seg / lstand > seg
+    reached = np.ones(squat.shape, bool)  # the run gets to row n's squat
+    np.logical_and.accumulate(going[:-1] & ~beyond, axis=0, out=reached[1:])
+    # A first-squat stall and a retraction beyond the hip raise in ``Run``.
+    raised = ~squat[0] | (reached[:-1] & going[:-1] & beyond).any(axis=0)
+    stop = np.where(solid > np.maximum(s_range, s_cap), 2, s_range > s_cap)
+    stop[slack] = 3
+    squats = (reached & squat).sum(axis=0)
+    return LaneRun(x, s_start, dead_band, s_end, stop, travel, squats, raised)
+
+
 def simulate(config: Configuration) -> SimResult:
     """Alternate squats and lock/retract transitions until done.
 

@@ -5,11 +5,19 @@ package: the force-cap stop is found by bisection on the leg length instead
 of in closed form, and the retracted spring position is iterated through
 the per-transition ratio instead of the standing-consistency formula.
 Used to cross-check every recorded field of the simulator.
+
+``reference_objective`` is the one exception: it is the calibration fit's
+objective for a single (efficiency, force cap) point, built on the package's
+scalar path (``simulate`` and its sampled trajectories) and ``np.interp``, to
+check the lane objective that the fit uses.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+
+import numpy as np
 
 
 def oracle_energy(s: float, k: float, s0: float) -> float:
@@ -132,3 +140,41 @@ def oracle_simulate(p: dict) -> dict:
         s_start = s_next
 
     return dict(records=records, full_at=full_at)
+
+
+def reference_objective(cycles, config, eta: float, cap: float) -> tuple[float, int, int]:
+    """Summed squared force error, compared points and cycles compared with a
+    simulated stroke, for ``config`` run with efficiency ``eta`` and force
+    cap ``cap`` for ``len(cycles)`` squats.
+
+    Measured forces are resampled onto each simulated stroke and simulated
+    forces onto the measured displacements, both with ``np.interp``.  A run
+    that raises leaves every measured force unexplained, and so does a cycle
+    after the run ended.
+    """
+    from springleg import ConfigurationError, SimulationError, simulate
+
+    trial = replace(
+        config,
+        loss=replace(config.loss, efficiency=eta),
+        force_cap=cap,
+        max_iterations=len(cycles),
+    )
+    try:
+        trajectories = simulate(trial).trajectories
+    except (ConfigurationError, SimulationError):
+        trajectories = ()
+    sse = 0.0
+    n_points = 0
+    for i, cycle in enumerate(cycles):
+        if i < len(trajectories):
+            model = trajectories[i]
+            on_model = np.interp(model.leg_deformation, cycle.hip_displacement, cycle.hip_force)
+            sse += float(np.sum((model.hip_force - on_model) ** 2))
+            on_measured = np.interp(cycle.hip_displacement, model.leg_deformation, model.hip_force)
+            sse += float(np.sum((on_measured - cycle.hip_force) ** 2))
+            n_points += len(model.leg_deformation) + len(cycle.hip_displacement)
+        else:
+            sse += float(np.sum(cycle.hip_force**2))
+            n_points += len(cycle.hip_force)
+    return sse, n_points, min(len(trajectories), len(cycles))

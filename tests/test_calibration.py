@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from springleg import (
+    CompressionPolicy,
     DataError,
     DomainError,
     LossModel,
@@ -16,10 +17,11 @@ from springleg import (
     estimate_efficiency,
     fit_model,
     integrate_work,
+    parse_config,
     simulate,
 )
 
-from conftest import worked_config
+from conftest import CONFIG_DIR, worked_config
 
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
 
@@ -172,11 +174,46 @@ class TestFitModel:
         assert report.force_cap == pytest.approx(12.0, rel=0.01)
         assert report.residual_rms < 1e-3
 
+    @pytest.mark.parametrize("fit_efficiency", [True, False])
+    def test_cap_rejected_under_full_range(self, fit_efficiency):
+        """The force cap does nothing under full_range, so a fit of it would
+        return an arbitrary cap."""
+        config = worked_config(policy=CompressionPolicy.FULL_RANGE, sample_count=200)
+        cycles = cycles_from_simulation(config)
+        with pytest.raises(DataError, match="force cap has no effect under full_range"):
+            fit_model(cycles, config, fit_efficiency=fit_efficiency)
+        report = fit_model(cycles, config, fit_force_cap=False)
+        assert report.force_cap == config.force_cap
+
+    @pytest.mark.parametrize(
+        "fit_force_cap, grid_points, evaluated", [(True, 17, 1303), (False, 13, 127)]
+    )
+    def test_search_evaluates_the_same_points(
+        self, monkeypatch, fit_force_cap, grid_points, evaluated
+    ):
+        """Lanes change how the points are evaluated, not which: on the
+        criterion-8 trace the search evaluates as many (efficiency, cap)
+        points as the scalar objective did."""
+        objective, lanes = calibration.objective, []
+
+        def counted(cycles, config, eta, cap):
+            lanes.append(len(eta))
+            return objective(cycles, config, eta, cap)
+
+        monkeypatch.setattr(calibration, "objective", counted)
+        truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
+        base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
+        if not fit_force_cap:
+            base = replace(base, force_cap=truth.force_cap)
+        cycles = cycles_from_simulation(truth)
+        fit_model(cycles, base, fit_force_cap=fit_force_cap, grid_points=grid_points)
+        assert sum(lanes) == evaluated
+
     def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("objective evaluated before the data was checked")
 
-        monkeypatch.setattr(calibration, "_residual", no_search)
+        monkeypatch.setattr(calibration, "objective", no_search)
         cycles = cycles_from_simulation(worked_config())
         cycles[1] = MeasuredCycle(2, np.array([0.0]), np.array([5.0]))
         with pytest.raises(DataError, match="2 samples"):

@@ -191,6 +191,22 @@ class TestFitCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("unknowns, code", [(None, 2), ("efficiency", 0)])
+    def test_full_range_fits_the_efficiency_only(self, tmp_path, capsys, unknowns, code):
+        config = tmp_path / "full_range.cfg"
+        config.write_text(Path(PROTO).read_text().replace("force_limited", "full_range"))
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+        argv = ["fit", "--config", str(config), "--data", str(run / "trajectory.csv")]
+        argv += ["--out", str(tmp_path / "fit")]
+        if unknowns is not None:
+            argv += ["--unknowns", unknowns]
+        assert main(argv) == code
+        if code:
+            assert "force cap has no effect under full_range" in capsys.readouterr().err
+        else:
+            assert "fitted efficiency      : 0.84" in capsys.readouterr().out
+
 
 class TestPlotCommand:
     @pytest.mark.parametrize("kind", ["force_deflection", "energy"])
