@@ -179,6 +179,12 @@ class Configuration:
             f"({self.leg.segment_length}), got {self.initial_spring_position}",
         )
         _require_positive("force_cap", self.force_cap)
+        # e1_max, the single-squat energy that results are normalised by:
+        # weight * max_deformation may underflow to 0 or overflow to inf.
+        _require_positive(
+            "single-squat energy 0.5 * weight * max_deformation",
+            0.5 * self.body.weight * self.leg.max_deformation,
+        )
         # The ratchet rounds onto a grid of segment_length / pitch teeth.
         pitch = self.loss.ratchet_pitch
         if pitch and not math.isfinite(self.leg.segment_length / pitch):

@@ -225,6 +225,7 @@ WORKED_VALUES = values_from_config(worked_config())
 @given(st.dictionaries(st.sampled_from(NUMERIC_KEYS), st.floats() | st.floats(0.0, 1.0)))
 @example({"ratchet_pitch_m": float("inf")})
 @example({"spring_free_length_m": 1e200, "policy": "full_range"})
+@example({"mass_kg": 2.069868439956789e-283, "gravity_mps2": 2.069868439956789e-283})
 def test_any_float_in_a_config_file_exits_0_2_or_3(overrides):
     """Every float, inf and nan included, in any numeric key of a config
     file: ``springleg simulate`` exits 0, 2 or 3 and prints no traceback."""

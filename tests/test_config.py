@@ -200,3 +200,10 @@ def test_overflowing_spring_capacity_rejected():
         config_from_values(
             {**WORKED_VALUES, "spring_free_length_m": 1e200, "policy": "full_range"}
         )
+
+
+@pytest.mark.parametrize("mass", [2e-283, 1e300])
+def test_unrepresentable_single_squat_energy_rejected(mass):
+    # m*g underflowed to 0 and `springleg simulate` divided by e1_max = 0
+    with pytest.raises(ConfigurationError, match="single-squat energy"):
+        config_from_values({**WORKED_VALUES, "mass_kg": mass, "gravity_mps2": mass})
