@@ -4,9 +4,9 @@ Measured (or synthetic) per-squat hip force traces are compared against
 simulated strokes; the transition efficiency and the force cap are found by
 one deterministic search on the summed squared force residual: a grid over
 the free unknowns zooms onto its best cell, then golden sections refine each
-one.  The objective evaluates many (efficiency, cap) points at once, one
-numpy lane each, on ``cyclic.run_lanes``: a whole zoom grid is one call, a
-golden-section point a one-lane call.  Forces are the fitted quantity
+one.  The objective takes many (efficiency, cap) points, one lane each: every
+lane runs the one squat map, ``cyclic.Run``, and the strokes of all lanes are
+sampled and compared together in numpy.  Forces are the fitted quantity
 because they are what a load cell measures; energies are derived by
 trapezoidal work integration.
 """
@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cyclic import LANE_STOPS, StopReason, run_lanes
-from .errors import DataError, DomainError
+from .cyclic import Run, StopReason
+from .errors import DataError, DomainError, SimulationError
 from .model import CompressionPolicy, Configuration, SpringParams, spring_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -37,7 +37,6 @@ _EFFICIENCY_BOX = (0.05, 1.0)
 _ZOOMS = 3
 #: Most lane-samples the objective holds in one temporary array.
 _BLOCK_ELEMENTS = 1 << 14
-_SLACK = LANE_STOPS.index(StopReason.ENGAGED_ONLY)
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,9 @@ def objective(
     """Summed squared force error and compared-point count of each lane.
 
     Lane ``l`` runs ``config`` with efficiency ``eta[l]`` and force cap
-    ``cap[l]`` (1-D, of one length) for ``len(cycles)`` squats on
-    ``cyclic.run_lanes`` and compares squat ``i``'s stroke with cycle ``i``
-    both ways, with endpoint clamping outside either stroke:
+    ``cap[l]`` (1-D, of one length) for ``len(cycles)`` squats, as
+    ``cyclic.Run`` with those overrides, and compares squat ``i``'s stroke
+    with cycle ``i`` both ways, with endpoint clamping outside either stroke:
 
     * measured onto model: the measured trace ``np.interp``-olated at the
       stroke's ``sample_count`` samples, one call per cycle and block;
@@ -256,19 +255,35 @@ def objective(
     geom, spring = config.leg, config.spring
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
-    run = run_lanes(config, eta, cap, len(cycles))
-    # Cycle i of a lane is compared with squat i while i < squats, unless the
-    # run raised; a slack (ENGAGED_ONLY) squat has zero force at 0 and dlmax.
-    modelled = np.arange(len(cycles))[:, None] < np.where(run.raised, 0, run.squats)
-    slack = modelled & (run.stop == _SLACK)
+    # Cycle i of a lane is compared with squat i of its run, unless the run
+    # raised; a slack (ENGAGED_ONLY) squat has zero force at 0 and dlmax.
+    # Cycles without a squat get a zero row.
+    rows, modelled = [], []
+    etas, caps = (np.asarray(v, dtype=float).tolist() for v in (eta, cap))
+    for e, c in zip(etas, caps):
+        try:
+            squats = [
+                (at, band, used, stop is StopReason.ENGAGED_ONLY)
+                for at, _, band, _, stop, *_, used in Run(
+                    config, len(cycles), efficiency=e, force_cap=c
+                )
+            ]
+        except SimulationError:
+            squats = []
+        modelled.append(len(squats))
+        rows.append(squats + [(0.0, 0.0, 0.0, False)] * (len(cycles) - len(squats)))
+    # (cycles, lanes) arrays
+    x, dead_band, travel, slack = np.array(rows, dtype=float).transpose(2, 1, 0)
+    modelled = np.arange(len(cycles))[:, None] < np.array(modelled)
+    slack = slack > 0
     strokes = modelled & ~slack
 
     # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;
-    # pairs without a stroke are replaced below.  Pair i * lanes + l is
-    # cycle i of lane l, so a block may span cycles.
-    ratio = run.x.reshape(-1) / seg
+    # pairs without a stroke (all zeros) are replaced below.  Pair
+    # i * lanes + l is cycle i of lane l, so a block may span cycles.
+    ratio = x.reshape(-1) / seg
     slope = ratio * k
-    start, stop = run.dead_band.reshape(-1), run.travel.reshape(-1)
+    start, stop = dead_band.reshape(-1), travel.reshape(-1)
     step = (stop - start) / (samples - 1)
     steps = np.arange(samples, dtype=float)
     lanes = modelled.shape[1]

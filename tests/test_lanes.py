@@ -1,8 +1,9 @@
-"""The lane squat map and the lane fit objective against their scalar references.
+"""``Run``'s efficiency and force-cap overrides, and the fit objective's
+lanes, against their scalar references.
 
 Each case is one configuration with a few (efficiency, force cap) lanes and
 measured cycles made from the configuration's own run.  The explicit
-examples cover every rule the lanes must carry: ratchets, ``full_range``,
+examples cover every rule a lane's run must carry: ratchets, ``full_range``,
 ENGAGED_ONLY squats, first-squat and later stalls, retraction beyond the
 hip, full compression before the last cycle and the ``tol_gain`` stop.
 """
@@ -30,7 +31,7 @@ from springleg import (
     calibration,
     simulate,
 )
-from springleg.cyclic import LANE_STOPS, Run, StopReason, Termination, run_lanes
+from springleg.cyclic import Run, StopReason, Termination
 
 from conftest import worked_config
 from oracle import reference_objective
@@ -149,19 +150,25 @@ def measured_cycles(config, samples, seed, scale):
     return cycles
 
 
-def scalar_run(config, eta, cap, budget):
+def scalar_run(config, eta, cap, budget, override=False):
     """``Run``'s squats of one lane, with what it raised or how it ended.
 
-    ``Run`` raises ``StallError`` on a first-squat stall and
-    ``SimulationError`` on a retraction beyond the hip.
+    The lane's efficiency and cap go into a replaced configuration, or with
+    ``override`` into ``Run``'s keyword overrides.  ``Run`` raises
+    ``StallError`` on a first-squat stall and ``SimulationError`` on a
+    retraction beyond the hip.
     """
-    trial = replace(
-        config,
-        loss=replace(config.loss, efficiency=float(eta)),
-        force_cap=float(cap),
-        max_iterations=budget,
-    )
-    run, squats = Run(trial, budget), []
+    if override:
+        run = Run(config, budget, efficiency=float(eta), force_cap=float(cap))
+    else:
+        trial = replace(
+            config,
+            loss=replace(config.loss, efficiency=float(eta)),
+            force_cap=float(cap),
+            max_iterations=budget,
+        )
+        run = Run(trial, budget)
+    squats = []
     try:
         for squat in run:
             squats.append(squat)
@@ -176,25 +183,26 @@ def with_examples(test):
     return test
 
 
+def hexed(squats):
+    return [[v.hex() if isinstance(v, float) else v for v in squat] for squat in squats]
+
+
 @settings(max_examples=150, deadline=None)
 @given(CASES)
 @with_examples
-def test_lane_map_matches_run(case):
-    """Every lane's squats equal ``Run``'s bit for bit in x, s_start,
-    dead_band, s_end, stop and travel, and the lane stops where ``Run``
-    stops or raises."""
+def test_run_overrides_match_replaced_config(case):
+    """``Run`` with a lane's efficiency and cap as overrides yields the
+    squats of ``Run`` on the configuration with them replaced, bit for bit
+    in every field, and ends the same way or raises the same error."""
     config, cycles, eta, cap = build(case)
-    lanes = run_lanes(config, eta, cap, len(cycles))
-    for lane, (e, c) in enumerate(zip(eta, cap)):
+    for e, c in zip(eta, cap):
         squats, end = scalar_run(config, e, c, len(cycles))
-        assert lanes.squats[lane] == len(squats)
-        assert lanes.raised[lane] == isinstance(end, SimulationError)
-        for n, (x, s_start, dead_band, s_end, stop, *_, travel) in enumerate(squats):
-            got = [lanes.x, lanes.s_start, lanes.dead_band, lanes.s_end, lanes.travel]
-            assert [float(v[n, lane]).hex() for v in got] == [
-                v.hex() for v in (x, s_start, dead_band, s_end, travel)
-            ]
-            assert LANE_STOPS[lanes.stop[n, lane]] is stop
+        got, got_end = scalar_run(config, e, c, len(cycles), override=True)
+        assert hexed(got) == hexed(squats)
+        if isinstance(end, SimulationError):
+            assert type(got_end) is type(end) and str(got_end) == str(end)
+        else:
+            assert got_end is end
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,24 +218,25 @@ def test_lane_objective_matches_reference(case):
     longest = max(config.sample_count, *(len(c.hip_displacement) for c in cycles))
     with mock.patch.object(calibration, "_BLOCK_ELEMENTS", (1 + case["seed"] % 4) * longest):
         blocked, _ = calibration.objective(cycles, config, eta, cap)
-    lanes = run_lanes(config, eta, cap, len(cycles))
     squared = sum(float(np.sum(c.hip_force**2)) for c in cycles)
     for lane, (e, c) in enumerate(zip(eta, cap)):
         ref_sse, ref_points, ref_modelled = reference_objective(cycles, config, float(e), float(c))
         assert abs(sse[lane] - ref_sse) <= 1e-12 * squared
         assert abs(blocked[lane] - ref_sse) <= 1e-12 * squared
         assert n_points[lane] == ref_points
-        assert (0 if lanes.raised[lane] else lanes.squats[lane]) == ref_modelled
+        squats, end = scalar_run(config, e, c, len(cycles))
+        assert (0 if isinstance(end, SimulationError) else len(squats)) == ref_modelled
 
 
 def test_cap_range_tie_goes_to_force_cap():
     """At a 16 N cap the worked configuration's cap and range stops coincide
-    exactly; like ``Run``, the lane gives the tie to FORCE_CAP."""
+    exactly; ``Run`` gives the tie to FORCE_CAP, with the cap in the
+    configuration or as an override."""
     config = worked_config(force_cap=16.0)
-    lanes = run_lanes(config, np.array([1.0]), np.array([16.0]), 1)
-    squat = next(iter(Run(config, 1)))
-    assert lanes.s_end[0, 0] == squat[3] == 0.07999999999999999
-    assert LANE_STOPS[lanes.stop[0, 0]] is squat[4] is StopReason.FORCE_CAP
+    for run in (Run(config, 1), Run(worked_config(), 1, force_cap=16.0)):
+        squat = next(iter(run))
+        assert squat[3] == 0.07999999999999999
+        assert squat[4] is StopReason.FORCE_CAP
 
 
 def regimes(case: dict) -> set[str]:
