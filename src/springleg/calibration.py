@@ -150,8 +150,10 @@ def fit_model(
     other parameter keeps its ``config`` value.  A grid over the free
     unknowns, evaluated in one objective call, zooms ``_ZOOMS`` times onto
     its best cell, then two rounds of golden sections refine each free
-    unknown within one grid step, one point per call.  The search is fully
-    deterministic for identical inputs and settings.
+    unknown within one grid step, one point per call.  The result is the
+    sections' final point unless a grid's best point or a golden-section
+    point scored lower, since on noisy data the objective is rough.  The
+    search is fully deterministic for identical inputs and settings.
 
     Raises
     ------
@@ -179,8 +181,12 @@ def fit_model(
     eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
     cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
 
+    evaluated = []  # (sse, points, efficiency, cap): each grid's best, every golden point
+
     def at(e: float, c: float) -> float:
-        return objective(ordered, config, [e], [c])[0][0]
+        (sse,), (n,) = objective(ordered, config, [e], [c])
+        evaluated.append((sse, n, e, c))
+        return sse
 
     # The 2-unknown valley runs diagonally (a low cap trades against a high
     # efficiency), so axis-aligned descent alone crawls: zoom the grid onto
@@ -190,11 +196,12 @@ def fit_model(
         eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
         cap_grid = np.linspace(*cap_box, grid_points if fit_force_cap else 1)
         etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
-        values = objective(ordered, config, etas.ravel(), caps.ravel())[0].reshape(etas.shape)
+        values, counts = objective(ordered, config, etas.ravel(), caps.ravel())
         if zoom == 0:
             flat = _is_flat(values)
-        i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-        eta, cap = float(eta_grid[i]), float(cap_grid[j])
+        lowest = int(np.argmin(values))
+        eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
+        evaluated.append((values[lowest], counts[lowest], eta, cap))
         eta_step, cap_step = (
             float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid)
         )
@@ -207,6 +214,8 @@ def fit_model(
             cap = _golden_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
 
     (sse,), (n_points,) = objective(ordered, config, [eta], [cap])
+    # The final point unless a point evaluated before it scored lower.
+    sse, n_points, eta, cap = min([(sse, n_points, eta, cap), *evaluated], key=lambda p: p[0])
     if not math.isfinite(sse):
         raise DataError("non-finite force residual at the fitted parameters")
     try:
@@ -257,33 +266,28 @@ def objective(
     k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
     # Cycle i of a lane is compared with squat i of its run, unless the run
     # raised; a slack (ENGAGED_ONLY) squat has zero force at 0 and dlmax.
-    # Cycles without a squat get a zero row.
-    rows, modelled = [], []
-    etas, caps = (np.asarray(v, dtype=float).tolist() for v in (eta, cap))
-    for e, c in zip(etas, caps):
+    table = []
+    for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
+        run = Run(config, len(cycles), efficiency=e, force_cap=c)
         try:
             squats = [
-                (at, band, used, stop is StopReason.ENGAGED_ONLY)
-                for at, _, band, _, stop, *_, used in Run(
-                    config, len(cycles), efficiency=e, force_cap=c
-                )
+                (at, band, used, stop is StopReason.ENGAGED_ONLY, True)
+                for at, _, band, _, stop, *_, used in run
             ]
         except SimulationError:
             squats = []
-        modelled.append(len(squats))
-        rows.append(squats + [(0.0, 0.0, 0.0, False)] * (len(cycles) - len(squats)))
-    # (cycles, lanes) arrays
-    x, dead_band, travel, slack = np.array(rows, dtype=float).transpose(2, 1, 0)
-    modelled = np.arange(len(cycles))[:, None] < np.array(modelled)
-    slack = slack > 0
+        table.append(squats + [(0.0,) * 5] * (len(cycles) - len(squats)))
+    # (cycles, lanes) columns; a cycle without a squat has a row of zeros.
+    columns = np.array(table, dtype=float).transpose(2, 1, 0)
+    slack, modelled = columns[3] > 0, columns[4] > 0
     strokes = modelled & ~slack
 
     # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;
-    # pairs without a stroke (all zeros) are replaced below.  Pair
-    # i * lanes + l is cycle i of lane l, so a block may span cycles.
-    ratio = x.reshape(-1) / seg
+    # pairs without a stroke are replaced below.  Pair i * lanes + l is
+    # cycle i of lane l, so a block may span cycles.
+    x, start, stop = columns[:3].reshape(3, -1)
+    ratio = x / seg
     slope = ratio * k
-    start, stop = dead_band.reshape(-1), travel.reshape(-1)
     step = (stop - start) / (samples - 1)
     steps = np.arange(samples, dtype=float)
     lanes = modelled.shape[1]
@@ -324,8 +328,7 @@ def objective(
 
 
 def _is_flat(values: np.ndarray, rtol: float = 1e-9) -> bool:
-    lo = float(np.min(values))
-    hi = float(np.max(values))
+    lo, hi = float(np.min(values)), float(np.max(values))
     return hi - lo <= rtol * (1.0 + abs(lo))
 
 
@@ -342,8 +345,7 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
+    yc, yd = f(c), f(d)
     for _ in range(n - 1):
         h *= _INV_PHI
         if yc < yd:

@@ -19,6 +19,7 @@ from .errors import ConfigurationError, DataError, DomainError, SimulationError
 from .explore import sweep
 from .output import (
     PLOT_KINDS,
+    _write_lines,
     emit_fit_report_csv,
     emit_plot_svg,
     emit_sweep_csv,
@@ -204,9 +205,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         fit_force_cap="force_cap" in unknowns,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     text = format_fit_report(report)
-    (out / "fit.txt").write_text(text)
+    _write_lines(out / "fit.txt", text.splitlines())
     csv_path = emit_fit_report_csv(report, out / "fit.csv")
     print(text, end="")
     print(f"wrote {out / 'fit.txt'} and {csv_path}")

@@ -167,10 +167,8 @@ class ReleaseProfile:
 def _recurrence(
     config: Configuration, efficiency: float | None = None, force_cap: float | None = None
 ):
-    """The squat map of ``config`` on plain floats, as two closures.
-
-    ``efficiency`` and ``force_cap`` replace the configuration's values when
-    given; the cap is ignored under FULL_RANGE either way.
+    """The squat map of ``config`` on plain floats, as two closures, with
+    ``efficiency`` and ``force_cap`` in place of the configuration's if given.
 
     ``squat(n, x, s_start, dead_band)`` compresses at fixed position ``x`` to
     the stop with the largest spring length: force cap (not under FULL_RANGE),
@@ -185,12 +183,11 @@ def _recurrence(
     geom, spring = config.leg, config.spring
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
-    if efficiency is None:
-        efficiency = config.loss.efficiency
-    if force_cap is None:
-        force_cap = config.force_cap
-    cap = force_cap if config.policy is CompressionPolicy.FORCE_LIMITED else None
-    root_efficiency = math.sqrt(efficiency)
+    if config.policy is CompressionPolicy.FULL_RANGE:
+        cap = None
+    else:
+        cap = config.force_cap if force_cap is None else force_cap
+    root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
     pitch = config.loss.ratchet_pitch
     # Bound once: looking up an enum member costs more than a squat's arithmetic.
     by_cap, by_range, by_solid = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID

@@ -212,8 +212,12 @@ def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
 
 
 def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    """Write ``lines`` to ``path``; an unwritable path raises ``DomainError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +347,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         parts.append(_polyline(cx, cy, sx, sy, color))
 
     parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    _write_lines(path, parts)
     return path
 
 

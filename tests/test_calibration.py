@@ -209,6 +209,25 @@ class TestFitModel:
         fit_model(cycles, base, fit_force_cap=fit_force_cap, grid_points=grid_points)
         assert sum(lanes) == evaluated
 
+    def test_returns_no_point_worse_than_one_evaluated(self, monkeypatch):
+        """On criterion 8's noisy trace of seed 8005 the golden sections end
+        0.2% above the best grid point; the fit returns the best point."""
+        objective, evaluated = calibration.objective, []
+
+        def recorded(cycles, config, eta, cap):
+            sse, n_points = objective(cycles, config, eta, cap)
+            evaluated.extend(sse)
+            return sse, n_points
+
+        monkeypatch.setattr(calibration, "objective", recorded)
+        truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
+        cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(8005))
+        base = replace(truth, loss=LossModel(efficiency=1.0))
+        report = fit_model(cycles, base, fit_force_cap=False, grid_points=13)
+        (sse,), (n_points,) = objective(cycles, base, [report.efficiency], [report.force_cap])
+        assert sse <= min(evaluated)
+        assert report.residual_rms == math.sqrt(sse / n_points)
+
     def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("objective evaluated before the data was checked")

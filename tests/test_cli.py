@@ -15,6 +15,7 @@ from springleg.model import MAX_SAMPLE_COUNT
 from conftest import CONFIG_DIR, worked_config
 
 PROTO = str(CONFIG_DIR / "prototype_trend.cfg")
+GOLDEN = Path(__file__).parent / "golden"
 DEMO = str(CONFIG_DIR / "four_squat_demo.cfg")
 
 
@@ -78,6 +79,25 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("below", ["", "x"], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["simulate", "plot", "release", "sweep", "fit"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, below):
+        """An --out that is a file, or lies below one, is an error naming
+        the path, not a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        argv = [command, "--config", DEMO, "--out", str(blocker / below)]
+        if command == "sweep":
+            grid = tmp_path / "grid.txt"
+            grid.write_text("force_cap_n = 5.0, 6.0\n")
+            argv += ["--grid", str(grid)]
+        if command == "fit":
+            argv += ["--data", str(GOLDEN / "four_squat_trajectory.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"springleg: error: cannot write {blocker}")
+        assert "Traceback" not in err
 
 
 class TestSimulateCommand:
