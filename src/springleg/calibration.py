@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cyclic import Run, StopReason
+from .cyclic import Run
 from .errors import DataError, DomainError, SimulationError
 from .model import CompressionPolicy, Configuration, SpringParams, spring_energy
 
@@ -150,10 +151,9 @@ def fit_model(
     other parameter keeps its ``config`` value.  A grid over the free
     unknowns, evaluated in one objective call, zooms ``_ZOOMS`` times onto
     its best cell, then two rounds of golden sections refine each free
-    unknown within one grid step, one point per call.  The result is the
-    sections' final point unless a grid's best point or a golden-section
-    point scored lower, since on noisy data the objective is rough.  The
-    search is fully deterministic for identical inputs and settings.
+    unknown within one grid step, one point per call; the lowest point
+    evaluated is returned.  The search is fully deterministic for identical
+    inputs and settings.
 
     Raises
     ------
@@ -265,21 +265,21 @@ def objective(
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
     # Cycle i of a lane is compared with squat i of its run, unless the run
-    # raised; a slack (ENGAGED_ONLY) squat has zero force at 0 and dlmax.
-    table = []
+    # raised.  Only a slack (ENGAGED_ONLY) squat ends at the length it
+    # started from; it has zero force at 0 and dlmax.
+    fields = itemgetter(0, 2, 9, 1, 3)  # x, dead_band, travel, s_start, s_end
+    table, squats = [], []
     for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
-        run = Run(config, len(cycles), efficiency=e, force_cap=c)
         try:
-            squats = [
-                (at, band, used, stop is StopReason.ENGAGED_ONLY, True)
-                for at, _, band, _, stop, *_, used in run
-            ]
+            run = list(map(fields, Run(config, len(cycles), efficiency=e, force_cap=c)))
         except SimulationError:
-            squats = []
-        table.append(squats + [(0.0,) * 5] * (len(cycles) - len(squats)))
+            run = []
+        squats.append(len(run))
+        table += run + [(0.0,) * 5] * (len(cycles) - len(run))
     # (cycles, lanes) columns; a cycle without a squat has a row of zeros.
-    columns = np.array(table, dtype=float).transpose(2, 1, 0)
-    slack, modelled = columns[3] > 0, columns[4] > 0
+    columns = np.array(table).reshape(len(squats), len(cycles), 5).transpose(2, 1, 0)
+    modelled = np.arange(len(cycles))[:, None] < np.array(squats)
+    slack = modelled & (columns[3] == columns[4])
     strokes = modelled & ~slack
 
     # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;

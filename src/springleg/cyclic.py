@@ -183,10 +183,8 @@ def _recurrence(
     geom, spring = config.leg, config.spring
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
-    if config.policy is CompressionPolicy.FULL_RANGE:
-        cap = None
-    else:
-        cap = config.force_cap if force_cap is None else force_cap
+    cap = config.force_cap if force_cap is None else force_cap
+    cap = None if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
     pitch = config.loss.ratchet_pitch
     # Bound once: looking up an enum member costs more than a squat's arithmetic.
@@ -212,8 +210,9 @@ def _recurrence(
             s_end, stop = solid, by_solid
 
         if s_end < s_start:
-            f_start, f_end = ratio * k * (s0 - s_start), ratio * k * (s0 - s_end)
-            e_before, e_after = spring_energy(s_start, spring), spring_energy(s_end, spring)
+            d_start, d_end = s0 - s_start, s0 - s_end  # as in spring_energy, in range here
+            f_start, f_end = ratio * k * d_start, ratio * k * d_end
+            e_before, e_after = 0.5 * k * d_start * d_start, 0.5 * k * d_end * d_end
             travel = lstand - s_end * seg / x
             return x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel
         if stop is by_range and dead_band > 0:
