@@ -214,7 +214,6 @@ def fit_model(
             cap = _golden_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
 
     (sse,), (n_points,) = objective(ordered, config, [eta], [cap])
-    # The final point unless a point evaluated before it scored lower.
     sse, n_points, eta, cap = min([(sse, n_points, eta, cap), *evaluated], key=lambda p: p[0])
     if not math.isfinite(sse):
         raise DataError("non-finite force residual at the fitted parameters")
@@ -268,17 +267,16 @@ def objective(
     # raised.  Only a slack (ENGAGED_ONLY) squat ends at the length it
     # started from; it has zero force at 0 and dlmax.
     fields = itemgetter(0, 2, 9, 1, 3)  # x, dead_band, travel, s_start, s_end
-    table, squats = [], []
+    table = []
     for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
         try:
             run = list(map(fields, Run(config, len(cycles), efficiency=e, force_cap=c)))
         except SimulationError:
             run = []
-        squats.append(len(run))
         table += run + [(0.0,) * 5] * (len(cycles) - len(run))
-    # (cycles, lanes) columns; a cycle without a squat has a row of zeros.
-    columns = np.array(table).reshape(len(squats), len(cycles), 5).transpose(2, 1, 0)
-    modelled = np.arange(len(cycles))[:, None] < np.array(squats)
+    # (cycles, lanes) columns; only a cycle without a squat is at x = 0.
+    columns = np.array(table).reshape(-1, len(cycles), 5).transpose(2, 1, 0)
+    modelled = columns[0] > 0
     slack = modelled & (columns[3] == columns[4])
     strokes = modelled & ~slack
 
@@ -328,7 +326,8 @@ def objective(
 
 
 def _is_flat(values: np.ndarray, rtol: float = 1e-9) -> bool:
-    lo, hi = float(np.min(values)), float(np.max(values))
+    lo = float(np.min(values))
+    hi = float(np.max(values))
     return hi - lo <= rtol * (1.0 + abs(lo))
 
 
@@ -345,7 +344,8 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e
     n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
+    yc = f(c)
+    yd = f(d)
     for _ in range(n - 1):
         h *= _INV_PHI
         if yc < yd:

@@ -209,9 +209,11 @@ class TestFitModel:
         fit_model(cycles, base, fit_force_cap=fit_force_cap, grid_points=grid_points)
         assert sum(lanes) == evaluated
 
-    def test_returns_no_point_worse_than_one_evaluated(self, monkeypatch):
-        """On criterion 8's noisy trace of seed 8005 the golden sections end
-        0.2% above the best grid point; the fit returns the best point."""
+    @pytest.mark.parametrize("seed", [8005, 8044])
+    def test_returns_no_point_worse_than_one_evaluated(self, monkeypatch, seed):
+        """On criterion 8's noisy traces the golden sections can end above a
+        point they evaluated (seed 8005) or above the best grid point (seed
+        8044); the fit returns the lowest point evaluated."""
         objective, evaluated = calibration.objective, []
 
         def recorded(cycles, config, eta, cap):
@@ -221,7 +223,7 @@ class TestFitModel:
 
         monkeypatch.setattr(calibration, "objective", recorded)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
-        cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(8005))
+        cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(seed))
         base = replace(truth, loss=LossModel(efficiency=1.0))
         report = fit_model(cycles, base, fit_force_cap=False, grid_points=13)
         (sse,), (n_points,) = objective(cycles, base, [report.efficiency], [report.force_cap])
