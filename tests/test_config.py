@@ -207,3 +207,44 @@ def test_unrepresentable_single_squat_energy_rejected(mass):
     # m*g underflowed to 0 and `springleg simulate` divided by e1_max = 0
     with pytest.raises(ConfigurationError, match="single-squat energy"):
         config_from_values({**WORKED_VALUES, "mass_kg": mass, "gravity_mps2": mass})
+
+
+# One case per rule of the flat-mapping path: key checks and value conversion.
+CONVERSION_MESSAGES = {
+    "unknown_keys": (
+        {**WORKED_VALUES, "typo": 1.0, "bogus": 2.0},
+        "unknown keys: bogus, typo",
+    ),
+    "missing_keys": (
+        {k: v for k, v in WORKED_VALUES.items() if k not in ("mass_kg", "gravity_mps2")},
+        "missing required keys: mass_kg, gravity_mps2",
+    ),
+    "number": (
+        {**WORKED_VALUES, "mass_kg": "heavy"},
+        "key 'mass_kg' needs a number, got 'heavy'",
+    ),
+    "number_type": (
+        {**WORKED_VALUES, "efficiency": [0.9]},
+        "key 'efficiency' needs a number, got [0.9]",
+    ),
+    "integer": (
+        {**WORKED_VALUES, "max_iterations": 2.5},
+        "key 'max_iterations' needs an integer, got 2.5",
+    ),
+    "integer_bool": (
+        {**WORKED_VALUES, "sample_count": True},
+        "key 'sample_count' needs an integer, got True",
+    ),
+    "policy": (
+        {**WORKED_VALUES, "policy": "fast"},
+        "policy must be one of ['force_limited', 'full_range'], got 'fast'",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", CONVERSION_MESSAGES)
+def test_conversion_message_text(rule):
+    values, message = CONVERSION_MESSAGES[rule]
+    with pytest.raises(ConfigurationError) as info:
+        config_from_values(values)
+    assert str(info.value) == message

@@ -20,6 +20,8 @@ from springleg import (
     spring_length_from_leg,
 )
 
+from conftest import worked_config
+
 GEOM = LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.1)
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
 
@@ -193,3 +195,104 @@ class TestParameterValidation:
 
     def test_weight(self):
         assert BodyParams(mass=10.0, gravity=10.0).weight == pytest.approx(100.0)
+
+
+# One case per validation rule, with the full message text: the rules of
+# BodyParams, LegGeometry, SpringParams, LossModel and Configuration, the
+# cross-part ones included.
+VALIDATION_MESSAGES = {
+    "mass": (
+        lambda: BodyParams(mass=0.0),
+        "mass must be finite and > 0, got 0.0",
+    ),
+    "gravity": (
+        lambda: BodyParams(mass=1.0, gravity=-9.8),
+        "gravity must be finite and > 0, got -9.8",
+    ),
+    "segment_length": (
+        lambda: LegGeometry(segment_length=math.inf, standing_length=0.3, max_deformation=0.1),
+        "segment_length must be finite and > 0, got inf",
+    ),
+    "standing_length": (
+        lambda: LegGeometry(segment_length=0.2, standing_length=0.45, max_deformation=0.1),
+        "standing_length must satisfy 0 < standing_length <= 2*segment_length (0.4), got 0.45",
+    ),
+    "max_deformation": (
+        lambda: LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.3),
+        "max_deformation must satisfy 0 < max_deformation < standing_length (0.3), got 0.3",
+    ),
+    "stiffness": (
+        lambda: SpringParams(stiffness=0.0, free_length=0.1),
+        "stiffness must be finite and > 0, got 0.0",
+    ),
+    "free_length": (
+        lambda: SpringParams(stiffness=100.0, free_length=math.nan),
+        "free_length must be finite and > 0, got nan",
+    ),
+    "solid_length": (
+        lambda: SpringParams(stiffness=100.0, free_length=0.1, solid_length=0.1),
+        "solid_length must satisfy 0 <= solid_length < free_length (0.1), got 0.1",
+    ),
+    "spring_capacity": (
+        lambda: SpringParams(stiffness=1.7e308, free_length=2.0),
+        "spring capacity must be finite, got inf J",
+    ),
+    "efficiency": (
+        lambda: LossModel(efficiency=1.2),
+        "efficiency must lie in (0, 1], got 1.2",
+    ),
+    "ratchet_pitch": (
+        lambda: LossModel(ratchet_pitch=-0.01),
+        "ratchet_pitch must be finite and >= 0, got -0.01",
+    ),
+    "initial_spring_position": (
+        lambda: worked_config(initial_spring_position=0.25),
+        "initial_spring_position must lie in (0, segment_length] (0.2), got 0.25",
+    ),
+    "force_cap": (
+        lambda: worked_config(force_cap=-1.0),
+        "force_cap must be finite and > 0, got -1.0",
+    ),
+    "single_squat_energy": (
+        lambda: worked_config(body=BodyParams(mass=2e-283, gravity=2e-283), force_cap=1.0),
+        "single-squat energy 0.5 * weight * max_deformation must be finite and > 0, got 0.0",
+    ),
+    "pitch_overflow": (
+        lambda: worked_config(loss=LossModel(ratchet_pitch=5e-324)),
+        "ratchet_pitch 5e-324 is too small: segment_length / ratchet_pitch overflows",
+    ),
+    "max_iterations": (
+        lambda: worked_config(max_iterations=0),
+        "max_iterations must be >= 1, got 0",
+    ),
+    "sample_count": (
+        lambda: worked_config(sample_count=1),
+        "sample_count must lie in [2, 1000000], got 1",
+    ),
+    "tol_abs": (
+        lambda: worked_config(tol_abs=-1e-9),
+        "tol_abs must be >= 0, got -1e-09",
+    ),
+    "tol_gain": (
+        lambda: worked_config(tol_gain=-1.0),
+        "tol_gain must be >= 0, got -1.0",
+    ),
+    "initial_length_slack": (
+        lambda: worked_config(initial_spring_position=0.1),
+        "initial spring length 0.15 exceeds the free length 0.12: the spring cannot start "
+        "slack (reduce initial_spring_position)",
+    ),
+    "initial_length_solid": (
+        lambda: worked_config(initial_spring_position=0.02),
+        "initial spring length 0.029999999999999995 does not exceed the solid length 0.04 "
+        "(increase initial_spring_position)",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", VALIDATION_MESSAGES)
+def test_validation_message_text(rule):
+    build, message = VALIDATION_MESSAGES[rule]
+    with pytest.raises(ConfigurationError) as info:
+        build()
+    assert str(info.value) == message
