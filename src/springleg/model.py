@@ -31,13 +31,10 @@ SLACK_SNAP_RTOL = 1e-9
 MAX_SAMPLE_COUNT = 1_000_000
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigurationError(message)
-
-
+# Checks format their message only on failure: a float's text costs more than its check.
 def _require_positive(name: str, value: float) -> None:
-    _require(0 < value < math.inf, f"{name} must be finite and > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,16 @@ class LegGeometry:
     def __post_init__(self) -> None:
         # A finite segment length bounds the other two lengths as well.
         _require_positive("segment_length", self.segment_length)
-        _require(
-            0 < self.standing_length <= 2 * self.segment_length,
-            f"standing_length must satisfy 0 < standing_length <= 2*segment_length "
-            f"({2 * self.segment_length}), got {self.standing_length}",
-        )
-        _require(
-            0 < self.max_deformation < self.standing_length,
-            f"max_deformation must satisfy 0 < max_deformation < standing_length "
-            f"({self.standing_length}), got {self.max_deformation}",
-        )
+        if not 0 < self.standing_length <= 2 * self.segment_length:
+            raise ConfigurationError(
+                f"standing_length must satisfy 0 < standing_length <= 2*segment_length "
+                f"({2 * self.segment_length}), got {self.standing_length}"
+            )
+        if not 0 < self.max_deformation < self.standing_length:
+            raise ConfigurationError(
+                f"max_deformation must satisfy 0 < max_deformation < standing_length "
+                f"({self.standing_length}), got {self.max_deformation}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,15 @@ class SpringParams:
     def __post_init__(self) -> None:
         _require_positive("stiffness", self.stiffness)
         _require_positive("free_length", self.free_length)
-        _require(
-            0 <= self.solid_length < self.free_length,
-            f"solid_length must satisfy 0 <= solid_length < free_length "
-            f"({self.free_length}), got {self.solid_length}",
-        )
+        if not 0 <= self.solid_length < self.free_length:
+            raise ConfigurationError(
+                f"solid_length must satisfy 0 <= solid_length < free_length "
+                f"({self.free_length}), got {self.solid_length}"
+            )
         # Every stored energy and force is bounded by the capacity's terms.
         capacity = spring_energy(self.solid_length, self)
-        _require(math.isfinite(capacity), f"spring capacity must be finite, got {capacity} J")
+        if not math.isfinite(capacity):
+            raise ConfigurationError(f"spring capacity must be finite, got {capacity} J")
 
 
 @dataclass(frozen=True)
@@ -127,14 +125,12 @@ class LossModel:
     ratchet_pitch: float = 0.0  # m
 
     def __post_init__(self) -> None:
-        _require(
-            0 < self.efficiency <= 1.0,
-            f"efficiency must lie in (0, 1], got {self.efficiency}",
-        )
-        _require(
-            self.ratchet_pitch >= 0 and math.isfinite(self.ratchet_pitch),
-            f"ratchet_pitch must be finite and >= 0, got {self.ratchet_pitch}",
-        )
+        if not 0 < self.efficiency <= 1.0:
+            raise ConfigurationError(f"efficiency must lie in (0, 1], got {self.efficiency}")
+        if not (self.ratchet_pitch >= 0 and math.isfinite(self.ratchet_pitch)):
+            raise ConfigurationError(
+                f"ratchet_pitch must be finite and >= 0, got {self.ratchet_pitch}"
+            )
 
 
 class CompressionPolicy(enum.Enum):
@@ -173,11 +169,11 @@ class Configuration:
     def __post_init__(self) -> None:
         if self.force_cap is None:
             object.__setattr__(self, "force_cap", self.body.weight)
-        _require(
-            0 < self.initial_spring_position <= self.leg.segment_length,
-            f"initial_spring_position must lie in (0, segment_length] "
-            f"({self.leg.segment_length}), got {self.initial_spring_position}",
-        )
+        if not 0 < self.initial_spring_position <= self.leg.segment_length:
+            raise ConfigurationError(
+                f"initial_spring_position must lie in (0, segment_length] "
+                f"({self.leg.segment_length}), got {self.initial_spring_position}"
+            )
         _require_positive("force_cap", self.force_cap)
         # e1_max, the single-squat energy that results are normalised by:
         # weight * max_deformation may underflow to 0 or overflow to inf.
@@ -191,13 +187,16 @@ class Configuration:
             raise ConfigurationError(
                 f"ratchet_pitch {pitch} is too small: segment_length / ratchet_pitch overflows"
             )
-        _require(self.max_iterations >= 1, f"max_iterations must be >= 1, got {self.max_iterations}")
-        _require(
-            2 <= self.sample_count <= MAX_SAMPLE_COUNT,
-            f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {self.sample_count}",
-        )
-        _require(self.tol_abs >= 0, f"tol_abs must be >= 0, got {self.tol_abs}")
-        _require(self.tol_gain >= 0, f"tol_gain must be >= 0, got {self.tol_gain}")
+        if not self.max_iterations >= 1:
+            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 2 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ConfigurationError(
+                f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {self.sample_count}"
+            )
+        if not self.tol_abs >= 0:
+            raise ConfigurationError(f"tol_abs must be >= 0, got {self.tol_abs}")
+        if not self.tol_gain >= 0:
+            raise ConfigurationError(f"tol_gain must be >= 0, got {self.tol_gain}")
         # Validate the derived initial spring length: pre-compression is
         # allowed, slack (cable longer than the spring) is not.
         initial_spring_length(self)
