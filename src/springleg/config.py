@@ -11,6 +11,7 @@ sweep points.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -75,24 +76,37 @@ def parse_config(path: str | Path) -> Configuration:
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
+    return apply_overrides(None, values)
+
+
+def apply_overrides(template: Configuration | None, values: Mapping[str, object]) -> Configuration:
+    """Build a validated Configuration from flat ``values`` (converted in ``ALL_KEYS``
+    order) over ``template``: only the parts they touch are rebuilt, and every other
+    field, ``tol_abs`` and ``tol_gain`` included, is the template's.  Without a
+    template every required key must be given."""
     if not values.keys() <= _FIELDS.keys():
         unknown = sorted(k for k in values if k not in _FIELDS)
         raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
-    if not values.keys() >= _REQUIRED:
+    if template is None and not values.keys() >= _REQUIRED:
         missing = [k for k in REQUIRED_KEYS if k not in values]
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
     fields: dict[str | None, dict[str, object]] = {part: {} for part in (None, *_PARTS)}
-    for key, value in values.items():
-        part, name = _FIELDS[key]
-        fields[part][name] = _convert(key, value)
-    top = fields[None]
-    for part, cls in _PARTS.items():
-        top[part] = cls(**fields[part])
-    return Configuration(**top)
+    for key in ALL_KEYS:
+        if key in values:
+            part, name = _FIELDS[key]
+            fields[part][name] = _convert(key, values[key])
+    top = fields.pop(None)
+    for part, changes in fields.items():
+        if template is None:
+            top[part] = _PARTS[part](**changes)
+        elif changes:
+            top[part] = replace(getattr(template, part), **changes)
+    return Configuration(**top) if template is None else replace(template, **top)
 
 
 def values_from_config(config: Configuration) -> dict[str, object]:
-    """Flat key-value view of a Configuration (inverse of config_from_values)."""
+    """Flat key-value view of a Configuration; not a full inverse of
+    ``config_from_values``, as ``tol_abs`` and ``tol_gain`` have no key."""
     values = {
         key: getattr(getattr(config, part) if part else config, name)
         for key, (part, name) in _FIELDS.items()
@@ -166,13 +180,21 @@ def _convert(key: str, value: object) -> object:
             return CompressionPolicy(value)
         except ValueError:
             names = sorted(p.value for p in CompressionPolicy)
-            raise ConfigurationError(f"policy must be one of {names}, got {value!r}") from None
+            raise ConfigurationError(f"policy must be one of {names}, got {_repr(value)}") from None
     try:
         number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"key {key!r} needs a number, got {value!r}") from exc
+        raise ConfigurationError(f"key {key!r} needs a number, got {_repr(value)}") from exc
     if key not in _INT_KEYS:
         return number
     if isinstance(value, bool) or not number.is_integer():
-        raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
+        raise ConfigurationError(f"key {key!r} needs an integer, got {_repr(value)}")
     return int(value) if isinstance(value, int) else int(number)
+
+
+def _repr(value: object) -> str:
+    """``repr(value)``, or the type where that raises (an int past the digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

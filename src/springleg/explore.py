@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .config import config_from_values, values_from_config
+from .config import apply_overrides
 from .cyclic import Run, Termination, simulate
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
 from .model import Configuration, initial_spring_length, spring_energy
@@ -118,15 +118,12 @@ def sweep(
     points are always evaluated serially, which measured faster than a
     thread pool.
     """
-    base = values_from_config(config)
-    return [_evaluate_point(base, dict(p)) for p in points]
+    return [_evaluate_point(config, dict(p)) for p in points]
 
 
-def _evaluate_point(base: dict[str, object], overrides: dict[str, object]) -> SweepRow:
+def _evaluate_point(template: Configuration, overrides: dict[str, object]) -> SweepRow:
     try:
-        merged = {**base, **overrides}
-        trial = config_from_values(merged)
-        result = simulate(trial)
+        result = simulate(apply_overrides(template, overrides))
     except (ConfigurationError, DomainError) as exc:
         return SweepRow(params=overrides, status="invalid", reason=str(exc))
     except (StallError, SimulationError) as exc:

@@ -227,6 +227,10 @@ CONVERSION_MESSAGES = {
         {**WORKED_VALUES, "efficiency": [0.9]},
         "key 'efficiency' needs a number, got [0.9]",
     ),
+    "huge_integer": (
+        {**WORKED_VALUES, "sample_count": 10**5000},
+        "key 'sample_count' needs a number, got <int too long to print>",
+    ),
     "integer": (
         {**WORKED_VALUES, "max_iterations": 2.5},
         "key 'max_iterations' needs an integer, got 2.5",
@@ -238,6 +242,10 @@ CONVERSION_MESSAGES = {
     "policy": (
         {**WORKED_VALUES, "policy": "fast"},
         "policy must be one of ['force_limited', 'full_range'], got 'fast'",
+    ),
+    "policy_huge_integer": (
+        {**WORKED_VALUES, "policy": 10**5000},
+        "policy must be one of ['force_limited', 'full_range'], got <int too long to print>",
     ),
 }
 

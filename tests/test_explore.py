@@ -4,23 +4,32 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springleg import (
+    ALL_KEYS,
     CompressionPolicy,
+    ConfigurationError,
     DomainError,
     LossModel,
     SimulationError,
     SpringParams,
+    StallError,
+    SweepRow,
+    config_from_values,
     max_energy,
     min_squats,
+    parse_config,
     simulate,
     spring_capacity,
     spring_energy,
     sweep,
+    values_from_config,
 )
 
-from conftest import oracle_params, random_config, worked_config
+from conftest import CONFIG_DIR, oracle_params, random_config, worked_config
 from oracle import oracle_energy, oracle_simulate
 
 
@@ -184,15 +193,26 @@ class TestQueryMemory:
                 min_squats(config, target)
 
 
+def tolerant_four_squat_config():
+    """four_squat_demo at half its cap with a coarse gain tolerance: the
+    run converges after 4 squats, where the default tolerance takes 25."""
+    config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+    return replace(config, tol_gain=0.5, max_iterations=1000, force_cap=0.5 * config.force_cap)
+
+
 class TestSweep:
-    def test_single_point_equals_simulate(self):
-        config = worked_config()
+    @pytest.mark.parametrize(
+        "make_config", [worked_config, tolerant_four_squat_config], ids=["worked", "tolerances"]
+    )
+    def test_single_point_equals_simulate(self, make_config):
+        config = make_config()
         rows = sweep(config, [{}])
         result = simulate(config)
         assert len(rows) == 1
         assert rows[0].status == "ok"
         assert rows[0].final_energy == result.final_energy
         assert rows[0].iterations == len(result.records)
+        assert rows[0].termination == result.termination.value
 
     def test_cap_sweep_shows_force_energy_tradeoff(self):
         config = worked_config(
@@ -236,6 +256,12 @@ class TestSweep:
             ({"max_iterations": math.inf}, "max_iterations"),
             ({"sample_count": math.nan}, "sample_count"),
             ({"max_iterations": "nan"}, "max_iterations"),
+            # repr() of an int past Python's digit limit raises ValueError
+            ({"mass_kg": 10**5000}, "key 'mass_kg' needs a number, got <int too long to print>"),
+            (
+                {"max_iterations": 10**5000},
+                "key 'max_iterations' needs a number, got <int too long to print>",
+            ),
         ]
         for bad, reason in bad_points:
             points = [{"force_cap_n": 50.0}, bad, {"force_cap_n": 80.0}]
@@ -243,9 +269,97 @@ class TestSweep:
             assert [r.status for r in rows] == ["ok", "invalid", "ok"], bad
             assert reason in rows[1].reason
 
+    def test_first_error_is_the_first_in_key_order(self):
+        # Values convert in ALL_KEYS order, whatever the point's order; then
+        # the parts validate in the order body, leg, spring, loss.
+        points = [
+            {"sample_count": "many", "mass_kg": "heavy"},
+            {"efficiency": 1.2, "spring_stiffness_n_per_m": -1.0},
+        ]
+        assert [row.reason for row in sweep(worked_config(), points)] == [
+            "key 'mass_kg' needs a number, got 'heavy'",
+            "stiffness must be finite and > 0, got -1.0",
+        ]
+
     def test_row_order_independent_of_workers(self):
         config = worked_config()
         points = [{"force_cap_n": c} for c in (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)]
         serial = sweep(config, points, workers=1)
         threaded = sweep(config, points, workers=4)
         assert serial == threaded
+
+
+def reference_row(template, point) -> SweepRow:
+    """The row of ``point`` by the flat-mapping path: every key of the
+    template converted and every part rebuilt, the template's tolerances
+    carried over."""
+    params = dict(point)
+    try:
+        config = config_from_values({**values_from_config(template), **point})
+        result = simulate(replace(config, tol_abs=template.tol_abs, tol_gain=template.tol_gain))
+    except (ConfigurationError, DomainError) as exc:
+        return SweepRow(params=params, status="invalid", reason=str(exc))
+    except (StallError, SimulationError) as exc:
+        return SweepRow(params=params, status="stall", reason=str(exc))
+    e1, cap = result.normalization
+    peak = max(result.squats.f_end)
+    return SweepRow(
+        params=params,
+        status="ok",
+        final_energy=result.final_energy,
+        iterations=len(result.squats.f_end),
+        iterations_to_full_compression=result.iterations_to_full_compression,
+        peak_force=peak,
+        final_over_e1max=result.final_energy / e1,
+        peak_over_cap=peak / cap,
+        termination=result.termination.value,
+    )
+
+
+@st.composite
+def templates(draw):
+    config = random_config(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        efficiency=draw(st.sampled_from([1.0, 0.97, 0.8])),
+        ratchet_pitch=draw(st.sampled_from([0.0, 1e-3, 2e-2])),
+        policy=draw(st.sampled_from(CompressionPolicy)),
+        allow_preload=draw(st.booleans()),
+        max_iterations=draw(st.integers(1, 60)),
+    )
+    return replace(
+        config,
+        tol_abs=draw(st.sampled_from([1e-9, 0.0, 1e-4])),
+        tol_gain=draw(st.sampled_from([1e-12, 0.0, 1e-3, 0.5])),
+    )
+
+
+def override_values(template_value):
+    """Near-template, out-of-range, non-finite, wrong-type, integer and
+    policy values for one key."""
+    near = (
+        st.floats(0.5, 1.5).map(lambda f: template_value * f)
+        if isinstance(template_value, float)
+        else st.just(template_value)
+    )
+    return st.one_of(
+        near,
+        st.sampled_from([0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
+        st.sampled_from(["abc", "", None, [1.0], True]),
+        st.integers(-2, 200) | st.just(10**5000),
+        st.sampled_from(["full_range", "force_limited", CompressionPolicy.FULL_RANGE, "fast"]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=templates(), data=st.data())
+def test_sweep_rows_equal_the_flat_mapping_path(template, data):
+    """Building each point from the template's validated parts gives the
+    row, field for field and reason text included, that converting and
+    validating every key of the merged mapping gives."""
+    base = values_from_config(template)
+    keys = st.lists(st.sampled_from(ALL_KEYS + ("bogus",)), unique=True, max_size=4)
+    points = [
+        {key: data.draw(override_values(base.get(key, 1.0)), label=key) for key in point_keys}
+        for point_keys in data.draw(st.lists(keys, min_size=1, max_size=3), label="keys")
+    ]
+    assert sweep(template, points) == [reference_row(template, p) for p in points]
