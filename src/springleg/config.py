@@ -81,9 +81,9 @@ def config_from_values(values: Mapping[str, object]) -> Configuration:
 
 def apply_overrides(template: Configuration | None, values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from flat ``values`` (converted in ``ALL_KEYS``
-    order) over ``template``: only the parts they touch are rebuilt, and every other
-    field, ``tol_abs`` and ``tol_gain`` included, is the template's.  Without a
-    template every required key must be given."""
+    order) over ``template``: only the parts they touch are rebuilt, every other field,
+    ``tol_abs`` and ``tol_gain`` included, is the template's, and the checks across
+    parts always run.  Without a template every required key must be given."""
     if not values.keys() <= _FIELDS.keys():
         unknown = sorted(k for k in values if k not in _FIELDS)
         raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")

@@ -201,18 +201,26 @@ def tolerant_four_squat_config():
 
 
 class TestSweep:
-    @pytest.mark.parametrize(
-        "make_config", [worked_config, tolerant_four_squat_config], ids=["worked", "tolerances"]
-    )
-    def test_single_point_equals_simulate(self, make_config):
-        config = make_config()
+    def test_single_point_equals_simulate(self):
+        config = worked_config()
         rows = sweep(config, [{}])
         result = simulate(config)
         assert len(rows) == 1
         assert rows[0].status == "ok"
         assert rows[0].final_energy == result.final_energy
         assert rows[0].iterations == len(result.records)
-        assert rows[0].termination == result.termination.value
+
+    def test_point_keeps_the_template_tolerances(self):
+        # tol_abs and tol_gain have no flat key; points ran with the defaults
+        config = tolerant_four_squat_config()
+        (row,) = sweep(config, [{}])
+        result = simulate(config)
+        assert (row.iterations, row.final_energy, row.termination) == (
+            len(result.records),
+            result.final_energy,
+            result.termination.value,
+        )
+        assert row.iterations == 4
 
     def test_cap_sweep_shows_force_energy_tradeoff(self):
         config = worked_config(
