@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 from .errors import ConfigurationError
 from .model import (
-    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams
+    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams, _repr
 )
 
 #: Flat key -> (Configuration part, field), in file order.  Part None is a
@@ -191,10 +191,3 @@ def _convert(key: str, value: object) -> object:
         raise ConfigurationError(f"key {key!r} needs an integer, got {_repr(value)}")
     return int(value) if isinstance(value, int) else int(number)
 
-
-def _repr(value: object) -> str:
-    """``repr(value)``, or the type where that raises (an int past the digit limit)."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"

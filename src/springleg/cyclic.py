@@ -43,6 +43,10 @@ class StopReason(enum.Enum):
     ENGAGED_ONLY = "engaged_only"  # dead band consumed the stroke, no compression
 
 
+# Bound once: looking up an enum member costs more than a squat's arithmetic.
+_BY_CAP, _BY_RANGE, _BY_SOLID = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID
+
+
 class Termination(enum.Enum):
     """Why a run ended; a stalled run stalled on the squat after its last record."""
 
@@ -187,8 +191,6 @@ def _recurrence(
     cap = None if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
     pitch = config.loss.ratchet_pitch
-    # Bound once: looking up an enum member costs more than a squat's arithmetic.
-    by_cap, by_range, by_solid = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID
 
     def squat(n: int, x: float, s_start: float, dead_band: float) -> tuple:
         if s_start <= solid:
@@ -197,17 +199,17 @@ def _recurrence(
         s_range = ratio * (lstand - dlmax)
         # A later stop binds only when strictly larger, which gives the tie order.
         if cap is None:
-            s_end, stop = s_range, by_range
+            s_end, stop = s_range, _BY_RANGE
         else:
             try:
                 s_end = s0 - cap / (k * ratio)
             except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
                 s_end = -math.inf
-            stop = by_cap
+            stop = _BY_CAP
             if s_range > s_end:
-                s_end, stop = s_range, by_range
+                s_end, stop = s_range, _BY_RANGE
         if solid > s_end:
-            s_end, stop = solid, by_solid
+            s_end, stop = solid, _BY_SOLID
 
         if s_end < s_start:
             d_start, d_end = s0 - s_start, s0 - s_end  # as in spring_energy, in range here
@@ -215,7 +217,7 @@ def _recurrence(
             e_before, e_after = 0.5 * k * d_start * d_start, 0.5 * k * d_end * d_end
             travel = lstand - s_end * seg / x
             return x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel
-        if stop is by_range and dead_band > 0:
+        if stop is _BY_RANGE and dead_band > 0:
             # The quantized retraction left so much slack that the leg range is
             # used up before (or exactly when) the cable re-tensions.
             force = hip_force(x, s_start, geom, spring)

@@ -8,14 +8,16 @@ rows follow grid order.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .config import apply_overrides
-from .cyclic import Run, Termination, simulate
+from .cyclic import Run, StopReason, Termination, _recurrence, simulate
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
-from .model import Configuration, initial_spring_length, spring_energy
+from .model import (
+    CompressionPolicy, Configuration, _repr, initial_spring_length, spring_energy
+)
 
 #: Iteration budget used when a query needs the recurrence run to
 #: termination rather than to the configured iteration cap.
@@ -34,58 +36,212 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     None when the recurrence converges below the target (infeasible).  The
     run is extended beyond ``config.max_iterations`` if needed, so the
     answer is a property of the mechanism rather than of the iteration cap.
-    The whole run is streamed, also past the answer: a run that fails
-    raises here as in ``simulate`` and ``max_energy``, and the query's cost
-    does not depend on the target.
+    The run is followed to its end, also past the answer: a run that fails
+    raises here as in ``simulate`` and ``max_energy``.  A ratchet-free run
+    costs O(log n) squat evaluations (see ``max_energy``); a ratchet run is
+    streamed squat by squat.
 
     Raises
     ------
     DomainError
-        If ``target_energy`` is NaN or exceeds the spring capacity.
+        If ``target_energy`` does not fit a float, is NaN or exceeds the
+        spring capacity.
     """
+    try:
+        target = float(target_energy)
+    except OverflowError:
+        raise DomainError(f"target energy must fit a float, got {_repr(target_energy)}") from None
     capacity = spring_capacity(config)
-    if math.isnan(target_energy):
+    if math.isnan(target):
         raise DomainError("target energy must be a number, got nan")
-    if target_energy > capacity:
+    if target > capacity:
         raise DomainError(
             f"target energy {target_energy} exceeds the spring capacity {capacity}"
         )
     preload_energy = spring_energy(initial_spring_length(config), config.spring)
-    if target_energy <= preload_energy:
+    if target <= preload_energy:
         return 0
-    reached = None
-    squats = iter(_run_to_termination(config))
     try:
-        for n, (_, _, _, _, _, _, _, _, e_after, _) in enumerate(squats, 1):
-            if e_after >= target_energy:
-                reached = n
-                break
-        deque(squats, maxlen=0)  # the rest of the run, for its errors
+        return _outcome(config, target)[2]
     except StallError:
-        pass
-    return reached
+        return None
 
 
 def max_energy(config: Configuration) -> float:
     """Supremum of the stored energy the recurrence can reach.
 
     The spring capacity if full compression is reached; otherwise the energy
-    at the recurrence's fixed point, detected by the net-gain tolerance.
+    at the recurrence's fixed point, detected by the net-gain tolerance, or
+    after the query's budget of squats.  A ratchet-free run jumps from event
+    to event in closed form, at O(log n) squat evaluations for n squats; a
+    ratchet run is streamed squat by squat.
     """
-    run = _run_to_termination(config)
     try:
-        ((_, _, _, _, _, _, _, _, e_after, _),) = deque(run, maxlen=1)
+        termination, last, _ = _outcome(config, math.inf)
     except StallError:
         # Not even one squat is possible; the fixed point is the start.
         return spring_energy(initial_spring_length(config), config.spring)
-    if run.termination is Termination.FULL_COMPRESSION:
+    if termination is Termination.FULL_COMPRESSION:
         return spring_capacity(config)
-    return e_after
+    return last[8]
 
 
-def _run_to_termination(config: Configuration) -> Run:
-    """The squats of ``config`` streamed to termination, without keeping any."""
-    return Run(config, max(config.max_iterations, _EXHAUSTIVE_ITERATIONS))
+def _outcome(config: Configuration, target: float) -> tuple[Termination, tuple, int | None]:
+    """``(termination, last squat, first squat storing target)`` of the run of
+    ``config`` to termination, which keeps no squats."""
+    jumped = None if config.loss.ratchet_pitch else _jumped_run(config, target)
+    if jumped is not None:
+        return jumped
+    run = Run(config, max(config.max_iterations, _EXHAUSTIVE_ITERATIONS))
+    reached = None
+    for n, squat in enumerate(run, 1):
+        if reached is None and squat[8] >= target:
+            reached = n
+    return run.termination, squat, reached
+
+
+def _jumped_run(config: Configuration, target: float) -> tuple | None:
+    """``_outcome`` for a ratchet-free ``config``, or None where the closed
+    forms overflow.
+
+    Without a ratchet, squat 1 starts consistent with standing and the map of
+    the pre-squat length is increasing, so the orbit is monotone; a rising one
+    ends at squat 2 at the latest, as it stores less there.  From squat 2 on
+    the orbit falls, in a closed form of ``_orbits``, and bisection finds the
+    first squat that crosses a threshold, stalls, compresses fully, gains less
+    than ``tol_gain`` or first stores the target.  Each squat it looks at is
+    evaluated by retract + squat, so energies and errors are the map's own.
+    """
+    closed_forms = _orbits(config)
+    if closed_forms is None:
+        return None
+    orbit_from, thresholds = closed_forms
+    # A larger budget changes nothing: by 2**60 squats every orbit has settled.
+    budget = min(max(config.max_iterations, _EXHAUSTIVE_ITERATIONS), 2**60)
+    squat, retract = _recurrence(config)
+    seg, lstand = config.leg.segment_length, config.leg.standing_length
+    full_length, tol_gain = config.spring.solid_length + config.tol_abs, config.tol_gain
+
+    def at(i: int) -> tuple:  # squat i in the current closed form
+        length = orbit(i - start)
+        return squat(i, length * seg / lstand, length, 0.0)
+
+    def after(i: int, done: tuple) -> tuple[float, tuple]:
+        x, length, _ = retract(i, done[3])
+        return length, squat(i + 1, x, length, 0.0)
+
+    def ends(i: int) -> bool:  # or reaches the target
+        try:
+            done = at(i - 1)
+            _, _, _, s_end, _, _, _, _, e_after, _ = after(i - 1, done)[1]
+        except StallError:  # at efficiency 1 the cap's fixed point is a stall point
+            return True
+        return s_end <= full_length or e_after - done[8] < tol_gain or e_after >= target
+
+    done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
+    n, previous, reached = 1, done[7], None
+    while True:
+        if reached is None and done[8] >= target:
+            reached, target = n, math.inf
+        if done[3] <= full_length:
+            return Termination.FULL_COMPRESSION, done, reached
+        if done[8] - previous < tol_gain:
+            return Termination.CONVERGED, done, reached
+        if n == budget:
+            return Termination.ITERATION_CAP, done, reached
+        if n > 1:
+            start, orbit, side = n, orbit_from(done[4], s), bisect(thresholds, s)
+            later = range(n + 1, budget + 1)
+            stop = later.start + bisect_left(  # budget + 1 if no event comes
+                later, True, key=lambda i: bisect(thresholds, orbit(i - start)) != side or ends(i)
+            )
+            # Jump to the squat before the event, then step into it as ``ends`` did.
+            try:
+                n, done = stop - 1, at(stop - 1)
+            except StallError:  # as ``ends`` saw it
+                return Termination.STALLED, at(stop - 2), reached
+            if stop > budget:
+                return Termination.ITERATION_CAP, done, reached
+        try:
+            s, following = after(n, done)
+        except StallError:
+            return Termination.STALLED, done, reached
+        n, previous, done = n + 1, done[8], following
+
+
+def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
+    """``(orbit_from, thresholds)`` for ``_jumped_run``, or None where the
+    force cap's closed form would overflow.
+
+    ``orbit_from(stop, s)(j)`` is the pre-squat length ``j`` squats after one of
+    length ``s`` that stopped on ``stop``, while the squats keep that stop; -inf
+    once the orbit has passed through infinity.  The leg range maps ``s``
+    affinely.  The cap maps it by ``s -> s0 - K/s``, ``K = sqrt(efficiency) cap
+    l_stand / k``: with ``d = s - s0/2`` and ``disc = s0**2 - 4K``, exact from
+    the floats, ``j`` squats give ``s0/2 + (d C + disc/4 S) / (d S + C)``, where
+    ``(C, S)`` is ``(cos(j a), sin(j a) / w)`` for ``disc < 0``, a rotation, and
+    ``(1, tanh(j a) / w)`` otherwise, ``w = sqrt(|disc|) / 2``.  A falling orbit
+    changes its stop, and the gain of its cap squats turns from falling to
+    rising, only where it crosses one of the sorted ``thresholds``.
+    """
+    leg, spring = config.leg, config.spring
+    lstand, k, s0 = leg.standing_length, spring.stiffness, spring.free_length
+    root_efficiency = math.sqrt(config.loss.efficiency)
+    ratio = (lstand - leg.max_deformation) / lstand  # a leg-range squat from s ends at ratio * s
+    slope = root_efficiency * ratio
+    drop = (1 - root_efficiency) + root_efficiency * (1 - ratio)  # 1 - slope
+    anchor = s0 * (1 - root_efficiency) / drop if drop else 0.0  # its fixed point
+    thresholds = []
+    c = config.force_cap * lstand / k  # a cap squat from s ends at s0 - c/s
+    big_k = root_efficiency * c
+    rivalry = s0 * s0 - 4 * ratio * c  # the cap binds between the roots of ratio s**2 - s0 s + c
+    if config.policy is CompressionPolicy.FORCE_LIMITED and rivalry >= 0:
+        if not (big_k > 0 and s0 * s0 < math.inf):
+            return None
+        wide = 0.5 * (s0 + math.sqrt(rivalry)) / ratio
+        thresholds += [wide, c / (ratio * wide)]
+        # The gain of a cap squat from t is least where K t**4 = (s0 t - K)**3, at
+        # t = sqrt(K) w**3 for the smaller root w > 0 of w**4 - sigma w**3 + 1.
+        scale = math.sqrt(big_k)
+        sigma = s0 / scale
+        low, high = 0.0, 0.75 * sigma  # where the quartic is least
+        if high**3 * (high - sigma) + 1 < 0:
+            while high - low > 1e-9 * high:
+                mid = 0.5 * (low + high)
+                low, high = (mid, high) if mid**3 * (mid - sigma) + 1 > 0 else (low, mid)
+            thresholds.append(scale * low**3)
+        # disc from the exact values of the floats, each a ratio of integers.
+        (n0, d0), (ne, de), (nc, dc), (nl, dl), (nk, dk) = (
+            value.as_integer_ratio() for value in (s0, root_efficiency, config.force_cap, lstand, k)
+        )
+        denominator = d0 * d0 * de * dc * dl * nk
+        disc = (n0 * n0 * de * dc * dl * nk - 4 * d0 * d0 * ne * nc * nl * dk) / denominator
+        half, width = 0.5 * s0, 0.5 * math.sqrt(abs(disc))
+        # A tiny K need not move the float s0**2: then the orbit reaches s0 at once.
+        rate = math.atan2(2 * width, s0) if disc < 0 else math.atanh(min(width / half, 1 - 2**-53))
+    thresholds.sort()
+
+    def orbit_from(stop: StopReason, s: float) -> Callable[[int], float]:
+        if stop is not StopReason.FORCE_CAP:
+            return lambda j: anchor + (s - anchor) * slope**j if j else s
+        d = s - half
+        pole = math.pi - math.atan2(width, d)  # where a rotation passes through infinity
+
+        def orbit(j: int) -> float:
+            if not j:
+                return s
+            if disc < 0:
+                if j * rate >= pole:
+                    return -math.inf
+                cos, sin = math.cos(j * rate), math.sin(j * rate) / width
+            else:
+                cos, sin = 1.0, math.tanh(j * rate) / width if disc else j / half
+            denominator = d * sin + cos
+            return half + (d * cos + 0.25 * disc * sin) / denominator if denominator > 0 else -math.inf
+
+        return orbit
+
+    return orbit_from, thresholds
 
 
 @dataclass(frozen=True)

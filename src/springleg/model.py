@@ -31,6 +31,14 @@ SLACK_SNAP_RTOL = 1e-9
 MAX_SAMPLE_COUNT = 1_000_000
 
 
+def _repr(value: object) -> str:
+    """``repr(value)``, or the type where that raises (an int past the digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 # Checks format their message only on failure: a float's text costs more than its check.
 def _require_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:
@@ -187,11 +195,15 @@ class Configuration:
             raise ConfigurationError(
                 f"ratchet_pitch {pitch} is too small: segment_length / ratchet_pitch overflows"
             )
+        for name in ("max_iterations", "sample_count"):  # integers, by the index protocol
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigurationError(f"{name} must be an integer, got {_repr(value)}")
         if not self.max_iterations >= 1:
             raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 2 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ConfigurationError(
-                f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {self.sample_count}"
+                f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {_repr(self.sample_count)}"
             )
         if not self.tol_abs >= 0:
             raise ConfigurationError(f"tol_abs must be >= 0, got {self.tol_abs}")

@@ -74,6 +74,16 @@ class TestMinSquats:
             min_squats(config, math.nan)
         assert min_squats(config, -math.inf) == 0
 
+    def test_target_beyond_float_range_rejected(self):
+        config = worked_config()
+        for target in (10**400, -(10**400)):
+            with pytest.raises(DomainError) as info:
+                min_squats(config, target)
+            assert str(info.value) == f"target energy must fit a float, got {target!r}"
+        with pytest.raises(DomainError) as info:
+            min_squats(config, 10**5000)
+        assert str(info.value) == "target energy must fit a float, got <int too long to print>"
+
     def test_exact_capacity_is_allowed(self):
         config = worked_config()
         assert min_squats(config, spring_capacity(config)) == 3

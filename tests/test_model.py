@@ -15,6 +15,7 @@ from springleg import (
     LossModel,
     SpringParams,
     hip_force,
+    simulate,
     spring_energy,
     spring_force,
     spring_length_from_leg,
@@ -269,6 +270,26 @@ VALIDATION_MESSAGES = {
         lambda: worked_config(sample_count=1),
         "sample_count must lie in [2, 1000000], got 1",
     ),
+    "max_iterations_kind": (
+        lambda: worked_config(max_iterations=2.5),
+        "max_iterations must be an integer, got 2.5",
+    ),
+    "max_iterations_bool": (
+        lambda: worked_config(max_iterations=True),
+        "max_iterations must be an integer, got True",
+    ),
+    "sample_count_kind": (
+        lambda: worked_config(sample_count=2.5),
+        "sample_count must be an integer, got 2.5",
+    ),
+    "sample_count_integral_float": (
+        lambda: worked_config(sample_count=1000.0),
+        "sample_count must be an integer, got 1000.0",
+    ),
+    "sample_count_huge": (
+        lambda: worked_config(sample_count=10**5000),
+        "sample_count must lie in [2, 1000000], got <int too long to print>",
+    ),
     "tol_abs": (
         lambda: worked_config(tol_abs=-1e-9),
         "tol_abs must be >= 0, got -1e-09",
@@ -288,6 +309,12 @@ VALIDATION_MESSAGES = {
         "(increase initial_spring_position)",
     ),
 }
+
+
+def test_integer_fields_take_numpy_integers():
+    # Kind is checked by the index protocol, so numpy integers count as integers.
+    config = worked_config(max_iterations=np.int64(2), sample_count=np.int32(5))
+    assert [len(stroke) for stroke in simulate(config).trajectories] == [5, 5]
 
 
 @pytest.mark.parametrize("rule", VALIDATION_MESSAGES)
