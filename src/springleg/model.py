@@ -200,7 +200,9 @@ class Configuration:
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ConfigurationError(f"{name} must be an integer, got {_repr(value)}")
         if not self.max_iterations >= 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            raise ConfigurationError(
+                f"max_iterations must be >= 1, got {_repr(self.max_iterations)}"
+            )
         if not 2 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ConfigurationError(
                 f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {_repr(self.sample_count)}"

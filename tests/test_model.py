@@ -286,6 +286,10 @@ VALIDATION_MESSAGES = {
         lambda: worked_config(sample_count=1000.0),
         "sample_count must be an integer, got 1000.0",
     ),
+    "max_iterations_huge": (
+        lambda: worked_config(max_iterations=-(10**5000)),
+        "max_iterations must be >= 1, got <int too long to print>",
+    ),
     "sample_count_huge": (
         lambda: worked_config(sample_count=10**5000),
         "sample_count must lie in [2, 1000000], got <int too long to print>",
