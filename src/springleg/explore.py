@@ -123,7 +123,7 @@ def _jumped_run(config: Configuration, target: float) -> tuple | None:
     full_length, tol_gain = config.spring.solid_length + config.tol_abs, config.tol_gain
 
     def at(i: int) -> tuple:  # squat i in the current closed form
-        length = orbit(i - start)
+        length = orbit(i - start) if i > start else s
         return squat(i, length * seg / lstand, length, 0.0)
 
     def after(i: int, done: tuple) -> tuple[float, tuple]:
@@ -173,16 +173,16 @@ def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
     """``(orbit_from, thresholds)`` for ``_jumped_run``, or None where the
     force cap's closed form would overflow.
 
-    ``orbit_from(stop, s)(j)`` is the pre-squat length ``j`` squats after one of
-    length ``s`` that stopped on ``stop``, while the squats keep that stop; -inf
-    once the orbit has passed through infinity.  The leg range maps ``s``
-    affinely.  The cap maps it by ``s -> s0 - K/s``, ``K = sqrt(efficiency) cap
-    l_stand / k``: with ``d = s - s0/2`` and ``disc = s0**2 - 4K``, exact from
-    the floats, ``j`` squats give ``s0/2 + (d C + disc/4 S) / (d S + C)``, where
-    ``(C, S)`` is ``(cos(j a), sin(j a) / w)`` for ``disc < 0``, a rotation, and
-    ``(1, tanh(j a) / w)`` otherwise, ``w = sqrt(|disc|) / 2``.  A falling orbit
-    changes its stop, and the gain of its cap squats turns from falling to
-    rising, only where it crosses one of the sorted ``thresholds``.
+    ``orbit_from(stop, s)(j)`` is the pre-squat length ``j > 0`` squats after
+    one of length ``s`` that stopped on ``stop``, while the squats keep that
+    stop; -inf once the orbit has passed through infinity.  The leg range maps
+    ``s`` affinely.  The cap maps it by ``s -> s0 - K/s``, ``K = sqrt(efficiency)
+    cap l_stand / k``: with ``d = s - s0/2`` and ``disc = s0**2 - 4K``, exact
+    from the floats, ``j`` squats give ``s0/2 + (d C + disc/4 S) / (d S + C)``,
+    where ``(C, S)`` is ``(cos(j a), sin(j a) / w)`` for ``disc < 0``, a
+    rotation, and ``(1, tanh(j a) / w)`` otherwise, ``w = sqrt(|disc|) / 2``.
+    A falling orbit changes its stop, and the gain of its cap squats turns from
+    falling to rising, only where it crosses one of the sorted ``thresholds``.
     """
     leg, spring = config.leg, config.spring
     lstand, k, s0 = leg.standing_length, spring.stiffness, spring.free_length
@@ -223,13 +223,11 @@ def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
 
     def orbit_from(stop: StopReason, s: float) -> Callable[[int], float]:
         if stop is not StopReason.FORCE_CAP:
-            return lambda j: anchor + (s - anchor) * slope**j if j else s
+            return lambda j: anchor + (s - anchor) * slope**j
         d = s - half
         pole = math.pi - math.atan2(width, d)  # where a rotation passes through infinity
 
         def orbit(j: int) -> float:
-            if not j:
-                return s
             if disc < 0:
                 if j * rate >= pole:
                     return -math.inf
@@ -237,7 +235,9 @@ def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
             else:
                 cos, sin = 1.0, math.tanh(j * rate) / width if disc else j / half
             denominator = d * sin + cos
-            return half + (d * cos + 0.25 * disc * sin) / denominator if denominator > 0 else -math.inf
+            if denominator <= 0:  # past the pole
+                return -math.inf
+            return half + (d * cos + 0.25 * disc * sin) / denominator
 
         return orbit
 

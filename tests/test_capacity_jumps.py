@@ -162,7 +162,8 @@ def test_long_near_critical_runs_match_the_streamed_run(rng):
             tol_gain=10 ** float(rng.uniform(-12, -6)),
         )
         offset = 1 + 10 ** float(rng.uniform(-9, -2))
-        config = replace(config, force_cap=critical_cap(config) * (offset if case % 2 else 1 / offset))
+        cap = critical_cap(config) * (offset if case % 2 else 1 / offset)
+        config = replace(config, force_cap=cap)
         lengths.append(len(streamed(config, 0.0)[3]))
         for fraction in (*rng.uniform(0.0, 1.0, 2), 1.0):
             assert_answers_match(config, fraction * spring_capacity(config))
