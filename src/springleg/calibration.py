@@ -6,9 +6,10 @@ one deterministic search on the summed squared force residual: a grid over
 the free unknowns zooms onto its best cell, then golden sections refine each
 one.  The objective takes many (efficiency, cap) points, one lane each: every
 lane runs the one squat map, ``cyclic.Run``, and the strokes of all lanes are
-sampled and compared together in numpy.  Forces are the fitted quantity
-because they are what a load cell measures; energies are derived by
-trapezoidal work integration.
+sampled and compared together in numpy.  A grid needs only its lowest lane,
+so a cycle is compared only for the lanes whose partial sum is not above a
+complete lane's sum.  Forces are the fitted quantity because they are what a
+load cell measures; energies are derived by trapezoidal work integration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .cyclic import Run
 from .errors import DataError, DomainError, SimulationError
-from .model import CompressionPolicy, Configuration, SpringParams, spring_energy
+from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _repr
+from .model import spring_energy
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -38,6 +40,8 @@ _EFFICIENCY_BOX = (0.05, 1.0)
 _ZOOMS = 3
 #: Most lane-samples the objective holds in one temporary array.
 _BLOCK_ELEMENTS = 1 << 14
+#: Relative spread of objective values within which a fit grid is flat.
+_FLAT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,14 @@ class MeasuredCycle:
     spring_length_end: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("hip_displacement", "hip_force"):
+            try:
+                trace = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                trace = None
+            if trace is None or trace.ndim != 1:
+                raise DataError(f"cycle {self.iteration}: {name} must be a 1-D array of numbers")
+            object.__setattr__(self, name, trace)
         if len(self.hip_displacement) == 0:
             raise DataError(f"cycle {self.iteration}: no samples")
         if len(self.hip_displacement) != len(self.hip_force):
@@ -149,23 +161,25 @@ def fit_model(
     other's displacements.  A fitted efficiency is searched in ``(0.05, 1)``,
     a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
     other parameter keeps its ``config`` value.  A grid over the free
-    unknowns, evaluated in one objective call, zooms ``_ZOOMS`` times onto
-    its best cell, then two rounds of golden sections refine each free
-    unknown within one grid step, one point per call; the lowest point
-    evaluated is returned.  The search is fully deterministic for identical
-    inputs and settings.
+    unknowns, whose lowest point ``_lowest`` finds with the sums of
+    ``objective``, zooms ``_ZOOMS`` times onto its best cell, then two rounds
+    of golden sections refine each free unknown within one grid step, one
+    point per ``objective`` call; the lowest point evaluated is returned.
+    The search is fully deterministic for identical inputs and settings.
 
     Raises
     ------
     DomainError
-        If ``grid_points`` is not an integer >= 2.
+        If ``grid_points`` is not an integer in [2, ``MAX_GRID_POINTS``].
     DataError
         On fewer than two cycles, a cycle with fewer than two samples,
         nothing to fit, a force cap to fit under ``full_range`` (which
         ignores the cap), or a non-finite residual.
     """
-    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
-        raise DomainError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    if not isinstance(grid_points, (int, np.integer)) or not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid_points must be an integer in [2, {MAX_GRID_POINTS}], got {_repr(grid_points)}"
+        )
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
     if not (fit_efficiency or fit_force_cap):
@@ -196,12 +210,10 @@ def fit_model(
         eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
         cap_grid = np.linspace(*cap_box, grid_points if fit_force_cap else 1)
         etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
-        values, counts = objective(ordered, config, etas.ravel(), caps.ravel())
-        if zoom == 0:
-            flat = _is_flat(values)
-        lowest = int(np.argmin(values))
+        lowest, sse, n, grid_flat = _lowest(ordered, config, etas.ravel(), caps.ravel())
+        flat = grid_flat if zoom == 0 else flat
         eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
-        evaluated.append((values[lowest], counts[lowest], eta, cap))
+        evaluated.append((sse, n, eta, cap))
         eta_step, cap_step = (
             float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid)
         )
@@ -258,14 +270,54 @@ def objective(
     Strokes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest
     cycle)`` (cycle, lane) pairs at a time, so temporaries stay within
     ``_BLOCK_ELEMENTS`` elements however many lanes there are.  The sums
-    equal those of ``simulate`` and ``np.interp`` on each lane to round-off.
+    equal those of ``simulate`` and ``np.interp`` on each lane to round-off;
+    ``_lowest`` finds the lowest lane with the same sums.
     """
-    geom, spring = config.leg, config.spring
-    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
-    k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
-    # Cycle i of a lane is compared with squat i of its run, unless the run
-    # raised.  Only a slack (ENGAGED_ONLY) squat ends at the length it
-    # started from; it has zero force at 0 and dlmax.
+    columns, counts = _lanes(cycles, config, eta, cap)
+    return _errors(cycles, config, columns).sum(axis=0), counts
+
+
+def _lowest(
+    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
+) -> tuple[int, float, int, bool]:
+    """``objective``'s first lowest lane, its sse and point count, and whether
+    ``_is_flat`` holds over the lanes, comparing only cycles that can decide.
+
+    The last cycle, which follows the most accumulated error, is compared for
+    every lane, and the lane lowest there for every cycle; the other cycles
+    go last to first, each for the lanes whose partial sum is not above that
+    lane's sse by more than ``_FLAT_RTOL`` and the round-off of summing in
+    another order.  So a dropped lane is neither lowest nor flat with it.
+    """
+    columns, counts = _lanes(cycles, config, eta, cap)
+    errors = np.zeros(columns.shape[1:])
+    last = len(cycles) - 1
+    errors[last:] = _errors(cycles[last:], config, columns[:, last:])
+    best = int(np.argmin(errors[last]))
+    errors[:last, [best]] = _errors(cycles[:last], config, columns[:, :last, [best]])
+    sse = errors.sum(axis=0)[best]
+    bound = (sse + _FLAT_RTOL * (1 + abs(sse))) * (1 + 4 * len(cycles) * np.finfo(float).eps)
+    alive = ~(errors[last] > bound)  # keeps NaN lanes
+    alive[best] = False  # complete
+    for i in reversed(range(last)):
+        lanes = np.flatnonzero(alive)
+        if not lanes.size:
+            break
+        errors[i, lanes] = _errors(cycles[i : i + 1], config, columns[:, i : i + 1, lanes])
+        alive[lanes] = ~(errors[i:, lanes].sum(axis=0) > bound)
+    alive[best] = True
+    # Summed as ``objective`` sums them: an array of the same shape.
+    sse = np.where(alive, errors.sum(axis=0), np.inf)
+    lowest = int(np.argmin(sse))
+    return lowest, sse[lowest], counts[lowest], _is_flat(sse)
+
+
+def _lanes(
+    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, dead band, travel, stroke, slack) of squat i of each lane's run,
+    as (field, cycle i, lane) columns, all zeros where the run ended or
+    raised, and each lane's compared-point count."""
     fields = itemgetter(0, 2, 9, 1, 3)  # x, dead_band, travel, s_start, s_end
     table = []
     for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
@@ -274,23 +326,34 @@ def objective(
         except SimulationError:
             run = []
         table += run + [(0.0,) * 5] * (len(cycles) - len(run))
-    # (cycles, lanes) columns; only a cycle without a squat is at x = 0.
-    columns = np.array(table).reshape(-1, len(cycles), 5).transpose(2, 1, 0)
-    modelled = columns[0] > 0
-    slack = modelled & (columns[3] == columns[4])
-    strokes = modelled & ~slack
+    x, start, stop, s_start, s_end = np.array(table).reshape(-1, len(cycles), 5).transpose(2, 1, 0)
+    # Only a slack (ENGAGED_ONLY) squat ends at the length it started from.
+    slack = (x > 0) & (s_start == s_end)
+    strokes = (x > 0) & ~slack
+    measured = sum(len(c.hip_displacement) for c in cycles)
+    counts = measured + config.sample_count * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
+    return np.array([x, start, stop, strokes, slack]), counts
 
+
+def _errors(
+    cycles: Sequence[MeasuredCycle], config: Configuration, squats: np.ndarray
+) -> np.ndarray:
+    """Squared force error of each cycle against each lane's squat, measured
+    onto model plus model onto measured, from (field, cycle, lane) columns
+    of ``_lanes``, as (cycle, lane)."""
+    geom, spring = config.leg, config.spring
+    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
+    k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
     # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;
     # pairs without a stroke are replaced below.  Pair i * lanes + l is
     # cycle i of lane l, so a block may span cycles.
-    x, start, stop = columns[:3].reshape(3, -1)
+    x, start, stop = squats[:3].reshape(3, -1)
     ratio = x / seg
     slope = ratio * k
     step = (stop - start) / (samples - 1)
     steps = np.arange(samples, dtype=float)
-    lanes = modelled.shape[1]
-    rows = max(1, _BLOCK_ELEMENTS // max(samples, *(len(c.hip_displacement) for c in cycles)))
-    # Squared errors of each pair: measured onto model, and model onto measured.
+    lanes = squats.shape[2]
+    rows = max(1, _BLOCK_ELEMENTS // max((samples, *(len(c.hip_displacement) for c in cycles))))
     onto_model, onto_measured = np.empty(len(ratio)), np.empty(len(ratio))
     for a in range(0, len(ratio), rows):
         b = min(a + rows, len(ratio))
@@ -310,25 +373,24 @@ def objective(
             line = m[lo:hi] * (s0 - r[lo:hi] * (lstand - d))
             error = np.minimum(np.maximum(line, model[lo:hi, :1]), model[lo:hi, -1:]) - f
             onto_measured[a + lo : a + hi] = np.vecdot(error, error)
-    onto_model = onto_model.reshape(modelled.shape)
-    onto_measured = onto_measured.reshape(modelled.shape)
+    onto_model = onto_model.reshape(squats.shape[1:])
+    onto_measured = onto_measured.reshape(squats.shape[1:])
+    strokes, slack = squats[3:] > 0
     if not strokes.all():
-        # Without a stroke every measured force is unexplained.
+        # Without a stroke every measured force is unexplained; a slack squat
+        # has zero force at 0 and at the largest deformation.
         squared = [[np.sum(c.hip_force**2)] for c in cycles]
         ends = [np.interp([0, dlmax], c.hip_displacement, c.hip_force) for c in cycles]
         at_ends = [[np.sum(f**2)] for f in ends]
         onto_model = np.where(strokes, onto_model, np.where(slack, at_ends, 0.0))
         onto_measured = np.where(strokes, onto_measured, squared)
-
-    sse = (onto_model + onto_measured).sum(axis=0)
-    measured = sum(len(c.hip_displacement) for c in cycles)
-    return sse, measured + samples * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
+    return onto_model + onto_measured
 
 
-def _is_flat(values: np.ndarray, rtol: float = 1e-9) -> bool:
+def _is_flat(values: np.ndarray) -> bool:
     lo = float(np.min(values))
     hi = float(np.max(values))
-    return hi - lo <= rtol * (1.0 + abs(lo))
+    return hi - lo <= _FLAT_RTOL * (1.0 + abs(lo))
 
 
 def _clip(box: tuple[float, float], centre: float, half_width: float) -> tuple[float, float]:

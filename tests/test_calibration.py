@@ -20,10 +20,15 @@ from springleg import (
     parse_config,
     simulate,
 )
+from springleg.model import MAX_GRID_POINTS
 
 from conftest import CONFIG_DIR, worked_config
 
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
+
+
+def no_search(*args):
+    raise AssertionError("objective evaluated before the data was checked")
 
 
 def cycles_from_simulation(config, noise: float = 0.0, rng=None) -> list[MeasuredCycle]:
@@ -81,6 +86,36 @@ class TestMeasuredCycleValidation:
         with pytest.raises(DataError, match="non-decreasing"):
             MeasuredCycle(1, np.array([0.0, 0.1, 0.05]), np.array([0.0, 1.0, 2.0]))
 
+    def test_lists_convert_to_float_arrays(self):
+        cycle = MeasuredCycle(1, [0, 0.1], [0.0, 20])
+        for trace in (cycle.hip_displacement, cycle.hip_force):
+            assert isinstance(trace, np.ndarray) and trace.dtype == np.float64
+        assert integrate_work(cycle) == pytest.approx(1.0)
+
+    def test_fit_of_list_traces_equals_fit_of_arrays(self):
+        config = worked_config(loss=LossModel(efficiency=0.9), sample_count=50)
+        cycles = cycles_from_simulation(config)
+        listed = [
+            replace(c, hip_displacement=c.hip_displacement.tolist(), hip_force=c.hip_force.tolist())
+            for c in cycles
+        ]
+        fits = [fit_model(c, config, fit_force_cap=False, grid_points=5) for c in (cycles, listed)]
+        assert fits[0] == fits[1]
+
+    def test_two_dimensional_trace_rejected(self):
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(3, np.zeros((2, 2)), np.zeros((2, 2)))
+        assert str(error.value) == "cycle 3: hip_displacement must be a 1-D array of numbers"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array(["0.0", "heavy"]), [[1.0], [2.0, 3.0]], [1.0, 10**400], 5.0],
+        ids=["strings", "ragged", "huge_int", "scalar"],
+    )
+    def test_unconvertible_force_rejected(self, bad):
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(2, np.array([0.0, 0.1]), bad)
+        assert str(error.value) == "cycle 2: hip_force must be a 1-D array of numbers"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_samples_rejected(self, bad):
@@ -191,16 +226,16 @@ class TestFitModel:
     def test_search_evaluates_the_same_points(
         self, monkeypatch, fit_force_cap, grid_points, evaluated
     ):
-        """Lanes change how the points are evaluated, not which: on the
-        criterion-8 trace the search evaluates as many (efficiency, cap)
-        points as the scalar objective did."""
-        objective, lanes = calibration.objective, []
+        """Lanes and the bounded grid minimum change how the points are
+        evaluated, not which: on the criterion-8 trace the search runs as
+        many (efficiency, cap) points as the scalar objective did."""
+        runs, lanes = calibration._lanes, []
 
         def counted(cycles, config, eta, cap):
             lanes.append(len(eta))
-            return objective(cycles, config, eta, cap)
+            return runs(cycles, config, eta, cap)
 
-        monkeypatch.setattr(calibration, "objective", counted)
+        monkeypatch.setattr(calibration, "_lanes", counted)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
         if not fit_force_cap:
@@ -214,14 +249,20 @@ class TestFitModel:
         """On criterion 8's noisy traces the golden sections can end above a
         point they evaluated (seed 8005) or above the best grid point (seed
         8044); the fit returns the lowest point evaluated."""
-        objective, evaluated = calibration.objective, []
+        objective, lowest, evaluated = calibration.objective, calibration._lowest, []
 
         def recorded(cycles, config, eta, cap):
             sse, n_points = objective(cycles, config, eta, cap)
             evaluated.extend(sse)
             return sse, n_points
 
+        def recorded_grid(cycles, config, eta, cap):
+            index, sse, n_points, flat = lowest(cycles, config, eta, cap)
+            evaluated.append(sse)  # the lowest of the grid's points
+            return index, sse, n_points, flat
+
         monkeypatch.setattr(calibration, "objective", recorded)
+        monkeypatch.setattr(calibration, "_lowest", recorded_grid)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(seed))
         base = replace(truth, loss=LossModel(efficiency=1.0))
@@ -230,11 +271,32 @@ class TestFitModel:
         assert sse <= min(evaluated)
         assert report.residual_rms == math.sqrt(sse / n_points)
 
-    def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("objective evaluated before the data was checked")
+    def test_grids_compare_at_most_half_their_pairs(self, monkeypatch):
+        """The criterion-8 2-unknown fit's four 17 x 17 grids hold 3468
+        (cycle, lane) pairs over its 3 cycles; the bound on each grid's
+        lowest lane leaves at least half of them uncompared."""
+        errors, lowest, compared, grids = calibration._errors, calibration._lowest, [0], []
 
-        monkeypatch.setattr(calibration, "objective", no_search)
+        def counted(cycles, config, squats):
+            compared[0] += squats[0].size
+            return errors(cycles, config, squats)
+
+        def grid(cycles, config, eta, cap):
+            before = compared[0]
+            found = lowest(cycles, config, eta, cap)
+            grids.append((len(eta) * len(cycles), compared[0] - before))
+            return found
+
+        monkeypatch.setattr(calibration, "_errors", counted)
+        monkeypatch.setattr(calibration, "_lowest", grid)
+        truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
+        base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
+        fit_model(cycles_from_simulation(truth), base)
+        assert sum(pairs for pairs, _ in grids) == 3468
+        assert sum(done for _, done in grids) <= 3468 // 2
+
+    def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_lanes", no_search)
         cycles = cycles_from_simulation(worked_config())
         cycles[1] = MeasuredCycle(2, np.array([0.0]), np.array([5.0]))
         with pytest.raises(DataError, match="2 samples"):
@@ -267,6 +329,28 @@ class TestFitModel:
                 fit_force_cap=fit_force_cap,
                 grid_points=grid_points,
             )
+
+    @pytest.mark.parametrize(
+        "grid_points, shown",
+        [
+            (MAX_GRID_POINTS + 1, str(MAX_GRID_POINTS + 1)),
+            (10**20, "100000000000000000000"),
+            (10**5000, "<int too long to print>"),
+        ],
+        ids=["max_plus_1", "1e20", "1e5000"],
+    )
+    def test_long_grid_rejected(self, monkeypatch, grid_points, shown):
+        """A 2-unknown grid runs grid_points**2 lanes, so counts past
+        MAX_GRID_POINTS are rejected before any point is run."""
+        monkeypatch.setattr(calibration, "_lanes", no_search)
+        with pytest.raises(DomainError) as error:
+            fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=grid_points)
+        assert str(error.value) == f"grid_points must be an integer in [2, 256], got {shown}"
+
+    def test_longest_grid_accepted(self, monkeypatch):
+        monkeypatch.setattr(calibration, "_lanes", no_search)
+        with pytest.raises(AssertionError, match="objective evaluated"):
+            fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=256)
 
     def test_report_carries_work_and_ratios(self):
         config = worked_config(loss=LossModel(efficiency=0.9), sample_count=200)

@@ -1,5 +1,6 @@
 """``Run``'s efficiency and force-cap overrides, and the fit objective's
-lanes, against their scalar references.
+lanes, against their scalar references, and the fit's bounded grid minimum
+against the objective.
 
 Each case is one configuration with a few (efficiency, force cap) lanes and
 measured cycles made from the configuration's own run.  The explicit
@@ -126,13 +127,15 @@ def build(case: dict):
         cap = np.full(len(eta), config.force_cap)
     else:
         cap = np.array([scale * c for _, c in case["lanes"]])
-    return config, measured_cycles(config, case["measured"], case["seed"], scale), eta, cap
+    noise = case.get("noise", 0.01)
+    return config, measured_cycles(config, case["measured"], case["seed"], scale, noise), eta, cap
 
 
-def measured_cycles(config, samples, seed, scale):
-    """Noisy samples of the configuration's own strokes at random
-    displacements over the whole leg range, ``samples`` to ``samples + 2``
-    per cycle; random forces for cycles its run does not reach."""
+def measured_cycles(config, samples, seed, scale, noise=0.01):
+    """Samples of the configuration's own strokes at random displacements
+    over the whole leg range, ``samples`` to ``samples + 2`` per cycle, with
+    normal noise of ``noise`` times ``scale``; random forces for cycles its
+    run does not reach."""
     rng = np.random.default_rng(seed)
     try:
         strokes = simulate(config).trajectories
@@ -143,7 +146,7 @@ def measured_cycles(config, samples, seed, scale):
         d = np.sort(rng.uniform(0.0, config.leg.max_deformation, samples + i % 3))
         if i < len(strokes):
             f = np.interp(d, strokes[i].leg_deformation, strokes[i].hip_force)
-            f = f + rng.normal(0.0, 0.01 * scale, len(d))
+            f = f + rng.normal(0.0, noise * scale, len(d))
         else:
             f = rng.uniform(0.0, scale, len(d))
         cycles.append(MeasuredCycle(i + 1, d, f))
@@ -226,6 +229,76 @@ def test_lane_objective_matches_reference(case):
         assert n_points[lane] == ref_points
         squats, end = scalar_run(config, e, c, len(cycles))
         assert (0 if isinstance(end, SimulationError) else len(squats)) == ref_modelled
+
+
+#: Lane sets the bounded grid minimum must get right, named by what their
+#: lanes reach; each lane is repeated, so ties are decided by lane order.
+LOWEST_EXAMPLES = {
+    "first_stall": dict(EXAMPLES["first_stall"], noise=0.0),
+    "beyond_hip": dict(EXAMPLES["beyond_hip"], noise=0.05),
+    "engaged_only": dict(EXAMPLES["engaged_only"], noise=0.01),
+    "all_stalled": dict(
+        EXAMPLES["first_stall"],
+        lanes=[(0.0788, 0.165), (0.5, 0.1), (1.0, 0.05), (0.2, 0.02)],
+        noise=0.01,
+    ),
+    # Distinct within the flat tolerance: no lane may be dropped.
+    "near_flat": dict(
+        EXAMPLES["tol_gain"], lanes=[(0.5 + 1e-11 * i, 0.3) for i in (2, 0, 1, 3)], noise=0.01
+    ),
+    # One survivor of ten cycles: numpy sums a lone column in another order.
+    "ten_cycles": dict(
+        EXAMPLES["full_compression_early"],
+        cycles=10,
+        seed=884,
+        lanes=[(0.591, 0.464), (0.44, 0.303), (0.086, 1.054)],
+        noise=0.05,
+    ),
+}
+
+
+def lowest_of_objective(cycles, config, eta, cap):
+    """``_lowest``'s answer from ``objective``, ``np.argmin`` and ``_is_flat``."""
+    values, counts = calibration.objective(cycles, config, eta, cap)
+    lowest = int(np.argmin(values))
+    return lowest, values[lowest].hex(), counts[lowest], calibration._is_flat(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    CASES,
+    st.lists(st.integers(0, 59), min_size=1, max_size=60),
+    st.sampled_from([0.0, 0.01, 0.05]),
+)
+@example(LOWEST_EXAMPLES["first_stall"], [0, 1, 2, 0, 2, 1], 0.0)
+@example(LOWEST_EXAMPLES["beyond_hip"], [2, 1, 0, 1, 2, 0, 0], 0.05)
+@example(LOWEST_EXAMPLES["engaged_only"], [1, 0, 2] * 20, 0.01)
+@example(LOWEST_EXAMPLES["all_stalled"], list(range(8)), 0.01)
+@example(LOWEST_EXAMPLES["near_flat"], [0, 1, 2, 3], 0.01)
+@example(LOWEST_EXAMPLES["ten_cycles"], [0, 1, 2], 0.05)
+def test_lowest_matches_objective(case, picks, noise):
+    """The bounded grid minimum returns the first lowest lane of
+    ``objective``, its sse bit for bit, its point count and the flat flag,
+    on 1-60 lanes drawn with repeats from the case's lanes."""
+    lanes = [case["lanes"][p % len(case["lanes"])] for p in picks]
+    config, cycles, eta, cap = build(dict(case, lanes=lanes, noise=noise))
+    index, sse, count, flat = calibration._lowest(cycles, config, eta, cap)
+    assert (index, sse.hex(), count, flat) == lowest_of_objective(cycles, config, eta, cap)
+
+
+def test_all_stalled_grid_is_flat():
+    """Every lane of the all-stalled example stalls on squat 1, so every
+    measured force is unexplained on every lane and the grid is flat."""
+    config, cycles, eta, cap = build(LOWEST_EXAMPLES["all_stalled"])
+    for e, c in zip(eta, cap):
+        assert isinstance(scalar_run(config, e, c, len(cycles))[1], StallError)
+    assert calibration._lowest(cycles, config, eta, cap)[::3] == (0, True)
+
+
+def test_near_flat_grid_is_flat():
+    config, cycles, eta, cap = build(LOWEST_EXAMPLES["near_flat"])
+    values, _ = calibration.objective(cycles, config, eta, cap)
+    assert len(set(values)) > 1 and calibration._lowest(cycles, config, eta, cap)[3]
 
 
 def test_cap_range_tie_goes_to_force_cap():
