@@ -3,13 +3,14 @@
 Measured (or synthetic) per-squat hip force traces are compared against
 simulated strokes; the transition efficiency and the force cap are found by
 one deterministic search on the summed squared force residual: a grid over
-the free unknowns zooms onto its best cell, then golden sections refine each
-one.  The objective takes many (efficiency, cap) points, one lane each: every
-lane runs the one squat map, ``cyclic.Run``, and the strokes of all lanes are
-sampled and compared together in numpy.  A grid needs only its lowest lane,
-so a cycle is compared only for the lanes whose partial sum is not above a
-complete lane's sum.  Forces are the fitted quantity because they are what a
-load cell measures; energies are derived by trapezoidal work integration.
+the free unknowns zooms onto its best cell, then Brent's bounded minimiser
+refines each one.  The objective takes many (efficiency, cap) points, one
+lane each: every lane runs the one squat map, ``cyclic.Run``, and the
+strokes of all lanes are sampled and compared together in numpy.  A grid
+needs only its lowest lane, so a cycle is compared only for the lanes whose
+partial sum is not above a complete lane's sum.  Forces are the fitted
+quantity because they are what a load cell measures; energies are derived by
+trapezoidal work integration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
+from numbers import Real
+from operator import index, itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,8 +29,8 @@ from .errors import DataError, DomainError, SimulationError
 from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _repr
 from .model import spring_energy
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+#: Brent's golden-section fraction of the bracket, 1/phi^2.
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 #: Relative slack above 1.0 tolerated in a measured energy-retention ratio
 #: before it is reported as inconsistent data.
@@ -51,7 +53,8 @@ class MeasuredCycle:
     ``spring_length_end`` is the locked spring length measured after the
     squat; ``spring_length_start`` the length observed when the next squat
     begins.  Both are optional and only needed for direct energy-retention
-    estimates.
+    estimates; each given one must be a finite real number, stored as a
+    float.  ``iteration`` is an integer, which orders the cycles.
     """
 
     iteration: int
@@ -61,6 +64,10 @@ class MeasuredCycle:
     spring_length_end: float | None = None
 
     def __post_init__(self) -> None:
+        # Integers by the index protocol, as Configuration's integer fields.
+        if isinstance(self.iteration, bool) or not hasattr(type(self.iteration), "__index__"):
+            raise DataError(f"cycle {_repr(self.iteration)}: iteration must be an integer")
+        object.__setattr__(self, "iteration", index(self.iteration))
         for name in ("hip_displacement", "hip_force"):
             try:
                 trace = np.asarray(getattr(self, name), dtype=float)
@@ -77,6 +84,21 @@ class MeasuredCycle:
             raise DataError(f"cycle {self.iteration}: displacements and forces must be finite")
         if np.any(np.diff(self.hip_displacement) < 0):
             raise DataError(f"cycle {self.iteration}: displacements must be non-decreasing")
+        for name in ("spring_length_start", "spring_length_end"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            try:
+                length = float(value) if real else math.nan
+            except OverflowError:  # an int or Fraction past the float range
+                length = math.nan
+            if not math.isfinite(length):
+                raise DataError(
+                    f"cycle {self.iteration}: {name} must be None or a finite number, "
+                    f"got {_repr(value)}"
+                )
+            object.__setattr__(self, name, length)
 
 
 @dataclass(frozen=True)
@@ -163,8 +185,9 @@ def fit_model(
     other parameter keeps its ``config`` value.  A grid over the free
     unknowns, whose lowest point ``_lowest`` finds with the sums of
     ``objective``, zooms ``_ZOOMS`` times onto its best cell, then two rounds
-    of golden sections refine each free unknown within one grid step, one
-    point per ``objective`` call; the lowest point evaluated is returned.
+    of Brent's bounded minimiser (``_brent_min``, absolute tolerance 1e-10)
+    refine each free unknown within one grid step, one point per
+    ``objective`` call; the lowest point evaluated is returned.
     The search is fully deterministic for identical inputs and settings.
 
     Raises
@@ -195,16 +218,17 @@ def fit_model(
     eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
     cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
 
-    evaluated = []  # (sse, points, efficiency, cap): each grid's best, every golden point
+    evaluated = []  # (sse, points, efficiency, cap): each grid's best, every Brent point
 
     def at(e: float, c: float) -> float:
         (sse,), (n,) = objective(ordered, config, [e], [c])
+        sse = float(sse)  # a numpy scalar would carry into the minimiser's points
         evaluated.append((sse, n, e, c))
         return sse
 
     # The 2-unknown valley runs diagonally (a low cap trades against a high
     # efficiency), so axis-aligned descent alone crawls: zoom the grid onto
-    # the best cell first, then polish with golden sections per free axis.
+    # the best cell first, then polish with Brent's method per free axis.
     eta_box, cap_box = eta_bounds, cap_bounds
     for zoom in range(_ZOOMS + 1):
         eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
@@ -221,12 +245,11 @@ def fit_model(
         cap_box = _clip(cap_bounds, cap, 1.5 * cap_step)
     for _ in range(2):
         if fit_efficiency:
-            eta = _golden_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
+            eta = _brent_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
         if fit_force_cap:
-            cap = _golden_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
+            cap = _brent_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
 
-    (sse,), (n_points,) = objective(ordered, config, [eta], [cap])
-    sse, n_points, eta, cap = min([(sse, n_points, eta, cap), *evaluated], key=lambda p: p[0])
+    sse, n_points, eta, cap = min(evaluated, key=lambda p: p[0])
     if not math.isfinite(sse):
         raise DataError("non-finite force residual at the fitted parameters")
     try:
@@ -398,24 +421,46 @@ def _clip(box: tuple[float, float], centre: float, half_width: float) -> tuple[f
     return max(box[0], centre - half_width), min(box[1], centre + half_width)
 
 
-def _golden_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of a unimodal function on [a, b], a <= b."""
-    h = b - a
-    if h <= tol:
+def _brent_min(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
+    """Minimum of a unimodal function on [a, b], a <= b, within ``tol``.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5): a parabola through the three best points so
+    far, or a golden-section step where that parabola's minimum lies outside
+    the bracket or does not shrink the step enough.  Steps are at least one
+    ulp, so the bracket shrinks at every evaluation.
+    """
+    if b - a <= tol:
         return 0.5 * (a + b)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n - 1):
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
+    x = w = v = a + _INV_PHI_SQ * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = 0.5 * tol + math.ulp(x)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p if q > 0 else p), abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - (x + d)) < 2.0 * tol1:
+                d = tol1 if x < m else -tol1
         else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * ((a + d) if yc < yd else (c + b))
+            e = (b if x < m else a) - x
+            d = _INV_PHI_SQ * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

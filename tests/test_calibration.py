@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from springleg import (
     MeasuredCycle,
     SpringParams,
     calibration,
+    emit_trajectory_csv,
     estimate_efficiency,
     fit_model,
     integrate_work,
     parse_config,
+    read_measured_cycles,
     simulate,
 )
 from springleg.model import MAX_GRID_POINTS
@@ -124,6 +127,44 @@ class TestMeasuredCycleValidation:
         with pytest.raises(DataError, match="finite"):
             MeasuredCycle(1, np.array([0.0, 0.1]), np.array([bad, 1.0]))
 
+    @pytest.mark.parametrize("bad", ["a", True, 2.0, None], ids=["str", "bool", "float", "none"])
+    def test_non_integer_iteration_rejected(self, bad):
+        """Cycles are ordered by iteration, so a value that does not compare
+        with an int would fail later in ``sorted``."""
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(bad, np.array([0.0, 0.1]), np.array([0.0, 1.0]))
+        assert str(error.value) == f"cycle {bad!r}: iteration must be an integer"
+
+    def test_numpy_integer_iteration_becomes_int(self):
+        cycle = MeasuredCycle(np.int64(3), np.array([0.0, 0.1]), np.array([0.0, 1.0]))
+        assert type(cycle.iteration) is int and cycle.iteration == 3
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            ("0.1", "'0.1'"),
+            (math.nan, "nan"),
+            (-math.inf, "-inf"),
+            (True, "True"),
+            (10**5000, "<int too long to print>"),
+            (Fraction(10**400), f"Fraction({10**400}, 1)"),
+        ],
+        ids=["str", "nan", "inf", "bool", "huge_int", "huge_fraction"],
+    )
+    @pytest.mark.parametrize("name", ["spring_length_start", "spring_length_end"])
+    def test_bad_spring_length_rejected(self, name, bad, shown):
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(4, np.array([0.0, 0.1]), np.array([0.0, 1.0]), **{name: bad})
+        assert str(error.value) == f"cycle 4: {name} must be None or a finite number, got {shown}"
+
+    @pytest.mark.parametrize("length", [0.1, np.float64(0.1), Fraction(1, 10)])
+    def test_real_spring_lengths_become_floats(self, length):
+        cycle = MeasuredCycle(
+            1, [0.0, 0.1], [0.0, 1.0], spring_length_start=length, spring_length_end=length
+        )
+        for value in (cycle.spring_length_start, cycle.spring_length_end):
+            assert type(value) is float and value == 0.1
+
 
 class TestEstimateEfficiency:
     def test_lossless_data(self):
@@ -221,14 +262,44 @@ class TestFitModel:
         assert report.force_cap == config.force_cap
 
     @pytest.mark.parametrize(
-        "fit_force_cap, grid_points, evaluated", [(True, 17, 1303), (False, 13, 127)]
+        "trace, efficiency, force_cap, residual_rms",
+        [
+            ("criterion_8", 0.8398218815557934, 8.773223491376667, 3.38436270518558e-05),
+            ("simulate_then_fit", 0.8398209110005619, 8.773233584107732, 1.706032851219131e-05),
+        ],
+    )
+    def test_noiseless_fit_values_hold(self, tmp_path, trace, efficiency, force_cap, residual_rms):
+        """The 2-unknown fits of noiseless prototype_trend traces stay where
+        they were found before the refinement changed: criterion 8's 250-sample
+        trace, and the trajectory CSV that ``springleg simulate`` writes read
+        back as ``springleg fit`` reads it.  The fitted point may move by
+        round-off only, and the residual may not grow beyond it."""
+        truth = parse_config(CONFIG_DIR / "prototype_trend.cfg")
+        if trace == "criterion_8":
+            truth = replace(truth, sample_count=250)
+            base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
+            report = fit_model(cycles_from_simulation(truth), base)
+        else:
+            path = emit_trajectory_csv(simulate(truth), tmp_path / "trajectory.csv")
+            report = fit_model(read_measured_cycles(path), truth)
+        assert report.efficiency == pytest.approx(efficiency, rel=1e-9)
+        assert report.force_cap == pytest.approx(force_cap, rel=1e-9)
+        assert report.residual_rms <= residual_rms * (1 + 1e-6)
+        floats = [report.efficiency, report.force_cap, report.residual_rms]
+        assert all(type(value) is float for value in floats)
+        assert all(type(value) is float for value in report.cycle_work + report.retention_ratios)
+        assert len(report.retention_ratios) == len(report.cycle_work) - 1
+
+    @pytest.mark.parametrize(
+        "fit_force_cap, grid_points, evaluated", [(True, 17, 1191), (False, 13, 69)]
     )
     def test_search_evaluates_the_same_points(
         self, monkeypatch, fit_force_cap, grid_points, evaluated
     ):
-        """Lanes and the bounded grid minimum change how the points are
-        evaluated, not which: on the criterion-8 trace the search runs as
-        many (efficiency, cap) points as the scalar objective did."""
+        """On the criterion-8 trace the search runs a fixed number of
+        (efficiency, cap) points: four zoom grids of 17 x 17 (or 13) lanes,
+        then 35 (or 17) one-lane points of Brent's refinement.  Lanes and the
+        bounded grid minimum change how the points are evaluated, not which."""
         runs, lanes = calibration._lanes, []
 
         def counted(cycles, config, eta, cap):
@@ -246,9 +317,9 @@ class TestFitModel:
 
     @pytest.mark.parametrize("seed", [8005, 8044])
     def test_returns_no_point_worse_than_one_evaluated(self, monkeypatch, seed):
-        """On criterion 8's noisy traces the golden sections can end above a
-        point they evaluated (seed 8005) or above the best grid point (seed
-        8044); the fit returns the lowest point evaluated."""
+        """On criterion 8's noisy traces, which are rough within a grid step,
+        the refinement need not end at the lowest point the search evaluated;
+        the fit returns the lowest point evaluated, grid or refinement."""
         objective, lowest, evaluated = calibration.objective, calibration._lowest, []
 
         def recorded(cycles, config, eta, cap):
@@ -360,3 +431,71 @@ class TestFitModel:
         assert len(report.retention_ratios) == len(cycles) - 1
         for ratio in report.retention_ratios:
             assert ratio == pytest.approx(0.9, rel=1e-9)
+
+
+class TestBrentMin:
+    """``calibration._brent_min`` against closed-form minimisers."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def minimise(f, a, b):
+        points = []
+
+        def counted(x):
+            points.append(x)
+            assert len(points) <= 1000, "the minimiser does not end"
+            return f(x)
+
+        return calibration._brent_min(counted, a, b, TestBrentMin.TOL), points
+
+    @pytest.mark.parametrize(
+        "f, a, b, expected",
+        [
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.3),
+            (lambda x: x, 0.2, 0.7, 0.2),
+            (lambda x: -x, 0.2, 0.7, 0.7),
+            (lambda x: (x + 1.0) ** 2, 0.2, 0.7, 0.2),
+            (lambda x: abs(x - 0.61803), 0.5, 0.9, 0.61803),
+            (lambda x: abs(x - 8.7723), 8.0, 9.5, 8.7723),
+        ],
+        ids=["quadratic", "rising", "falling", "quadratic_past_left", "abs", "abs_at_cap"],
+    )
+    def test_closed_form_minimiser(self, f, a, b, expected):
+        x, points = self.minimise(f, a, b)
+        assert type(x) is float
+        assert abs(x - expected) <= self.TOL
+        assert all(a <= p <= b for p in points)
+
+    def test_quadratic_takes_fewer_points_than_golden_sections(self):
+        """Three points fit the parabola exactly: after two golden-section
+        steps the fourth point is the minimum, and two probes half a tolerance
+        either side of it close the bracket.  Golden sections of [0, 1] down to
+        1e-10 take 49 points."""
+        x, points = self.minimise(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
+        golden = math.ceil(math.log(self.TOL) / math.log((math.sqrt(5.0) - 1.0) / 2.0)) + 1
+        assert golden == 49
+        assert len(points) == 6
+        assert points[3] == 0.3
+        assert len(points) <= golden
+
+    def test_float_spacing_coarser_than_tolerance(self):
+        """Near 1e7 (a force cap box of a heavy body) floats lie 1.9e-9 apart,
+        wider than the tolerance; steps of at least one ulp still end."""
+        c = 1e7 + 0.3
+        x, points = self.minimise(lambda x: abs(x - c), 1e7, 1e7 + 1.0)
+        assert abs(x - c) <= self.TOL + 2 * math.ulp(c)
+        assert len(points) < 100
+
+    def test_constant_function_stays_in_the_window(self):
+        x, points = self.minimise(lambda x: 2.0, 0.25, 0.75)
+        assert type(x) is float
+        assert 0.25 <= x <= 0.75
+        assert all(0.25 <= p <= 0.75 for p in points)
+
+    @pytest.mark.parametrize("a, b", [(0.4, 0.4), (0.4, 0.4 + 0.5e-10), (0.0, 1e-10)])
+    def test_window_within_tolerance_is_its_midpoint(self, a, b):
+        x, points = self.minimise(lambda x: x, a, b)
+        assert x == 0.5 * (a + b)
+        assert type(x) is float
+        assert points == []
