@@ -6,11 +6,12 @@ one deterministic search on the summed squared force residual: a grid over
 the free unknowns zooms onto its best cell, then Brent's bounded minimiser
 refines each one.  The objective takes many (efficiency, cap) points, one
 lane each: every lane runs the one squat map, ``cyclic.Run``, and the
-strokes of all lanes are sampled and compared together in numpy.  A grid
-needs only its lowest lane, so a cycle is compared only for the lanes whose
-partial sum is not above a complete lane's sum.  Forces are the fitted
-quantity because they are what a load cell measures; energies are derived by
-trapezoidal work integration.
+strokes of all lanes are sampled by the one stroke sampler,
+``cyclic._strokes``, and compared together in numpy.  A grid needs only its
+lowest lane, so a cycle is compared only for the lanes whose partial sum is
+not above a complete lane's sum.  Forces are the fitted quantity because
+they are what a load cell measures; energies are derived by trapezoidal
+work integration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cyclic import Run
+from .cyclic import Run, _strokes
 from .errors import DataError, DomainError, SimulationError
 from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _repr
 from .model import spring_energy
@@ -68,22 +69,23 @@ class MeasuredCycle:
         if isinstance(self.iteration, bool) or not hasattr(type(self.iteration), "__index__"):
             raise DataError(f"cycle {_repr(self.iteration)}: iteration must be an integer")
         object.__setattr__(self, "iteration", index(self.iteration))
+        cycle = f"cycle {_repr(self.iteration)}"  # an int past the digit limit prints as its type
         for name in ("hip_displacement", "hip_force"):
             try:
                 trace = np.asarray(getattr(self, name), dtype=float)
             except (TypeError, ValueError, OverflowError):
                 trace = None
             if trace is None or trace.ndim != 1:
-                raise DataError(f"cycle {self.iteration}: {name} must be a 1-D array of numbers")
+                raise DataError(f"{cycle}: {name} must be a 1-D array of numbers")
             object.__setattr__(self, name, trace)
         if len(self.hip_displacement) == 0:
-            raise DataError(f"cycle {self.iteration}: no samples")
+            raise DataError(f"{cycle}: no samples")
         if len(self.hip_displacement) != len(self.hip_force):
-            raise DataError(f"cycle {self.iteration}: displacement/force length mismatch")
+            raise DataError(f"{cycle}: displacement/force length mismatch")
         if not (np.isfinite(self.hip_displacement).all() and np.isfinite(self.hip_force).all()):
-            raise DataError(f"cycle {self.iteration}: displacements and forces must be finite")
+            raise DataError(f"{cycle}: displacements and forces must be finite")
         if np.any(np.diff(self.hip_displacement) < 0):
-            raise DataError(f"cycle {self.iteration}: displacements must be non-decreasing")
+            raise DataError(f"{cycle}: displacements must be non-decreasing")
         for name in ("spring_length_start", "spring_length_end"):
             value = getattr(self, name)
             if value is None:
@@ -95,8 +97,7 @@ class MeasuredCycle:
                 length = math.nan
             if not math.isfinite(length):
                 raise DataError(
-                    f"cycle {self.iteration}: {name} must be None or a finite number, "
-                    f"got {_repr(value)}"
+                    f"{cycle}: {name} must be None or a finite number, got {_repr(value)}"
                 )
             object.__setattr__(self, name, length)
 
@@ -116,7 +117,7 @@ class FitReport:
 def integrate_work(cycle: MeasuredCycle) -> float:
     """Trapezoidal work integral of the measured force over displacement."""
     if len(cycle.hip_displacement) < 2:
-        raise DataError(f"cycle {cycle.iteration}: need at least 2 samples to integrate")
+        raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
     return float(np.trapezoid(cycle.hip_force, cycle.hip_displacement))
 
 
@@ -136,7 +137,7 @@ def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> l
             e_next = spring_energy(after.spring_length_start, spring)
         except DomainError as exc:
             raise DataError(
-                f"transition {before.iteration}->{after.iteration}: measured spring "
+                f"transition {_repr(before.iteration)}->{_repr(after.iteration)}: measured spring "
                 f"length outside the spring's range ({exc})"
             ) from exc
         if e_locked <= 0:
@@ -144,7 +145,7 @@ def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> l
         ratio = e_next / e_locked
         if ratio > 1.0 + RATIO_TOL:
             warnings.warn(
-                f"transition {before.iteration}->{after.iteration}: retention ratio "
+                f"transition {_repr(before.iteration)}->{_repr(after.iteration)}: retention ratio "
                 f"{ratio} exceeds 1 (stored energy cannot grow while locked)",
                 stacklevel=2,
             )
@@ -373,19 +374,14 @@ def _errors(
     x, start, stop = squats[:3].reshape(3, -1)
     ratio = x / seg
     slope = ratio * k
-    step = (stop - start) / (samples - 1)
-    steps = np.arange(samples, dtype=float)
     lanes = squats.shape[2]
     rows = max(1, _BLOCK_ELEMENTS // max((samples, *(len(c.hip_displacement) for c in cycles))))
     onto_model, onto_measured = np.empty(len(ratio)), np.empty(len(ratio))
     for a in range(0, len(ratio), rows):
         b = min(a + rows, len(ratio))
         r, m = ratio[a:b, None], slope[a:b, None]
-        # np.linspace's arithmetic, one stroke per row, so that np.interp's
-        # search walks each stroke in order.
-        grid = steps * step[a:b, None] + start[a:b, None]
-        grid[:, -1] = stop[a:b]
-        model = m * (s0 - r * (lstand - grid))
+        # One stroke per row, so that np.interp's search walks each in order.
+        grid, model = _strokes(config, x[a:b], start[a:b], stop[a:b])[::2]
         for i in range(a // lanes, (b - 1) // lanes + 1):
             d, f = cycles[i].hip_displacement, cycles[i].hip_force
             lo, hi = max(i * lanes, a) - a, min(i * lanes + lanes, b) - a

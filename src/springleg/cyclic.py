@@ -24,14 +24,8 @@ import numpy as np
 
 from .baseline import e1_max
 from .errors import GeometryError, SimulationError, StallError
-from .model import (
-    Configuration,
-    Trajectory,
-    hip_force,
-    initial_spring_length,
-    spring_energy,
-    CompressionPolicy,
-)
+from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
+from .model import hip_force, initial_spring_length, spring_energy
 
 
 class StopReason(enum.Enum):
@@ -141,20 +135,17 @@ class SimResult:
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:
-        """Sampled stroke of every squat, in run order.
-
-        Only the engaged stroke is sampled, since the dead band carries no
-        force and no spring motion; an ENGAGED_ONLY squat is slack throughout.
-        """
+        """Sampled stroke of every squat, in run order: the engaged stroke only,
+        since the dead band carries no force and no spring motion.  An
+        ENGAGED_ONLY squat is slack throughout, so two endpoints suffice."""
         config, q = self.config, self.squats
+        engaged = [stop is not StopReason.ENGAGED_ONLY for stop in q.stop]
+        x, start, stop = (np.array(column)[engaged] for column in (q.x, q.dead_band, q.travel))
+        sampled = map(Trajectory, *_sampled(config, x, start, stop))
         return tuple(
             [
-                _stroke(config, x, 0.0, travel, s_start)
-                if stop is StopReason.ENGAGED_ONLY
-                else _stroke(config, x, dead_band, travel)
-                for x, s_start, dead_band, stop, travel in zip(
-                    q.x, q.s_start, q.dead_band, q.stop, q.travel
-                )
+                next(sampled) if stroke else _slack(config.spring, s_start, travel)
+                for stroke, s_start, travel in zip(engaged, q.s_start, q.travel)
             ]
         )
 
@@ -364,33 +355,45 @@ def release_profile(
 
     s_end = min(spring.free_length, ratio * geom.standing_length)
     leg_end = s_end / ratio
+    start, stop = geom.standing_length - leg_start, geom.standing_length - leg_end
     return ReleaseProfile(
-        trajectory=_stroke(
-            config, x_release, geom.standing_length - leg_start, geom.standing_length - leg_end
-        ),
+        trajectory=Trajectory(*_sampled(config, x_release, start, stop)),
         peak_force=hip_force(x_release, spring_length, geom, spring),
         released_energy=spring_energy(spring_length, spring) - spring_energy(s_end, spring),
     )
 
 
-def _stroke(
-    config: Configuration, x: float, start: float, stop: float, slack_length: float | None = None
-) -> Trajectory:
-    """Quasi-static stroke at spring position ``x``, sampled uniformly in leg
-    deformation from ``start`` to ``stop``.
+def _strokes(config: Configuration, x, start, stop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(leg deformation, spring length, hip force) of the quasi-static strokes
+    at spring positions ``x``, one row each (1-D for floats).  Each row's
+    deformations are ``np.linspace(start, stop, sample_count)`` bit for bit:
+    its operations in its order, with its branch for a step that underflows."""
+    geom, spring, n = config.leg, config.spring, config.sample_count
+    ratio = (np.asarray(x) / geom.segment_length)[..., None]
+    start, stop = np.asarray(start)[..., None], np.asarray(stop)
+    delta = stop[..., None] - start
+    step = delta / (n - 1)
+    steps = np.arange(n, dtype=float)
+    deformation = steps * step
+    deformation += start
+    if np.count_nonzero(step) < step.size and delta[step == 0].any():  # np.linspace's underflow
+        deformation = np.where(step == 0, steps / (n - 1) * delta + start, deformation)
+    deformation[..., -1] = stop
+    # In place, as ratio * (l_stand - d) and ratio * k * (s0 - s): products commute.
+    length = geom.standing_length - deformation
+    length *= ratio
+    force = spring.free_length - length
+    force *= ratio * spring.stiffness
+    return deformation, length, force
 
-    With ``slack_length`` the cable stays slack over the stroke: the spring
-    keeps that length and loads nothing, so the two endpoints suffice.
-    """
-    spring = config.spring
-    if slack_length is not None:
-        energy = spring_energy(slack_length, spring)
-        return Trajectory(
-            np.array([start, stop]), np.full(2, slack_length), np.zeros(2), np.full(2, energy)
-        )
-    ratio = x / config.leg.segment_length
-    deformation = np.linspace(start, stop, config.sample_count)
-    s_samples = ratio * (config.leg.standing_length - deformation)
-    f_samples = ratio * spring.stiffness * (spring.free_length - s_samples)
-    e_samples = 0.5 * spring.stiffness * (spring.free_length - s_samples) ** 2
-    return Trajectory(deformation, s_samples, f_samples, e_samples)
+
+def _sampled(config: Configuration, x, start, stop) -> tuple[np.ndarray, ...]:
+    """``_strokes`` and the stored energy: ``Trajectory``'s fields, one row per stroke."""
+    deformation, length, force = _strokes(config, x, start, stop)
+    k, s0 = config.spring.stiffness, config.spring.free_length
+    return deformation, length, force, 0.5 * k * (s0 - length) ** 2
+
+
+def _slack(spring: SpringParams, length: float, travel: float) -> Trajectory:
+    energy = spring_energy(length, spring)
+    return Trajectory(np.array([0.0, travel]), np.full(2, length), np.zeros(2), np.full(2, energy))

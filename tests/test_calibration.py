@@ -29,6 +29,15 @@ from conftest import CONFIG_DIR, worked_config
 
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
 
+#: Cycle iterations for message tests: an int past Python's 4300-digit
+#: string limit cannot go through an f-string.
+ITERATIONS = pytest.mark.parametrize("iteration", [7, 10**5000], ids=["int", "huge_int"])
+
+
+def printed(iteration: int) -> str:
+    """How messages print a cycle's iteration."""
+    return "<int too long to print>" if iteration > 10**4300 else str(iteration)
+
 
 def no_search(*args):
     raise AssertionError("objective evaluated before the data was checked")
@@ -71,6 +80,13 @@ class TestIntegrateWork:
         with pytest.raises(DataError, match="2 samples"):
             integrate_work(MeasuredCycle(1, np.array([0.0]), np.array([1.0])))
 
+    @ITERATIONS
+    def test_single_sample_message(self, iteration):
+        with pytest.raises(DataError) as error:
+            integrate_work(MeasuredCycle(iteration, [0.0], [1.0]))
+        message = f"cycle {printed(iteration)}: need at least 2 samples to integrate"
+        assert str(error.value) == message
+
     def test_model_energy_delta_matches_work(self):
         config = worked_config(sample_count=1001)
         result = simulate(config)
@@ -88,6 +104,33 @@ class TestMeasuredCycleValidation:
     def test_decreasing_displacement_rejected(self):
         with pytest.raises(DataError, match="non-decreasing"):
             MeasuredCycle(1, np.array([0.0, 0.1, 0.05]), np.array([0.0, 1.0, 2.0]))
+
+    @ITERATIONS
+    @pytest.mark.parametrize(
+        "displacement, force, message",
+        [
+            (np.zeros((2, 2)), np.zeros((2, 2)), "hip_displacement must be a 1-D array of numbers"),
+            ([0.0, 0.1], "heavy", "hip_force must be a 1-D array of numbers"),
+            ([], [], "no samples"),
+            ([0.0, 1.0], [1.0], "displacement/force length mismatch"),
+            ([0.0, math.inf], [0.0, 1.0], "displacements and forces must be finite"),
+            ([0.0, 1.0, 0.5], [0.0, 1.0, 2.0], "displacements must be non-decreasing"),
+        ],
+        ids=["two_dimensional", "unconvertible", "empty", "mismatch", "infinite", "decreasing"],
+    )
+    def test_trace_messages(self, iteration, displacement, force, message):
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(iteration, displacement, force)
+        assert str(error.value) == f"cycle {printed(iteration)}: {message}"
+
+    @ITERATIONS
+    def test_spring_length_message(self, iteration):
+        with pytest.raises(DataError) as error:
+            MeasuredCycle(iteration, [0.0, 0.1], [0.0, 1.0], spring_length_end=math.nan)
+        assert str(error.value) == (
+            f"cycle {printed(iteration)}: "
+            "spring_length_end must be None or a finite number, got nan"
+        )
 
     def test_lists_convert_to_float_arrays(self):
         cycle = MeasuredCycle(1, [0, 0.1], [0.0, 20])
@@ -200,6 +243,29 @@ class TestEstimateEfficiency:
         ]
         with pytest.warns(UserWarning, match="cannot grow"):
             estimate_efficiency(cycles, SPRING)
+
+    @ITERATIONS
+    def test_transition_messages(self, iteration):
+        def pair(end, start):
+            return [
+                MeasuredCycle(iteration, [0.0, 0.1], [0.0, 1.0], spring_length_end=end),
+                MeasuredCycle(iteration + 1, [0.0, 0.1], [0.0, 1.0], spring_length_start=start),
+            ]
+
+        with pytest.warns(UserWarning) as warned:
+            estimate_efficiency(pair(0.09, 0.08), SPRING)
+        ratio = calibration.spring_energy(0.08, SPRING) / calibration.spring_energy(0.09, SPRING)
+        transition = f"transition {printed(iteration)}->{printed(iteration + 1)}"
+        assert [str(w.message) for w in warned] == [
+            f"{transition}: retention ratio {ratio} exceeds 1 "
+            "(stored energy cannot grow while locked)"
+        ]
+        with pytest.raises(DataError) as error:
+            estimate_efficiency(pair(0.2, 0.08), SPRING)
+        assert str(error.value) == (
+            f"{transition}: measured spring length outside the spring's range "
+            "(spring length s=0.2 exceeds free_length=0.12 (slack))"
+        )
 
 
 class TestFitModel:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from springleg import (
     BodyParams,
@@ -34,6 +36,16 @@ from springleg.output import PLOT_KINDS
 
 from conftest import exact_zero_preload_config, oracle_params, random_config, worked_config
 from oracle import oracle_simulate
+
+
+def linspace_stroke(config, x, start, stop):
+    """One stroke by ``np.linspace`` and the force law, as the reference."""
+    geom, spring = config.leg, config.spring
+    ratio = x / geom.segment_length
+    deformation = np.linspace(start, stop, config.sample_count)
+    length = ratio * (geom.standing_length - deformation)
+    force = ratio * spring.stiffness * (spring.free_length - length)
+    return deformation, length, force
 
 
 class TestInitialState:
@@ -285,6 +297,33 @@ class TestSimulate:
         assert result.records[-1].stop_reason is StopReason.ENGAGED_ONLY
         assert result.records[-1].energy_after == result.records[-1].energy_before
 
+    @pytest.mark.parametrize("sample_count", [2, 3, 1000])
+    def test_trajectories_equal_per_squat_linspace(self, sample_count):
+        # Two of the four strokes start after a ratchet dead band; a fifth,
+        # ENGAGED_ONLY squat is slack throughout.
+        config = worked_config(
+            leg=LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.05),
+            loss=LossModel(efficiency=1.0, ratchet_pitch=0.01),
+            force_cap=1000.0,
+            sample_count=sample_count,
+        )
+        result = simulate(config)
+        q, spring = result.squats, config.spring
+        assert [d > 0 for d in q.dead_band] == [False, True, True, False, True]
+        assert q.stop[-1] is StopReason.ENGAGED_ONLY
+        for t, x, s_start, dead_band, stop, travel in zip(
+            result.trajectories, q.x, q.s_start, q.dead_band, q.stop, q.travel
+        ):
+            if stop is StopReason.ENGAGED_ONLY:
+                deformation, length = np.array([0.0, travel]), np.full(2, s_start)
+                force, energy = np.zeros(2), np.full(2, spring_energy(s_start, spring))
+            else:
+                deformation, length, force = linspace_stroke(config, x, dead_band, travel)
+                energy = 0.5 * spring.stiffness * (spring.free_length - length) ** 2
+            got = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
+            expected = (deformation, length, force, energy)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
 
 class TestRecordsView:
     def test_emission_builds_no_records(self, tmp_path, capsys):
@@ -468,3 +507,41 @@ class TestReleaseProfile:
         profile = release_profile(0.06, config)
         assert np.all(np.diff(profile.trajectory.leg_deformation) < 0)
         assert profile.trajectory.hip_force[0] == pytest.approx(profile.peak_force, rel=1e-12)
+
+
+#: The smallest subnormal float.  A stroke of a few of them has a step that
+#: underflows to zero, where np.linspace scales by the length instead.
+TINY = 5e-324
+
+POSITIONS = st.floats(1e-3, 0.2)
+DEFORMATIONS = st.floats(0.0, 0.1) | st.floats(0.0, 50 * TINY)
+#: (x, start, stop); the second strategy draws zero-length strokes.
+STROKES = st.tuples(POSITIONS, DEFORMATIONS, DEFORMATIONS) | st.builds(
+    lambda x, d: (x, d, d), POSITIONS, DEFORMATIONS
+)
+
+
+class TestStrokeSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 250, 1000, 1001]), st.lists(STROKES, min_size=1, max_size=6))
+    @example(n=1001, strokes=[(0.1, 0.0, 3 * TINY), (0.05, 0.02, 0.09)])
+    @example(n=3, strokes=[(0.2, 7 * TINY, 2 * TINY), (0.1, 0.03, 0.03), (0.1, 0.0, 0.0)])
+    def test_rows_equal_linspace_bit_for_bit(self, n, strokes):
+        """Each row of a batched call, and a call with floats, equal
+        ``linspace_stroke`` byte for byte."""
+        config = worked_config(sample_count=n)
+        batched = cyclic._strokes(config, *map(np.array, zip(*strokes)))
+        for row, (x, start, stop) in enumerate(strokes):
+            expected = [a.tobytes() for a in linspace_stroke(config, x, start, stop)]
+            assert [a.tobytes() for a in cyclic._strokes(config, x, start, stop)] == expected
+            assert [a[row].tobytes() for a in batched] == expected
+
+    def test_underflowing_step_takes_linspace_branch(self):
+        """The example above reaches ``np.linspace``'s branch for a zero
+        step: there, scaling the sample index by a zero step would differ."""
+        n, stop = 1001, 3 * TINY
+        assert stop / (n - 1) == 0.0
+        branch = np.linspace(0.0, stop, n)
+        assert branch.tobytes() != (np.arange(n) * (stop / (n - 1))).tobytes()
+        deformation, _, _ = cyclic._strokes(worked_config(sample_count=n), 0.1, 0.0, stop)
+        assert deformation.tobytes() == branch.tobytes()
