@@ -2,16 +2,16 @@
 
 Measured (or synthetic) per-squat hip force traces are compared against
 simulated strokes; the transition efficiency and the force cap are found by
-one deterministic search on the summed squared force residual: a grid over
-the free unknowns zooms onto its best cell, then Brent's bounded minimiser
-refines each one.  The objective takes many (efficiency, cap) points, one
-lane each: every lane runs the one squat map, ``cyclic.Run``, and the
-strokes of all lanes are sampled by the one stroke sampler,
-``cyclic._strokes``, and compared together in numpy.  A grid needs only its
-lowest lane, so a cycle is compared only for the lanes whose partial sum is
-not above a complete lane's sum.  Forces are the fitted quantity because
-they are what a load cell measures; energies are derived by trapezoidal
-work integration.
+one deterministic search on the summed squared force residual: one grid,
+then Brent's bounded minimiser across and along the valley that cap-limited
+squats leave, sqrt(efficiency) * cap = const.  The objective takes many
+(efficiency, cap) points, one lane each: every lane runs the one squat map,
+``cyclic.Run``, and the strokes of all lanes are sampled by the one stroke
+sampler, ``cyclic._strokes``, and compared together in numpy.  The grid
+needs only its lowest lane, so a cycle is compared only for the lanes whose
+partial sum is not above a complete lane's sum.  Forces are fitted because
+a load cell measures them; energies are derived by trapezoidal work
+integration.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ RATIO_TOL = 1e-9
 
 #: Search box of a fitted efficiency.
 _EFFICIENCY_BOX = (0.05, 1.0)
-#: Zooms of the fit grid onto its best cell, after the first grid.
-_ZOOMS = 3
 #: Most lane-samples the objective holds in one temporary array.
 _BLOCK_ELEMENTS = 1 << 14
 #: Relative spread of objective values within which a fit grid is flat.
@@ -183,13 +181,12 @@ def fit_model(
     between simulated and measured hip forces, each resampled onto the
     other's displacements.  A fitted efficiency is searched in ``(0.05, 1)``,
     a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
-    other parameter keeps its ``config`` value.  A grid over the free
-    unknowns, whose lowest point ``_lowest`` finds with the sums of
-    ``objective``, zooms ``_ZOOMS`` times onto its best cell, then two rounds
-    of Brent's bounded minimiser (``_brent_min``, absolute tolerance 1e-10)
-    refine each free unknown within one grid step, one point per
-    ``objective`` call; the lowest point evaluated is returned.
-    The search is fully deterministic for identical inputs and settings.
+    other parameter keeps its ``config`` value.  One grid's lowest point
+    (``_lowest``) is refined by Brent's bounded minimiser (``_brent_min``,
+    tolerance 1e-10) within one grid step: a cap-limited squat pins only
+    u = sqrt(efficiency) * cap, so each of three rounds (two for one
+    unknown) varies the efficiency at a fixed cap, then the cap at a fixed
+    u.  The deterministic search returns the lowest point it evaluated.
 
     Raises
     ------
@@ -219,36 +216,29 @@ def fit_model(
     eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
     cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
 
-    evaluated = []  # (sse, points, efficiency, cap): each grid's best, every Brent point
-
     def at(e: float, c: float) -> float:
         (sse,), (n,) = objective(ordered, config, [e], [c])
         sse = float(sse)  # a numpy scalar would carry into the minimiser's points
         evaluated.append((sse, n, e, c))
         return sse
 
-    # The 2-unknown valley runs diagonally (a low cap trades against a high
-    # efficiency), so axis-aligned descent alone crawls: zoom the grid onto
-    # the best cell first, then polish with Brent's method per free axis.
-    eta_box, cap_box = eta_bounds, cap_bounds
-    for zoom in range(_ZOOMS + 1):
-        eta_grid = np.linspace(*eta_box, grid_points if fit_efficiency else 1)
-        cap_grid = np.linspace(*cap_box, grid_points if fit_force_cap else 1)
-        etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
-        lowest, sse, n, grid_flat = _lowest(ordered, config, etas.ravel(), caps.ravel())
-        flat = grid_flat if zoom == 0 else flat
-        eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
-        evaluated.append((sse, n, eta, cap))
-        eta_step, cap_step = (
-            float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid)
-        )
-        eta_box = _clip(eta_bounds, eta, 1.5 * eta_step)
-        cap_box = _clip(cap_bounds, cap, 1.5 * cap_step)
-    for _ in range(2):
-        if fit_efficiency:
+    eta_grid = np.linspace(*eta_bounds, grid_points if fit_efficiency else 1)
+    cap_grid = np.linspace(*cap_bounds, grid_points if fit_force_cap else 1)
+    etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
+    lowest, sse, n, flat = _lowest(ordered, config, etas.ravel(), caps.ravel())
+    eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
+    evaluated = [(sse, n, eta, cap)]  # (sse, points, efficiency, cap): the grid's best, Brent's
+    eta_step, cap_step = (float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid))
+    for _ in range(3 if fit_efficiency and fit_force_cap else 2):  # the valley bends a little
+        if fit_efficiency:  # across the valley: u, so the efficiency, at a fixed cap
             eta = _brent_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
-        if fit_force_cap:
-            cap = _brent_min(lambda c: at(eta, c), *_clip(cap_bounds, cap, cap_step))
+        if fit_force_cap:  # along it: the cap at a fixed u, or at the known efficiency
+            u = math.sqrt(eta) * cap
+            held = (lambda c: (u / c) ** 2) if fit_efficiency else (lambda c: eta)
+            lo, hi = _clip(cap_bounds, cap, cap_step)
+            if fit_efficiency:  # keep (u / c)**2 in the efficiency box (0.05, 1)
+                lo, hi = max(lo, u), min(hi, u / math.sqrt(eta_bounds[0]))
+            eta = held(cap := _brent_min(lambda c: at(held(c), c), lo, hi))
 
     sse, n_points, eta, cap = min(evaluated, key=lambda p: p[0])
     if not math.isfinite(sse):

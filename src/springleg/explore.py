@@ -74,7 +74,7 @@ def max_energy(config: Configuration) -> float:
     at the recurrence's fixed point, detected by the net-gain tolerance, or
     after the query's budget of squats.  A ratchet-free run jumps from event
     to event in closed form, at O(log n) squat evaluations for n squats; a
-    ratchet run is streamed squat by squat.
+    ratchet run is streamed squat by squat, up to its first repeated squat.
     """
     try:
         termination, last, _ = _outcome(config, math.inf)
@@ -89,20 +89,25 @@ def max_energy(config: Configuration) -> float:
 def _outcome(config: Configuration, target: float) -> tuple[Termination, tuple, int | None]:
     """``(termination, last squat, first squat storing target)`` of the run of
     ``config`` to termination, which keeps no squats."""
-    jumped = None if config.loss.ratchet_pitch else _jumped_run(config, target)
+    # A larger budget changes nothing: by 2**60 squats every orbit has settled.
+    budget = min(max(config.max_iterations, _EXHAUSTIVE_ITERATIONS), 2**60)
+    jumped = None if config.loss.ratchet_pitch else _jumped_run(config, target, budget)
     if jumped is not None:
         return jumped
-    run = Run(config, max(config.max_iterations, _EXHAUSTIVE_ITERATIONS))
-    reached = None
+    run, reached, previous = Run(config, budget), None, None
+    settles = config.tol_gain == 0  # then a repeated squat repeats up to the budget
     for n, squat in enumerate(run, 1):
         if reached is None and squat[8] >= target:
             reached = n
+        if settles and squat == previous:
+            return Termination.ITERATION_CAP, squat, reached
+        previous = squat
     return run.termination, squat, reached
 
 
-def _jumped_run(config: Configuration, target: float) -> tuple | None:
-    """``_outcome`` for a ratchet-free ``config``, or None where the closed
-    forms overflow.
+def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | None:
+    """``_outcome`` for a ratchet-free ``config`` run for ``budget`` squats,
+    or None where the closed forms overflow.
 
     Without a ratchet, squat 1 starts consistent with standing and the map of
     the pre-squat length is increasing, so the orbit is monotone; a rising one
@@ -116,8 +121,6 @@ def _jumped_run(config: Configuration, target: float) -> tuple | None:
     if closed_forms is None:
         return None
     orbit_from, thresholds = closed_forms
-    # A larger budget changes nothing: by 2**60 squats every orbit has settled.
-    budget = min(max(config.max_iterations, _EXHAUSTIVE_ITERATIONS), 2**60)
     squat, retract = _recurrence(config)
     seg, lstand = config.leg.segment_length, config.leg.standing_length
     full_length, tol_gain = config.spring.solid_length + config.tol_abs, config.tol_gain

@@ -8,6 +8,7 @@ hand-built SVG so that golden-file comparison is meaningful.
 
 from __future__ import annotations
 
+from operator import index
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,7 +19,7 @@ from .calibration import FitReport, MeasuredCycle
 from .cyclic import SimResult
 from .errors import DataError, DomainError
 from .explore import SweepRow
-from .model import Trajectory
+from .model import Trajectory, _repr
 
 TRAJECTORY_HEADER = "iteration,leg_deformation_m,spring_length_m,hip_force_n,stored_energy_j"
 SUMMARY_HEADER = "iteration,x_m,s_start_m,s_end_m,f_start_n,f_end_n,e_before_j,e_after_j,stop_reason"
@@ -58,6 +59,12 @@ def emit_trajectory_csv(
     else:
         if len(data) == 0:
             raise DomainError("cannot emit an empty trajectory")
+        try:  # an integer, as MeasuredCycle and so read_measured_cycles take it
+            if isinstance(iteration, bool):
+                raise TypeError
+            iteration = str(index(iteration))
+        except (TypeError, ValueError):  # ValueError: past the int-to-str digit limit
+            raise DataError(f"iteration {_repr(iteration)} is not a printable integer") from None
         lines.extend(_trajectory_rows(data, iteration))
         _write_lines(path, lines)
     return path
@@ -67,7 +74,7 @@ def _summary_path(path: Path) -> Path:
     return path.with_name(path.stem + "_summary.csv")
 
 
-def _trajectory_rows(trajectory: Trajectory, iteration: int) -> Iterable[str]:
+def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterable[str]:
     # Each row is format_number's fast path; one with an exponent is redone per value.
     template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
     t = trajectory

@@ -1,6 +1,7 @@
 """Design-space queries: squat counts, energy ceilings, sweeps."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -28,6 +29,9 @@ from springleg import (
     sweep,
     values_from_config,
 )
+from springleg.cyclic import Run, Termination
+from springleg.explore import _outcome
+from springleg.model import initial_spring_length
 
 from conftest import CONFIG_DIR, oracle_params, random_config, worked_config
 from oracle import oracle_energy, oracle_simulate
@@ -138,6 +142,66 @@ class TestMaxEnergy:
             ),
         )
         assert max_energy(config) == pytest.approx(0.0, abs=1e-12)
+
+
+def settling_ratchet_config(force_cap, efficiency, pitch, max_iterations):
+    """four_squat_demo below its critical cap with a fine ratchet and tol_gain
+    0: the run repeats one squat from some squat on, never converges by the
+    gain tolerance, and so runs to its budget."""
+    config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+    return replace(
+        config,
+        force_cap=force_cap,
+        loss=LossModel(efficiency=efficiency, ratchet_pitch=pitch),
+        tol_gain=0.0,
+        max_iterations=max_iterations,
+    )
+
+
+SETTLING_RATCHETS = pytest.mark.parametrize(
+    "force_cap, efficiency, pitch",
+    [
+        (232.70286216318496, 0.9329731716499092, 2.9461106082787717e-06),
+        (229.14718897707976, 0.9641328169139375, 4.0343877090258614e-07),
+    ],
+)
+
+
+class TestRatchetFixedPoint:
+    @SETTLING_RATCHETS
+    @pytest.mark.parametrize("budget", [10_000, 25_000])
+    def test_answers_equal_the_streamed_run(self, force_cap, efficiency, pitch, budget):
+        """The queries jump to the budget at the first repeated squat; their
+        answers equal, bit for bit, those of every squat streamed, and so does
+        the termination, also where the least positive gain tolerance ends
+        the run on the first squat that gains nothing."""
+        config = settling_ratchet_config(force_cap, efficiency, pitch, budget)
+        converging = replace(config, tol_gain=5e-324)
+        run = Run(converging, budget)
+        last = list(run)[-1]
+        assert run.termination is Termination.CONVERGED
+        assert _outcome(converging, math.inf)[:2] == (Termination.CONVERGED, last)
+        run = Run(config, budget)
+        squats = list(run)
+        assert run.termination is Termination.ITERATION_CAP and len(squats) == budget
+        assert _outcome(config, math.inf)[:2] == (Termination.ITERATION_CAP, squats[-1])
+        energies = [squat[8] for squat in squats]
+        assert max_energy(config) == energies[-1]
+        preload = spring_energy(initial_spring_length(config), config.spring)
+        targets = [0.5 * (preload + energies[0]), energies[1], energies[len(energies) // 2]]
+        targets += [energies[-1], math.nextafter(energies[-1], math.inf)]
+        for target in targets:
+            reached = next((n for n, e in enumerate(energies, 1) if e >= target), None)
+            assert min_squats(config, target) == reached
+
+    @SETTLING_RATCHETS
+    def test_billion_squat_budget_answers_at_once(self, force_cap, efficiency, pitch):
+        # Streaming a billion squats at ~2 us each would take over half an hour.
+        config = settling_ratchet_config(force_cap, efficiency, pitch, 10**9)
+        start = time.perf_counter()
+        energy = max_energy(config)
+        assert time.perf_counter() - start < 1.0
+        assert energy == max_energy(replace(config, max_iterations=10_000))
 
 
 class TestQueriesAgainstOracle:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from springleg import (
+    DataError,
     DomainError,
     LossModel,
     Trajectory,
@@ -87,6 +88,30 @@ class TestTrajectoryCsv:
         empty = Trajectory(np.array([]), np.array([]), np.array([]), np.array([]))
         with pytest.raises(DomainError, match="empty"):
             emit_trajectory_csv(empty, tmp_path / "no.csv")
+
+    @pytest.mark.parametrize(
+        "iteration, message",
+        [
+            (2.5, "iteration 2.5 is not a printable integer"),
+            (True, "iteration True is not a printable integer"),
+            ("3", "iteration '3' is not a printable integer"),
+            (10**5000, "iteration <int too long to print> is not a printable integer"),
+        ],
+        ids=["float", "bool", "str", "huge_int"],
+    )
+    def test_non_integer_iteration_rejected(self, tmp_path, iteration, message):
+        """Rows read_measured_cycles could not read back are not written."""
+        trajectory = Trajectory(*(np.array([0.0, 0.1]) for _ in range(4)))
+        with pytest.raises(DataError) as error:
+            emit_trajectory_csv(trajectory, tmp_path / "bad.csv", iteration=iteration)
+        assert str(error.value) == message
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_numpy_integer_iteration_reads_back(self, tmp_path):
+        trajectory = Trajectory(*(np.array([0.0, 0.1]) for _ in range(4)))
+        path = emit_trajectory_csv(trajectory, tmp_path / "one.csv", iteration=np.int64(-7))
+        assert path.read_text().splitlines()[1:] == ["-7,0,0,0,0", "-7,0.1,0.1,0.1,0.1"]
+        assert [cycle.iteration for cycle in read_measured_cycles(path)] == [-7]
 
     def test_round_trip_reader_reproduces_samples(self, tmp_path):
         config = worked_config(max_iterations=3, sample_count=40)
