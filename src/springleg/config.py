@@ -11,9 +11,8 @@ sweep points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from collections.abc import Callable, Iterator, Mapping
 from pathlib import Path
-from typing import Iterator, Mapping
 
 from .errors import ConfigurationError
 from .model import (
@@ -76,32 +75,43 @@ def parse_config(path: str | Path) -> Configuration:
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
-    return apply_overrides(None, values)
+    return builder(None)(values)
 
 
 def apply_overrides(template: Configuration | None, values: Mapping[str, object]) -> Configuration:
-    """Build a validated Configuration from flat ``values`` (converted in ``ALL_KEYS``
-    order) over ``template``: only the parts they touch are rebuilt, every other field,
-    ``tol_abs`` and ``tol_gain`` included, is the template's, and the checks across
-    parts always run.  Without a template every required key must be given."""
-    if not values.keys() <= _FIELDS.keys():
-        unknown = sorted(k for k in values if k not in _FIELDS)
-        raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
-    if template is None and not values.keys() >= _REQUIRED:
-        missing = [k for k in REQUIRED_KEYS if k not in values]
-        raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
-    fields: dict[str | None, dict[str, object]] = {part: {} for part in (None, *_PARTS)}
-    for key in ALL_KEYS:
-        if key in values:
-            part, name = _FIELDS[key]
-            fields[part][name] = _convert(key, values[key])
-    top = fields.pop(None)
-    for part, changes in fields.items():
-        if template is None:
-            top[part] = _PARTS[part](**changes)
-        elif changes:
-            top[part] = replace(getattr(template, part), **changes)
-    return Configuration(**top) if template is None else replace(template, **top)
+    """One Configuration from ``values`` over ``template``, by a one-shot ``builder``."""
+    return builder(template)(values)
+
+
+def builder(template: Configuration | None) -> Callable[[Mapping[str, object]], Configuration]:
+    """A function that builds a validated Configuration from flat ``values`` (converted
+    in ``ALL_KEYS`` order) over ``template``, whose other fields, ``tol_abs`` and
+    ``tol_gain`` included, it keeps; without one every required key must be given.  Each
+    distinct part is built once per builder; one that fails raises at every call."""
+    base, built = {} if template is None else vars(template), {}  # a dataclass's vars: its fields
+
+    def build(values: Mapping[str, object]) -> Configuration:
+        if not hasattr(values, "keys"):  # dict()'s test for a mapping, and cheaper than isinstance
+            raise ConfigurationError(f"values must be a mapping, got {type(values).__name__}")
+        if not values.keys() <= _FIELDS.keys():
+            unknown = sorted(k if isinstance(k, str) else _repr(k) for k in values.keys() - _FIELDS)
+            raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
+        if template is None and not values.keys() >= _REQUIRED:
+            missing = [k for k in REQUIRED_KEYS if k not in values]
+            raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
+        top, changes = {**base}, {part: {} for part in _PARTS}
+        for key, (part, name) in _FIELDS.items():  # in ALL_KEYS order
+            if key in values:
+                (changes[part] if part else top)[name] = _convert(key, values[key])
+        for part, given in changes.items():
+            if given or part not in base:  # a part's values are floats: key on their bits
+                memo = (part, *given, *map(float.hex, given.values()))
+                if memo not in built:
+                    built[memo] = _PARTS[part](**({**vars(base[part]), **given} if base else given))
+                top[part] = built[memo]
+        return Configuration(**top)
+
+    return build
 
 
 def values_from_config(config: Configuration) -> dict[str, object]:

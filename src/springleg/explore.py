@@ -12,8 +12,9 @@ from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .config import apply_overrides
-from .cyclic import Run, StopReason, Termination, _recurrence, simulate
+from .baseline import e1_max
+from .config import builder
+from .cyclic import Run, StopReason, Termination, _recurrence
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
 from .model import (
     CompressionPolicy, Configuration, _repr, initial_spring_length, spring_energy
@@ -271,33 +272,37 @@ def sweep(
     """Simulate every override point of a parameter grid.
 
     Each point is a mapping of configuration keys (see ``config.ALL_KEYS``)
-    merged over the template configuration.  Invalid or stalling points are
-    flagged in their row and do not abort the sweep.  Row order equals grid
-    order.  ``workers`` is accepted for compatibility and has no effect:
-    points are always evaluated serially, which measured faster than a
-    thread pool.
+    merged over the template configuration.  Each distinct part is validated
+    once per call (``config.builder``), and a point's memory does not grow
+    with its squat count.  Invalid, malformed or stalling points are flagged
+    in their row and do not abort the sweep.  Row order equals grid order.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    return [_evaluate_point(config, dict(p)) for p in points]
+    build = builder(config)
+    return [_evaluate_point(build, point) for point in points]
 
 
-def _evaluate_point(template: Configuration, overrides: dict[str, object]) -> SweepRow:
+def _evaluate_point(build: Callable[[Mapping], Configuration], point: object) -> SweepRow:
+    overrides = dict(point) if hasattr(point, "keys") else {}  # else build raises
     try:
-        result = simulate(apply_overrides(template, overrides))
+        config = build(point)  # type: ignore[arg-type]
+        run, peak = Run(config, config.max_iterations), None  # streamed: nothing else is kept
+        for iterations, last in enumerate(run, 1):  # a run yields a squat or raises
+            if peak is None or last[6] > peak:  # max()'s comparisons
+                peak = last[6]
     except (ConfigurationError, DomainError) as exc:
         return SweepRow(params=overrides, status="invalid", reason=str(exc))
     except (StallError, SimulationError) as exc:
         return SweepRow(params=overrides, status="stall", reason=str(exc))
-    e1, cap = result.normalization
-    f_end = result.squats.f_end
-    peak = max(f_end)
+    full = run.termination is Termination.FULL_COMPRESSION
     return SweepRow(
         params=overrides,
         status="ok",
-        final_energy=result.final_energy,
-        iterations=len(f_end),
-        iterations_to_full_compression=result.iterations_to_full_compression,
+        final_energy=last[8],
+        iterations=iterations,
+        iterations_to_full_compression=iterations if full else None,
         peak_force=peak,
-        final_over_e1max=result.final_energy / e1,
-        peak_over_cap=peak / cap,
-        termination=result.termination.value,
+        final_over_e1max=last[8] / e1_max(config.body, config.leg),
+        peak_over_cap=peak / config.force_cap,
+        termination=run.termination.value,
     )

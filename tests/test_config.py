@@ -22,6 +22,8 @@ from springleg import (
     values_from_config,
 )
 
+from springleg.config import builder
+
 from conftest import CONFIG_DIR, worked_config
 
 MINIMAL = """
@@ -215,6 +217,11 @@ CONVERSION_MESSAGES = {
         {**WORKED_VALUES, "typo": 1.0, "bogus": 2.0},
         "unknown keys: bogus, typo",
     ),
+    "unknown_keys_not_text": (
+        {**WORKED_VALUES, 1: 2.0, None: 3.0, "typo": 1.0},
+        "unknown keys: 1, None, typo",
+    ),
+    "not_a_mapping": (None, "values must be a mapping, got NoneType"),
     "missing_keys": (
         {k: v for k, v in WORKED_VALUES.items() if k not in ("mass_kg", "gravity_mps2")},
         "missing required keys: mass_kg, gravity_mps2",
@@ -256,3 +263,37 @@ def test_conversion_message_text(rule):
     with pytest.raises(ConfigurationError) as info:
         config_from_values(values)
     assert str(info.value) == message
+
+
+class TestBuilder:
+    def test_signed_zeros_build_apart(self):
+        # 0.0 == -0.0, so a memo keyed on equality would hand back the other part.
+        build = builder(worked_config())
+        for pitch in (0.0, -0.0, 0.0, -0.0):
+            assert build({"ratchet_pitch_m": pitch}).loss.ratchet_pitch.hex() == pitch.hex()
+
+    def test_each_distinct_part_is_built_once(self):
+        template = worked_config()
+        build = builder(template)
+        first = build({"efficiency": 0.9, "force_cap_n": 50.0})
+        again = build({"efficiency": 0.9, "force_cap_n": 60.0})
+        assert again.loss is first.loss and again.force_cap == 60.0
+        assert first.body is template.body and first.spring is template.spring
+        assert builder(template)({"efficiency": 0.9}).loss is not first.loss
+
+    def test_failing_part_raises_at_every_call(self):
+        build = builder(worked_config())
+        for _ in range(2):
+            with pytest.raises(ConfigurationError) as info:
+                build({"spring_solid_length_m": 0.5})
+            assert str(info.value) == (
+                "solid_length must satisfy 0 <= solid_length < free_length (0.12), got 0.5"
+            )
+        assert build({"spring_solid_length_m": 0.05}).spring.solid_length == 0.05
+
+    def test_cross_part_checks_run_at_every_call(self):
+        # The spring part is valid and reused; the check across parts still fails.
+        build = builder(worked_config())
+        assert build({"spring_free_length_m": 0.13}).spring.free_length == 0.13
+        with pytest.raises(ConfigurationError, match="exceeds the free length"):
+            build({"spring_free_length_m": 0.13, "initial_spring_position_m": 0.1})

@@ -3,11 +3,11 @@
 import math
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from springleg import (
     ALL_KEYS,
@@ -363,6 +363,46 @@ class TestSweep:
             "stiffness must be finite and > 0, got -1.0",
         ]
 
+    def test_failing_part_gives_its_reason_at_every_point(self):
+        # A part that fails is never reused: each point rebuilds it and raises
+        # its own message, and the valid parts built between stay valid.
+        points = [
+            {"efficiency": 1.2},
+            {"efficiency": 0.9},
+            {"efficiency": 1.2, "force_cap_n": 50.0},
+            {"efficiency": 0.9, "force_cap_n": 50.0},
+            {"efficiency": 1.2},
+        ]
+        rows = sweep(worked_config(), points)
+        assert [row.status for row in rows] == ["invalid", "ok", "invalid", "ok", "invalid"]
+        assert {rows[i].reason for i in (0, 2, 4)} == {"efficiency must lie in (0, 1], got 1.2"}
+        assert rows[1] == sweep(worked_config(), [points[1]])[0]
+        assert rows[3] == sweep(worked_config(), [points[3]])[0]
+
+    def test_malformed_points_flagged_without_abort(self):
+        points = [None, "ab", {None: 1}, {1: 2, "typo": 3}, {"force_cap_n": 50.0}]
+        rows = sweep(worked_config(), points)
+        assert [(row.params, row.status, row.reason) for row in rows[:4]] == [
+            ({}, "invalid", "values must be a mapping, got NoneType"),
+            ({}, "invalid", "values must be a mapping, got str"),
+            ({None: 1}, "invalid", "unknown keys: None"),
+            ({1: 2, "typo": 3}, "invalid", "unknown keys: 1, typo"),
+        ]
+        assert rows[4] == sweep(worked_config(), points[4:])[0]
+
+    def test_point_memory_does_not_grow_with_its_squats(self):
+        template = settling_ratchet_config(
+            232.70286216318496, 0.9329731716499092, 2.9461106082787717e-06, max_iterations=100
+        )
+        tracemalloc.start()
+        try:
+            (row,) = sweep(template, [{"max_iterations": 20_000}])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (row.status, row.iterations, row.termination) == ("ok", 20_000, "iteration_cap")
+        assert peak < 2**20
+
     def test_row_order_independent_of_workers(self):
         config = worked_config()
         points = [{"force_cap_n": c} for c in (20.0, 40.0, 60.0, 80.0, 100.0, 120.0)]
@@ -375,6 +415,9 @@ def reference_row(template, point) -> SweepRow:
     """The row of ``point`` by the flat-mapping path: every key of the
     template converted and every part rebuilt, the template's tolerances
     carried over."""
+    if not isinstance(point, dict):
+        reason = f"values must be a mapping, got {type(point).__name__}"
+        return SweepRow(params={}, status="invalid", reason=reason)
     params = dict(point)
     try:
         config = config_from_values({**values_from_config(template), **point})
@@ -425,23 +468,43 @@ def override_values(template_value):
     )
     return st.one_of(
         near,
-        st.sampled_from([0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
+        st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
         st.sampled_from(["abc", "", None, [1.0], True]),
         st.integers(-2, 200) | st.just(10**5000),
         st.sampled_from(["full_range", "force_limited", CompressionPolicy.FULL_RANGE, "fast"]),
     )
 
 
+def row_bits(row: SweepRow) -> list:
+    """A row's fields, params included, with every float as its ``float.hex``
+    text: ``==`` on floats would take -0.0 for 0.0."""
+
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return [
+        [(key, bits(value)) for key, value in row.params.items()],
+        *(bits(getattr(row, field.name)) for field in fields(row) if field.name != "params"),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(template=templates(), data=st.data())
 def test_sweep_rows_equal_the_flat_mapping_path(template, data):
     """Building each point from the template's validated parts gives the
-    row, field for field and reason text included, that converting and
-    validating every key of the merged mapping gives."""
+    row, bit for bit and reason text included, that converting and
+    validating every key of the merged mapping gives; malformed points and
+    keys are invalid rows."""
     base = values_from_config(template)
-    keys = st.lists(st.sampled_from(ALL_KEYS + ("bogus",)), unique=True, max_size=4)
-    points = [
-        {key: data.draw(override_values(base.get(key, 1.0)), label=key) for key in point_keys}
-        for point_keys in data.draw(st.lists(keys, min_size=1, max_size=3), label="keys")
-    ]
-    assert sweep(template, points) == [reference_row(template, p) for p in points]
+    keys = st.lists(st.sampled_from(ALL_KEYS + ("bogus", None, 1)), unique=True, max_size=4)
+    point = keys.flatmap(
+        lambda point_keys: st.fixed_dictionaries(
+            {key: override_values(base.get(key, 1.0)) for key in point_keys}
+        )
+    )
+    points = data.draw(st.lists(point | st.sampled_from([None, "ab"]), min_size=1, max_size=3))
+    # A budget of 1e300 squats at tol_gain 0 may never end: a repeated squat gains 0.
+    huge = any(isinstance(p, dict) and p.get("max_iterations") == 1e300 for p in points)
+    assume(template.tol_gain or not huge)
+    rows = sweep(template, points)
+    assert [row_bits(row) for row in rows] == [row_bits(reference_row(template, p)) for p in points]
