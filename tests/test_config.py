@@ -21,7 +21,6 @@ from springleg import (
     sweep,
     values_from_config,
 )
-
 from springleg.config import builder
 
 from conftest import CONFIG_DIR, worked_config
