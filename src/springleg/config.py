@@ -46,7 +46,6 @@ OPTIONAL_KEYS = (
 )
 ALL_KEYS = tuple(_FIELDS)
 REQUIRED_KEYS = tuple(k for k in ALL_KEYS if k not in OPTIONAL_KEYS)
-_REQUIRED = frozenset(REQUIRED_KEYS)
 
 _INT_KEYS = frozenset({"max_iterations", "sample_count"})
 
@@ -84,20 +83,15 @@ def apply_overrides(template: Configuration | None, values: Mapping[str, object]
 
 
 def builder(template: Configuration | None) -> Callable[[Mapping[str, object]], Configuration]:
-    """A function that builds a validated Configuration from flat ``values`` (converted
-    in ``ALL_KEYS`` order) over ``template``, whose other fields, ``tol_abs`` and
-    ``tol_gain`` included, it keeps; without one every required key must be given.  Each
-    distinct part is built once per builder; one that fails raises at every call."""
+    """A function that builds each Configuration from flat ``values`` over ``template`` (or
+    from every required key); it builds each distinct part once and keeps none that fails."""
     base, built = {} if template is None else vars(template), {}  # a dataclass's vars: its fields
 
     def build(values: Mapping[str, object]) -> Configuration:
-        if not hasattr(values, "keys"):  # dict()'s test for a mapping, and cheaper than isinstance
-            raise ConfigurationError(f"values must be a mapping, got {type(values).__name__}")
         if not values.keys() <= _FIELDS.keys():
             unknown = sorted(k if isinstance(k, str) else _repr(k) for k in values.keys() - _FIELDS)
             raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
-        if template is None and not values.keys() >= _REQUIRED:
-            missing = [k for k in REQUIRED_KEYS if k not in values]
+        if template is None and (missing := [k for k in REQUIRED_KEYS if k not in values]):
             raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
         top, changes = {**base}, {part: {} for part in _PARTS}
         for key, (part, name) in _FIELDS.items():  # in ALL_KEYS order

@@ -272,31 +272,32 @@ def sweep(
     """Simulate every override point of a parameter grid.
 
     Each point is a mapping of configuration keys (see ``config.ALL_KEYS``)
-    merged over the template configuration.  Each distinct part is validated
-    once per call (``config.builder``), and a point's memory does not grow
-    with its squat count.  Invalid, malformed or stalling points are flagged
-    in their row and do not abort the sweep.  Row order equals grid order.
-    ``workers`` is accepted for compatibility and has no effect.
+    merged over the template, whose distinct parts are validated once per call
+    (``config.builder``); a point's memory does not grow with its squat count.
+    Invalid, malformed or stalling points are flagged in their row and do not
+    abort the sweep.  Row order is grid order; ``workers`` has no effect.
     """
     build = builder(config)
     return [_evaluate_point(build, point) for point in points]
 
 
 def _evaluate_point(build: Callable[[Mapping], Configuration], point: object) -> SweepRow:
-    overrides = dict(point) if hasattr(point, "keys") else {}  # else build raises
+    if not hasattr(point, "keys"):  # dict()'s test for a mapping
+        return SweepRow(params={}, status="invalid", reason=f"not a mapping: {type(point).__name__}")
+    params = dict(point)
     try:
-        config = build(point)  # type: ignore[arg-type]
+        config = build(params)
         run, peak = Run(config, config.max_iterations), None  # streamed: nothing else is kept
         for iterations, last in enumerate(run, 1):  # a run yields a squat or raises
             if peak is None or last[6] > peak:  # max()'s comparisons
                 peak = last[6]
     except (ConfigurationError, DomainError) as exc:
-        return SweepRow(params=overrides, status="invalid", reason=str(exc))
+        return SweepRow(params=params, status="invalid", reason=str(exc))
     except (StallError, SimulationError) as exc:
-        return SweepRow(params=overrides, status="stall", reason=str(exc))
+        return SweepRow(params=params, status="stall", reason=str(exc))
     full = run.termination is Termination.FULL_COMPRESSION
     return SweepRow(
-        params=overrides,
+        params=params,
         status="ok",
         final_energy=last[8],
         iterations=iterations,

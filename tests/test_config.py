@@ -220,7 +220,6 @@ CONVERSION_MESSAGES = {
         {**WORKED_VALUES, 1: 2.0, None: 3.0, "typo": 1.0},
         "unknown keys: 1, None, typo",
     ),
-    "not_a_mapping": (None, "values must be a mapping, got NoneType"),
     "missing_keys": (
         {k: v for k, v in WORKED_VALUES.items() if k not in ("mass_kg", "gravity_mps2")},
         "missing required keys: mass_kg, gravity_mps2",
