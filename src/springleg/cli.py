@@ -19,6 +19,7 @@ from .errors import ConfigurationError, DataError, DomainError, SimulationError
 from .explore import sweep
 from .output import (
     PLOT_KINDS,
+    _format_squats,
     _write_lines,
     emit_fit_report_csv,
     emit_plot_svg,
@@ -144,14 +145,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _print_run_summary(result) -> None:
     e1, cap = result.normalization
-    q = result.squats
-    rows = zip(q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_after, q.stop)
-    for n, (x, s_start, s_end, f_start, f_end, e_after, stop) in enumerate(rows, 1):
+    rows = _format_squats(result.squats)
+    for n, (x, s_start, s_end, f_start, f_end, _, e_after, stop) in enumerate(rows, 1):
         print(
-            f"squat {n}: x={format_number(x)} m, "
-            f"s {format_number(s_start)} -> {format_number(s_end)} m, "
-            f"force {format_number(f_start)} -> {format_number(f_end)} N, "
-            f"energy {format_number(e_after)} J [{stop.value}]"
+            f"squat {n}: x={x} m, s {s_start} -> {s_end} m, "
+            f"force {f_start} -> {f_end} N, energy {e_after} J [{stop}]"
         )
     reached = result.iterations_to_full_compression
     print(f"final energy [J]        : {format_number(result.final_energy)}")

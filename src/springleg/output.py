@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from operator import index
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .baseline import reference_spring_force_ramp
 from .calibration import FitReport, MeasuredCycle
-from .cyclic import SimResult
+from .cyclic import SimResult, Squats
 from .errors import DataError, DomainError
 from .explore import SweepRow
 from .model import Trajectory, _repr
@@ -24,6 +24,8 @@ from .model import Trajectory, _repr
 TRAJECTORY_HEADER = "iteration,leg_deformation_m,spring_length_m,hip_force_n,stored_energy_j"
 SUMMARY_HEADER = "iteration,x_m,s_start_m,s_end_m,f_start_n,f_end_n,e_before_j,e_after_j,stop_reason"
 PLOT_KINDS = ("force_deflection", "energy")
+#: Most rows one ``%`` call formats, so that its tuple and template stay small.
+_BLOCK_ROWS = 1 << 12
 
 
 def format_number(value: float) -> str:
@@ -74,23 +76,42 @@ def _summary_path(path: Path) -> Path:
     return path.with_name(path.stem + "_summary.csv")
 
 
-def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterable[str]:
-    # Each row is format_number's fast path; one with an exponent is redone per value.
-    template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
+def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[str]:
     t = trajectory
     columns = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
-    for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
-        line = template % row
-        yield line if "e" not in line else ",".join((str(iteration), *map(format_number, row)))
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    # %.9g prints an exponent only below 1e-4 or from 999999999.5 up: such rows
+    # (nan and inf too) are formatted one value at a time, the rest in blocks.
+    magnitude = np.abs(table)
+    slow = (((magnitude < 1e-4) & (table != 0)) | ~(magnitude < 1e8)).any(axis=1)
+    template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
+    start = 0
+    for row in (*np.flatnonzero(slow).tolist(), len(table)):
+        yield from _format_rows(template, "\n", table[start:row])
+        if row < len(table):
+            yield ",".join((str(iteration), *map(format_number, table[row].tolist())))
+        start = row + 1
+
+
+def _format_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
+    """``sep.join(template % tuple(row) for row in table)`` in pieces, one ``%``
+    call per block of at most ``_BLOCK_ROWS`` rows; join the pieces with ``sep``."""
+    for a in range(0, len(table), _BLOCK_ROWS):
+        block = table[a : a + _BLOCK_ROWS]
+        yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+
+
+def _format_squats(squats: Squats) -> list[tuple[str, ...]]:
+    """Per squat: x, s_start, s_end, f_start, f_end, e_before, e_after, each
+    through ``format_number`` once, and the stop reason's value."""
+    q = squats
+    columns = (q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
+    return list(zip(*(map(format_number, c) for c in columns), (s.value for s in q.stop)))
 
 
 def _summary_lines(result: SimResult) -> list[str]:
-    q = result.squats
-    numbers = zip(q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
-    lines = [SUMMARY_HEADER]
-    for n, (row, stop) in enumerate(zip(numbers, q.stop), 1):
-        lines.append(",".join((str(n), *map(format_number, row), stop.value)))
-    return lines
+    rows = _format_squats(result.squats)
+    return [SUMMARY_HEADER, *(",".join((str(n), *row)) for n, row in enumerate(rows, 1))]
 
 
 def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
@@ -105,11 +126,11 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != TRAJECTORY_HEADER:
+    lines = ((n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+    if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
         raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
     groups: dict[int, list[tuple[float, float, float]]] = {}
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
@@ -360,7 +381,6 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
 
 def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
     # On float64 arrays sx/sy do a per-point call's IEEE operations, in order.
-    pairs = zip(sx(x).tolist(), sy(y).tolist())
-    points = " ".join(map("%.2f,%.2f".__mod__, pairs))
+    points = " ".join(_format_rows("%.2f,%.2f", " ", np.column_stack((sx(x), sy(y)))))
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash} points="{points}"/>'

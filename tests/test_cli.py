@@ -109,6 +109,22 @@ class TestSimulateCommand:
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory_summary.csv").exists()
 
+    def test_prints_each_squat_and_the_run(self, tmp_path, capsys):
+        assert main(["simulate", "--config", DEMO, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:8] == [
+            "squat 1: x=0.5 m, s 0.9 -> 0.594 m, force 0 -> 306 N, energy 46.818 J [force_cap]",
+            "squat 2: x=0.33 m, s 0.594 -> 0.436363636 m, force 201.96 -> 306 N, "
+            "energy 107.479339 J [force_cap]",
+            "squat 3: x=0.242424242 m, s 0.436363636 -> 0.268875 m, force 224.793388 -> 306 N, "
+            "energy 199.159383 J [force_cap]",
+            "squat 4: x=0.149375 m, s 0.268875 -> 0.198 m, force 188.548594 -> 209.7225 N, "
+            "energy 246.402 J [spring_solid]",
+            "final energy [J]        : 246.402",
+            "final / single-squat    : 2.23676471",
+            "full compression        : after 4 squats",
+            "termination             : full_compression",
+        ]
+
     def test_summary_names_termination(self, tmp_path, capsys):
         assert main(["simulate", "--config", DEMO, "--out", str(tmp_path)]) == 0
         assert "termination             : full_compression" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """CSV/SVG emission: schemas, round trips, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,6 +16,7 @@ from springleg import (
     read_measured_cycles,
     simulate,
 )
+from springleg import output
 from springleg.output import SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
 
 from conftest import worked_config
@@ -156,6 +159,67 @@ class TestTrajectoryCsv:
         a = emit_trajectory_csv(simulate(worked_config()), tmp_path / "a.csv")
         b = emit_trajectory_csv(simulate(worked_config()), tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n\n\n1,0.1,oops,0,0\n", ":5: unparsable row '1,0.1,oops,0,0'"),
+            (f"\n{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n1,0.1\n", ":4: expected 5 columns, got 2"),
+        ],
+        ids=["blank_lines_before_row", "blank_line_before_header"],
+    )
+    def test_reader_error_names_the_line_in_the_file(self, tmp_path, text, message):
+        path = tmp_path / "gappy.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as error:
+            read_measured_cycles(path)
+        assert str(error.value) == f"{path}{message}"
+
+
+# Values on either side of where %.9g switches to an exponent, and nan and inf.
+EDGE_VALUES = (-0.0, 5e-324, 9.99999999e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
+FAST, FLAGGED = (0.5, 0.12, 306.0, 1.0 / 3.0), (0.5, 5e-324, 306.0, 1.0 / 3.0)
+values = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+
+
+class TestBlockFormatting:
+    """Rows formatted one block per ``%`` call equal the per-row formatting."""
+
+    @given(
+        rows=st.lists(st.tuples(values, values, values, values), min_size=1, max_size=24),
+        iteration=st.integers(-(10**6), 10**6),
+        block=st.integers(1, 5),
+    )
+    @example(rows=[(v, 0.5, 306.0, v) for v in EDGE_VALUES], iteration=1, block=2)
+    @example(rows=[FAST, FAST, FLAGGED, FAST, FAST], iteration=2, block=2)  # first of a block
+    @example(rows=[FAST, FLAGGED, FAST, FAST, FLAGGED], iteration=3, block=2)  # last of a block
+    @example(rows=[FAST] * 7, iteration=4, block=3)  # three blocks, the last one short
+    def test_trajectory_rows_match_per_row_output(self, rows, iteration, block):
+        columns = [np.array(c, dtype=float) for c in zip(*rows)]
+        with mock.patch.object(output, "_BLOCK_ROWS", block):
+            pieces = list(output._trajectory_rows(Trajectory(*columns), iteration))
+        expected = [",".join((str(iteration), *map(format_number, row))) for row in rows]
+        assert "\n".join(pieces).split("\n") == expected
+
+    @given(
+        points=st.lists(st.tuples(values, values), max_size=24),
+        block=st.integers(1, 5),
+    )
+    @example(points=[(v, -v) for v in EDGE_VALUES], block=3)
+    def test_polyline_matches_per_point_output(self, points, block):
+        x, y = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
+
+        def sx(v):
+            return 72.0 + v
+
+        def sy(v):
+            return 424.0 - v
+
+        with mock.patch.object(output, "_BLOCK_ROWS", block):
+            svg = output._polyline(x, y, sx, sy, "#444444")
+        expected = " ".join(map("%.2f,%.2f".__mod__, zip(sx(x).tolist(), sy(y).tolist())))
+        assert svg.split(' points="')[1] == f'{expected}"/>'
 
 
 class TestPlotSvg:
