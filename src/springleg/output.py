@@ -80,8 +80,8 @@ def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[s
     t = trajectory
     columns = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    # %.9g prints an exponent only below 1e-4 or from 999999999.5 up: such rows
-    # (nan and inf too) are formatted one value at a time, the rest in blocks.
+    # %.9g prints an exponent only below 1e-4 or from 999999999.5 up.  A row with a
+    # nonzero |value| < 1e-4, or one not < 1e8 (nan, inf), goes through format_number.
     magnitude = np.abs(table)
     slow = (((magnitude < 1e-4) & (table != 0)) | ~(magnitude < 1e8)).any(axis=1)
     template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
@@ -94,17 +94,15 @@ def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[s
 
 
 def _format_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
-    """``sep.join(template % tuple(row) for row in table)`` in pieces, one ``%``
-    call per block of at most ``_BLOCK_ROWS`` rows; join the pieces with ``sep``."""
+    """Pieces of ``sep.join(template % tuple(row) for row in table)``, one ``%`` per block."""
     for a in range(0, len(table), _BLOCK_ROWS):
         block = table[a : a + _BLOCK_ROWS]
         yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
 
 
-def _format_squats(squats: Squats) -> list[tuple[str, ...]]:
+def _format_squats(q: Squats) -> list[tuple[str, ...]]:
     """Per squat: x, s_start, s_end, f_start, f_end, e_before, e_after, each
     through ``format_number`` once, and the stop reason's value."""
-    q = squats
     columns = (q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
     return list(zip(*(map(format_number, c) for c in columns), (s.value for s in q.stop)))
 
@@ -126,7 +124,8 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
-    lines = ((n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip())
+    # read_text has turned \r\n and \r into \n; splitlines would also break at \f and \v.
+    lines = ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
     if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
         raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
     groups: dict[int, list[tuple[float, float, float]]] = {}

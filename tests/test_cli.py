@@ -109,7 +109,7 @@ class TestSimulateCommand:
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory_summary.csv").exists()
 
-    def test_prints_each_squat_and_the_run(self, tmp_path, capsys):
+    def test_summary_names_termination(self, tmp_path, capsys):
         assert main(["simulate", "--config", DEMO, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines()[:8] == [
             "squat 1: x=0.5 m, s 0.9 -> 0.594 m, force 0 -> 306 N, energy 46.818 J [force_cap]",
@@ -124,10 +124,6 @@ class TestSimulateCommand:
             "full compression        : after 4 squats",
             "termination             : full_compression",
         ]
-
-    def test_summary_names_termination(self, tmp_path, capsys):
-        assert main(["simulate", "--config", DEMO, "--out", str(tmp_path)]) == 0
-        assert "termination             : full_compression" in capsys.readouterr().out
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -166,8 +166,9 @@ class TestTrajectoryCsv:
         [
             (f"{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n\n\n1,0.1,oops,0,0\n", ":5: unparsable row '1,0.1,oops,0,0'"),
             (f"\n{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n1,0.1\n", ":4: expected 5 columns, got 2"),
+            (f"{TRAJECTORY_HEADER}\r\n1,0,0.12,0,0\f\r\n1,x,0,0,0\r\n", ":3: unparsable row '1,x,0,0,0'"),
         ],
-        ids=["blank_lines_before_row", "blank_line_before_header"],
+        ids=["blank_lines_before_row", "blank_line_before_header", "crlf_and_form_feed"],
     )
     def test_reader_error_names_the_line_in_the_file(self, tmp_path, text, message):
         path = tmp_path / "gappy.csv"
@@ -180,14 +181,14 @@ class TestTrajectoryCsv:
 # Values on either side of where %.9g switches to an exponent, and nan and inf.
 EDGE_VALUES = (-0.0, 5e-324, 9.99999999e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
 FAST, FLAGGED = (0.5, 0.12, 306.0, 1.0 / 3.0), (0.5, 5e-324, 306.0, 1.0 / 3.0)
-values = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+cells = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
 
 
 class TestBlockFormatting:
     """Rows formatted one block per ``%`` call equal the per-row formatting."""
 
     @given(
-        rows=st.lists(st.tuples(values, values, values, values), min_size=1, max_size=24),
+        rows=st.lists(st.tuples(cells, cells, cells, cells), min_size=1, max_size=24),
         iteration=st.integers(-(10**6), 10**6),
         block=st.integers(1, 5),
     )
@@ -203,7 +204,7 @@ class TestBlockFormatting:
         assert "\n".join(pieces).split("\n") == expected
 
     @given(
-        points=st.lists(st.tuples(values, values), max_size=24),
+        points=st.lists(st.tuples(cells, cells), max_size=24),
         block=st.integers(1, 5),
     )
     @example(points=[(v, -v) for v in EDGE_VALUES], block=3)
