@@ -160,13 +160,18 @@ class TestTrajectoryCsv:
         b = emit_trajectory_csv(simulate(worked_config()), tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
 
-
     @pytest.mark.parametrize(
         "text, message",
         [
-            (f"{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n\n\n1,0.1,oops,0,0\n", ":5: unparsable row '1,0.1,oops,0,0'"),
+            (
+                f"{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n\n\n1,0.1,oops,0,0\n",
+                ":5: unparsable row '1,0.1,oops,0,0'",
+            ),
             (f"\n{TRAJECTORY_HEADER}\n1,0,0.12,0,0\n1,0.1\n", ":4: expected 5 columns, got 2"),
-            (f"{TRAJECTORY_HEADER}\r\n1,0,0.12,0,0\f\r\n1,x,0,0,0\r\n", ":3: unparsable row '1,x,0,0,0'"),
+            (
+                f"{TRAJECTORY_HEADER}\r\n1,0,0.12,0,0\f\r\n1,x,0,0,0\r\n",
+                ":3: unparsable row '1,x,0,0,0'",
+            ),
         ],
         ids=["blank_lines_before_row", "blank_line_before_header", "crlf_and_form_feed"],
     )
@@ -178,7 +183,7 @@ class TestTrajectoryCsv:
         assert str(error.value) == f"{path}{message}"
 
 
-# Values on either side of where %.9g switches to an exponent, and nan and inf.
+# Values on either side of where %.9g switches to an exponent; st.floats() adds nan and inf.
 EDGE_VALUES = (-0.0, 5e-324, 9.99999999e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
 FAST, FLAGGED = (0.5, 0.12, 306.0, 1.0 / 3.0), (0.5, 5e-324, 306.0, 1.0 / 3.0)
 cells = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
