@@ -299,9 +299,9 @@ def _lowest(
 
     The last cycle, which follows the most accumulated error, is compared for
     every lane, and the lane lowest there for every cycle; the other cycles
-    go last to first, each for the lanes whose partial sum is not above that
-    lane's sse by more than ``_FLAT_RTOL`` and the round-off of summing in
-    another order.  So a dropped lane is neither lowest nor flat with it.
+    are compared for the lanes whose last cycle is not above that lane's sse
+    by more than ``_FLAT_RTOL`` and the round-off of summing in another
+    order.  So a dropped lane is neither lowest nor flat with it.
     """
     columns, counts = _lanes(cycles, config, eta, cap)
     errors = np.zeros(columns.shape[1:])
@@ -313,12 +313,8 @@ def _lowest(
     bound = (sse + _FLAT_RTOL * (1 + abs(sse))) * (1 + 4 * len(cycles) * np.finfo(float).eps)
     alive = ~(errors[last] > bound)  # keeps NaN lanes
     alive[best] = False  # complete
-    for i in reversed(range(last)):
-        lanes = np.flatnonzero(alive)
-        if not lanes.size:
-            break
-        errors[i, lanes] = _errors(cycles[i : i + 1], config, columns[:, i : i + 1, lanes])
-        alive[lanes] = ~(errors[i:, lanes].sum(axis=0) > bound)
+    lanes = np.flatnonzero(alive)
+    errors[:last, lanes] = _errors(cycles[:last], config, columns[:, :last, lanes])
     alive[best] = True
     # Summed as ``objective`` sums them: an array of the same shape.
     sse = np.where(alive, errors.sum(axis=0), np.inf)

@@ -11,7 +11,7 @@ sweep points.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -74,38 +74,26 @@ def parse_config(path: str | Path) -> Configuration:
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
-    return builder(None)(values)
+    return apply_overrides(None, values)
 
 
 def apply_overrides(template: Configuration | None, values: Mapping[str, object]) -> Configuration:
-    """One Configuration from ``values`` over ``template``, by a one-shot ``builder``."""
-    return builder(template)(values)
-
-
-def builder(template: Configuration | None) -> Callable[[Mapping[str, object]], Configuration]:
-    """A function that builds each Configuration from flat ``values`` over ``template`` (or
-    from every required key); it builds each distinct part once and keeps none that fails."""
-    base, built = {} if template is None else vars(template), {}  # a dataclass's vars: its fields
-
-    def build(values: Mapping[str, object]) -> Configuration:
-        if not values.keys() <= _FIELDS.keys():
-            unknown = sorted(k if isinstance(k, str) else _repr(k) for k in values.keys() - _FIELDS)
-            raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
-        if template is None and (missing := [k for k in REQUIRED_KEYS if k not in values]):
-            raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
-        top, changes = {**base}, {part: {} for part in _PARTS}
-        for key, (part, name) in _FIELDS.items():  # in ALL_KEYS order
-            if key in values:
-                (changes[part] if part else top)[name] = _convert(key, values[key])
-        for part, given in changes.items():
-            if given or part not in base:  # a part's values are floats: key on their bits
-                memo = (part, *given, *map(float.hex, given.values()))
-                if memo not in built:
-                    built[memo] = _PARTS[part](**({**vars(base[part]), **given} if base else given))
-                top[part] = built[memo]
-        return Configuration(**top)
-
-    return build
+    """A validated Configuration from flat ``values`` over ``template``, or from every
+    required key; of a template, only the parts that ``values`` touch are built again."""
+    if not values.keys() <= _FIELDS.keys():
+        unknown = sorted(k if isinstance(k, str) else _repr(k) for k in values.keys() - _FIELDS)
+        raise ConfigurationError(f"unknown keys: {', '.join(unknown)}")
+    if template is None and (missing := [k for k in REQUIRED_KEYS if k not in values]):
+        raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
+    # A copy: a dataclass's vars are its fields, and the template stays as it is.
+    fields, changes = {} if template is None else {**vars(template)}, {part: {} for part in _PARTS}
+    for key, (part, name) in _FIELDS.items():  # in ALL_KEYS order
+        if key in values:
+            (changes[part] if part else fields)[name] = _convert(key, values[key])
+    for part, given in changes.items():
+        if given or template is None:
+            fields[part] = _PARTS[part](**({**vars(fields[part]), **given} if template else given))
+    return Configuration(**fields)
 
 
 def values_from_config(config: Configuration) -> dict[str, object]:
@@ -176,8 +164,8 @@ def _file_value(key: str, text: str, source: str, lineno: int) -> object:
 def _convert(key: str, value: object) -> object:
     """The one value rule, for file text and mappings alike.
 
-    Float keys take ``float(value)``; integer keys take a finite, integral,
-    non-bool number; ``policy`` takes a policy or its name.
+    Float keys take ``float(value)`` of a non-bool; integer keys take a finite,
+    integral, non-bool number; ``policy`` takes a policy or its name.
     """
     if key == "policy":
         try:
@@ -185,6 +173,8 @@ def _convert(key: str, value: object) -> object:
         except ValueError:
             names = sorted(p.value for p in CompressionPolicy)
             raise ConfigurationError(f"policy must be one of {names}, got {_repr(value)}") from None
+    if isinstance(value, bool) and key not in _INT_KEYS:  # float(True) would be 1.0
+        raise ConfigurationError(f"key {key!r} needs a number, got {value}")
     try:
         number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError) as exc:

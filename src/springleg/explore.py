@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .baseline import e1_max
-from .config import builder
+from .config import apply_overrides
 from .cyclic import Run, StopReason, Termination, _recurrence
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
 from .model import (
@@ -45,9 +45,11 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     Raises
     ------
     DomainError
-        If ``target_energy`` does not fit a float, is NaN or exceeds the
-        spring capacity.
+        If ``target_energy`` is a bool, does not fit a float, is NaN or
+        exceeds the spring capacity.
     """
+    if isinstance(target_energy, bool):  # float(True) would be 1.0
+        raise DomainError(f"target energy must be a number, got {target_energy}")
     try:
         target = float(target_energy)
     except OverflowError:
@@ -272,21 +274,20 @@ def sweep(
     """Simulate every override point of a parameter grid.
 
     Each point is a mapping of configuration keys (see ``config.ALL_KEYS``)
-    merged over the template, whose distinct parts are validated once per call
-    (``config.builder``); a point's memory does not grow with its squat count.
+    merged over the template by ``config.apply_overrides``; a point's memory
+    does not grow with its squat count.
     Invalid, malformed or stalling points are flagged in their row and do not
     abort the sweep.  Row order is grid order; ``workers`` has no effect.
     """
-    build = builder(config)
-    return [_evaluate_point(build, point) for point in points]
+    return [_evaluate_point(config, point) for point in points]
 
 
-def _evaluate_point(build: Callable[[Mapping], Configuration], point: object) -> SweepRow:
+def _evaluate_point(template: Configuration, point: object) -> SweepRow:
     if not hasattr(point, "keys"):  # dict()'s test for a mapping
         return SweepRow(params={}, status="invalid", reason=f"not a mapping: {type(point).__name__}")
     params = dict(point)
     try:
-        config = build(params)
+        config = apply_overrides(template, params)
         run, peak = Run(config, config.max_iterations), None  # streamed: nothing else is kept
         for iterations, last in enumerate(run, 1):  # a run yields a squat or raises
             if peak is None or last[6] > peak:  # max()'s comparisons

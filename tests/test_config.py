@@ -1,7 +1,7 @@
 """Configuration and grid file parsing."""
 
 import math
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +21,7 @@ from springleg import (
     sweep,
     values_from_config,
 )
-from springleg.config import builder
+from springleg.config import apply_overrides
 
 from conftest import CONFIG_DIR, worked_config
 
@@ -240,6 +240,10 @@ CONVERSION_MESSAGES = {
         {**WORKED_VALUES, "max_iterations": 2.5},
         "key 'max_iterations' needs an integer, got 2.5",
     ),
+    "number_bool": (
+        {**WORKED_VALUES, "mass_kg": True},
+        "key 'mass_kg' needs a number, got True",
+    ),
     "integer_bool": (
         {**WORKED_VALUES, "sample_count": True},
         "key 'sample_count' needs an integer, got True",
@@ -263,35 +267,56 @@ def test_conversion_message_text(rule):
     assert str(info.value) == message
 
 
-class TestBuilder:
+class TestApplyOverrides:
     def test_signed_zeros_build_apart(self):
-        # 0.0 == -0.0, so a memo keyed on equality would hand back the other part.
-        build = builder(worked_config())
-        for pitch in (0.0, -0.0, 0.0, -0.0):
-            assert build({"ratchet_pitch_m": pitch}).loss.ratchet_pitch.hex() == pitch.hex()
-
-    def test_each_distinct_part_is_built_once(self):
+        # 0.0 == -0.0, yet each build keeps the sign it was given.
         template = worked_config()
-        build = builder(template)
-        first = build({"efficiency": 0.9, "force_cap_n": 50.0})
-        again = build({"efficiency": 0.9, "force_cap_n": 60.0})
-        assert again.loss is first.loss and again.force_cap == 60.0
-        assert first.body is template.body and first.spring is template.spring
-        assert builder(template)({"efficiency": 0.9}).loss is not first.loss
+        for pitch in (0.0, -0.0, 0.0, -0.0):
+            config = apply_overrides(template, {"ratchet_pitch_m": pitch})
+            assert config.loss.ratchet_pitch.hex() == pitch.hex()
 
     def test_failing_part_raises_at_every_call(self):
-        build = builder(worked_config())
+        template = worked_config()
         for _ in range(2):
             with pytest.raises(ConfigurationError) as info:
-                build({"spring_solid_length_m": 0.5})
+                apply_overrides(template, {"spring_solid_length_m": 0.5})
             assert str(info.value) == (
                 "solid_length must satisfy 0 <= solid_length < free_length (0.12), got 0.5"
             )
-        assert build({"spring_solid_length_m": 0.05}).spring.solid_length == 0.05
+        config = apply_overrides(template, {"spring_solid_length_m": 0.05})
+        assert config.spring.solid_length == 0.05
 
     def test_cross_part_checks_run_at_every_call(self):
-        # The spring part is valid and reused; the check across parts still fails.
-        build = builder(worked_config())
-        assert build({"spring_free_length_m": 0.13}).spring.free_length == 0.13
+        # The spring part is valid on its own; the check across parts still fails.
+        template = worked_config()
+        assert apply_overrides(template, {"spring_free_length_m": 0.13}).spring.free_length == 0.13
         with pytest.raises(ConfigurationError, match="exceeds the free length"):
-            build({"spring_free_length_m": 0.13, "initial_spring_position_m": 0.1})
+            apply_overrides(
+                template, {"spring_free_length_m": 0.13, "initial_spring_position_m": 0.1}
+            )
+
+    def test_sweep_leaves_the_template_as_it_was(self):
+        # The template is frozen, but its vars are a live dict that a build could write into.
+        def field_bits(obj):
+            return {
+                name: field_bits(value) if is_dataclass(value) else bits(value)
+                for name, value in vars(obj).items()
+            }
+
+        def bits(value):
+            return value.hex() if isinstance(value, float) else value
+
+        template = worked_config()
+        before = field_bits(template)
+        points = [
+            {"efficiency": 0.9, "force_cap_n": 50.0, "mass_kg": 60.0, "policy": "full_range"},
+            {"spring_free_length_m": 0.13, "ratchet_pitch_m": -0.0, "max_iterations": 3},
+            {"spring_solid_length_m": 0.5},
+            {"efficiency": 1.5, "segment_length_m": 0.3},
+            {"bogus": 1.0, "gravity_mps2": 1.0},
+            {"max_iterations": 2.5, "standing_length_m": 0.4},
+            3,
+        ]
+        statuses = [row.status for row in sweep(template, points)]
+        assert statuses == ["ok", "ok", "invalid", "invalid", "invalid", "invalid", "invalid"]
+        assert field_bits(template) == before

@@ -78,6 +78,12 @@ class TestMinSquats:
             min_squats(config, math.nan)
         assert min_squats(config, -math.inf) == 0
 
+    def test_bool_target_rejected(self):
+        # float(True) is 1.0, which would answer for a 1 J target.
+        with pytest.raises(DomainError) as info:
+            min_squats(worked_config(), True)
+        assert str(info.value) == "target energy must be a number, got True"
+
     def test_target_beyond_float_range_rejected(self):
         config = worked_config()
         for target in (10**400, -(10**400)):
