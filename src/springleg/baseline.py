@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import BodyParams, LegGeometry
+from .model import BodyParams, LegGeometry, _real
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,13 @@ def required_stiffness(bottom_force: float, body: BodyParams, geom: LegGeometry)
     Static equilibrium at the bottom gives ``k = (weight - F) / max_deformation``
     where ``F`` is the leg force retained at the bottom.
     """
-    _check_bottom_force(bottom_force, body)
+    bottom_force = _check_bottom_force(bottom_force, body)
     return (body.weight - bottom_force) / geom.max_deformation
 
 
 def average_force(bottom_force: float, body: BodyParams) -> float:
     """Mean leg force over a squat whose leg force ramps from weight to ``bottom_force``."""
-    _check_bottom_force(bottom_force, body)
-    return 0.5 * (body.weight + bottom_force)
+    return 0.5 * (body.weight + _check_bottom_force(bottom_force, body))
 
 
 def stored_energy_single(avg_force: float, body: BodyParams, geom: LegGeometry) -> float:
@@ -67,6 +66,7 @@ def e1_max(body: BodyParams, geom: LegGeometry) -> float:
 
 def baseline_result(bottom_force: float, body: BodyParams, geom: LegGeometry) -> BaselineResult:
     """Evaluate the full single-squat chain for one bottom force."""
+    bottom_force = _check_bottom_force(bottom_force, body)
     favg = average_force(bottom_force, body)
     return BaselineResult(
         bottom_force=bottom_force,
@@ -86,15 +86,18 @@ def reference_spring_force_ramp(
     the full deformation, so the spring force rises linearly from zero to
     ``weight - bottom_force``.  Used as the dashed reference in plots.
     """
-    _check_bottom_force(bottom_force, body)
+    bottom_force = _check_bottom_force(bottom_force, body)
     deflection = np.linspace(0.0, geom.max_deformation, samples)
     force = (body.weight - bottom_force) * deflection / geom.max_deformation
     return deflection, force
 
 
-def _check_bottom_force(bottom_force: float, body: BodyParams) -> None:
+def _check_bottom_force(bottom_force: float, body: BodyParams) -> float:
+    """``bottom_force`` as a float in [0, weight]."""
+    bottom_force = _real("bottom force", bottom_force, DomainError)
     if not 0 <= bottom_force <= body.weight:
         raise DomainError(
             f"bottom force {bottom_force} outside [0, weight={body.weight}]: "
             "the leg cannot pull, and a heavier load would need a pulling spring"
         )
+    return bottom_force

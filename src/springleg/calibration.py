@@ -19,15 +19,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cyclic import Run, _strokes
 from .errors import DataError, DomainError, SimulationError
-from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _repr
+from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _integer
+from .model import _real, _repr
 from .model import spring_energy
 
 #: Brent's golden-section fraction of the bracket, 1/phi^2.
@@ -63,10 +63,7 @@ class MeasuredCycle:
     spring_length_end: float | None = None
 
     def __post_init__(self) -> None:
-        # Integers by the index protocol, as Configuration's integer fields.
-        if isinstance(self.iteration, bool) or not hasattr(type(self.iteration), "__index__"):
-            raise DataError(f"cycle {_repr(self.iteration)}: iteration must be an integer")
-        object.__setattr__(self, "iteration", index(self.iteration))
+        object.__setattr__(self, "iteration", _integer("iteration", self.iteration, DataError))
         cycle = f"cycle {_repr(self.iteration)}"  # an int past the digit limit prints as its type
         for name in ("hip_displacement", "hip_force"):
             try:
@@ -85,18 +82,11 @@ class MeasuredCycle:
         if np.any(np.diff(self.hip_displacement) < 0):
             raise DataError(f"{cycle}: displacements must be non-decreasing")
         for name in ("spring_length_start", "spring_length_end"):
-            value = getattr(self, name)
-            if value is None:
+            if (value := getattr(self, name)) is None:
                 continue
-            real = isinstance(value, Real) and not isinstance(value, bool)
-            try:
-                length = float(value) if real else math.nan
-            except OverflowError:  # an int or Fraction past the float range
-                length = math.nan
+            length = _real(f"{cycle}: {name}", value, DataError)
             if not math.isfinite(length):
-                raise DataError(
-                    f"{cycle}: {name} must be None or a finite number, got {_repr(value)}"
-                )
+                raise DataError(f"{cycle}: {name} must be None or a finite number, got {length}")
             object.__setattr__(self, name, length)
 
 
@@ -197,7 +187,7 @@ def fit_model(
         nothing to fit, a force cap to fit under ``full_range`` (which
         ignores the cap), or a non-finite residual.
     """
-    if not isinstance(grid_points, (int, np.integer)) or not 2 <= grid_points <= MAX_GRID_POINTS:
+    if not 2 <= _integer("grid_points", grid_points, DomainError) <= MAX_GRID_POINTS:
         raise DomainError(
             f"grid_points must be an integer in [2, {MAX_GRID_POINTS}], got {_repr(grid_points)}"
         )

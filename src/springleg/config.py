@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .model import (
-    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams, _repr
+    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams, _integer,
+    _real, _repr,
 )
 
 #: Flat key -> (Configuration part, field), in file order.  Part None is a
@@ -48,6 +49,8 @@ ALL_KEYS = tuple(_FIELDS)
 REQUIRED_KEYS = tuple(k for k in ALL_KEYS if k not in OPTIONAL_KEYS)
 
 _INT_KEYS = frozenset({"max_iterations", "sample_count"})
+#: Each key as its value's messages name it, formatted once.
+_NAMES = {key: f"key {key!r}" for key in _FIELDS}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Configuration:
@@ -164,8 +167,9 @@ def _file_value(key: str, text: str, source: str, lineno: int) -> object:
 def _convert(key: str, value: object) -> object:
     """The one value rule, for file text and mappings alike.
 
-    Float keys take ``float(value)`` of a non-bool; integer keys take a finite,
-    integral, non-bool number; ``policy`` takes a policy or its name.
+    Text is read as a number, as an int for an integer key where it is
+    integral; then the model's number rule applies.  ``policy`` takes a
+    policy or its name.
     """
     if key == "policy":
         try:
@@ -173,15 +177,11 @@ def _convert(key: str, value: object) -> object:
         except ValueError:
             names = sorted(p.value for p in CompressionPolicy)
             raise ConfigurationError(f"policy must be one of {names}, got {_repr(value)}") from None
-    if isinstance(value, bool) and key not in _INT_KEYS:  # float(True) would be 1.0
-        raise ConfigurationError(f"key {key!r} needs a number, got {value}")
-    try:
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"key {key!r} needs a number, got {_repr(value)}") from exc
-    if key not in _INT_KEYS:
-        return number
-    if isinstance(value, bool) or not number.is_integer():
-        raise ConfigurationError(f"key {key!r} needs an integer, got {_repr(value)}")
-    return int(value) if isinstance(value, int) else int(number)
+    if isinstance(value, str):
+        try:
+            value = float(value)
+            value = int(value) if key in _INT_KEYS and value.is_integer() else value
+        except ValueError:
+            pass  # text that is no number: rejected below, as given
+    return (_integer if key in _INT_KEYS else _real)(_NAMES[key], value)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .baseline import e1_max
 from .errors import GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
-from .model import hip_force, initial_spring_length, spring_energy
+from .model import _real, hip_force, initial_spring_length, spring_energy
 
 
 class StopReason(enum.Enum):
@@ -331,11 +331,14 @@ def release_profile(
     Raises
     ------
     GeometryError
-        If the starting posture lies outside the leg's deformation range.
+        If ``spring_length`` or ``x_release`` is not a real number, or the
+        starting posture lies outside the leg's deformation range.
     """
     geom, spring = config.leg, config.spring
+    spring_length = _real("spring_length", spring_length, GeometryError)
     if x_release is None:
         x_release = geom.segment_length
+    x_release = _real("x_release", x_release, GeometryError)
     if not 0 < x_release <= geom.segment_length:
         raise GeometryError(
             f"x_release={x_release} outside (0, segment_length={geom.segment_length}]"

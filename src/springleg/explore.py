@@ -16,9 +16,7 @@ from .baseline import e1_max
 from .config import apply_overrides
 from .cyclic import Run, StopReason, Termination, _recurrence
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
-from .model import (
-    CompressionPolicy, Configuration, _repr, initial_spring_length, spring_energy
-)
+from .model import CompressionPolicy, Configuration, _real, initial_spring_length, spring_energy
 
 #: Iteration budget used when a query needs the recurrence run to
 #: termination rather than to the configured iteration cap.
@@ -45,15 +43,10 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     Raises
     ------
     DomainError
-        If ``target_energy`` is a bool, does not fit a float, is NaN or
-        exceeds the spring capacity.
+        If ``target_energy`` is not a real number (a bool is not one), does
+        not fit a float, is NaN or exceeds the spring capacity.
     """
-    if isinstance(target_energy, bool):  # float(True) would be 1.0
-        raise DomainError(f"target energy must be a number, got {target_energy}")
-    try:
-        target = float(target_energy)
-    except OverflowError:
-        raise DomainError(f"target energy must fit a float, got {_repr(target_energy)}") from None
+    target = _real("target energy", target_energy, DomainError)
     capacity = spring_capacity(config)
     if math.isnan(target):
         raise DomainError("target energy must be a number, got nan")

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, SpringLegError
 
 #: Relative tolerance used when a derived spring length overshoots the free
 #: length by floating-point round-off only; within it the length is snapped
@@ -42,6 +44,25 @@ def _repr(value: object) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
+def _real(what: str, value: object, error: type[SpringLegError] = ConfigurationError) -> float:
+    """``float(value)`` of a real number that is not a bool; a float is returned as it is."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):  # float(True) would be 1.0
+        try:
+            return float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            pass
+    raise error(f"{what} needs a number, got {_repr(value)}")
+
+
+def _integer(what: str, value: object, error: type[SpringLegError] = ConfigurationError) -> int:
+    """``index(value)`` of an integer by the index protocol that is not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{what} needs an integer, got {_repr(value)}")
+    return index(value)
+
+
 # Checks format their message only on failure: a float's text costs more than its check.
 def _require_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:
@@ -56,6 +77,11 @@ class BodyParams:
     gravity: float = 9.80665  # m/s^2
 
     def __post_init__(self) -> None:
+        # Stored as floats. One chained type test per class, not one per field,
+        # as every sweep point builds parts: a float is kept as it is.
+        if not type(self.mass) is type(self.gravity) is float:
+            for name in ("mass", "gravity"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         _require_positive("mass", self.mass)
         _require_positive("gravity", self.gravity)
 
@@ -86,6 +112,12 @@ class LegGeometry:
     max_deformation: float
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.segment_length) is type(self.standing_length) is type(self.max_deformation)
+            is float
+        ):
+            for name in ("segment_length", "standing_length", "max_deformation"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         # A finite segment length bounds the other two lengths as well.
         _require_positive("segment_length", self.segment_length)
         if not 0 < self.standing_length <= 2 * self.segment_length:
@@ -109,6 +141,9 @@ class SpringParams:
     solid_length: float = 0.0  # m
 
     def __post_init__(self) -> None:
+        if not type(self.stiffness) is type(self.free_length) is type(self.solid_length) is float:
+            for name in ("stiffness", "free_length", "solid_length"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         _require_positive("stiffness", self.stiffness)
         _require_positive("free_length", self.free_length)
         if not 0 <= self.solid_length < self.free_length:
@@ -136,6 +171,9 @@ class LossModel:
     ratchet_pitch: float = 0.0  # m
 
     def __post_init__(self) -> None:
+        if not type(self.efficiency) is type(self.ratchet_pitch) is float:
+            for name in ("efficiency", "ratchet_pitch"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0 < self.efficiency <= 1.0:
             raise ConfigurationError(f"efficiency must lie in (0, 1], got {self.efficiency}")
         if not (self.ratchet_pitch >= 0 and math.isfinite(self.ratchet_pitch)):
@@ -180,6 +218,15 @@ class Configuration:
     def __post_init__(self) -> None:
         if self.force_cap is None:
             object.__setattr__(self, "force_cap", self.body.weight)
+        if not (
+            type(self.initial_spring_position) is type(self.force_cap) is type(self.tol_abs)
+            is type(self.tol_gain) is float
+        ):
+            for name in ("initial_spring_position", "force_cap", "tol_abs", "tol_gain"):
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not type(self.max_iterations) is type(self.sample_count) is int:
+            for name in ("max_iterations", "sample_count"):
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 0 < self.initial_spring_position <= self.leg.segment_length:
             raise ConfigurationError(
                 f"initial_spring_position must lie in (0, segment_length] "
@@ -198,10 +245,6 @@ class Configuration:
             raise ConfigurationError(
                 f"ratchet_pitch {pitch} is too small: segment_length / ratchet_pitch overflows"
             )
-        for name in ("max_iterations", "sample_count"):  # integers, by the index protocol
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ConfigurationError(f"{name} must be an integer, got {_repr(value)}")
         if not self.max_iterations >= 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1, got {_repr(self.max_iterations)}"
@@ -210,10 +253,10 @@ class Configuration:
             raise ConfigurationError(
                 f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {_repr(self.sample_count)}"
             )
-        if not self.tol_abs >= 0:
-            raise ConfigurationError(f"tol_abs must be >= 0, got {self.tol_abs}")
-        if not self.tol_gain >= 0:
-            raise ConfigurationError(f"tol_gain must be >= 0, got {self.tol_gain}")
+        if not 0 <= self.tol_abs < math.inf:  # tol_abs = inf ends every run at its first squat
+            raise ConfigurationError(f"tol_abs must be finite and >= 0, got {self.tol_abs}")
+        if not 0 <= self.tol_gain < math.inf:
+            raise ConfigurationError(f"tol_gain must be finite and >= 0, got {self.tol_gain}")
         # Validate the derived initial spring length: pre-compression is
         # allowed, slack (cable longer than the spring) is not.
         initial_spring_length(self)

@@ -8,7 +8,6 @@ hand-built SVG so that golden-file comparison is meaningful.
 
 from __future__ import annotations
 
-from operator import index
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -19,7 +18,7 @@ from .calibration import FitReport, MeasuredCycle
 from .cyclic import SimResult, Squats
 from .errors import DataError, DomainError
 from .explore import SweepRow
-from .model import Trajectory, _repr
+from .model import Trajectory, _integer, _repr
 
 TRAJECTORY_HEADER = "iteration,leg_deformation_m,spring_length_m,hip_force_n,stored_energy_j"
 SUMMARY_HEADER = "iteration,x_m,s_start_m,s_end_m,f_start_n,f_end_n,e_before_j,e_after_j,stop_reason"
@@ -61,11 +60,10 @@ def emit_trajectory_csv(
     else:
         if len(data) == 0:
             raise DomainError("cannot emit an empty trajectory")
-        try:  # an integer, as MeasuredCycle and so read_measured_cycles take it
-            if isinstance(iteration, bool):
-                raise TypeError
-            iteration = str(index(iteration))
-        except (TypeError, ValueError):  # ValueError: past the int-to-str digit limit
+        iteration = _integer("iteration", iteration, DataError)  # as MeasuredCycle takes it
+        try:
+            iteration = str(iteration)
+        except ValueError:  # past the int-to-str digit limit
             raise DataError(f"iteration {_repr(iteration)} is not a printable integer") from None
         lines.extend(_trajectory_rows(data, iteration))
         _write_lines(path, lines)

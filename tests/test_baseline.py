@@ -39,6 +39,32 @@ class TestRequiredStiffness:
             required_stiffness(120.0, BODY, GEOM)
 
 
+@pytest.mark.parametrize(
+    "bottom_force, shown",
+    [("1", "'1'"), (True, "True"), (np.True_, "np.True_"), (10**400, str(10**400))],
+    ids=["str", "bool", "numpy_bool", "past_float"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda force: required_stiffness(force, BODY, GEOM),
+        lambda force: average_force(force, BODY),
+        lambda force: baseline_result(force, BODY, GEOM),
+    ],
+    ids=["required_stiffness", "average_force", "baseline_result"],
+)
+def test_bottom_force_must_be_a_number(call, bottom_force, shown):
+    # float(True) is 1.0, which would run as a 1 N bottom force.
+    with pytest.raises(DomainError) as info:
+        call(bottom_force)
+    assert str(info.value) == f"bottom force needs a number, got {shown}"
+
+
+def test_baseline_result_stores_a_float_bottom_force():
+    result = baseline_result(np.int64(50), BODY, GEOM)
+    assert type(result.bottom_force) is float and result.stiffness == pytest.approx(500.0)
+
+
 class TestAverageForce:
     def test_full_support(self):
         assert average_force(100.0, BODY) == pytest.approx(100.0)

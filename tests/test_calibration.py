@@ -171,35 +171,38 @@ class TestMeasuredCycleValidation:
         with pytest.raises(DataError, match="finite"):
             MeasuredCycle(1, np.array([0.0, 0.1]), np.array([bad, 1.0]))
 
-    @pytest.mark.parametrize("bad", ["a", True, 2.0, None], ids=["str", "bool", "float", "none"])
+    @pytest.mark.parametrize(
+        "bad", ["a", True, np.True_, 2.0, None], ids=["str", "bool", "numpy_bool", "float", "none"]
+    )
     def test_non_integer_iteration_rejected(self, bad):
         """Cycles are ordered by iteration, so a value that does not compare
         with an int would fail later in ``sorted``."""
         with pytest.raises(DataError) as error:
             MeasuredCycle(bad, np.array([0.0, 0.1]), np.array([0.0, 1.0]))
-        assert str(error.value) == f"cycle {bad!r}: iteration must be an integer"
+        assert str(error.value) == f"iteration needs an integer, got {bad!r}"
 
     def test_numpy_integer_iteration_becomes_int(self):
         cycle = MeasuredCycle(np.int64(3), np.array([0.0, 0.1]), np.array([0.0, 1.0]))
         assert type(cycle.iteration) is int and cycle.iteration == 3
 
     @pytest.mark.parametrize(
-        "bad, shown",
+        "bad, rule",
         [
-            ("0.1", "'0.1'"),
-            (math.nan, "nan"),
-            (-math.inf, "-inf"),
-            (True, "True"),
-            (10**5000, "<int too long to print>"),
-            (Fraction(10**400), f"Fraction({10**400}, 1)"),
+            ("0.1", "needs a number, got '0.1'"),
+            (math.nan, "must be None or a finite number, got nan"),
+            (-math.inf, "must be None or a finite number, got -inf"),
+            (True, "needs a number, got True"),
+            (np.True_, "needs a number, got np.True_"),
+            (10**5000, "needs a number, got <int too long to print>"),
+            (Fraction(10**400), f"needs a number, got Fraction({10**400}, 1)"),
         ],
-        ids=["str", "nan", "inf", "bool", "huge_int", "huge_fraction"],
+        ids=["str", "nan", "inf", "bool", "numpy_bool", "huge_int", "huge_fraction"],
     )
     @pytest.mark.parametrize("name", ["spring_length_start", "spring_length_end"])
-    def test_bad_spring_length_rejected(self, name, bad, shown):
+    def test_bad_spring_length_rejected(self, name, bad, rule):
         with pytest.raises(DataError) as error:
             MeasuredCycle(4, np.array([0.0, 0.1]), np.array([0.0, 1.0]), **{name: bad})
-        assert str(error.value) == f"cycle 4: {name} must be None or a finite number, got {shown}"
+        assert str(error.value) == f"cycle 4: {name} {rule}"
 
     @pytest.mark.parametrize("length", [0.1, np.float64(0.1), Fraction(1, 10)])
     def test_real_spring_lengths_become_floats(self, length):

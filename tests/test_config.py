@@ -3,6 +3,7 @@
 import math
 from dataclasses import is_dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -234,7 +235,11 @@ CONVERSION_MESSAGES = {
     ),
     "huge_integer": (
         {**WORKED_VALUES, "sample_count": 10**5000},
-        "key 'sample_count' needs a number, got <int too long to print>",
+        "sample_count must lie in [2, 1000000], got <int too long to print>",
+    ),
+    "integral_float": (
+        {**WORKED_VALUES, "sample_count": 100.0},
+        "key 'sample_count' needs an integer, got 100.0",
     ),
     "integer": (
         {**WORKED_VALUES, "max_iterations": 2.5},
@@ -244,9 +249,17 @@ CONVERSION_MESSAGES = {
         {**WORKED_VALUES, "mass_kg": True},
         "key 'mass_kg' needs a number, got True",
     ),
+    "number_numpy_bool": (
+        {**WORKED_VALUES, "mass_kg": np.True_},
+        "key 'mass_kg' needs a number, got np.True_",
+    ),
     "integer_bool": (
         {**WORKED_VALUES, "sample_count": True},
         "key 'sample_count' needs an integer, got True",
+    ),
+    "integer_numpy_bool": (
+        {**WORKED_VALUES, "max_iterations": np.True_},
+        "key 'max_iterations' needs an integer, got np.True_",
     ),
     "policy": (
         {**WORKED_VALUES, "policy": "fast"},

@@ -500,6 +500,22 @@ class TestReleaseProfile:
         with pytest.raises(GeometryError, match="release"):
             release_profile(result.final_spring_length, config, x_release=0.2)
 
+    @pytest.mark.parametrize(
+        "name, value, shown",
+        [
+            ("x_release", "0.3", "'0.3'"),
+            ("x_release", True, "True"),
+            ("spring_length", np.True_, "np.True_"),
+            ("spring_length", 10**400, str(10**400)),
+        ],
+        ids=["x_release_str", "x_release_bool", "spring_length_numpy_bool", "spring_length_huge"],
+    )
+    def test_non_number_rejected(self, name, value, shown):
+        arguments = {"spring_length": 0.2, "config": worked_config(), name: value}
+        with pytest.raises(GeometryError) as info:
+            release_profile(**arguments)
+        assert str(info.value) == f"{name} needs a number, got {shown}"
+
     def test_release_trajectory_extends(self):
         config = exact_zero_preload_config(
             leg=LegGeometry(segment_length=0.25, standing_length=0.5, max_deformation=0.45),

@@ -1,10 +1,14 @@
 """Kinematic/force/energy relations and their invariants."""
 
 import math
+from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
     BodyParams,
@@ -13,12 +17,18 @@ from springleg import (
     DomainError,
     LegGeometry,
     LossModel,
+    SpringLegError,
     SpringParams,
+    config_from_values,
+    emit_trajectory_csv,
     hip_force,
+    max_energy,
+    min_squats,
     simulate,
     spring_energy,
     spring_force,
     spring_length_from_leg,
+    values_from_config,
 )
 
 from conftest import worked_config
@@ -272,19 +282,19 @@ VALIDATION_MESSAGES = {
     ),
     "max_iterations_kind": (
         lambda: worked_config(max_iterations=2.5),
-        "max_iterations must be an integer, got 2.5",
+        "max_iterations needs an integer, got 2.5",
     ),
     "max_iterations_bool": (
         lambda: worked_config(max_iterations=True),
-        "max_iterations must be an integer, got True",
+        "max_iterations needs an integer, got True",
     ),
     "sample_count_kind": (
         lambda: worked_config(sample_count=2.5),
-        "sample_count must be an integer, got 2.5",
+        "sample_count needs an integer, got 2.5",
     ),
     "sample_count_integral_float": (
         lambda: worked_config(sample_count=1000.0),
-        "sample_count must be an integer, got 1000.0",
+        "sample_count needs an integer, got 1000.0",
     ),
     "max_iterations_huge": (
         lambda: worked_config(max_iterations=-(10**5000)),
@@ -296,11 +306,65 @@ VALIDATION_MESSAGES = {
     ),
     "tol_abs": (
         lambda: worked_config(tol_abs=-1e-9),
-        "tol_abs must be >= 0, got -1e-09",
+        "tol_abs must be finite and >= 0, got -1e-09",
     ),
     "tol_gain": (
         lambda: worked_config(tol_gain=-1.0),
-        "tol_gain must be >= 0, got -1.0",
+        "tol_gain must be finite and >= 0, got -1.0",
+    ),
+    # tol_abs = inf ended every run at its first squat as full compression.
+    "tol_abs_inf": (
+        lambda: worked_config(tol_abs=math.inf),
+        "tol_abs must be finite and >= 0, got inf",
+    ),
+    "tol_gain_inf": (
+        lambda: worked_config(tol_gain=math.inf),
+        "tol_gain must be finite and >= 0, got inf",
+    ),
+    # Numbers past the float range, bools, and values that are no real number.
+    "mass_past_float": (
+        lambda: BodyParams(mass=10**400, gravity=9.81),
+        f"mass needs a number, got {10**400}",
+    ),
+    "segment_length_past_float": (
+        lambda: LegGeometry(segment_length=10**400, standing_length=0.3, max_deformation=0.1),
+        f"segment_length needs a number, got {10**400}",
+    ),
+    "force_cap_past_float": (
+        lambda: worked_config(force_cap=10**400),
+        f"force_cap needs a number, got {10**400}",
+    ),
+    "efficiency_bool": (
+        lambda: LossModel(efficiency=True),
+        "efficiency needs a number, got True",
+    ),
+    "efficiency_numpy_bool": (
+        lambda: LossModel(efficiency=np.True_),
+        "efficiency needs a number, got np.True_",
+    ),
+    "ratchet_pitch_bool": (
+        lambda: LossModel(ratchet_pitch=True),
+        "ratchet_pitch needs a number, got True",
+    ),
+    "efficiency_text": (
+        lambda: LossModel(efficiency="0.5"),
+        "efficiency needs a number, got '0.5'",
+    ),
+    "stiffness_decimal": (
+        lambda: SpringParams(stiffness=Decimal("1000"), free_length=0.12),
+        "stiffness needs a number, got Decimal('1000')",
+    ),
+    "tol_gain_text": (
+        lambda: worked_config(tol_gain="0"),
+        "tol_gain needs a number, got '0'",
+    ),
+    "tol_gain_bool": (
+        lambda: worked_config(tol_gain=True),
+        "tol_gain needs a number, got True",
+    ),
+    "max_iterations_numpy_bool": (
+        lambda: worked_config(max_iterations=np.True_),
+        "max_iterations needs an integer, got np.True_",
     ),
     "initial_length_slack": (
         lambda: worked_config(initial_spring_position=0.1),
@@ -319,6 +383,7 @@ def test_integer_fields_take_numpy_integers():
     # Kind is checked by the index protocol, so numpy integers count as integers.
     config = worked_config(max_iterations=np.int64(2), sample_count=np.int32(5))
     assert [len(stroke) for stroke in simulate(config).trajectories] == [5, 5]
+    assert type(config.max_iterations) is type(config.sample_count) is int
 
 
 @pytest.mark.parametrize("rule", VALIDATION_MESSAGES)
@@ -327,3 +392,101 @@ def test_validation_message_text(rule):
     with pytest.raises(ConfigurationError) as info:
         build()
     assert str(info.value) == message
+
+
+WORKED = worked_config(sample_count=20)  # a run of 100 squats emits 2000 rows
+# Field -> (part of the configuration, or None for its own field; flat key, or None).
+NUMBER_FIELDS = {
+    "mass": ("body", "mass_kg"),
+    "gravity": ("body", "gravity_mps2"),
+    "segment_length": ("leg", "segment_length_m"),
+    "standing_length": ("leg", "standing_length_m"),
+    "max_deformation": ("leg", "max_deformation_m"),
+    "stiffness": ("spring", "spring_stiffness_n_per_m"),
+    "free_length": ("spring", "spring_free_length_m"),
+    "solid_length": ("spring", "spring_solid_length_m"),
+    "efficiency": ("loss", "efficiency"),
+    "ratchet_pitch": ("loss", "ratchet_pitch_m"),
+    "initial_spring_position": (None, "initial_spring_position_m"),
+    "force_cap": (None, "force_cap_n"),
+    "max_iterations": (None, "max_iterations"),
+    "sample_count": (None, "sample_count"),
+    "tol_abs": (None, None),
+    "tol_gain": (None, None),
+}
+INTEGER_FIELDS = ("max_iterations", "sample_count")
+#: Types that are never taken as a number: bools count as no number.
+NOT_NUMBERS = (bool, np.bool_, str, Decimal)
+#: Every kind of value a caller may pass, a number or not.
+ANY_VALUE = st.one_of(
+    st.integers(-3, 3) | st.sampled_from([10**400, -(10**400)]),
+    st.booleans() | st.sampled_from([np.True_, np.False_]),
+    st.floats(),  # nan, +-inf and subnormals too
+    st.floats().map(np.float64) | st.integers(-3, 3).map(np.int64),
+    st.fractions() | st.decimals() | st.text(max_size=3),
+)
+#: The worked value in another type: most of these build a configuration.
+KINDS = (float, int, np.float64, np.int64, Fraction, Decimal, str, bool, np.bool_)
+
+
+@st.composite
+def field_values(draw):
+    """A field of worked_config, or ``target_energy`` of min_squats, and a value for it."""
+    name = draw(st.sampled_from([*NUMBER_FIELDS, "target_energy"]))
+    if name == "target_energy":
+        worked = 1.0
+    else:
+        part = NUMBER_FIELDS[name][0]
+        worked = getattr(getattr(WORKED, part) if part else WORKED, name)
+    return name, draw(st.sampled_from(KINDS).map(lambda kind: kind(worked)) | ANY_VALUE)
+
+
+def _build(name: str, value: object) -> Configuration | None:
+    """worked_config with ``value`` for ``name``, by the direct constructors; None if rejected."""
+    part = NUMBER_FIELDS[name][0]
+    try:
+        if part:
+            return replace(WORKED, **{part: replace(getattr(WORKED, part), **{name: value})})
+        return replace(WORKED, **{name: value})
+    except ConfigurationError:
+        return None
+
+
+@settings(deadline=None)
+@given(field_values())
+@example(("mass", np.True_))
+@example(("max_iterations", np.True_))
+@example(("target_energy", np.True_))
+def test_number_rule_over_the_constructors(case):
+    """Each value either builds a working Configuration, holding plain floats and
+    ints, or is rejected with a SpringLegError; a bool is never taken as 1."""
+    name, value = case
+    if name == "target_energy":
+        try:
+            min_squats(WORKED, value)
+        except DomainError:
+            return
+        assert not isinstance(value, NOT_NUMBERS)
+        return
+    config = _build(name, value)
+    key = NUMBER_FIELDS[name][1]
+    if key and not isinstance(value, str):  # the flat path reads text, the constructors do not
+        try:
+            flat = config_from_values({**values_from_config(WORKED), key: value})
+        except ConfigurationError:
+            flat = None
+        assert flat == config
+    if config is None:
+        return
+    assert not isinstance(value, NOT_NUMBERS)
+    part = NUMBER_FIELDS[name][0]
+    stored = getattr(getattr(config, part) if part else config, name)
+    kind = int if name in INTEGER_FIELDS else float
+    assert type(stored) is kind and stored == kind(value)
+    try:
+        result = simulate(config)
+        max_energy(config)
+        with TemporaryDirectory() as directory:
+            emit_trajectory_csv(result, f"{directory}/trajectory.csv")
+    except SpringLegError:
+        pass

@@ -95,12 +95,13 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize(
         "iteration, message",
         [
-            (2.5, "iteration 2.5 is not a printable integer"),
-            (True, "iteration True is not a printable integer"),
-            ("3", "iteration '3' is not a printable integer"),
+            (2.5, "iteration needs an integer, got 2.5"),
+            (True, "iteration needs an integer, got True"),
+            (np.True_, "iteration needs an integer, got np.True_"),
+            ("3", "iteration needs an integer, got '3'"),
             (10**5000, "iteration <int too long to print> is not a printable integer"),
         ],
-        ids=["float", "bool", "str", "huge_int"],
+        ids=["float", "bool", "numpy_bool", "str", "huge_int"],
     )
     def test_non_integer_iteration_rejected(self, tmp_path, iteration, message):
         """Rows read_measured_cycles could not read back are not written."""
