@@ -45,7 +45,7 @@ class Termination(enum.Enum):
     """Why a run ended; a stalled run stalled on the squat after its last record."""
 
     FULL_COMPRESSION = "full_compression"  # spring within tol_abs of solid
-    CONVERGED = "converged"  # net energy gain below tol_gain
+    CONVERGED = "converged"  # gain below tol_gain, or a squat repeating its predecessor
     STALLED = "stalled"  # the next squat could not compress
     ITERATION_CAP = "iteration_cap"  # max_iterations squats run
 
@@ -248,7 +248,9 @@ class Run:
       solid length;
     * convergence: net stored-energy progress since the previous squat below
       ``tol_gain`` (this detects both the vanishing-progress regime of the
-      ideal mechanism and the loss/regain fixed point of a lossy one);
+      ideal mechanism and the loss/regain fixed point of a lossy one), or a
+      squat equal to its predecessor, which the map would repeat forever (a
+      ratchet cycle with a period above one still runs to the budget);
     * a stall on any squat after the first (no compression possible);
     * ``max_iterations`` squats, after the last of which nothing retracts.
 
@@ -276,7 +278,7 @@ class Run:
         full_length = config.spring.solid_length + config.tol_abs
         tol_gain = config.tol_gain
         x, s_start, dead_band = config.initial_spring_position, initial_spring_length(config), 0.0
-        previous = None
+        previous = last = None
         for n in range(1, budget + 1):
             try:
                 done = squat(n, x, s_start, dead_band)
@@ -290,12 +292,13 @@ class Run:
             if s_end <= full_length:
                 self.termination = Termination.FULL_COMPRESSION
                 return
-            if e_after - (e_before if previous is None else previous) < tol_gain:
+            gain = e_after - (e_before if previous is None else previous)
+            if gain < tol_gain or gain == 0.0 and done == last:
                 self.termination = Termination.CONVERGED
                 return
             if n < budget:
                 x, s_start, dead_band = retract(n, s_end)
-            previous = e_after
+            previous, last = e_after, done
         self.termination = Termination.ITERATION_CAP
 
 

@@ -67,10 +67,10 @@ def max_energy(config: Configuration) -> float:
     """Supremum of the stored energy the recurrence can reach.
 
     The spring capacity if full compression is reached; otherwise the energy
-    at the recurrence's fixed point, detected by the net-gain tolerance, or
-    after the query's budget of squats.  A ratchet-free run jumps from event
-    to event in closed form, at O(log n) squat evaluations for n squats; a
-    ratchet run is streamed squat by squat, up to its first repeated squat.
+    where the run converges (a gain below ``tol_gain`` or a squat repeating
+    its predecessor) or after the query's budget of squats.  A ratchet-free
+    run jumps from event to event in closed form, at O(log n) squat
+    evaluations for n squats; a ratchet run streams its squats.
     """
     try:
         termination, last, _ = _outcome(config, math.inf)
@@ -90,14 +90,10 @@ def _outcome(config: Configuration, target: float) -> tuple[Termination, tuple, 
     jumped = None if config.loss.ratchet_pitch else _jumped_run(config, target, budget)
     if jumped is not None:
         return jumped
-    run, reached, previous = Run(config, budget), None, None
-    settles = config.tol_gain == 0  # then a repeated squat repeats up to the budget
+    run, reached = Run(config, budget), None
     for n, squat in enumerate(run, 1):
         if reached is None and squat[8] >= target:
             reached = n
-        if settles and squat == previous:
-            return Termination.ITERATION_CAP, squat, reached
-        previous = squat
     return run.termination, squat, reached
 
 

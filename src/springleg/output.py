@@ -154,16 +154,8 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
     """Write sweep rows in grid order; one row per point, failures flagged."""
     path = Path(path)
-    header = list(keys) + [
-        "status",
-        "final_energy_j",
-        "iterations",
-        "iterations_to_full",
-        "peak_force_n",
-        "final_over_e1max",
-        "peak_over_cap",
-        "reason",
-    ]
+    header = [*keys, "status", "final_energy_j", "iterations", "iterations_to_full"]
+    header += ["peak_force_n", "final_over_e1max", "peak_over_cap", "reason"]
     lines = [",".join(header)]
     for row in rows:
         cells = [_cell(row.params.get(k)) for k in keys]
@@ -174,7 +166,7 @@ def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Pa
         cells.append(_cell(row.peak_force))
         cells.append(_cell(row.final_over_e1max))
         cells.append(_cell(row.peak_over_cap))
-        cells.append('"%s"' % row.reason.replace('"', "'") if row.reason else "")
+        cells.append(_quoted(row.reason) if row.reason else "")
         lines.append(",".join(cells))
     _write_lines(path, lines)
     return path
@@ -185,11 +177,20 @@ def _cell(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format_number(value)
-    return str(value)
+    try:
+        text = str(value)
+    except ValueError:  # an int past the int-to-str digit limit, or a container of one
+        return _repr(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return _quoted(text)
+    return text
+
+
+def _quoted(text: str) -> str:
+    """One CSV cell, whatever ``text`` holds: in double quotes, its own turned single."""
+    return '"%s"' % text.replace('"', "'")
 
 
 def format_fit_report(report: FitReport) -> str:

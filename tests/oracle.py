@@ -126,6 +126,8 @@ def oracle_simulate(p: dict) -> dict:
         previous = records[-2]["e_after"] if len(records) >= 2 else records[0]["e_before"]
         if rec["e_after"] - previous < tol_gain:
             break
+        if len(records) >= 2 and {**records[-2], "n": n} == rec:
+            break  # the next squat starts where this one did, and so on forever
         if n == max_iter:
             break
 

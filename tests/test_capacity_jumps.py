@@ -282,8 +282,8 @@ def test_cap_too_small_for_the_closed_form_streams():
 
 
 def test_billion_squat_budget_just_below_the_critical_cap():
-    # With tol_gain 0 the run settles on a float fixed point near s* and runs
-    # to its budget: streaming a billion squats at ~1.2 us each takes ~20 minutes.
+    # With tol_gain 0 the run ends where it settles on a float fixed point near
+    # s*, after some 33,000 squats, to which the closed form jumps.
     config = worked_config(
         spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
         loss=LossModel(efficiency=0.95),

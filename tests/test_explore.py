@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from springleg import (
     ALL_KEYS,
@@ -29,7 +29,7 @@ from springleg import (
     sweep,
     values_from_config,
 )
-from springleg.cyclic import Run, Termination
+from springleg.cyclic import Run, Termination, _recurrence
 from springleg.explore import _outcome
 from springleg.model import initial_spring_length
 
@@ -153,8 +153,8 @@ class TestMaxEnergy:
 
 def settling_ratchet_config(force_cap, efficiency, pitch, max_iterations):
     """four_squat_demo below its critical cap with a fine ratchet and tol_gain
-    0: the run repeats one squat from some squat on, never converges by the
-    gain tolerance, and so runs to its budget."""
+    0: no squat gains less than 0, so the run ends, converged, at the first
+    squat that repeats the one before it."""
     config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
     return replace(
         config,
@@ -178,7 +178,8 @@ class TestRatchetFixedPoint:
     @SETTLING_RATCHETS
     @pytest.mark.parametrize("budget", [10_000, 25_000])
     def test_answers_equal_the_streamed_run(self, force_cap, efficiency, pitch, budget):
-        """The queries jump to the budget at the first repeated squat; their
+        """The run ends, converged, at its first squat that repeats the one
+        before, which is the squat the map reaches at the budget; the queries'
         answers equal, bit for bit, those of every squat streamed, and so does
         the termination, also where the least positive gain tolerance ends
         the run on the first squat that gains nothing."""
@@ -190,8 +191,15 @@ class TestRatchetFixedPoint:
         assert _outcome(converging, math.inf)[:2] == (Termination.CONVERGED, last)
         run = Run(config, budget)
         squats = list(run)
-        assert run.termination is Termination.ITERATION_CAP and len(squats) == budget
-        assert _outcome(config, math.inf)[:2] == (Termination.ITERATION_CAP, squats[-1])
+        assert run.termination is Termination.CONVERGED and len(squats) < budget
+        assert squats[-1] == squats[-2]
+        assert all(a != b for a, b in zip(squats[:-2], squats[1:-1]))
+        assert _outcome(config, math.inf)[:2] == (Termination.CONVERGED, squats[-1])
+        squat, retract = _recurrence(config)  # the map alone, to the budget
+        done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
+        for n in range(2, budget + 1):
+            done = squat(n, *retract(n - 1, done[3]))
+        assert done == squats[-1]
         energies = [squat[8] for squat in squats]
         assert max_energy(config) == energies[-1]
         preload = spring_energy(initial_spring_length(config), config.spring)
@@ -203,7 +211,7 @@ class TestRatchetFixedPoint:
 
     @SETTLING_RATCHETS
     def test_billion_squat_budget_answers_at_once(self, force_cap, efficiency, pitch):
-        # Streaming a billion squats at ~2 us each would take over half an hour.
+        # The run ends at its first repeated squat, whatever its budget.
         config = settling_ratchet_config(force_cap, efficiency, pitch, 10**9)
         start = time.perf_counter()
         energy = max_energy(config)
@@ -407,8 +415,11 @@ class TestSweep:
         assert row.status == "ok"
 
     def test_point_memory_does_not_grow_with_its_squats(self):
-        template = settling_ratchet_config(
-            232.70286216318496, 0.9329731716499092, 2.9461106082787717e-06, max_iterations=100
+        # just below the critical cap of 12 N every squat differs from the one before
+        template = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+            force_cap=12.0 * (1 - 1e-7),
+            tol_gain=0.0,
         )
         tracemalloc.start()
         try:
@@ -418,6 +429,17 @@ class TestSweep:
             tracemalloc.stop()
         assert (row.status, row.iterations, row.termination) == ("ok", 20_000, "iteration_cap")
         assert peak < 2**20
+
+    def test_repeated_squat_ends_an_endless_budget(self):
+        # four_squat_demo at cap 200 N repeats squat 6 at squat 7; streamed
+        # to a budget of 10**300 squats, this point would never return
+        config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+        loss = LossModel(efficiency=0.9, ratchet_pitch=0.003)
+        template = replace(config, force_cap=200.0, loss=loss, tol_gain=0.0)
+        (row,) = sweep(template, [{"max_iterations": 10**300}])
+        assert (row.status, row.termination, row.iterations) == ("ok", "converged", 7)
+        result = simulate(replace(template, max_iterations=10**300))
+        assert len(result.squats.x) == 7 and result.termination is Termination.CONVERGED
 
     def test_row_order_independent_of_workers(self):
         config = worked_config()
@@ -503,25 +525,6 @@ def row_bits(row: SweepRow) -> list:
     ]
 
 
-def repeats_a_squat_for_ages(template, point) -> bool:
-    """Whether the run of a valid ``point`` repeats a squat, at ``tol_gain`` 0,
-    with over a million squats of its budget still to go: a squat is a function
-    of the one before, so it then repeats that squat up to its budget (up to
-    1e300 squats), as ``explore._outcome`` sees."""
-    if template.tol_gain or not isinstance(point, dict):
-        return False
-    try:
-        config = config_from_values({**values_from_config(template), **point})
-        config, previous = replace(config, tol_abs=template.tol_abs, tol_gain=0.0), None
-        for n, squat in enumerate(Run(config, config.max_iterations), 1):
-            if squat == previous:
-                return config.max_iterations - n > 10**6
-            previous = squat
-    except (ConfigurationError, DomainError, StallError, SimulationError):
-        pass
-    return False
-
-
 @settings(max_examples=150, deadline=None)
 @given(template=templates(), data=st.data())
 def test_sweep_rows_equal_the_flat_mapping_path(template, data):
@@ -537,6 +540,5 @@ def test_sweep_rows_equal_the_flat_mapping_path(template, data):
         )
     )
     points = data.draw(st.lists(point | st.sampled_from([None, "ab"]), min_size=1, max_size=3))
-    assume(not any(repeats_a_squat_for_ages(template, p) for p in points))
     rows = sweep(template, points)
     assert [row_bits(row) for row in rows] == [row_bits(reference_row(template, p)) for p in points]

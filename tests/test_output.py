@@ -1,5 +1,6 @@
 """CSV/SVG emission: schemas, round trips, determinism."""
 
+import csv
 from unittest import mock
 
 import numpy as np
@@ -12,9 +13,11 @@ from springleg import (
     LossModel,
     Trajectory,
     emit_plot_svg,
+    emit_sweep_csv,
     emit_trajectory_csv,
     read_measured_cycles,
     simulate,
+    sweep,
 )
 from springleg import output
 from springleg.output import SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
@@ -188,6 +191,37 @@ class TestTrajectoryCsv:
 EDGE_VALUES = (-0.0, 5e-324, 9.99999999e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
 FAST, FLAGGED = (0.5, 0.12, 306.0, 1.0 / 3.0), (0.5, 5e-324, 306.0, 1.0 / 3.0)
 cells = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+
+
+class TestSweepCsv:
+    def test_every_row_has_the_header_width(self, tmp_path):
+        # Flagged points keep their cells: a comma, quote or newline is quoted,
+        # an int past the int-to-str digit limit is named by its type.
+        points = [
+            {"policy": "fast,slow"},
+            {"mass_kg": 10**5000},
+            {"policy": 'a"b'},
+            {"policy": "a\nb\r"},
+            {"mass_kg": (1, 2)},
+            {"mass_kg": (10**5000,)},
+            {"mass_kg": 12.0, "policy": "full_range"},
+        ]
+        rows = sweep(worked_config(), points)
+        assert [row.status for row in rows] == ["invalid"] * 6 + ["ok"]
+        path = emit_sweep_csv(rows, ["policy", "mass_kg"], tmp_path / "sweep.csv")
+        with open(path, newline="") as handle:
+            header, *table = csv.reader(handle)
+        assert len(table) == len(points)
+        assert all(len(line) == len(header) for line in table)
+        assert [line[:2] for line in table] == [
+            ["fast,slow", ""],
+            ["", "<int too long to print>"],
+            ["a'b", ""],
+            ["a\nb\r", ""],
+            ["", "(1, 2)"],
+            ["", "<tuple too long to print>"],
+            ["full_range", "12"],
+        ]
 
 
 class TestBlockFormatting:
