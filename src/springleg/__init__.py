@@ -7,130 +7,48 @@ mechanical advantage, and repetition accumulates energy far beyond what a
 single squat could store.  Includes the single-squat baseline model, the
 multi-squat recurrence with losses, calibration against measured traces,
 design-space queries, and deterministic CSV/SVG output.
+
+Each public name is imported from its module on first use, so a caller that
+touches only the plain-float modules never loads numpy.
 """
 
-from .baseline import (
-    BaselineResult,
-    average_force,
-    baseline_result,
-    e1_max,
-    required_stiffness,
-    stored_energy_single,
-)
-from .calibration import (
-    FitReport,
-    MeasuredCycle,
-    estimate_efficiency,
-    fit_model,
-    integrate_work,
-)
-from .config import (
-    ALL_KEYS,
-    config_from_values,
-    parse_config,
-    parse_config_text,
-    parse_grid,
-    values_from_config,
-)
-from .cyclic import (
-    CycleState,
-    ReleaseProfile,
-    SimResult,
-    SquatRecord,
-    Squats,
-    StopReason,
-    Termination,
-    release_profile,
-    simulate,
-)
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DomainError,
-    GeometryError,
-    SimulationError,
-    SpringLegError,
-    StallError,
-)
-from .explore import SweepRow, max_energy, min_squats, spring_capacity, sweep
-from .model import (
-    BodyParams,
-    CompressionPolicy,
-    Configuration,
-    LegGeometry,
-    LossModel,
-    SpringParams,
-    Trajectory,
-    hip_force,
-    initial_spring_length,
-    spring_energy,
-    spring_force,
-    spring_length_from_leg,
-)
-from .output import (
-    emit_fit_report_csv,
-    emit_plot_svg,
-    emit_sweep_csv,
-    emit_trajectory_csv,
-    read_measured_cycles,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_KEYS",
-    "BaselineResult",
-    "BodyParams",
-    "CompressionPolicy",
-    "Configuration",
-    "ConfigurationError",
-    "CycleState",
-    "DataError",
-    "DomainError",
-    "FitReport",
-    "GeometryError",
-    "LegGeometry",
-    "LossModel",
-    "MeasuredCycle",
-    "ReleaseProfile",
-    "SimResult",
-    "SimulationError",
-    "SpringLegError",
-    "SpringParams",
-    "SquatRecord",
-    "Squats",
-    "StallError",
-    "StopReason",
-    "SweepRow",
-    "Termination",
-    "Trajectory",
-    "average_force",
-    "baseline_result",
-    "config_from_values",
-    "e1_max",
-    "emit_fit_report_csv",
-    "emit_plot_svg",
-    "emit_sweep_csv",
-    "emit_trajectory_csv",
-    "estimate_efficiency",
-    "fit_model",
-    "hip_force",
-    "initial_spring_length",
-    "integrate_work",
-    "max_energy",
-    "min_squats",
-    "parse_config",
-    "parse_config_text",
-    "parse_grid",
-    "read_measured_cycles",
-    "release_profile",
-    "required_stiffness",
-    "simulate",
-    "spring_capacity",
-    "spring_energy",
-    "spring_force",
-    "spring_length_from_leg",
+#: The public names of each module.
+_MODULES = {
+    "baseline": "BaselineResult average_force baseline_result e1_max required_stiffness "
     "stored_energy_single",
-    "sweep",
+    "calibration": "FitReport MeasuredCycle estimate_efficiency fit_model integrate_work",
+    "config": "ALL_KEYS config_from_values parse_config parse_config_text parse_grid "
     "values_from_config",
-]
+    "cyclic": "CycleState ReleaseProfile SimResult SquatRecord Squats StopReason Termination "
+    "release_profile simulate",
+    "errors": "ConfigurationError DataError DomainError GeometryError SimulationError "
+    "SpringLegError StallError",
+    "explore": "SweepRow max_energy min_squats spring_capacity sweep",
+    "model": "BodyParams CompressionPolicy Configuration LegGeometry LossModel SpringParams "
+    "Trajectory hip_force initial_spring_length spring_energy spring_force "
+    "spring_length_from_leg",
+    "output": "emit_fit_report_csv emit_plot_svg emit_sweep_csv emit_trajectory_csv "
+    "read_measured_cycles",
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """Import the module of public ``name`` and keep the value here, so that
+    later lookups are plain attribute reads."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

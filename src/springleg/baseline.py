@@ -11,11 +11,13 @@ single squat can store).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import BodyParams, LegGeometry, _real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ def reference_spring_force_ramp(
     the full deformation, so the spring force rises linearly from zero to
     ``weight - bottom_force``.  Used as the dashed reference in plots.
     """
+    import numpy as np
+
     bottom_force = _check_bottom_force(bottom_force, body)
     deflection = np.linspace(0.0, geom.max_deformation, samples)
     force = (body.weight - bottom_force) * deflection / geom.max_deformation

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .baseline import baseline_result
-from .calibration import fit_model
 from .config import parse_config, parse_grid
 from .cyclic import release_profile, simulate
 from .errors import ConfigurationError, DataError, DomainError, SimulationError
@@ -190,6 +189,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .calibration import fit_model
+
     config = parse_config(args.config)
     cycles = read_measured_cycles(args.data)
     unknowns = {u.strip() for u in args.unknowns.split(",") if u.strip()}

@@ -18,14 +18,15 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .baseline import e1_max
 from .errors import GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
 from .model import _real, hip_force, initial_spring_length, spring_energy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StopReason(enum.Enum):
@@ -138,6 +139,8 @@ class SimResult:
         """Sampled stroke of every squat, in run order: the engaged stroke only,
         since the dead band carries no force and no spring motion.  An
         ENGAGED_ONLY squat is slack throughout, so two endpoints suffice."""
+        import numpy as np
+
         config, q = self.config, self.squats
         engaged = [stop is not StopReason.ENGAGED_ONLY for stop in q.stop]
         x, start, stop = (np.array(column)[engaged] for column in (q.x, q.dead_band, q.travel))
@@ -335,7 +338,9 @@ def release_profile(
     ------
     GeometryError
         If ``spring_length`` or ``x_release`` is not a real number, or the
-        starting posture lies outside the leg's deformation range.
+        starting posture lies outside the leg's deformation range: deeper
+        than ``max_deformation``, or beyond standing, where the spring
+        would compress as the leg extends.
     """
     geom, spring = config.leg, config.spring
     spring_length = _real("spring_length", spring_length, GeometryError)
@@ -352,14 +357,19 @@ def release_profile(
             f"[{spring.solid_length}, {spring.free_length}]"
         )
     ratio = x_release / geom.segment_length
-    leg_start = spring_length / ratio
+    leg_start, s_standing = spring_length / ratio, ratio * geom.standing_length
     if leg_start < geom.standing_length - geom.max_deformation:
         raise GeometryError(
             f"release posture needs leg length {leg_start}, below the reachable minimum "
             f"{geom.standing_length - geom.max_deformation}: release at a smaller x_release"
         )
+    if spring_length > s_standing:  # the product s_end uses, so released_energy >= 0
+        raise GeometryError(
+            f"release posture needs leg length {leg_start}, beyond the standing length "
+            f"{geom.standing_length}: release at a larger x_release"
+        )
 
-    s_end = min(spring.free_length, ratio * geom.standing_length)
+    s_end = min(spring.free_length, s_standing)
     leg_end = s_end / ratio
     start, stop = geom.standing_length - leg_start, geom.standing_length - leg_end
     return ReleaseProfile(
@@ -374,6 +384,8 @@ def _strokes(config: Configuration, x, start, stop) -> tuple[np.ndarray, np.ndar
     at spring positions ``x``, one row each (1-D for floats).  Each row's
     deformations are ``np.linspace(start, stop, sample_count)`` bit for bit:
     its operations in its order, with its branch for a step that underflows."""
+    import numpy as np
+
     geom, spring, n = config.leg, config.spring, config.sample_count
     ratio = (np.asarray(x) / geom.segment_length)[..., None]
     start, stop = np.asarray(start)[..., None], np.asarray(stop)
@@ -401,5 +413,7 @@ def _sampled(config: Configuration, x, start, stop) -> tuple[np.ndarray, ...]:
 
 
 def _slack(spring: SpringParams, length: float, travel: float) -> Trajectory:
+    import numpy as np
+
     energy = spring_energy(length, spring)
     return Trajectory(np.array([0.0, travel]), np.full(2, length), np.zeros(2), np.full(2, energy))

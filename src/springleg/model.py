@@ -18,10 +18,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from operator import index
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, DomainError, SpringLegError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Relative tolerance used when a derived spring length overshoots the free
 #: length by floating-point round-off only; within it the length is snapped

@@ -9,16 +9,18 @@ hand-built SVG so that golden-file comparison is meaningful.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .baseline import reference_spring_force_ramp
-from .calibration import FitReport, MeasuredCycle
 from .cyclic import SimResult, Squats
 from .errors import DataError, DomainError
 from .explore import SweepRow
 from .model import Trajectory, _integer, _repr
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .calibration import FitReport, MeasuredCycle
 
 TRAJECTORY_HEADER = "iteration,leg_deformation_m,spring_length_m,hip_force_n,stored_energy_j"
 SUMMARY_HEADER = "iteration,x_m,s_start_m,s_end_m,f_start_n,f_end_n,e_before_j,e_after_j,stop_reason"
@@ -35,6 +37,8 @@ def format_number(value: float) -> str:
     text = "%.9g" % value
     if "e" not in text:
         return text
+    import numpy as np
+
     return np.format_float_positional(
         float(value), precision=9, unique=False, fractional=False, trim="-"
     )
@@ -75,6 +79,8 @@ def _summary_path(path: Path) -> Path:
 
 
 def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[str]:
+    import numpy as np
+
     t = trajectory
     columns = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
@@ -117,6 +123,10 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     ``spring_length_m`` of each group become the pre-squat and locked
     spring lengths.
     """
+    import numpy as np
+
+    from .calibration import MeasuredCycle
+
     path = Path(path)
     try:
         text = path.read_text()
@@ -265,6 +275,8 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     single-squat energy bound, with the capped single-squat energy curve
     dashed.  Output bytes depend only on the result.
     """
+    import numpy as np
+
     if kind not in PLOT_KINDS:
         raise DomainError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if not result.squats.x:
@@ -378,6 +390,8 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
 
 
 def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
+    import numpy as np
+
     # On float64 arrays sx/sy do a per-point call's IEEE operations, in order.
     points = " ".join(_format_rows("%.2f,%.2f", " ", np.column_stack((sx(x), sy(y)))))
     dash = ' stroke-dasharray="6 4"' if dashed else ""

@@ -164,6 +164,14 @@ class TestReleaseCommand:
         )
         assert "release" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_release", ["0.25", "0.1"])
+    def test_release_beyond_standing_exits_3(self, tmp_path, capsys, x_release):
+        # The demo's 0.5 m spring would compress as the leg extends to standing.
+        arguments = ["--spring-length", "0.5", "--x-release", x_release]
+        assert main(["release", "--config", DEMO, "--out", str(tmp_path), *arguments]) == 3
+        assert "beyond the standing length" in capsys.readouterr().err
+        assert not (tmp_path / "release.csv").exists()
+
 
 class TestSweepCommand:
     def test_grid_sweep_with_flagged_rows(self, tmp_path, capsys):

@@ -28,13 +28,20 @@ from springleg import (
     emit_trajectory_csv,
     hip_force,
     initial_spring_length,
+    parse_config,
     release_profile,
     simulate,
     spring_energy,
 )
 from springleg.output import PLOT_KINDS
 
-from conftest import exact_zero_preload_config, oracle_params, random_config, worked_config
+from conftest import (
+    CONFIG_DIR,
+    exact_zero_preload_config,
+    oracle_params,
+    random_config,
+    worked_config,
+)
 from oracle import oracle_simulate
 
 
@@ -508,6 +515,20 @@ class TestReleaseProfile:
         result = simulate(config)
         with pytest.raises(GeometryError, match="release"):
             release_profile(result.final_spring_length, config, x_release=0.2)
+
+    @pytest.mark.parametrize("x_release", [0.25, 0.1])
+    def test_posture_beyond_standing_rejected(self, x_release):
+        # The demo's 0.5 m spring spans 0.45 m at x = 0.25 with the leg standing:
+        # releasing it there would compress it further as the leg extends.
+        config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+        with pytest.raises(GeometryError, match="beyond the standing length"):
+            release_profile(0.5, config, x_release=x_release)
+
+    def test_release_from_standing_releases_nothing(self):
+        config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+        profile = release_profile(0.45, config, x_release=0.25)  # the span at standing
+        assert profile.trajectory.leg_deformation.tolist() == [0.0] * config.sample_count
+        assert profile.released_energy == 0.0
 
     @pytest.mark.parametrize(
         "name, value, shown",
