@@ -11,13 +11,9 @@ single squat can store).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import BodyParams, LegGeometry, _real
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,23 +73,6 @@ def baseline_result(bottom_force: float, body: BodyParams, geom: LegGeometry) ->
         e1_max=e1_max(body, geom),
         stiffness=required_stiffness(bottom_force, body, geom),
     )
-
-
-def reference_spring_force_ramp(
-    body: BodyParams, geom: LegGeometry, bottom_force: float = 0.0, samples: int = 2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spring force vs. deformation for the canonical single-squat reference.
-
-    The leg force descends linearly from the weight to ``bottom_force`` over
-    the full deformation, so the spring force rises linearly from zero to
-    ``weight - bottom_force``.  Used as the dashed reference in plots.
-    """
-    import numpy as np
-
-    bottom_force = _check_bottom_force(bottom_force, body)
-    deflection = np.linspace(0.0, geom.max_deformation, samples)
-    force = (body.weight - bottom_force) * deflection / geom.max_deformation
-    return deflection, force
 
 
 def _check_bottom_force(bottom_force: float, body: BodyParams) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .baseline import reference_spring_force_ramp
 from .cyclic import SimResult, Squats
 from .errors import DataError, DomainError
 from .explore import SweepRow
@@ -25,6 +24,12 @@ if TYPE_CHECKING:
 TRAJECTORY_HEADER = "iteration,leg_deformation_m,spring_length_m,hip_force_n,stored_energy_j"
 SUMMARY_HEADER = "iteration,x_m,s_start_m,s_end_m,f_start_n,f_end_n,e_before_j,e_after_j,stop_reason"
 PLOT_KINDS = ("force_deflection", "energy")
+#: Sweep CSV header -> SweepRow field, after the keys and before the quoted ``reason``.
+_SWEEP_COLUMNS = {
+    "status": "status", "final_energy_j": "final_energy", "iterations": "iterations",
+    "iterations_to_full": "iterations_to_full_compression", "peak_force_n": "peak_force",
+    "final_over_e1max": "final_over_e1max", "peak_over_cap": "peak_over_cap",
+}
 #: Most rows one ``%`` call formats, so that its tuple and template stay small.
 _BLOCK_ROWS = 1 << 12
 
@@ -164,18 +169,10 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
     """Write sweep rows in grid order; one row per point, failures flagged."""
     path = Path(path)
-    header = [*keys, "status", "final_energy_j", "iterations", "iterations_to_full"]
-    header += ["peak_force_n", "final_over_e1max", "peak_over_cap", "reason"]
-    lines = [",".join(header)]
+    lines = [",".join([*map(_cell, keys), *_SWEEP_COLUMNS, "reason"])]
     for row in rows:
         cells = [_cell(row.params.get(k)) for k in keys]
-        cells.append(row.status)
-        cells.append(_cell(row.final_energy))
-        cells.append(_cell(row.iterations))
-        cells.append(_cell(row.iterations_to_full_compression))
-        cells.append(_cell(row.peak_force))
-        cells.append(_cell(row.final_over_e1max))
-        cells.append(_cell(row.peak_over_cap))
+        cells += [_cell(getattr(row, field)) for field in _SWEEP_COLUMNS.values()]
         cells.append(_quoted(row.reason) if row.reason else "")
         lines.append(",".join(cells))
     _write_lines(path, lines)
@@ -284,48 +281,41 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     path = Path(path)
 
     e1, cap = result.normalization
-    spring = result.config.spring
-    body = result.config.body
-    geom = result.config.leg
-
-    curves: list[tuple[np.ndarray, np.ndarray]] = []
-    for trajectory in result.trajectories:
-        deflection = spring.free_length - trajectory.spring_length
-        if kind == "force_deflection":
-            curves.append((deflection, trajectory.hip_force / cap))
-        else:
-            curves.append((deflection, trajectory.stored_energy / e1))
-
+    leg, spring = result.config.leg, result.config.spring
     if kind == "force_deflection":
-        ref_x, ref_force = reference_spring_force_ramp(body, geom, samples=64)
-        reference = (ref_x, ref_force / cap)
-        guide_y = 1.0  # the force cap
+        field, scale, title = "hip_force", cap, "Force vs. spring deflection"
         y_label = "hip force / force cap"
-        title = "Force vs. spring deflection"
+        # One squat's spring takes up the whole weight linearly over the leg's range.
+        ref_x = np.linspace(0.0, leg.max_deformation, 64)
+        ref_y = result.config.body.weight * ref_x / leg.max_deformation
     else:
+        field, scale, title = "stored_energy", e1, "Stored energy vs. spring deflection"
+        y_label = "stored energy / single-squat bound"
+        # One squat compresses the spring up to the cap, or to solid.
         d_cap = min(cap / spring.stiffness, spring.free_length - spring.solid_length)
         ref_x = np.linspace(0.0, d_cap, 64)
-        reference = (ref_x, 0.5 * spring.stiffness * ref_x**2 / e1)
-        guide_y = 1.0  # the single-squat energy bound
-        y_label = "stored energy / single-squat bound"
-        title = "Stored energy vs. spring deflection"
+        ref_y = 0.5 * spring.stiffness * ref_x**2
+    reference = (ref_x, ref_y / scale)
+    curves = [
+        (spring.free_length - t.spring_length, getattr(t, field) / scale)
+        for t in result.trajectories
+    ]
 
-    xs = np.concatenate([c[0] for c in curves] + [reference[0]])
-    ys = np.concatenate([c[1] for c in curves] + [reference[1], np.array([guide_y])])
-    x_lo, x_hi = 0.0, float(np.max(xs))
-    y_lo, y_hi = min(0.0, float(np.min(ys))), float(np.max(ys))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    y_hi *= 1.05
+    # The guide line at 1.0 (the cap, or the single-squat bound) is always in range.
+    drawn = [reference, *curves]
+    x_hi = float(np.max([x.max() for x, _ in drawn]))
+    y_lo = min(0.0, float(np.min([y.min() for _, y in drawn])))
+    y_hi = float(np.max([1.0, *(y.max() for _, y in drawn)])) * 1.05
+    if x_hi <= 0.0:  # no deflection at all, as a hand-built result can have
+        x_hi = 1.0
 
     def sx(x: float | np.ndarray) -> float | np.ndarray:
-        return _LEFT + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - _LEFT - _RIGHT)
+        return _LEFT + x / x_hi * (_WIDTH - _LEFT - _RIGHT)
 
     def sy(y: float | np.ndarray) -> float | np.ndarray:
         return _HEIGHT - _BOTTOM - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - _TOP - _BOTTOM)
 
+    x_axis, mid_y = _HEIGHT - _BOTTOM, (_TOP + _HEIGHT - _BOTTOM) / 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:g}" height="{_HEIGHT:g}" '
         f'viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
@@ -333,60 +323,43 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
-
-    for tick in np.linspace(x_lo, x_hi, 6):
+    for tick in np.linspace(0.0, x_hi, 6):
         px = sx(float(tick))
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_HEIGHT - _BOTTOM:.2f}" x2="{px:.2f}" '
-            f'y2="{_HEIGHT - _BOTTOM + 5:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_HEIGHT - _BOTTOM + 19:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-        )
+        parts += [_line(px, x_axis, px, x_axis + 5), _tick_label(px, x_axis + 19, "middle", tick)]
     for tick in np.linspace(y_lo, y_hi, 6):
         py = sy(float(tick))
-        parts.append(
-            f'<line x1="{_LEFT - 5:.2f}" y1="{py:.2f}" x2="{_LEFT:.2f}" y2="{py:.2f}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_LEFT - 9:.2f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.3g}</text>'
-        )
-
-    parts.append(
-        f'<line x1="{_LEFT:.2f}" y1="{_HEIGHT - _BOTTOM:.2f}" x2="{_WIDTH - _RIGHT:.2f}" '
-        f'y2="{_HEIGHT - _BOTTOM:.2f}" stroke="black" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{_LEFT:.2f}" y1="{_TOP:.2f}" x2="{_LEFT:.2f}" '
-        f'y2="{_HEIGHT - _BOTTOM:.2f}" stroke="black" stroke-width="1.5"/>'
-    )
-    parts.append(
+        parts += [_line(_LEFT - 5, py, _LEFT, py), _tick_label(_LEFT - 9, py + 4, "end", tick)]
+    parts += [
+        _line(_LEFT, x_axis, _WIDTH - _RIGHT, x_axis, width="1.5"),
+        _line(_LEFT, _TOP, _LEFT, x_axis, width="1.5"),
         f'<text x="{(_LEFT + _WIDTH - _RIGHT) / 2:.1f}" y="{_HEIGHT - 14:.1f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        "cumulative spring deflection [m]</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{(_TOP + _HEIGHT - _BOTTOM) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(_TOP + _HEIGHT - _BOTTOM) / 2:.1f})">{y_label}</text>'
-    )
-
-    guide_py = sy(guide_y)
-    parts.append(
-        f'<line x1="{_LEFT:.2f}" y1="{guide_py:.2f}" x2="{_WIDTH - _RIGHT:.2f}" '
-        f'y2="{guide_py:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="2 3"/>'
-    )
-    parts.append(_polyline(reference[0], reference[1], sx, sy, "#444444", dashed=True))
+        'text-anchor="middle" font-family="sans-serif" font-size="13">'
+        "cumulative spring deflection [m]</text>",
+        f'<text x="18" y="{mid_y:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 18 {mid_y:.1f})">{y_label}</text>',
+        _line(_LEFT, sy(1.0), _WIDTH - _RIGHT, sy(1.0), stroke="#888888", dash="2 3"),
+        _polyline(*reference, sx, sy, "#444444", dashed=True),
+    ]
     for index, (cx, cy) in enumerate(curves):
-        color = _COLORS[index % len(_COLORS)]
-        parts.append(_polyline(cx, cy, sx, sy, color))
-
+        parts.append(_polyline(cx, cy, sx, sy, _COLORS[index % len(_COLORS)]))
     parts.append("</svg>")
     _write_lines(path, parts)
     return path
+
+
+def _line(x1, y1, x2, y2, stroke: str = "black", width: str = "1", dash: str = "") -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _tick_label(x, y, anchor: str, value) -> str:
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
+        f'font-family="sans-serif" font-size="11">{value:.3g}</text>'
+    )
 
 
 def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:

@@ -18,7 +18,6 @@ from springleg import (
     spring_energy,
     stored_energy_single,
 )
-from springleg.baseline import reference_spring_force_ramp
 
 BODY = BodyParams(mass=10.0, gravity=10.0)  # weight 100 N
 GEOM = LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.1)
@@ -153,11 +152,3 @@ class TestMechanismReduction:
             spring_energy(first.state.spring_length_end, spring), rel=1e-12
         )
         assert first.end_force == pytest.approx(body.weight, rel=1e-12)
-
-
-class TestReferenceRamp:
-    def test_terminates_at_weight(self):
-        deflection, force = reference_spring_force_ramp(BODY, GEOM, samples=16)
-        assert deflection[0] == 0.0 and force[0] == 0.0
-        assert deflection[-1] == pytest.approx(GEOM.max_deformation)
-        assert force[-1] == pytest.approx(BODY.weight)

@@ -4,7 +4,9 @@ The trajectory, summary, plot and sweep files under ``tests/golden/`` were
 written by ``demos/02_multi_squat_accumulation.py`` and
 ``demos/05_design_sweep.py``; the release CSV and the fit report were
 written by the calls below before the emitters switched to C-level float
-formatting.  Regenerating them the same way must reproduce every byte.
+formatting, and the ``ratchet_slack`` plots (12 squats, so the colours wrap,
+one of them a slack stroke) by the calls below before the plot code was
+rewritten.  Regenerating them the same way must reproduce every byte.
 """
 
 from pathlib import Path
@@ -31,6 +33,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_demo_artifacts_match_golden(tmp_path):
     config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
     result = simulate(config)
+    slack = simulate(parse_config(CONFIG_DIR / "ratchet_slack.cfg"))
     points = [
         {"force_cap_n": float(cap), "spring_stiffness_n_per_m": float(k)}
         for cap in np.linspace(150.0, 350.0, 5)
@@ -53,6 +56,8 @@ def test_demo_artifacts_match_golden(tmp_path):
         tmp_path / "four_squat_trajectory_summary.csv",
         emit_plot_svg(result, "force_deflection", tmp_path / "four_squat_force.svg"),
         emit_plot_svg(result, "energy", tmp_path / "four_squat_energy.svg"),
+        emit_plot_svg(slack, "force_deflection", tmp_path / "ratchet_slack_force.svg"),
+        emit_plot_svg(slack, "energy", tmp_path / "ratchet_slack_energy.svg"),
         emit_sweep_csv(
             sweep(config, points),
             ["force_cap_n", "spring_stiffness_n_per_m"],

@@ -196,7 +196,8 @@ cells = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
 class TestSweepCsv:
     def test_every_row_has_the_header_width(self, tmp_path):
         # Flagged points keep their cells: a comma, quote or newline is quoted,
-        # an int past the int-to-str digit limit is named by its type.
+        # an int past the int-to-str digit limit is named by its type.  Header
+        # keys are cells too: "a,b" is quoted and the key 1 printed.
         points = [
             {"policy": "fast,slow"},
             {"mass_kg": 10**5000},
@@ -208,9 +209,10 @@ class TestSweepCsv:
         ]
         rows = sweep(worked_config(), points)
         assert [row.status for row in rows] == ["invalid"] * 6 + ["ok"]
-        path = emit_sweep_csv(rows, ["policy", "mass_kg"], tmp_path / "sweep.csv")
+        path = emit_sweep_csv(rows, ["policy", "mass_kg", "a,b", 1], tmp_path / "sweep.csv")
         with open(path, newline="") as handle:
             header, *table = csv.reader(handle)
+        assert header[:5] == ["policy", "mass_kg", "a,b", "1", "status"]
         assert len(table) == len(points)
         assert all(len(line) == len(header) for line in table)
         assert [line[:2] for line in table] == [
