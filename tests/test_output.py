@@ -286,6 +286,30 @@ class TestPlotSvg:
         for prev, cur in zip(result.trajectories, result.trajectories[1:]):
             assert cur.stored_energy[0] < prev.stored_energy[-1]
 
+    @pytest.mark.parametrize("kind", ["force_deflection", "energy"])
+    def test_reference_curve_ends_at_the_single_squat_bound(self, tmp_path, kind):
+        # The dashed curve is one squat on a fixed spring: force rises linearly
+        # to the body weight over the leg's range; energy rises as k d^2 / 2 up
+        # to the deflection at the force cap, or to solid.
+        config = worked_config()
+        result = simulate(config)
+        e1, cap = result.normalization
+        spring = config.spring
+        with mock.patch.object(output, "_polyline", wraps=output._polyline) as spy:
+            emit_plot_svg(result, kind, tmp_path / "plot.svg")
+        (x, y, *_), = [c.args for c in spy.call_args_list if c.kwargs.get("dashed")]
+        assert len(x) == 64 and x[0] == 0.0 and y[0] == 0.0
+        if kind == "force_deflection":
+            assert x[-1] == pytest.approx(config.leg.max_deformation, rel=1e-12)
+            assert y[-1] * cap == pytest.approx(config.body.weight, rel=1e-12)
+            slope = config.body.weight / config.leg.max_deformation / cap
+            assert np.allclose(np.diff(y) / np.diff(x), slope, rtol=1e-9)
+        else:
+            d_cap = min(cap / spring.stiffness, spring.free_length - spring.solid_length)
+            assert x[-1] == pytest.approx(d_cap, rel=1e-12)
+            assert y * e1 == pytest.approx(0.5 * spring.stiffness * x**2, rel=1e-12)
+            assert np.all(np.diff(y) > 0)
+
     def test_svg_is_wellformed_and_contains_curves(self, tmp_path):
         import xml.etree.ElementTree as ET
 
