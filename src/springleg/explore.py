@@ -106,8 +106,10 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
     ends at squat 2 at the latest, as it stores less there.  From squat 2 on
     the orbit falls, in a closed form of ``_orbits``, and bisection finds the
     first squat that crosses a threshold, stalls, compresses fully, gains less
-    than ``tol_gain`` or first stores the target.  Each squat it looks at is
-    evaluated by retract + squat, so energies and errors are the map's own.
+    than ``tol_gain``, repeats the squat before it or first stores the target.
+    Each squat it looks at is evaluated by retract + squat, so energies and
+    errors are the map's own.  A closed form that has settled by the budget
+    counts as a run that has repeated a squat.
     """
     closed_forms = _orbits(config)
     if closed_forms is None:
@@ -125,22 +127,26 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
         x, length, _ = retract(i, done[3])
         return length, squat(i + 1, x, length, 0.0)
 
+    def converges(done: tuple, last: tuple | None) -> bool:  # as ``Run`` ends a run
+        gain = done[8] - (done[7] if last is None else last[8])
+        return gain < tol_gain or gain == 0.0 and done == last
+
     def ends(i: int) -> bool:  # or reaches the target
         try:
             done = at(i - 1)
-            _, _, _, s_end, _, _, _, _, e_after, _ = after(i - 1, done)[1]
+            following = after(i - 1, done)[1]
         except StallError:  # at efficiency 1 the cap's fixed point is a stall point
             return True
-        return s_end <= full_length or e_after - done[8] < tol_gain or e_after >= target
+        return following[3] <= full_length or converges(following, done) or following[8] >= target
 
     done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
-    n, previous, reached = 1, done[7], None
+    n, last, reached = 1, None, None
     while True:
         if reached is None and done[8] >= target:
             reached, target = n, math.inf
         if done[3] <= full_length:
             return Termination.FULL_COMPRESSION, done, reached
-        if done[8] - previous < tol_gain:
+        if converges(done, last):
             return Termination.CONVERGED, done, reached
         if n == budget:
             return Termination.ITERATION_CAP, done, reached
@@ -155,13 +161,15 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
                 n, done = stop - 1, at(stop - 1)
             except StallError:  # as ``ends`` saw it
                 return Termination.STALLED, at(stop - 2), reached
-            if stop > budget:
+            if stop > budget:  # a closed form settled by then has repeated a squat
+                if orbit(budget - start) == orbit(budget - 1 - start):
+                    return Termination.CONVERGED, done, reached
                 return Termination.ITERATION_CAP, done, reached
         try:
             s, following = after(n, done)
         except StallError:
             return Termination.STALLED, done, reached
-        n, previous, done = n + 1, done[8], following
+        n, last, done = n + 1, done, following
 
 
 def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:

@@ -8,6 +8,7 @@ hand-built SVG so that golden-file comparison is meaningful.
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -30,7 +31,7 @@ _SWEEP_COLUMNS = {
     "iterations_to_full": "iterations_to_full_compression", "peak_force_n": "peak_force",
     "final_over_e1max": "final_over_e1max", "peak_over_cap": "peak_over_cap",
 }
-#: Most rows one ``%`` call formats, so that its tuple and template stay small.
+#: Most rows one ``%`` call formats or one digit-table pass spells: temporaries stay small.
 _BLOCK_ROWS = 1 << 12
 
 
@@ -65,7 +66,7 @@ def emit_trajectory_csv(
         for n, trajectory in enumerate(data.trajectories, 1):
             lines.extend(_trajectory_rows(trajectory, n))
         _write_lines(path, lines)
-        _write_lines(_summary_path(path), _summary_lines(data))
+        _write_lines(path.with_name(path.stem + "_summary.csv"), _summary_lines(data))
     else:
         if len(data) == 0:
             raise DomainError("cannot emit an empty trajectory")
@@ -77,10 +78,6 @@ def emit_trajectory_csv(
         lines.extend(_trajectory_rows(data, iteration))
         _write_lines(path, lines)
     return path
-
-
-def _summary_path(path: Path) -> Path:
-    return path.with_name(path.stem + "_summary.csv")
 
 
 def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[str]:
@@ -96,17 +93,17 @@ def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[s
     template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
     start = 0
     for row in (*np.flatnonzero(slow).tolist(), len(table)):
-        yield from _format_rows(template, "\n", table[start:row])
+        yield from _format_rows(template, table[start:row])
         if row < len(table):
             yield ",".join((str(iteration), *map(format_number, table[row].tolist())))
         start = row + 1
 
 
-def _format_rows(template: str, sep: str, table: np.ndarray) -> Iterator[str]:
-    """Pieces of ``sep.join(template % tuple(row) for row in table)``, one ``%`` per block."""
+def _format_rows(template: str, table: np.ndarray) -> Iterator[str]:
+    """Blocks of ``template % tuple(row)`` lines, newline-joined, one ``%`` per block."""
     for a in range(0, len(table), _BLOCK_ROWS):
         block = table[a : a + _BLOCK_ROWS]
-        yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield "\n".join([template] * len(block)) % tuple(block.ravel().tolist())
 
 
 def _format_squats(q: Squats) -> list[tuple[str, ...]]:
@@ -169,6 +166,11 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
     """Write sweep rows in grid order; one row per point, failures flagged."""
     path = Path(path)
+    for key in keys:
+        try:
+            hash(key)
+        except TypeError:  # ``params.get`` would raise it
+            raise DomainError(f"sweep key {_repr(key)} is not hashable") from None
     lines = [",".join([*map(_cell, keys), *_SWEEP_COLUMNS, "reason"])]
     for row in rows:
         cells = [_cell(row.params.get(k)) for k in keys]
@@ -221,25 +223,15 @@ def format_fit_report(report: FitReport) -> str:
 def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
     """Write the fitted scalars and the per-iteration table as CSV."""
     path = Path(path)
+    scalars = (report.efficiency, report.force_cap, report.residual_rms)
+    ratios = [*map(format_number, report.retention_ratios), *[""] * len(report.cycle_work)]
+    works = map(format_number, report.cycle_work)
     lines = [
         "efficiency,force_cap_n,residual_rms_n,flat_objective",
-        ",".join(
-            (
-                format_number(report.efficiency),
-                format_number(report.force_cap),
-                format_number(report.residual_rms),
-                str(report.flat_objective).lower(),
-            )
-        ),
+        ",".join([*map(format_number, scalars), str(report.flat_objective).lower()]),
         "iteration,work_j,retention_ratio",
+        *(f"{i},{work},{ratio}" for i, (work, ratio) in enumerate(zip(works, ratios), 1)),
     ]
-    for i, work in enumerate(report.cycle_work):
-        ratio = (
-            format_number(report.retention_ratios[i])
-            if i < len(report.retention_ratios)
-            else ""
-        )
-        lines.append(f"{i + 1},{format_number(work)},{ratio}")
     _write_lines(path, lines)
     return path
 
@@ -363,9 +355,44 @@ def _tick_label(x, y, anchor: str, value) -> str:
 
 
 def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
+    """A polyline through ``(sx(x), sy(y))``, whose points read ``"%.2f,%.2f"``
+    joined by spaces: spelled from ``_digits`` one block of rows at a time
+    where that gives the same bytes, through ``%`` elsewhere."""
     import numpy as np
 
     # On float64 arrays sx/sy do a per-point call's IEEE operations, in order.
-    points = " ".join(_format_rows("%.2f,%.2f", " ", np.column_stack((sx(x), sy(y)))))
+    table = np.column_stack((sx(x), sy(y)))
+    units, cents = _digits()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = 100.0 * table
+        cent = np.rint(scaled)
+        # Rounding the product is monotone and keeps a half-integer below 1e5, so
+        # unless it lands on one, rint gives the cents %.2f rounds 100 * value to.
+        # Signed values (-0.0 too), nan, inf, 999.995 and up, and ties go through %.
+        fast = ~np.signbit(table) & (scaled < 99999.5) & (abs(scaled - cent) != 0.5)
+    # Each point is 8 bytes: its unit word, its cents, "," or " ", and a NUL
+    # that is dropped with the unit words' padding.
+    separators = np.array([ord(","), ord(" ")], "<u4") << 16
+    pieces, start = [], 0
+    for row in (*np.flatnonzero(~fast.all(axis=1)).tolist(), len(table)):
+        for a in range(start, row, _BLOCK_ROWS):
+            whole, part = np.divmod(cent[a : min(a + _BLOCK_ROWS, row)].astype(np.int64), 100)
+            words = np.stack((units[whole], cents[part] | separators), axis=-1)
+            pieces.append(words.tobytes().replace(b"\0", b"").decode())
+        if row < len(table):
+            pieces.append("%.2f,%.2f " % tuple(table[row].tolist()))
+        start = row + 1
     dash = ' stroke-dasharray="6 4"' if dashed else ""
+    points = "".join(pieces)[:-1]
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.8"{dash} points="{points}"/>'
+
+
+@cache
+def _digits() -> tuple[np.ndarray, np.ndarray]:
+    """``b"%d." % i`` for 0..999 as little-endian words, and ``b"%02d" % i`` for
+    0..99 in the low half of one, built on first use: ``sweep`` loads no numpy."""
+    import numpy as np
+
+    units = np.array([b"%d." % i for i in range(1000)], "S4").view("<u4")
+    cents = np.array([b"%02d" % i for i in range(100)], "S2").view("<u2").astype("<u4")
+    return units, cents

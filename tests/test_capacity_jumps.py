@@ -22,6 +22,7 @@ from springleg import (
     spring_energy,
 )
 from springleg.cyclic import Run, Termination
+from springleg.explore import _outcome
 from springleg.model import initial_spring_length
 
 from conftest import CONFIG_DIR, random_config, worked_config
@@ -298,3 +299,22 @@ def test_billion_squat_budget_just_below_the_critical_cap():
     assert max_energy(config) == pytest.approx(ceiling, rel=1e-12)
     assert min_squats(config, ceiling * (1 - 1e-6)) > 1000
     assert min_squats(config, ceiling * (1 + 1e-9)) is None
+
+
+@pytest.mark.parametrize("digits", range(2, 8))
+def test_closed_form_ends_as_the_run_on_a_repeated_squat(digits):
+    # With tol_gain 0 and the cap 10**-digits below its critical value, the run
+    # ends on a squat that repeats the one before, after 164 (digits 2) to
+    # 33,161 squats (digits 7); the closed form ends it as converged too.
+    config = worked_config(
+        spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+        loss=LossModel(efficiency=0.95),
+        max_iterations=10**5,
+        tol_gain=0.0,
+    )
+    config = replace(config, force_cap=critical_cap(config) * (1 - 10.0**-digits))
+    run = Run(config, config.max_iterations)
+    squats = list(run)
+    assert run.termination is Termination.CONVERGED and squats[-1] == squats[-2]
+    assert _outcome(config, math.inf)[0] is Termination.CONVERGED
+    assert_answers_match(config, 0.5 * squats[-1][8])

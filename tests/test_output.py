@@ -191,6 +191,7 @@ class TestTrajectoryCsv:
 EDGE_VALUES = (-0.0, 5e-324, 9.99999999e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
 FAST, FLAGGED = (0.5, 0.12, 306.0, 1.0 / 3.0), (0.5, 5e-324, 306.0, 1.0 / 3.0)
 cells = st.floats() | st.sampled_from(EDGE_VALUES) | st.floats(-2.0, 2.0)
+plotted = cells | st.floats(-72.0, 424.0)
 
 
 class TestSweepCsv:
@@ -225,6 +226,14 @@ class TestSweepCsv:
             ["full_range", "12"],
         ]
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_unhashable_key_rejected_before_writing(self, tmp_path, rows):
+        rows = sweep(worked_config(), [{"mass_kg": 12.0}] * rows)
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(DomainError, match=r"^sweep key \['a'\] is not hashable$"):
+            emit_sweep_csv(rows, ["mass_kg", ["a"]], path)
+        assert not path.exists()
+
 
 class TestBlockFormatting:
     """Rows formatted one block per ``%`` call equal the per-row formatting."""
@@ -246,11 +255,15 @@ class TestBlockFormatting:
         assert "\n".join(pieces).split("\n") == expected
 
     @given(
-        points=st.lists(st.tuples(cells, cells), max_size=24),
+        points=st.lists(st.tuples(plotted, plotted), max_size=24),
         block=st.integers(1, 5),
     )
     @example(points=[(v, -v) for v in EDGE_VALUES], block=3)
+    @example(points=[(1.0, 2.0), (3.0, 4.0), (-80.0, 5.0), (6.0, 7.0), (8.0, 500.0)], block=2)
+    @example(points=[(-80.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0), (8.0, 500.0)], block=3)
+    @example(points=[(0.005, 1.0), (928.0, 2.0), (927.995, -575.995)], block=1)
     def test_polyline_matches_per_point_output(self, points, block):
+        # sx and sy take [-72, 928) and (-576, 424] onto [0, 1000), the digit tables' range.
         x, y = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
 
         def sx(v):
@@ -263,6 +276,21 @@ class TestBlockFormatting:
             svg = output._polyline(x, y, sx, sy, "#444444")
         expected = " ".join(map("%.2f,%.2f".__mod__, zip(sx(x).tolist(), sy(y).tolist())))
         assert svg.split(' points="')[1] == f'{expected}"/>'
+
+    def test_polyline_matches_per_point_output_at_every_cent(self):
+        # Each cent value from 0.00 to 999.99, its float neighbours, and the
+        # floats on either side of each tie between two cents.
+        cents = np.arange(100_000) / 100
+        ties = (np.arange(100_000) + 0.5) / 100
+        near = [np.nextafter(v, side) for v in (cents, ties) for side in (-np.inf, np.inf)]
+        values = np.concatenate([cents, ties, *near])
+        x, y = values, values[::-1]
+        svg = output._polyline(x, y, lambda v: v, lambda v: v, "#444444")
+        points = svg.split(' points="')[1].removesuffix('"/>').split(" ")
+        expected = list(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+        # Point by point: a diff of the whole strings would take minutes.
+        wrong = [(n, p, e) for n, (p, e) in enumerate(zip(points, expected)) if p != e]
+        assert len(points) == len(expected) and not wrong, wrong[:5]
 
 
 class TestPlotSvg:
