@@ -31,23 +31,24 @@ _SWEEP_COLUMNS = {
     "iterations_to_full": "iterations_to_full_compression", "peak_force_n": "peak_force",
     "final_over_e1max": "final_over_e1max", "peak_over_cap": "peak_over_cap",
 }
-#: Most rows one ``%`` call formats or one digit-table pass spells: temporaries stay small.
+#: Most rows one digit-table pass spells: temporaries stay small.
 _BLOCK_ROWS = 1 << 12
 
 
 def format_number(value: float) -> str:
     """Decimal (never scientific) notation with 9 significant digits: C-level
-    ``%.9g`` where that is positional, numpy's Dragon4 below 1e-4 and from 1e9 up."""
+    ``%.9g``, which below 1e-4 gives way to ``%.*f`` at the same rounding and from
+    1e9 up to its 9 digits padded with zeros."""
     if isinstance(value, int):
         return str(value)
     text = "%.9g" % value
     if "e" not in text:
         return text
-    import numpy as np
-
-    return np.format_float_positional(
-        float(value), precision=9, unique=False, fractional=False, trim="-"
-    )
+    digits, exponent = ("%.8e" % value).split("e")
+    exponent = int(exponent)
+    if exponent < 0:
+        return ("%.*f" % (8 - exponent, value)).rstrip("0").rstrip(".")
+    return digits.replace(".", "") + "0" * (exponent - 8)
 
 
 def emit_trajectory_csv(
@@ -66,7 +67,9 @@ def emit_trajectory_csv(
         for n, trajectory in enumerate(data.trajectories, 1):
             lines.extend(_trajectory_rows(trajectory, n))
         _write_lines(path, lines)
-        _write_lines(path.with_name(path.stem + "_summary.csv"), _summary_lines(data))
+        rows = enumerate(_format_squats(data.squats), 1)
+        summary = [SUMMARY_HEADER, *(",".join((str(n), *row)) for n, row in rows)]
+        _write_lines(path.with_name(path.stem + "_summary.csv"), summary)
     else:
         if len(data) == 0:
             raise DomainError("cannot emit an empty trajectory")
@@ -81,29 +84,67 @@ def emit_trajectory_csv(
 
 
 def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[str]:
+    """Rows ``"<iteration>,<four cells>"``, newline-joined per run: spelled by ``_spell``
+    a block at a time where that gives ``%.9g``'s bytes, by ``format_number`` elsewhere."""
     import numpy as np
 
     t = trajectory
     columns = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    # %.9g prints an exponent only below 1e-4 or from 999999999.5 up.  A row with a
-    # nonzero |value| < 1e-4, or one not < 1e8 (nan, inf), goes through format_number.
-    magnitude = np.abs(table)
-    slow = (((magnitude < 1e-4) & (table != 0)) | ~(magnitude < 1e8)).any(axis=1)
-    template = f"{iteration},%.9g,%.9g,%.9g,%.9g"
-    start = 0
-    for row in (*np.flatnonzero(slow).tolist(), len(table)):
-        yield from _format_rows(template, table[start:row])
-        if row < len(table):
-            yield ",".join((str(iteration), *map(format_number, table[row].tolist())))
-        start = row + 1
-
-
-def _format_rows(template: str, table: np.ndarray) -> Iterator[str]:
-    """Blocks of ``template % tuple(row)`` lines, newline-joined, one ``%`` per block."""
+    prefix = f"{iteration},".encode()
+    prefix = np.frombuffer(prefix + b"\0" * (-len(prefix) % 4), "<u4")
     for a in range(0, len(table), _BLOCK_ROWS):
         block = table[a : a + _BLOCK_ROWS]
-        yield "\n".join([template] * len(block)) % tuple(block.ravel().tolist())
+        words, fast = _spell(block, prefix)
+        start = 0
+        for row in (*np.flatnonzero(~fast).tolist(), len(block)):
+            if start < row:
+                yield words[start:row].tobytes().translate(None, b"\0").decode()[:-1]
+            if row < len(block):
+                yield ",".join((str(iteration), *map(format_number, block[row].tolist())))
+            start = row + 1
+
+
+def _spell(block: np.ndarray, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of NUL-padded words: ``prefix``, then per value 7 words of its ``%.9g``
+    digits ending in "," or a newline; and which rows they spell exactly."""
+    import numpy as np
+
+    _, _, pad3, lead, trail, tens = _digits()
+    # %.9g is positional for zero and for 1e-4 <= |v| < 1e8 (< 1e9 after rounding).
+    fast = (abs(block) < 1e8) & ((abs(block) >= 1e-4) | (block == 0))
+    magnitude = np.where(fast & (block != 0), abs(block), 1.0)
+    # Nine digits m = rint(|v| * 10^(8-e)) in [1e8, 1e9]; log10 may miss e by one.
+    e = np.floor(np.log10(magnitude)).astype(np.int64)
+    e += (magnitude * tens[8 - e] >= 1e9).astype(int) - (magnitude * tens[8 - e] < 1e8)
+    scaled = magnitude * tens[8 - e]
+    m = np.rint(scaled)
+    # 10^(8-e) is exact, rounding the product is monotone and keeps a half-integer
+    # below 2^30: unless scaled lands on one, rint rounds as %.9g does.
+    fast &= abs(scaled - m) != 0.5
+    m = m.astype(np.int64) * (block != 0)  # zero spells "0"
+    # m = whole * 10^(8-e) + part, a carry m = 1e9 too; part * 10^(4+e) has 12 digits.
+    whole, part = np.divmod(m, tens[8 - e].astype(np.int64))
+    part *= tens[4 + e].astype(np.int64)
+    high, rest = np.divmod(whole, 10**6)
+    middle, low = np.divmod(rest, 1000)
+    f1, f234 = np.divmod(part, 10**9)
+    f2, f34 = np.divmod(f234, 10**6)
+    f3, f4 = np.divmod(f34, 1000)
+    words = np.empty((len(block), len(prefix) + 28), "<u4")
+    words[:, : len(prefix)] = prefix
+    cells = words[:, len(prefix) :].reshape(block.shape + (7,))
+    # Integer groups lose their leading zeros, fraction groups their trailing ones.
+    # Sign, point and separator take free bytes: the first's low, the third's and last's high.
+    cells[..., 0] = lead[high] << 8 | np.signbit(block) * np.uint32(ord("-"))
+    cells[..., 1] = np.where(high > 0, pad3[middle], lead[middle])
+    ones = np.where(whole >= 1000, pad3[low], lead[low]) | (whole == 0) * np.uint32(ord("0"))
+    cells[..., 2] = ones | (part > 0) * np.uint32(ord(".") << 24)
+    cells[..., 3] = np.where(f234 > 0, pad3[f1], trail[f1])
+    cells[..., 4] = np.where(f34 > 0, pad3[f2], trail[f2])
+    cells[..., 5] = np.where(f4 > 0, pad3[f3], trail[f3])
+    cells[..., 6] = trail[f4] | np.array([ord(","), ord(","), ord(","), ord("\n")], "<u4") << 24
+    return words, fast.all(1)
 
 
 def _format_squats(q: Squats) -> list[tuple[str, ...]]:
@@ -111,11 +152,6 @@ def _format_squats(q: Squats) -> list[tuple[str, ...]]:
     through ``format_number`` once, and the stop reason's value."""
     columns = (q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
     return list(zip(*(map(format_number, c) for c in columns), (s.value for s in q.stop)))
-
-
-def _summary_lines(result: SimResult) -> list[str]:
-    rows = _format_squats(result.squats)
-    return [SUMMARY_HEADER, *(",".join((str(n), *row)) for n, row in enumerate(rows, 1))]
 
 
 def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
@@ -362,7 +398,7 @@ def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
 
     # On float64 arrays sx/sy do a per-point call's IEEE operations, in order.
     table = np.column_stack((sx(x), sy(y)))
-    units, cents = _digits()
+    units, cents, *_ = _digits()
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = 100.0 * table
         cent = np.rint(scaled)
@@ -388,11 +424,15 @@ def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
 
 
 @cache
-def _digits() -> tuple[np.ndarray, np.ndarray]:
-    """``b"%d." % i`` for 0..999 as little-endian words, and ``b"%02d" % i`` for
-    0..99 in the low half of one, built on first use: ``sweep`` loads no numpy."""
+def _digits() -> tuple[np.ndarray, ...]:
+    """Little-endian words for 0..999, built on first use (``sweep`` loads no numpy):
+    ``b"%d."``; ``b"%03d"`` whole, without leading zeros and without trailing ones;
+    ``b"%02d"`` for 0..99 in the low half; and the floats 10^0..10^13, all exact."""
     import numpy as np
 
     units = np.array([b"%d." % i for i in range(1000)], "S4").view("<u4")
     cents = np.array([b"%02d" % i for i in range(100)], "S2").view("<u2").astype("<u4")
-    return units, cents
+    three = [b"%03d" % i for i in range(1000)]
+    groups = [(t, t.lstrip(b"0"), t.rstrip(b"0")) for t in three]
+    pad3, lead, trail = np.array(groups, "S4").view("<u4").T.copy()
+    return units, cents, pad3, lead, trail, np.array([10**k for k in range(14)], float)

@@ -6,7 +6,10 @@ written by ``demos/02_multi_squat_accumulation.py`` and
 written by the calls below before the emitters switched to C-level float
 formatting, and the ``ratchet_slack`` plots (12 squats, so the colours wrap,
 one of them a slack stroke) by the calls below before the plot code was
-rewritten.  Regenerating them the same way must reproduce every byte.
+rewritten, and its trajectory and summary CSVs (two-character iteration
+prefixes, a two-point slack stroke) by the calls below before the
+trajectory rows were spelled from digit tables.  Regenerating them the same
+way must reproduce every byte.
 """
 
 from pathlib import Path
@@ -58,6 +61,8 @@ def test_demo_artifacts_match_golden(tmp_path):
         emit_plot_svg(result, "energy", tmp_path / "four_squat_energy.svg"),
         emit_plot_svg(slack, "force_deflection", tmp_path / "ratchet_slack_force.svg"),
         emit_plot_svg(slack, "energy", tmp_path / "ratchet_slack_energy.svg"),
+        emit_trajectory_csv(slack, tmp_path / "ratchet_slack_trajectory.csv"),
+        tmp_path / "ratchet_slack_trajectory_summary.csv",
         emit_sweep_csv(
             sweep(config, points),
             ["force_cap_n", "spring_stiffness_n_per_m"],

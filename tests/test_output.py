@@ -45,9 +45,27 @@ class TestFormatNumber:
     @example(999999999.5)
     @example(100000000.5)
     def test_matches_positional_dragon4(self, value):
-        assert format_number(value) == np.format_float_positional(
-            value, precision=9, unique=False, fractional=False, trim="-"
+        assert format_number(value) == positional(value)
+
+    def test_matches_positional_dragon4_at_every_edge(self):
+        powers = 2.0 ** np.arange(-1074, 1024)
+        carries = 9.9999999995 * 10.0 ** np.arange(-330, 300)
+        # Ties at the tenth digit: exact ones from 1e9 up, near ones below.
+        ties = np.concatenate(
+            [np.arange(10**9 + 5, 10**9 + 500, 10), (np.arange(10**8, 10**8 + 9) + 0.5) * 1e-14]
         )
+        sides = np.array([1e-4, 999999999.5, 1e9, 1e8])
+        values = np.concatenate([powers, carries, ties, sides, 5e-324 * np.arange(1, 64)])
+        near = [np.nextafter(values, side) for side in (-np.inf, np.inf)]
+        values = np.concatenate([values, *near, [0.0, np.nan, np.inf]])
+        values = np.concatenate([values, -values]).tolist()
+        assert max(map(len, map(format_number, values))) == 335  # -5e-324: 332 decimals
+        wrong = [(v, format_number(v)) for v in values if format_number(v) != positional(v)]
+        assert not wrong, wrong[:5]
+
+
+def positional(value: float) -> str:
+    return np.format_float_positional(value, precision=9, unique=False, fractional=False, trim="-")
 
 
 class TestTrajectoryCsv:
@@ -253,6 +271,43 @@ class TestBlockFormatting:
             pieces = list(output._trajectory_rows(Trajectory(*columns), iteration))
         expected = [",".join((str(iteration), *map(format_number, row))) for row in rows]
         assert "\n".join(pieces).split("\n") == expected
+
+    def test_trajectory_rows_match_per_row_output_at_every_edge(self):
+        decades = 10.0 ** np.arange(-4, 9)
+        carries = 9.9999999995 * decades
+        rng = np.random.default_rng(26)
+        digits = rng.integers(10**8, 10**9, (12, 20))
+        # (j + 0.5) * 10^(e-8) for e = -4..7, and nearly that on either side; and odd
+        # multiples of 2^(e-9), which are exact ties in decade e.
+        halves = np.concatenate([digits + 0.5, digits + (0.5 - 1e-5), digits + (0.5 + 1e-5)], 1)
+        ties = (halves * 10.0 ** np.arange(-12, 0)[:, None]).ravel()
+        e = np.arange(-4, 8)[:, None]
+        odd = 2 * np.floor(rng.uniform(1, 10, (12, 20)) * 10.0**e * 2.0 ** (8 - e)) + 1
+        ties = np.concatenate([ties, (odd * 2.0 ** (e - 9)).ravel()])
+        twelve_decimals = rng.integers(10**8, 10**9, 100) * 1e-12  # e = -4
+        values = np.concatenate([decades, carries, ties, twelve_decimals, [2.0**-13, 1e-4, 1e8]])
+        near = [np.nextafter(values, side) for side in (-np.inf, np.inf)]
+        values = np.concatenate([values, *near, [0.0, np.nan, np.inf]])
+        values = np.concatenate([values, -values])
+        # Each value in each column, the other three cells spelled.
+        rows = np.tile(FAST, (4 * len(values), 1))
+        for column in range(4):
+            rows[column :: 4, column] = values
+        columns = [rows[:, k] for k in range(4)]
+        expected = [",".join(map(format_number, row)) for row in rows.tolist()]
+        # Prefixes of 1 to 9 characters; the short blocks on the first 500 rows.
+        prefixes = [int("123456789"[:n]) for n in range(1, 10)] + [-7, -12345678]
+        for iteration, block in zip(prefixes, (4096, 3, 1, 2, 5, 4096, 1, 2, 3, 4, 4096)):
+            size = len(rows) if block in (3, 4096) else 500
+            trajectory = Trajectory(*(c[:size] for c in columns))
+            with mock.patch.object(output, "_BLOCK_ROWS", block):
+                pieces = list(output._trajectory_rows(trajectory, iteration))
+            if block == 4096:  # a run of spelled rows per piece: most rows
+                assert len(pieces) < size / 2
+            lines = "\n".join(pieces).split("\n")
+            pairs = zip(lines, (f"{iteration},{line}" for line in expected))
+            wrong = [(n, a, b) for n, (a, b) in enumerate(pairs) if a != b]
+            assert len(lines) == size and not wrong, (iteration, block, wrong[:5])
 
     @given(
         points=st.lists(st.tuples(plotted, plotted), max_size=24),

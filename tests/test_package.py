@@ -59,8 +59,10 @@ def test_plain_float_commands_import_no_numpy(tmp_path, command, loads_numpy):
         "sweep": ["--grid", str(tmp_path / "design.grid"), "--out", str(tmp_path)],
         "simulate": ["--out", str(tmp_path)],
     }[command]
+    # A pitch below 1e-4 is a sweep CSV cell that %.9g would print with an exponent.
     (tmp_path / "design.grid").write_text(
         "force_cap_n = 150, 200, 250, 300, 350\nspring_stiffness_n_per_m = 800, 1000, 1200\n"
+        "ratchet_pitch_m = 0.00009, 0.001\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
