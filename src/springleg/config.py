@@ -132,7 +132,7 @@ def parse_grid(path: str | Path) -> list[dict[str, object]]:
 def _read(path: str | Path, kind: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the decode error names the byte's offset
         raise ConfigurationError(f"cannot read {kind} file {path}: {exc}") from exc
 
 

@@ -9,7 +9,7 @@ lock/retract transition, and a ratchet pitch quantizes the retracted
 position, leaving a force-free dead band at the start of the next squat.
 The squat and the lock/retract step are one plain-float map, streamed by
 ``Run``; ``simulate`` keeps its per-squat columns, and records and sampled
-strokes are derived from the columns only when read.
+strokes are derived from the columns only when read, strokes a block at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .baseline import e1_max
 from .errors import GeometryError, SimulationError, StallError
@@ -40,6 +40,9 @@ class StopReason(enum.Enum):
 
 # Bound once: looking up an enum member costs more than a squat's arithmetic.
 _BY_CAP, _BY_RANGE, _BY_SOLID = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID
+#: Samples per array that one ``_sampled`` call of ``_trajectories`` builds at most
+#: (one squat's, if it has more): what emitting a run holds at once.
+_BLOCK_SAMPLES = 1 << 14
 
 
 class Termination(enum.Enum):
@@ -100,8 +103,8 @@ class Squats(NamedTuple):
 class SimResult:
     """Full record of a multi-squat run.
 
-    Only the per-squat columns are stored.  ``records`` and ``trajectories``
-    are built from them on first access and kept.
+    Only the per-squat columns are stored.  ``records`` is built from them on
+    first access and kept; ``trajectories`` is sampled on every access.
     """
 
     squats: Squats
@@ -134,23 +137,30 @@ class SimResult:
             records.append(SquatRecord(state, f_start, f_end, e_before, e_after, travel, stop))
         return tuple(records)
 
-    @cached_property
+    @property
     def trajectories(self) -> tuple[Trajectory, ...]:
-        """Sampled stroke of every squat, in run order: the engaged stroke only,
-        since the dead band carries no force and no spring motion.  An
-        ENGAGED_ONLY squat is slack throughout, so two endpoints suffice."""
-        import numpy as np
+        """Sampled stroke of every squat, in run order, built anew on each read
+        and not kept; emitters stream ``_trajectories`` instead."""
+        return tuple(_trajectories(self))
 
-        config, q = self.config, self.squats
-        engaged = [stop is not StopReason.ENGAGED_ONLY for stop in q.stop]
-        x, start, stop = (np.array(column)[engaged] for column in (q.x, q.dead_band, q.travel))
+
+def _trajectories(result: SimResult) -> Iterator[Trajectory]:
+    """Sampled stroke of every squat of ``result``, in run order: the engaged
+    stroke only, since the dead band carries no force and no spring motion.  An
+    ENGAGED_ONLY squat is slack throughout, so two endpoints suffice.  One
+    ``_sampled`` call serves a block of squats of at most ``_BLOCK_SAMPLES``
+    samples, so a consumer that keeps no stroke holds one block at a time."""
+    import numpy as np
+
+    config, q = result.config, result.squats
+    size = max(1, _BLOCK_SAMPLES // config.sample_count)
+    for a in range(0, len(q.x), size):
+        block = slice(a, a + size)
+        engaged = [stop is not StopReason.ENGAGED_ONLY for stop in q.stop[block]]
+        x, start, stop = (np.array(c[block])[engaged] for c in (q.x, q.dead_band, q.travel))
         sampled = map(Trajectory, *_sampled(config, x, start, stop))
-        return tuple(
-            [
-                next(sampled) if stroke else _slack(config.spring, s_start, travel)
-                for stroke, s_start, travel in zip(engaged, q.s_start, q.travel)
-            ]
-        )
+        for stroke, s_start, travel in zip(engaged, q.s_start[block], q.travel[block]):
+            yield next(sampled) if stroke else _slack(config.spring, s_start, travel)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ hand-built SVG so that golden-file comparison is meaningful.
 
 from __future__ import annotations
 
+import re
+from array import array
 from functools import cache
+from itertools import chain, cycle
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .cyclic import SimResult, Squats
+from .cyclic import SimResult, Squats, _trajectories
 from .errors import DataError, DomainError
 from .explore import SweepRow
 from .model import Trajectory, _integer, _repr
@@ -33,6 +36,8 @@ _SWEEP_COLUMNS = {
 }
 #: Most rows one digit-table pass spells: temporaries stay small.
 _BLOCK_ROWS = 1 << 12
+#: What the "surrogateescape" error handler reads an undecodable byte as.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def format_number(value: float) -> str:
@@ -57,19 +62,21 @@ def emit_trajectory_csv(
     """Write sampled trajectories as CSV; for a SimResult also write the
     per-squat summary next to it (``<stem>_summary.csv``).
 
-    Returns the trajectory CSV path.
+    A SimResult's squats are sampled and written a block at a time, so memory
+    does not grow with the squat count.  A write error part-way (a full disk)
+    raises ``DomainError`` and leaves a partial file.  Returns the trajectory
+    CSV path.
     """
     path = Path(path)
-    lines = [TRAJECTORY_HEADER]
     if isinstance(data, SimResult):
         if not data.squats.x:
             raise DomainError("cannot emit an empty simulation result")
-        for n, trajectory in enumerate(data.trajectories, 1):
-            lines.extend(_trajectory_rows(trajectory, n))
-        _write_lines(path, lines)
-        rows = enumerate(_format_squats(data.squats), 1)
-        summary = [SUMMARY_HEADER, *(",".join((str(n), *row)) for n, row in rows)]
-        _write_lines(path.with_name(path.stem + "_summary.csv"), summary)
+        strokes = enumerate(_trajectories(data), 1)
+        rows = chain.from_iterable(_trajectory_rows(t, n) for n, t in strokes)
+        _write_lines(path, chain([TRAJECTORY_HEADER], rows))
+        squats = enumerate(_format_squats(data.squats), 1)
+        summary = (",".join((str(n), *row)) for n, row in squats)
+        _write_lines(path.with_name(path.stem + "_summary.csv"), chain([SUMMARY_HEADER], summary))
     else:
         if len(data) == 0:
             raise DomainError("cannot emit an empty trajectory")
@@ -78,8 +85,7 @@ def emit_trajectory_csv(
             iteration = str(iteration)
         except ValueError:  # past the int-to-str digit limit
             raise DataError(f"iteration {_repr(iteration)} is not a printable integer") from None
-        lines.extend(_trajectory_rows(data, iteration))
-        _write_lines(path, lines)
+        _write_lines(path, chain([TRAJECTORY_HEADER], _trajectory_rows(data, iteration)))
     return path
 
 
@@ -147,11 +153,11 @@ def _spell(block: np.ndarray, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return words, fast.all(1)
 
 
-def _format_squats(q: Squats) -> list[tuple[str, ...]]:
-    """Per squat: x, s_start, s_end, f_start, f_end, e_before, e_after, each
-    through ``format_number`` once, and the stop reason's value."""
+def _format_squats(q: Squats) -> Iterator[tuple[str, ...]]:
+    """Per squat, as it is read: x, s_start, s_end, f_start, f_end, e_before,
+    e_after, each through ``format_number`` once, and the stop reason's value."""
     columns = (q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.e_before, q.e_after)
-    return list(zip(*(map(format_number, c) for c in columns), (s.value for s in q.stop)))
+    return zip(*(map(format_number, c) for c in columns), (s.value for s in q.stop))
 
 
 def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
@@ -159,44 +165,43 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 
     Rows are grouped by the ``iteration`` column; the first and last
     ``spring_length_m`` of each group become the pre-squat and locked
-    spring lengths.
+    spring lengths.  The file is read a line at a time into one pair of
+    float arrays per group, which the cycles keep.
     """
-    import numpy as np
-
     from .calibration import MeasuredCycle
 
     path = Path(path)
+    groups: dict[int, list] = {}  # displacements, forces, first and last spring length
     try:
-        text = path.read_text()
+        # Universal newlines end a line at \r\n, \r and \n, not at \f or \v; an
+        # undecodable byte reads as a lone surrogate, so its line can be named.
+        with path.open(errors="surrogateescape") as file:
+            lines = ((n, line.rstrip("\n")) for n, line in enumerate(file, 1) if line.strip())
+            if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
+                raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
+            for lineno, line in lines:
+                if not line.isascii() and _UNDECODABLE.search(line):
+                    raise DataError(f"{path}:{lineno}: undecodable bytes in row {line!r}")
+                parts = line.split(",")
+                if len(parts) != 5:
+                    raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+                try:
+                    iteration = int(parts[0])
+                    deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
+                group = groups.get(iteration)
+                if group is None:
+                    group = groups[iteration] = [array("d"), array("d"), s, s]
+                group[0].append(deformation)
+                group[1].append(f)
+                group[3] = s
     except OSError as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
-    # read_text has turned \r\n and \r into \n; splitlines would also break at \f and \v.
-    lines = ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
-    if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
-        raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
-    groups: dict[int, list[tuple[float, float, float]]] = {}
-    for lineno, line in lines:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        try:
-            iteration = int(parts[0])
-            deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
-        groups.setdefault(iteration, []).append((deformation, s, f))
-    cycles = []
-    for iteration, rows in groups.items():
-        cycles.append(
-            MeasuredCycle(
-                iteration=iteration,
-                hip_displacement=np.array([r[0] for r in rows]),
-                hip_force=np.array([r[2] for r in rows]),
-                spring_length_start=rows[0][1],
-                spring_length_end=rows[-1][1],
-            )
-        )
-    return cycles
+    return [
+        MeasuredCycle(iteration, displacement, force, first, last)
+        for iteration, (displacement, force, first, last) in groups.items()
+    ]
 
 
 def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
@@ -213,7 +218,7 @@ def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Pa
         cells += [_cell(getattr(row, field)) for field in _SWEEP_COLUMNS.values()]
         cells.append(_quoted(row.reason) if row.reason else "")
         lines.append(",".join(cells))
-    _write_lines(path, lines)
+    _write_lines(path, ["\n".join(lines)])
     return path
 
 
@@ -268,15 +273,21 @@ def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
         "iteration,work_j,retention_ratio",
         *(f"{i},{work},{ratio}" for i, (work, ratio) in enumerate(zip(works, ratios), 1)),
     ]
-    _write_lines(path, lines)
+    _write_lines(path, ["\n".join(lines)])
     return path
 
 
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    """Write ``lines`` to ``path``; an unwritable path raises ``DomainError``."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` as it comes.  An unwritable
+    path raises ``DomainError``, and so does a write error part-way, which leaves
+    the lines before it.  Callers with few short lines pass them joined as one:
+    a write per line costs more than the join."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as file:
+            for line in lines:
+                file.write(line)
+                file.write("\n")
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -298,7 +309,10 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     single-squat reference (dashed) and the cap as a horizontal line.
     ``energy`` shows stored energy over the same axis normalized by the
     single-squat energy bound, with the capped single-squat energy curve
-    dashed.  Output bytes depend only on the result.
+    dashed.  Output bytes depend only on the result.  The squats are sampled
+    a block at a time twice, for the axis bounds and for the curves, so
+    memory does not grow with the squat count; a write error part-way raises
+    ``DomainError`` and leaves a partial file.
     """
     import numpy as np
 
@@ -324,16 +338,18 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         ref_x = np.linspace(0.0, d_cap, 64)
         ref_y = 0.5 * spring.stiffness * ref_x**2
     reference = (ref_x, ref_y / scale)
-    curves = [
-        (spring.free_length - t.spring_length, getattr(t, field) / scale)
-        for t in result.trajectories
-    ]
 
+    def curves() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for t in _trajectories(result):
+            yield spring.free_length - t.spring_length, getattr(t, field) / scale
+
+    # Maxima and minima are exact, so curve by curve they are those of all samples.
     # The guide line at 1.0 (the cap, or the single-squat bound) is always in range.
-    drawn = [reference, *curves]
-    x_hi = float(np.max([x.max() for x, _ in drawn]))
-    y_lo = min(0.0, float(np.min([y.min() for _, y in drawn])))
-    y_hi = float(np.max([1.0, *(y.max() for _, y in drawn)])) * 1.05
+    x_hi, y_lo, y_hi = reference[0].max(), reference[1].min(), reference[1].max()
+    for x, y in curves():
+        x_hi, y_lo = np.maximum(x_hi, x.max()), np.minimum(y_lo, y.min())
+        y_hi = np.maximum(y_hi, y.max())
+    x_hi, y_lo, y_hi = float(x_hi), min(0.0, float(y_lo)), float(np.maximum(1.0, y_hi)) * 1.05
     if x_hi <= 0.0:  # no deflection at all, as a hand-built result can have
         x_hi = 1.0
 
@@ -368,10 +384,8 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         _line(_LEFT, sy(1.0), _WIDTH - _RIGHT, sy(1.0), stroke="#888888", dash="2 3"),
         _polyline(*reference, sx, sy, "#444444", dashed=True),
     ]
-    for index, (cx, cy) in enumerate(curves):
-        parts.append(_polyline(cx, cy, sx, sy, _COLORS[index % len(_COLORS)]))
-    parts.append("</svg>")
-    _write_lines(path, parts)
+    drawn = (_polyline(cx, cy, sx, sy, c) for (cx, cy), c in zip(curves(), cycle(_COLORS)))
+    _write_lines(path, chain(["\n".join(parts)], drawn, ["</svg>"]))
     return path
 
 
@@ -414,7 +428,7 @@ def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
         for a in range(start, row, _BLOCK_ROWS):
             whole, part = np.divmod(cent[a : min(a + _BLOCK_ROWS, row)].astype(np.int64), 100)
             words = np.stack((units[whole], cents[part] | separators), axis=-1)
-            pieces.append(words.tobytes().replace(b"\0", b"").decode())
+            pieces.append(words.tobytes().translate(None, b"\0").decode())
         if row < len(table):
             pieces.append("%.2f,%.2f " % tuple(table[row].tolist()))
         start = row + 1

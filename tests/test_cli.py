@@ -71,6 +71,19 @@ class TestExitCodes:
             assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
             assert f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_undecodable_input_exits_2(self, tmp_path, capsys, command):
+        """A 0xFF byte in the config or in the fit's data is an error naming the file."""
+        config, data = tmp_path / "demo.cfg", tmp_path / "data.csv"
+        config.write_bytes(Path(DEMO).read_bytes() + (b"# \xff\n" if command == "simulate" else b""))
+        data.write_bytes((GOLDEN / "four_squat_trajectory.csv").read_bytes() + b"4,1,0.2,0,\xff\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv + (["--data", str(data)] if command == "fit" else [])) == 2
+        err = capsys.readouterr().err
+        bad = config if command == "simulate" else data
+        assert err.startswith("springleg: error: ") and str(bad) in err
+        assert "Traceback" not in err
+
     def test_first_squat_stall_exits_3(self, tmp_path, capsys):
         stall = write_stall_config(tmp_path)
         assert main(["simulate", "--config", stall, "--out", str(tmp_path)]) == 3

@@ -111,6 +111,15 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=r"short\.cfg: efficiency must lie"):
             parse_config(path)
 
+    @pytest.mark.parametrize("read, kind", [(parse_config, "config"), (parse_grid, "grid")])
+    def test_undecodable_file_names_the_file(self, tmp_path, read, kind):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        with pytest.raises(ConfigurationError) as error:
+            read(path)
+        assert str(error.value).startswith(f"cannot read {kind} file {path}: ")
+        assert "can't decode byte 0xff" in str(error.value)
+
 
 class TestValuesRoundTrip:
     def test_config_to_values_to_config(self):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ def linspace_stroke(config, x, start, stop):
     length = ratio * (geom.standing_length - deformation)
     force = ratio * spring.stiffness * (spring.free_length - length)
     return deformation, length, force
+
+
+def stroke_bytes(trajectories) -> list[bytes]:
+    fields = ("leg_deformation", "spring_length", "hip_force", "stored_energy")
+    return [getattr(t, field).tobytes() for t in trajectories for field in fields]
 
 
 class TestInitialState:
@@ -296,6 +302,28 @@ class TestSimulate:
         assert len(set(zip(*result.squats))) == 2000
         assert peak < 8 * 2**20
 
+    def test_trajectories_sampled_on_each_read_and_not_kept(self):
+        # 200 distinct squats of 1000 samples: 6.4 MB of strokes if a read kept them.
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+            force_cap=12.0 * (1 - 1e-7),
+            max_iterations=200,
+            sample_count=1000,
+            tol_gain=0.0,
+        )
+        result = simulate(config)
+        tracemalloc.start()
+        try:
+            first, second = result.trajectories, result.trajectories
+            assert len(first) == 200 and not any(a is b for a, b in zip(first, second))
+            assert stroke_bytes(first) == stroke_bytes(second)
+            del first, second
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+        assert "trajectories" not in vars(result)
+
     def test_engaged_only_squat_ends_run_gracefully(self):
         # a coarse ratchet overshoots so far that the next squat's dead band
         # exceeds the leg range: recorded as ENGAGED_ONLY, zero gain
@@ -334,6 +362,25 @@ class TestSimulate:
             got = (t.leg_deformation, t.spring_length, t.hip_force, t.stored_energy)
             expected = (deformation, length, force, energy)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("squats_per_block", [1, 2, 3])
+    def test_blocks_of_squats_sample_as_one_block(self, squats_per_block):
+        # The run above, whose ENGAGED_ONLY fifth squat is a block of its own
+        # at 1 and 2 squats a block, and a lossy 12-squat ratchet run with all
+        # three stops; each fits one block at the default size.
+        ratchet = worked_config(
+            leg=LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.05),
+            loss=LossModel(efficiency=1.0, ratchet_pitch=0.01),
+            force_cap=1000.0,
+        )
+        lossy = random_config(np.random.default_rng(12), efficiency=0.9, ratchet_pitch=0.004)
+        for config in (ratchet, lossy):
+            result = simulate(config)
+            assert len(result.squats.x) in (5, 12)
+            whole = stroke_bytes(result.trajectories)
+            size = config.sample_count * squats_per_block
+            with mock.patch.object(cyclic, "_BLOCK_SAMPLES", size):
+                assert stroke_bytes(result.trajectories) == whole
 
 
 class TestRecordsView:

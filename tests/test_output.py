@@ -1,6 +1,8 @@
 """CSV/SVG emission: schemas, round trips, determinism."""
 
 import csv
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from springleg import (
     DataError,
     DomainError,
     LossModel,
+    SpringParams,
     Trajectory,
     emit_plot_svg,
     emit_sweep_csv,
@@ -19,8 +22,8 @@ from springleg import (
     simulate,
     sweep,
 )
-from springleg import output
-from springleg.output import SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
+from springleg import cyclic, output
+from springleg.output import PLOT_KINDS, SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
 
 from conftest import worked_config
 
@@ -203,6 +206,84 @@ class TestTrajectoryCsv:
         with pytest.raises(DataError) as error:
             read_measured_cycles(path)
         assert str(error.value) == f"{path}{message}"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    @pytest.mark.parametrize("kind", ["trajectory", *PLOT_KINDS])
+    def test_write_error_part_way_is_a_domain_error(self, kind):
+        # Every write to /dev/full fails once the buffer is flushed, after it was opened.
+        result, full = simulate(worked_config()), Path("/dev/full")
+        with pytest.raises(DomainError, match="^cannot write /dev/full: No space left"):
+            if kind == "trajectory":
+                emit_trajectory_csv(result, full)
+            else:
+                emit_plot_svg(result, kind, full)
+
+    @pytest.mark.parametrize("row", [b"1,0.1,0.12,0,\xff", b"1,0.1,\xff,0,0"])
+    def test_reader_names_the_line_of_an_undecodable_byte(self, tmp_path, row):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(TRAJECTORY_HEADER.encode() + b"\r\n1,0,0.12,0,0\r\n\r\n" + row + b"\n")
+        with pytest.raises(DataError) as error:
+            read_measured_cycles(path)
+        text = row.decode(errors="surrogateescape")
+        assert str(error.value) == f"{path}:4: undecodable bytes in row {text!r}"
+
+    @pytest.mark.parametrize("name", ["four_squat", "ratchet_slack"])
+    def test_reader_equals_a_float_per_cell_on_the_goldens(self, name):
+        path = Path(__file__).parent / "golden" / f"{name}_trajectory.csv"
+        assert_cycles_equal(read_measured_cycles(path), naive_cycles(path.read_bytes()))
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.floats(0.0, 1.0),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(["\n", "\r\n", "\r"]),
+                st.sampled_from(["", " \n", "\f\r\n", "\t \r"]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @example(rows=[(-1, 0.5, -0.0, 5e-324, "\r\n", "\n"), (1, 0.0, 1e300, -2.5, "\r", "")])
+    def test_reader_equals_a_float_per_cell(self, tmp_path_factory, rows):
+        # Each iteration's displacements climb in file order, as MeasuredCycle asks;
+        # groups interleave, blank lines and line ends vary.
+        climbed: dict[int, float] = {}
+        text = TRAJECTORY_HEADER + "\n"
+        for iteration, step, length, force, end, blank in rows:
+            climbed[iteration] = climbed.get(iteration, 0.0) + step
+            cells = (iteration, repr(climbed[iteration]), repr(length), format_number(force), "0")
+            text += ",".join(map(str, cells)) + end + blank
+        path = tmp_path_factory.mktemp("drawn") / "drawn.csv"
+        path.write_bytes(text.encode())
+        assert_cycles_equal(read_measured_cycles(path), naive_cycles(text.encode()))
+
+
+def naive_cycles(data: bytes) -> list[tuple]:
+    """(iteration, displacements, forces, first and last length) per iteration,
+    in order of first row: one ``float()`` per cell of each non-blank line."""
+    lines = data.decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    groups: dict[int, list[list[float]]] = {}
+    for line in [line for line in lines if line.strip()][1:]:
+        cells = line.split(",")
+        groups.setdefault(int(cells[0]), []).append([float(cell) for cell in cells[1:4]])
+    return [
+        (n, np.array([r[0] for r in rows]), np.array([r[2] for r in rows]), rows[0][1], rows[-1][1])
+        for n, rows in groups.items()
+    ]
+
+
+def assert_cycles_equal(cycles, expected) -> None:
+    assert len(cycles) == len(expected)
+    for cycle, (iteration, displacement, force, first, last) in zip(cycles, expected):
+        assert cycle.iteration == iteration
+        for got, want in ((cycle.hip_displacement, displacement), (cycle.hip_force, force)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()  # -0.0 too
+        lengths = (cycle.spring_length_start, cycle.spring_length_end)
+        assert [x.hex() for x in lengths] == [first.hex(), last.hex()]
 
 
 # Values on either side of where %.9g switches to an exponent; st.floats() adds nan and inf.
@@ -402,3 +483,56 @@ class TestPlotSvg:
             root = ET.fromstring(path.read_text())
             polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
             assert len(polylines) == len(result.records) + 1  # curves + reference
+
+
+def distinct_squats(squats: int):
+    """``simulate`` of ``test_samples_not_stored_per_squat``'s config at fewer
+    squats and samples: just below the critical cap every squat differs from
+    the one before, so the run stops at the budget."""
+    config = worked_config(
+        spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+        force_cap=12.0 * (1 - 1e-7),
+        max_iterations=squats,
+        sample_count=5,
+        tol_gain=0.0,
+    )
+    result = simulate(config)
+    assert len(set(zip(*result.squats))) == squats
+    return result
+
+
+def overhead(call) -> int:
+    """Peak traced bytes of ``call()`` above what its result holds, first-use
+    caches (the digit tables) built beforehand."""
+    call()
+    tracemalloc.start()
+    try:
+        kept = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - held
+
+
+class TestBoundedMemory:
+    def test_emit_and_read_peaks_do_not_grow_with_the_rows(self, tmp_path):
+        # Blocks of 10 squats of 5 samples: 50 squats make 5 blocks, 400 make 40.
+        # Holding every row, curve or read cell would add about 1 kB a squat.
+        # The emitters add nothing; the reader keeps a small entry per group until
+        # its cycles are built, which hold the group's arrays as they were read.
+        peaks = {}
+        with mock.patch.object(cyclic, "_BLOCK_SAMPLES", 50):
+            for squats in (50, 400):
+                result, path = distinct_squats(squats), tmp_path / f"{squats}.csv"
+                peaks[squats] = {
+                    "csv": overhead(lambda: emit_trajectory_csv(result, path)),
+                    **{
+                        kind: overhead(lambda: emit_plot_svg(result, kind, tmp_path / "p.svg"))
+                        for kind in PLOT_KINDS
+                    },
+                    "read": overhead(lambda: read_measured_cycles(path)),
+                }
+        growth = {name: peaks[400][name] - peaks[50][name] for name in peaks[50]}
+        assert max(growth[kind] for kind in ("csv", *PLOT_KINDS)) < 16 * 1024, peaks
+        assert growth["read"] < 350 * 200, peaks
