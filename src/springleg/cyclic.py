@@ -175,7 +175,7 @@ class ReleaseProfile:
 def _recurrence(
     config: Configuration, efficiency: float | None = None, force_cap: float | None = None
 ):
-    """The squat map of ``config`` on plain floats, as two closures, with
+    """The squat map of ``config`` on plain floats, as three closures, with
     ``efficiency`` and ``force_cap`` in place of the configuration's if given.
 
     ``squat(n, x, s_start, dead_band)`` compresses at fixed position ``x`` to
@@ -187,6 +187,9 @@ def _recurrence(
     sqrt(efficiency) * (s0 - s_end)``, so the stored energy scales by exactly
     ``efficiency``, at the standing-consistent position, which a ratchet
     rounds away from the knee onto its tooth grid (never past the hip).
+    ``ended(done, last)``, the one stopping rule, is how a run ends at squat
+    ``done`` after ``last`` (None on squat 1): FULL_COMPRESSION or CONVERGED as
+    ``Run`` says, or None.
     """
     geom, spring = config.leg, config.spring
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
@@ -195,6 +198,7 @@ def _recurrence(
     cap = None if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
     pitch = config.loss.ratchet_pitch
+    full_length, tol_gain = solid + config.tol_abs, config.tol_gain
 
     def squat(n: int, x: float, s_start: float, dead_band: float) -> tuple:
         if s_start <= solid:
@@ -248,7 +252,15 @@ def _recurrence(
             return x_next, s_next, lstand - s_next * seg / x_next
         return x_target, s_next, 0.0
 
-    return squat, retract
+    def ended(done: tuple, last: tuple | None) -> Termination | None:
+        if done[3] <= full_length:
+            return Termination.FULL_COMPRESSION
+        gain = done[8] - (done[7] if last is None else last[8])
+        if gain < tol_gain or gain == 0.0 and done == last:
+            return Termination.CONVERGED
+        return None
+
+    return squat, retract, ended
 
 
 class Run:
@@ -287,11 +299,9 @@ class Run:
 
     def __iter__(self):
         config, budget = self.config, self.max_iterations
-        squat, retract = _recurrence(config, self.efficiency, self.force_cap)
-        full_length = config.spring.solid_length + config.tol_abs
-        tol_gain = config.tol_gain
+        squat, retract, ended = _recurrence(config, self.efficiency, self.force_cap)
         x, s_start, dead_band = config.initial_spring_position, initial_spring_length(config), 0.0
-        previous = last = None
+        last = None
         for n in range(1, budget + 1):
             try:
                 done = squat(n, x, s_start, dead_band)
@@ -301,17 +311,13 @@ class Run:
                 self.termination = Termination.STALLED
                 return
             yield done
-            _, _, _, s_end, _, _, _, e_before, e_after, _ = done
-            if s_end <= full_length:
-                self.termination = Termination.FULL_COMPRESSION
-                return
-            gain = e_after - (e_before if previous is None else previous)
-            if gain < tol_gain or gain == 0.0 and done == last:
-                self.termination = Termination.CONVERGED
+            termination = ended(done, last)
+            if termination is not None:
+                self.termination = termination
                 return
             if n < budget:
-                x, s_start, dead_band = retract(n, s_end)
-            previous, last = e_after, done
+                x, s_start, dead_band = retract(n, done[3])
+            last = done
         self.termination = Termination.ITERATION_CAP
 
 

@@ -105,19 +105,17 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
     the pre-squat length is increasing, so the orbit is monotone; a rising one
     ends at squat 2 at the latest, as it stores less there.  From squat 2 on
     the orbit falls, in a closed form of ``_orbits``, and bisection finds the
-    first squat that crosses a threshold, stalls, compresses fully, gains less
-    than ``tol_gain``, repeats the squat before it or first stores the target.
-    Each squat it looks at is evaluated by retract + squat, so energies and
-    errors are the map's own.  A closed form that has settled by the budget
-    counts as a run that has repeated a squat.
+    first squat that crosses a threshold, stalls, ends the run by ``ended`` or
+    first stores the target.  Each squat it looks at is evaluated by retract +
+    squat, so energies, errors and endings are the map's own.  A closed form
+    that has settled by the budget counts as a run that has repeated a squat.
     """
     closed_forms = _orbits(config)
     if closed_forms is None:
         return None
     orbit_from, thresholds = closed_forms
-    squat, retract = _recurrence(config)
+    squat, retract, ended = _recurrence(config)
     seg, lstand = config.leg.segment_length, config.leg.standing_length
-    full_length, tol_gain = config.spring.solid_length + config.tol_abs, config.tol_gain
 
     def at(i: int) -> tuple:  # squat i in the current closed form
         length = orbit(i - start) if i > start else s
@@ -127,27 +125,22 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
         x, length, _ = retract(i, done[3])
         return length, squat(i + 1, x, length, 0.0)
 
-    def converges(done: tuple, last: tuple | None) -> bool:  # as ``Run`` ends a run
-        gain = done[8] - (done[7] if last is None else last[8])
-        return gain < tol_gain or gain == 0.0 and done == last
-
     def ends(i: int) -> bool:  # or reaches the target
         try:
             done = at(i - 1)
             following = after(i - 1, done)[1]
         except StallError:  # at efficiency 1 the cap's fixed point is a stall point
             return True
-        return following[3] <= full_length or converges(following, done) or following[8] >= target
+        return ended(following, done) is not None or following[8] >= target
 
     done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
     n, last, reached = 1, None, None
     while True:
         if reached is None and done[8] >= target:
             reached, target = n, math.inf
-        if done[3] <= full_length:
-            return Termination.FULL_COMPRESSION, done, reached
-        if converges(done, last):
-            return Termination.CONVERGED, done, reached
+        termination = ended(done, last)
+        if termination is not None:
+            return termination, done, reached
         if n == budget:
             return Termination.ITERATION_CAP, done, reached
         if n > 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from dataclasses import replace
 from functools import cache
 from itertools import chain, cycle
 from pathlib import Path
@@ -44,8 +45,6 @@ def format_number(value: float) -> str:
     """Decimal (never scientific) notation with 9 significant digits: C-level
     ``%.9g``, which below 1e-4 gives way to ``%.*f`` at the same rounding and from
     1e9 up to its 9 digits padded with zeros."""
-    if isinstance(value, int):
-        return str(value)
     text = "%.9g" % value
     if "e" not in text:
         return text
@@ -309,10 +308,10 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     single-squat reference (dashed) and the cap as a horizontal line.
     ``energy`` shows stored energy over the same axis normalized by the
     single-squat energy bound, with the capped single-squat energy curve
-    dashed.  Output bytes depend only on the result.  The squats are sampled
-    a block at a time twice, for the axis bounds and for the curves, so
-    memory does not grow with the squat count; a write error part-way raises
-    ``DomainError`` and leaves a partial file.
+    dashed.  Output bytes depend only on the result.  The axis bounds come
+    from each stroke's two ends, and the squats are sampled a block at a time,
+    so memory does not grow with the squat count; a write error part-way
+    raises ``DomainError`` and leaves a partial file.
     """
     import numpy as np
 
@@ -339,14 +338,15 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         ref_y = 0.5 * spring.stiffness * ref_x**2
     reference = (ref_x, ref_y / scale)
 
-    def curves() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for t in _trajectories(result):
+    def curves(sampled: SimResult) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for t in _trajectories(sampled):
             yield spring.free_length - t.spring_length, getattr(t, field) / scale
 
-    # Maxima and minima are exact, so curve by curve they are those of all samples.
+    # A stroke's extremes are its ends, which two samples give bit for bit (see
+    # ``_strokes``); only an energy from past s0 dips inside, to 0, and y_lo <= 0.
     # The guide line at 1.0 (the cap, or the single-squat bound) is always in range.
     x_hi, y_lo, y_hi = reference[0].max(), reference[1].min(), reference[1].max()
-    for x, y in curves():
+    for x, y in curves(replace(result, config=replace(result.config, sample_count=2))):
         x_hi, y_lo = np.maximum(x_hi, x.max()), np.minimum(y_lo, y.min())
         y_hi = np.maximum(y_hi, y.max())
     x_hi, y_lo, y_hi = float(x_hi), min(0.0, float(y_lo)), float(np.maximum(1.0, y_hi)) * 1.05
@@ -384,7 +384,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         _line(_LEFT, sy(1.0), _WIDTH - _RIGHT, sy(1.0), stroke="#888888", dash="2 3"),
         _polyline(*reference, sx, sy, "#444444", dashed=True),
     ]
-    drawn = (_polyline(cx, cy, sx, sy, c) for (cx, cy), c in zip(curves(), cycle(_COLORS)))
+    drawn = (_polyline(cx, cy, sx, sy, c) for (cx, cy), c in zip(curves(result), cycle(_COLORS)))
     _write_lines(path, chain(["\n".join(parts)], drawn, ["</svg>"]))
     return path
 

@@ -21,8 +21,8 @@ from springleg import (
     spring_capacity,
     spring_energy,
 )
-from springleg.cyclic import Run, Termination
-from springleg.explore import _outcome
+from springleg.cyclic import Run, StopReason, Termination
+from springleg.explore import _jumped_run, _outcome
 from springleg.model import initial_spring_length
 
 from conftest import CONFIG_DIR, random_config, worked_config
@@ -212,6 +212,35 @@ def test_stall_after_the_first_squat():
     assert min_squats(config, squat[8]) == 1
     assert min_squats(config, squat[8] * (1 + 1e-9)) is None
     assert_answers_match(config, 0.5 * (squat[7] + squat[8]))
+
+
+def test_jump_landing_on_a_stall_ends_as_the_run():
+    # Lossless at half the critical cap, the orbit falls to the cap's fixed
+    # point, which is a stall point: the closed form stalls on the squat the
+    # jump lands on, and the run stalls after its 21st squat.
+    config = four_squat_config(loss=LossModel(efficiency=1.0), tol_gain=0.0)
+    config = replace(config, force_cap=critical_cap(config) / 2)
+    run = Run(config, QUERY_BUDGET)
+    squats = list(run)
+    assert run.termination is Termination.STALLED and len(squats) == 21
+    termination, last, reached = _jumped_run(config, math.inf, QUERY_BUDGET)
+    assert termination is Termination.STALLED and reached is None
+    assert last[4] is squats[-1][4] is StopReason.FORCE_CAP
+    numbers = [0, 1, 2, 3, 5, 6, 7, 8, 9]  # all but the stop
+    assert [last[i] for i in numbers] == pytest.approx([squats[-1][i] for i in numbers], rel=1e-14)
+    assert_answers_match(config, 0.5 * spring_capacity(config))
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_budget_reached_before_the_first_jump_ends_as_the_run(budget):
+    # Squats 1 and 2 are stepped, not jumped, so the run's own squats reach
+    # the budget.
+    config = four_squat_config(loss=LossModel(efficiency=0.95))
+    config = replace(config, force_cap=critical_cap(config) * (1 - 1e-3))
+    run = Run(config, budget)
+    *_, last = run
+    assert run.termination is Termination.ITERATION_CAP
+    assert _jumped_run(config, math.inf, budget) == (run.termination, last, None)
 
 
 def test_beyond_hip_error_after_the_first_squat():

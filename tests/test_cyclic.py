@@ -121,7 +121,7 @@ class TestSquatStep:
         # no run starts a squat at the solid length (it ends at full
         # compression first), so the map is driven directly
         config = worked_config()
-        squat, _ = cyclic._recurrence(config)
+        squat, _, _ = cyclic._recurrence(config)
         with pytest.raises(StallError, match="solid"):
             squat(1, config.initial_spring_position, config.spring.solid_length, 0.0)
 
@@ -155,7 +155,7 @@ class TestLockAndRetract:
         # a squat that compresses nothing is never retracted in a run (it
         # converges first), so the map is driven directly
         config = worked_config()
-        _, retract = cyclic._recurrence(config)
+        _, retract, _ = cyclic._recurrence(config)
         s_start = initial_spring_length(config)
         x, s_next, _ = retract(1, s_start)
         assert s_next == pytest.approx(s_start, rel=1e-12)
@@ -220,7 +220,7 @@ class TestStartForce:
         # retracting a squat that compressed nothing, driven on the map directly
         config = worked_config(force_cap=16.0)
         record = simulate(config).records[0]
-        _, retract = cyclic._recurrence(config)
+        _, retract, _ = cyclic._recurrence(config)
         x, s_start, _ = retract(1, record.state.spring_length_start)
         f = hip_force(x, s_start, config.leg, config.spring)
         assert f == pytest.approx(record.start_force, rel=1e-12)
@@ -421,7 +421,7 @@ class TestTermination:
         result = simulate(config)
         assert result.termination is Termination.STALLED
         assert len(result.records) == 4
-        squat, retract = cyclic._recurrence(config)
+        squat, retract, _ = cyclic._recurrence(config)
         with pytest.raises(StallError, match="squat 5: no compression"):
             squat(5, *retract(4, result.final_spring_length))
 

@@ -195,7 +195,7 @@ class TestRatchetFixedPoint:
         assert squats[-1] == squats[-2]
         assert all(a != b for a, b in zip(squats[:-2], squats[1:-1]))
         assert _outcome(config, math.inf)[:2] == (Termination.CONVERGED, squats[-1])
-        squat, retract = _recurrence(config)  # the map alone, to the budget
+        squat, retract, _ = _recurrence(config)  # the map alone, to the budget
         done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
         for n in range(2, budget + 1):
             done = squat(n, *retract(n - 1, done[3]))

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from springleg import (
     emit_plot_svg,
     emit_sweep_csv,
     emit_trajectory_csv,
+    parse_config,
     read_measured_cycles,
     simulate,
     sweep,
@@ -25,7 +27,7 @@ from springleg import (
 from springleg import cyclic, output
 from springleg.output import PLOT_KINDS, SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
 
-from conftest import worked_config
+from conftest import CONFIG_DIR, random_config, worked_config
 
 
 class TestFormatNumber:
@@ -473,6 +475,48 @@ class TestPlotSvg:
             assert x[-1] == pytest.approx(d_cap, rel=1e-12)
             assert y * e1 == pytest.approx(0.5 * spring.stiffness * x**2, rel=1e-12)
             assert np.all(np.diff(y) > 0)
+
+    def test_strokes_take_their_extremes_at_their_two_samples(self):
+        # The axis bounds come from strokes sampled at two points: each stroke
+        # of every sample count must have its extremes at its ends, and the
+        # 2-sample stroke must be those ends bit for bit.  Energy may dip to 0
+        # inside (a stroke from past the free length): the plot's y_lo <= 0.
+        rng = np.random.default_rng(29)
+        configs = [
+            random_config(
+                rng,
+                efficiency=(1.0, float(rng.uniform(0.8, 1.0)))[case % 4 == 0],
+                ratchet_pitch=(0.0, float(10 ** rng.uniform(-4, -2)))[case % 3 == 0],
+                sample_count=int(rng.integers(2, 400)),
+                max_iterations=int(rng.integers(1, 120)),
+            )
+            for case in range(60)
+        ]
+        configs.append(parse_config(CONFIG_DIR / "ratchet_slack.cfg"))
+        near = worked_config(  # runs to the budget just below its critical cap
+            spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
+            loss=LossModel(efficiency=0.95),
+            tol_gain=0.0,
+            max_iterations=300,
+        )
+        critical = 0.12**2 * 1000.0 / (4 * 0.95**0.5 * 0.3)  # s0**2 k / (4 sqrt(eta) l_stand)
+        for offset, samples in ((1e-7, 1000), (3e-4, 333)):
+            cap = critical * (1 - offset)
+            configs.append(replace(near, force_cap=cap, sample_count=samples))
+        slack = long = 0
+        for config in configs:
+            result = simulate(config)
+            ends = cyclic._trajectories(replace(result, config=replace(config, sample_count=2)))
+            for stroke, two in zip(result.trajectories, ends, strict=True):
+                for name, samples in vars(stroke).items():
+                    pair = getattr(two, name)
+                    assert pair.tobytes() == samples[[0, -1]].tobytes()
+                    assert samples.max() == pair.max()
+                    low = samples.min()
+                    assert low == pair.min() or name == "stored_energy" and low == 0.0
+                slack += len(stroke.leg_deformation) == 2 < config.sample_count
+            long += len(result.squats.x) >= 300
+        assert slack and long == 2
 
     def test_svg_is_wellformed_and_contains_curves(self, tmp_path):
         import xml.etree.ElementTree as ET
