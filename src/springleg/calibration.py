@@ -8,17 +8,17 @@ squats leave, sqrt(efficiency) * cap = const.  The objective takes many
 (efficiency, cap) points, one lane each: every lane runs the one squat map,
 ``cyclic.Run``, and the strokes of all lanes are sampled by the one stroke
 sampler, ``cyclic._strokes``, and compared together in numpy.  The grid
-needs only its lowest lane, so a cycle is compared only for the lanes whose
-partial sum is not above a complete lane's sum.  Forces are fitted because
-a load cell measures them; energies are derived by trapezoidal work
-integration.
+needs only its lowest lane, so a cycle is compared only for the lanes that
+an exact lower bound cannot rule out.  Forces are fitted because a load
+cell measures them; energies are derived by trapezoidal work integration.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -43,6 +43,8 @@ _EFFICIENCY_BOX = (0.05, 1.0)
 _BLOCK_ELEMENTS = 1 << 14
 #: Relative spread of objective values within which a fit grid is flat.
 _FLAT_RTOL = 1e-9
+#: The grid's bound sums the measured points this picks, less this share of the sum.
+_BOUND_PICK, _BOUND_RTOL = slice(None, None, 8), 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,10 @@ def fit_model(
     eta, cap = config.loss.efficiency, config.force_cap
     eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
     cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
+    measured = _Measured(ordered, config)
 
     def at(e: float, c: float) -> float:
-        (sse,), (n,) = objective(ordered, config, [e], [c])
+        sse, n = _point(measured, config, e, c)
         sse = float(sse)  # a numpy scalar would carry into the minimiser's points
         evaluated.append((sse, n, e, c))
         return sse
@@ -215,7 +218,7 @@ def fit_model(
     eta_grid = np.linspace(*eta_bounds, grid_points if fit_efficiency else 1)
     cap_grid = np.linspace(*cap_bounds, grid_points if fit_force_cap else 1)
     etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
-    lowest, sse, n, flat = _lowest(ordered, config, etas.ravel(), caps.ravel())
+    lowest, sse, n, flat = _lowest(measured, config, etas.ravel(), caps.ravel())
     eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
     evaluated = [(sse, n, eta, cap)]  # (sse, points, efficiency, cap): the grid's best, Brent's
     eta_step, cap_step = (float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid))
@@ -271,40 +274,94 @@ def objective(
     its run ended; this keeps the objective finite and the search well
     defined.
 
-    Strokes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest
-    cycle)`` (cycle, lane) pairs at a time, so temporaries stay within
-    ``_BLOCK_ELEMENTS`` elements however many lanes there are.  The sums
-    equal those of ``simulate`` and ``np.interp`` on each lane to round-off;
-    ``_lowest`` finds the lowest lane with the same sums.
+    Lanes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest cycle)``
+    at a time per cycle, and one lane's strokes at once (``_point``).  The sums
+    equal those of ``simulate`` and ``np.interp`` to round-off, and ``_lowest``
+    finds the lowest lane with the same sums.
     """
-    columns, counts = _lanes(cycles, config, eta, cap)
-    return _errors(cycles, config, columns).sum(axis=0), counts
+    measured = _Measured(cycles, config)
+    if len(eta) == 1:
+        (e,), (c,) = (np.asarray(v, dtype=float).tolist() for v in (eta, cap))
+        return tuple(np.array([v]) for v in _point(measured, config, e, c))
+    columns, counts = _lanes(measured, config, eta, cap)
+    return _errors(measured, config, columns).sum(axis=0), counts
 
 
-def _lowest(
-    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
-) -> tuple[int, float, int, bool]:
+class _Measured:
+    """A fit's fixed cycle data: (d, f), l_stand - d, counts; lazily, errors without a stroke."""
+
+    def __init__(self, cycles: Sequence[MeasuredCycle], config: Configuration) -> None:
+        lstand, self.ends = config.leg.standing_length, (0, config.leg.max_deformation)
+        self.traces = [(c.hip_displacement, c.hip_force) for c in cycles]
+        self.leg_length = [lstand - d for d, _ in self.traces]
+        self.points = sum(len(f) for _, f in self.traces)
+        longest = max(config.sample_count, *(len(f) for _, f in self.traces))
+        self.rows = max(1, _BLOCK_ELEMENTS // longest)  # strokes or lanes sampled at once
+
+    squared = cached_property(lambda m: [np.sum(f**2) for _, f in m.traces])
+    at_ends = cached_property(lambda m: [np.sum(np.interp(m.ends, *c) ** 2) for c in m.traces])
+
+
+def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple:
+    """``objective`` of one lane: one ``Run``, one ``_strokes`` call per block of strokes."""
+    try:
+        run = list(Run(config, len(m.traces), efficiency=eta, force_cap=cap))
+    except SimulationError:
+        run = []
+    strokes = [i for i, squat in enumerate(run) if squat[1] != squat[3]]  # not slack
+    errors = np.zeros(len(m.traces))
+    for i in set(range(len(m.traces))) - set(strokes):
+        errors[i] = m.squared[i] + (m.at_ends[i] if i < len(run) else 0.0)
+    for a in range(0, len(strokes), m.rows):  # blocks of strokes, as the grid's of lanes
+        part = strokes[a : a + m.rows]
+        x, start, stop = np.array([itemgetter(0, 2, 9)(run[i]) for i in part]).T
+        grid, model = _strokes(config, x, start, stop)[::2]
+        traces = [(j, *m.traces[i]) for j, i in enumerate(part)]
+        errors[part] = _onto_model(grid, model, traces)
+        ends = zip(part, x.tolist(), model[:, 0].tolist(), model[:, -1].tolist())
+        for i, *stroke in ends:  # floats: faster than rows of one
+            e = _onto_measured(config, *stroke, m.traces[i][1], m.leg_length[i])
+            errors[i] += np.vecdot(e, e)
+    count = m.points + config.sample_count * len(strokes) + 2 * (len(run) - len(strokes))
+    return errors.sum(), count
+
+
+def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, float, int, bool]:
     """``objective``'s first lowest lane, its sse and point count, and whether
-    ``_is_flat`` holds over the lanes, comparing only cycles that can decide.
+    ``_is_flat`` holds over the lanes, comparing only pairs that can decide.
 
-    The last cycle, which follows the most accumulated error, is compared for
-    every lane, and the lane lowest there for every cycle; the other cycles
-    are compared for the lanes whose last cycle is not above that lane's sse
-    by more than ``_FLAT_RTOL`` and the round-off of summing in another
-    order.  So a dropped lane is neither lowest nor flat with it.
+    Each lane's last cycle, which follows the most error, gets a lower bound: the model onto
+    every 8th measured point (``_BOUND_PICK``) from the end forces of 2-sample strokes, less
+    ``_BOUND_RTOL``.  It is compared where that bound is not above the lowest error found there
+    or the lowest lane's sse plus ``_FLAT_RTOL`` and round-off; the other cycles where it is not.
     """
-    columns, counts = _lanes(cycles, config, eta, cap)
+    columns, counts = _lanes(measured, config, eta, cap)
+    last = len(measured.traces) - 1
+    strokes = columns[3, last] > 0
+    x, start, stop = columns[:3, last, strokes]
+    ends = _strokes(replace(config, sample_count=2), x, start, stop)[2]
+    f, leg_length = (v[_BOUND_PICK] for v in (measured.traces[last][1], measured.leg_length[last]))
+    error = _onto_measured(config, x[:, None], ends[:, :1], ends[:, 1:], f, leg_length)
+    lower = np.full(len(strokes), measured.squared[last])
+    lower[strokes] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
     errors = np.zeros(columns.shape[1:])
-    last = len(cycles) - 1
-    errors[last:] = _errors(cycles[last:], config, columns[:, last:])
+    errors[last] = np.inf  # until compared; an infinite error is compared again
+
+    def compare(within: float) -> None:  # keeps NaN bounds
+        lanes = np.flatnonzero(~(lower > within) & (errors[last] == np.inf))
+        errors[last, lanes] = _errors(measured, config, columns[:, last:, lanes], last)[0]
+
+    compare(np.min(lower))
+    compare(np.min(errors[last]))
     best = int(np.argmin(errors[last]))
-    errors[:last, [best]] = _errors(cycles[:last], config, columns[:, :last, [best]])
+    errors[:last, [best]] = _errors(measured, config, columns[:, :last, [best]])
     sse = errors.sum(axis=0)[best]
-    bound = (sse + _FLAT_RTOL * (1 + abs(sse))) * (1 + 4 * len(cycles) * np.finfo(float).eps)
+    bound = (sse + _FLAT_RTOL * (1 + abs(sse))) * (1 + 4 * len(errors) * np.finfo(float).eps)
+    compare(bound)
     alive = ~(errors[last] > bound)  # keeps NaN lanes
     alive[best] = False  # complete
     lanes = np.flatnonzero(alive)
-    errors[:last, lanes] = _errors(cycles[:last], config, columns[:, :last, lanes])
+    errors[:last, lanes] = _errors(measured, config, columns[:, :last, lanes])
     alive[best] = True
     # Summed as ``objective`` sums them: an array of the same shape.
     sse = np.where(alive, errors.sum(axis=0), np.inf)
@@ -312,74 +369,63 @@ def _lowest(
     return lowest, sse[lowest], counts[lowest], _is_flat(sse)
 
 
-def _lanes(
-    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _lanes(measured: _Measured, config: Configuration, eta, cap) -> tuple[np.ndarray, np.ndarray]:
     """(x, dead band, travel, stroke, slack) of squat i of each lane's run,
     as (field, cycle i, lane) columns, all zeros where the run ended or
     raised, and each lane's compared-point count."""
     fields = itemgetter(0, 2, 9, 1, 3)  # x, dead_band, travel, s_start, s_end
-    table = []
+    table, cycles = [], len(measured.traces)
     for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
         try:
-            run = list(map(fields, Run(config, len(cycles), efficiency=e, force_cap=c)))
+            run = list(map(fields, Run(config, cycles, efficiency=e, force_cap=c)))
         except SimulationError:
             run = []
-        table += run + [(0.0,) * 5] * (len(cycles) - len(run))
-    x, start, stop, s_start, s_end = np.array(table).reshape(-1, len(cycles), 5).transpose(2, 1, 0)
+        table += run + [(0.0,) * 5] * (cycles - len(run))
+    x, start, stop, s_start, s_end = np.array(table).reshape(-1, cycles, 5).transpose(2, 1, 0)
     # Only a slack (ENGAGED_ONLY) squat ends at the length it started from.
     slack = (x > 0) & (s_start == s_end)
     strokes = (x > 0) & ~slack
-    measured = sum(len(c.hip_displacement) for c in cycles)
-    counts = measured + config.sample_count * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
+    counts = measured.points + config.sample_count * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
     return np.array([x, start, stop, strokes, slack]), counts
 
 
-def _errors(
-    cycles: Sequence[MeasuredCycle], config: Configuration, squats: np.ndarray
-) -> np.ndarray:
-    """Squared force error of each cycle against each lane's squat, measured
-    onto model plus model onto measured, from (field, cycle, lane) columns
-    of ``_lanes``, as (cycle, lane)."""
-    geom, spring = config.leg, config.spring
-    seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
-    k, s0, samples = spring.stiffness, spring.free_length, config.sample_count
-    # Every (cycle, lane) pair is sampled as a stroke, in blocks of rows;
-    # pairs without a stroke are replaced below.  Pair i * lanes + l is
-    # cycle i of lane l, so a block may span cycles.
-    x, start, stop = squats[:3].reshape(3, -1)
-    ratio = x / seg
-    slope = ratio * k
-    lanes = squats.shape[2]
-    rows = max(1, _BLOCK_ELEMENTS // max((samples, *(len(c.hip_displacement) for c in cycles))))
-    onto_model, onto_measured = np.empty(len(ratio)), np.empty(len(ratio))
-    for a in range(0, len(ratio), rows):
-        b = min(a + rows, len(ratio))
-        r, m = ratio[a:b, None], slope[a:b, None]
-        # One stroke per row, so that np.interp's search walks each in order.
-        grid, model = _strokes(config, x[a:b], start[a:b], stop[a:b])[::2]
-        for i in range(a // lanes, (b - 1) // lanes + 1):
-            d, f = cycles[i].hip_displacement, cycles[i].hip_force
-            lo, hi = max(i * lanes, a) - a, min(i * lanes + lanes, b) - a
-            error = model[lo:hi] - np.interp(grid[lo:hi], d, f)
-            onto_model[a + lo : a + hi] = np.vecdot(error, error)
-            # The line rises with d, so clamping it to the stroke's end forces
-            # is clamping d into the stroke.
-            line = m[lo:hi] * (s0 - r[lo:hi] * (lstand - d))
-            error = np.minimum(np.maximum(line, model[lo:hi, :1]), model[lo:hi, -1:]) - f
-            onto_measured[a + lo : a + hi] = np.vecdot(error, error)
-    onto_model = onto_model.reshape(squats.shape[1:])
-    onto_measured = onto_measured.reshape(squats.shape[1:])
+def _errors(measured: _Measured, config: Configuration, squats, first: int = 0) -> np.ndarray:
+    """Squared force error of cycle ``first + i`` against squat i of each
+    lane, from (field, cycle i, lane) columns of ``_lanes``, as (cycle, lane)."""
+    # Every pair is sampled as a stroke, in blocks of lanes; those without one are replaced below.
+    m, lanes, rows = measured, squats.shape[2], measured.rows
+    errors = np.empty(squats.shape[1:])
+    for i, row in enumerate(errors, first):
+        (d, f), leg_length = m.traces[i], m.leg_length[i]
+        for a in range(0, lanes, rows):
+            x, start, stop = squats[:3, i - first, a : a + rows]
+            # One stroke per row, so that np.interp's search walks each in order.
+            grid, model = _strokes(config, x, start, stop)[::2]
+            e = _onto_measured(config, x[:, None], model[:, :1], model[:, -1:], f, leg_length)
+            row[a : a + rows] = _onto_model(grid, model, [(..., d, f)]) + np.vecdot(e, e)
     strokes, slack = squats[3:] > 0
-    if not strokes.all():
-        # Without a stroke every measured force is unexplained; a slack squat
-        # has zero force at 0 and at the largest deformation.
-        squared = [[np.sum(c.hip_force**2)] for c in cycles]
-        ends = [np.interp([0, dlmax], c.hip_displacement, c.hip_force) for c in cycles]
-        at_ends = [[np.sum(f**2)] for f in ends]
-        onto_model = np.where(strokes, onto_model, np.where(slack, at_ends, 0.0))
-        onto_measured = np.where(strokes, onto_measured, squared)
-    return onto_model + onto_measured
+    if strokes.all():
+        return errors
+    cut = slice(first, first + len(errors))
+    squared, at_ends = (np.array(v[cut])[:, None] for v in (m.squared, m.at_ends))
+    return np.where(strokes, errors, np.where(slack, at_ends + squared, squared))
+
+
+def _onto_model(grid, model, traces) -> np.ndarray:
+    """Squared error of each row of ``model`` against its ``(rows, d, f)`` trace at ``grid``."""
+    at_grid = np.empty_like(grid)
+    for rows, d, f in traces:
+        at_grid[rows] = np.interp(grid[rows], d, f)
+    error = model - at_grid
+    return np.vecdot(error, error)
+
+
+def _onto_measured(config: Configuration, x, lo, hi, f, leg_length) -> np.ndarray:
+    """Force error of the strokes at ``x`` at the measured leg lengths: their line, clamped to
+    the end forces ``lo``, ``hi`` (it rises with d, so this clamps d into the stroke)."""
+    ratio, spring = x / config.leg.segment_length, config.spring
+    line = ratio * spring.stiffness * (spring.free_length - ratio * leg_length)
+    return np.minimum(np.maximum(line, lo), hi) - f
 
 
 def _is_flat(values: np.ndarray) -> bool:

@@ -1,13 +1,14 @@
 """Command-line surface: baseline, simulate, release, sweep, fit, plot.
 
-Exit codes: 0 on success, 2 on usage or configuration errors, 3 when the
-configuration is infeasible (stall or unreachable posture).  Human-readable
-summaries go to standard output; machine artifacts (CSV, SVG) go to files.
+Exit codes: 0 on success (also if a reader closes standard output early), 2 on
+usage or configuration errors, 3 when the configuration is infeasible.  Summaries
+go to standard output after the machine artifacts (CSV, SVG) go to files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -104,12 +105,13 @@ def main(argv: list[str] | None = None) -> int:
         return _exit_code(exc)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, DataError) as exc:
+    except (ConfigurationError, DomainError, DataError, SimulationError) as exc:
         print(f"springleg: error: {exc}", file=sys.stderr)
-        return 2
-    except SimulationError as exc:
-        print(f"springleg: error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, SimulationError) else 2
+    except BrokenPipeError:
+        # Files are written before stdout (closed by ``| head``); keep the final flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def _exit_code(exc: SystemExit) -> int:

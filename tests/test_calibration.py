@@ -290,13 +290,13 @@ class TestFitModel:
     def test_two_unknowns_stay_in_the_efficiency_box(self, monkeypatch):
         """Lossless data put the valley's lowest point on the box edge
         efficiency 1; the cap steps at a fixed u never evaluate past it."""
-        objective, etas = calibration.objective, []
+        point, etas = calibration._point, []
 
-        def recorded(cycles, config, eta, cap):
-            etas.extend(eta)
-            return objective(cycles, config, eta, cap)
+        def recorded(measured, config, eta, cap):
+            etas.append(eta)
+            return point(measured, config, eta, cap)
 
-        monkeypatch.setattr(calibration, "objective", recorded)
+        monkeypatch.setattr(calibration, "_point", recorded)
         true_config = worked_config(force_cap=12.0, sample_count=300, max_iterations=4)
         report = fit_model(cycles_from_simulation(true_config), true_config)
         assert report.efficiency >= 0.999 and report.force_cap == pytest.approx(12.0, rel=1e-3)
@@ -388,14 +388,20 @@ class TestFitModel:
         """On the criterion-8 trace the search runs a fixed number of
         (efficiency, cap) points: one grid of 17 x 17 (or 13) lanes, then 72
         (or 22) one-lane points of Brent's refinement.  Lanes and the bounded
-        grid minimum change how the points are evaluated, not which."""
-        runs, lanes = calibration._lanes, []
+        grid minimum change how the points are evaluated, not which: the grid
+        runs through ``_lanes``, each refinement point through ``_point``."""
+        runs, point, lanes = calibration._lanes, calibration._point, []
 
-        def counted(cycles, config, eta, cap):
+        def counted(measured, config, eta, cap):
             lanes.append(len(eta))
-            return runs(cycles, config, eta, cap)
+            return runs(measured, config, eta, cap)
+
+        def counted_point(measured, config, eta, cap):
+            lanes.append(1)
+            return point(measured, config, eta, cap)
 
         monkeypatch.setattr(calibration, "_lanes", counted)
+        monkeypatch.setattr(calibration, "_point", counted_point)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
         if not fit_force_cap:
@@ -409,25 +415,27 @@ class TestFitModel:
         """On criterion 8's noisy traces, which are rough within a grid step,
         the refinement need not end at the lowest point the search evaluated;
         the fit returns the lowest point evaluated, grid or refinement."""
-        objective, lowest, evaluated = calibration.objective, calibration._lowest, []
+        point, lowest, evaluated = calibration._point, calibration._lowest, []
 
-        def recorded(cycles, config, eta, cap):
-            sse, n_points = objective(cycles, config, eta, cap)
-            evaluated.extend(sse)
+        def recorded(measured, config, eta, cap):
+            sse, n_points = point(measured, config, eta, cap)
+            evaluated.append(sse)
             return sse, n_points
 
-        def recorded_grid(cycles, config, eta, cap):
-            index, sse, n_points, flat = lowest(cycles, config, eta, cap)
+        def recorded_grid(measured, config, eta, cap):
+            index, sse, n_points, flat = lowest(measured, config, eta, cap)
             evaluated.append(sse)  # the lowest of the grid's points
             return index, sse, n_points, flat
 
-        monkeypatch.setattr(calibration, "objective", recorded)
+        monkeypatch.setattr(calibration, "_point", recorded)
         monkeypatch.setattr(calibration, "_lowest", recorded_grid)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(seed))
         base = replace(truth, loss=LossModel(efficiency=1.0))
         report = fit_model(cycles, base, fit_force_cap=False, grid_points=13)
-        (sse,), (n_points,) = objective(cycles, base, [report.efficiency], [report.force_cap])
+        (sse,), (n_points,) = calibration.objective(
+            cycles, base, [report.efficiency], [report.force_cap]
+        )
         assert sse <= min(evaluated)
         assert report.residual_rms == math.sqrt(sse / n_points)
 
@@ -437,14 +445,14 @@ class TestFitModel:
         leaves at least half of them uncompared."""
         errors, lowest, compared, grids = calibration._errors, calibration._lowest, [0], []
 
-        def counted(cycles, config, squats):
+        def counted(measured, config, squats, *first):
             compared[0] += squats[0].size
-            return errors(cycles, config, squats)
+            return errors(measured, config, squats, *first)
 
-        def grid(cycles, config, eta, cap):
+        def grid(measured, config, eta, cap):
             before = compared[0]
-            found = lowest(cycles, config, eta, cap)
-            grids.append((len(eta) * len(cycles), compared[0] - before))
+            found = lowest(measured, config, eta, cap)
+            grids.append((len(eta) * len(measured.traces), compared[0] - before))
             return found
 
         monkeypatch.setattr(calibration, "_errors", counted)
@@ -454,6 +462,81 @@ class TestFitModel:
         fit_model(cycles_from_simulation(truth), base)
         assert sum(pairs for pairs, _ in grids) == 867
         assert sum(done for _, done in grids) <= 867 // 2
+
+    @staticmethod
+    def criterion_8(noise_seed=None):
+        """Criterion 8's 250-sample prototype_trend trace, noiseless or with 1%
+        noise of ``noise_seed``, and the fit's start: efficiency 1, the body
+        weight for the cap."""
+        truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
+        base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
+        if noise_seed is None:
+            return truth, cycles_from_simulation(truth), base
+        rng = np.random.default_rng(noise_seed)
+        return truth, cycles_from_simulation(truth, noise=0.01, rng=rng), base
+
+    @pytest.mark.parametrize("seed, pairs", [(None, 6), (8005, 22)])
+    def test_bound_leaves_few_pairs_to_compare(self, monkeypatch, seed, pairs):
+        """On the criterion-8 2-unknown grid the bound on each lane's last
+        cycle leaves 6 of its 867 (cycle, lane) pairs to compare at full
+        resolution (291 without it), and 22 with noise (297 without)."""
+        errors, lowest, compared = calibration._errors, calibration._lowest, []
+
+        def counted(measured, config, squats, *first):
+            compared[-1] += squats[0].size
+            return errors(measured, config, squats, *first)
+
+        def grid(*args):
+            compared.append(0)
+            return lowest(*args)
+
+        monkeypatch.setattr(calibration, "_errors", counted)
+        monkeypatch.setattr(calibration, "_lowest", grid)
+        _, cycles, base = self.criterion_8(seed)
+        fit_model(cycles, base)
+        assert compared == [pairs]
+
+    @pytest.mark.parametrize(
+        "case", ["criterion_8", "noise_8005", "noise_8044", "cap_known", "fit_roundtrip_8x1000"]
+    )
+    def test_bounded_grid_fits_as_the_all_pairs_grid(self, monkeypatch, case):
+        """``fit_model`` returns every ``FitReport`` field bit for bit as it
+        does with a grid that compares every (cycle, lane) pair, on criterion
+        8 (noiseless and with two noise seeds), a cap-known fit of 13 points,
+        and an 8-cycle, 1000-sample truth drawn as the fit_roundtrip benchmark
+        draws them (efficiency in 0.7-0.95, cap 0.6-0.72 of the critical cap)."""
+        options = {}
+        if case == "fit_roundtrip_8x1000":
+            trend = parse_config(CONFIG_DIR / "prototype_trend.cfg")
+            s0, k, lstand = trend.spring.free_length, trend.spring.stiffness, trend.leg.standing_length
+            cap = 0.66 * s0 * s0 * k / (4 * math.sqrt(0.8) * lstand)
+            truth = replace(
+                trend, loss=LossModel(0.8), force_cap=cap, max_iterations=8, sample_count=1000
+            )
+            cycles = cycles_from_simulation(truth)
+            base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
+            assert len(cycles) == 8
+        else:
+            seed = {"noise_8005": 8005, "noise_8044": 8044}.get(case)
+            truth, cycles, base = self.criterion_8(seed)
+            if case == "cap_known":
+                base = replace(base, force_cap=truth.force_cap)
+                options = dict(fit_force_cap=False, grid_points=13)
+
+        def hexed(report):
+            floats = [report.efficiency, report.force_cap, report.residual_rms]
+            floats += [*report.cycle_work, *report.retention_ratios]
+            return [v.hex() for v in floats], report.flat_objective
+
+        def all_pairs(measured, config, eta, cap):
+            columns, counts = calibration._lanes(measured, config, eta, cap)
+            values = calibration._errors(measured, config, columns).sum(axis=0)
+            lowest = int(np.argmin(values))
+            return lowest, values[lowest], counts[lowest], calibration._is_flat(values)
+
+        bounded = hexed(fit_model(cycles, base, **options))
+        monkeypatch.setattr(calibration, "_lowest", all_pairs)
+        assert hexed(fit_model(cycles, base, **options)) == bounded
 
     def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
         monkeypatch.setattr(calibration, "_lanes", no_search)

@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import springleg
 from springleg import ALL_KEYS, values_from_config
 from springleg.cli import main
 from springleg.model import MAX_SAMPLE_COUNT
@@ -137,6 +141,33 @@ class TestSimulateCommand:
             "full compression        : after 4 squats",
             "termination             : full_compression",
         ]
+
+    def test_closed_stdout_exits_0_quietly(self, tmp_path):
+        """A reader that closes standard output after one line (``| head -1``)
+        ends the command with exit 0 and an empty stderr, the files written.
+        Full-range squats of 5e-5 of the standing length give 2000 summary
+        lines, over 64 KiB, more than a pipe holds."""
+        config = tmp_path / "long.cfg"
+        config.write_text(
+            "mass_kg = 100\ngravity_mps2 = 10\nsegment_length_m = 0.3\n"
+            "standing_length_m = 0.5\nmax_deformation_m = 0.000025\n"
+            "spring_stiffness_n_per_m = 1000\nspring_free_length_m = 0.5\n"
+            "spring_solid_length_m = 0.2\ninitial_spring_position_m = 0.3\n"
+            "force_cap_n = 1000\npolicy = full_range\nmax_iterations = 2000\nsample_count = 2\n"
+        )
+        src = str(Path(springleg.__file__).resolve().parent.parent)
+        command = [sys.executable, "-m", "springleg.cli", "simulate", "--config", str(config)]
+        with subprocess.Popen(
+            [*command, "--out", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as run:
+            assert run.stdout.readline().startswith(b"squat 1: ")
+            run.stdout.close()
+            assert run.stderr.read() == b""
+            assert run.wait(timeout=60) == 0
+        assert (tmp_path / "trajectory_summary.csv").read_text().count("\n") > 2000
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

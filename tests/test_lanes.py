@@ -246,6 +246,9 @@ LOWEST_EXAMPLES = {
     "near_flat": dict(
         EXAMPLES["tol_gain"], lanes=[(0.5 + 1e-11 * i, 0.3) for i in (2, 0, 1, 3)], noise=0.01
     ),
+    # Cycles of 3-4 samples, fewer than the bound's stride, whose last cycle
+    # meets strokes and slack squats: the bound sees one point of it.
+    "short_cycles": dict(EXAMPLES["engaged_only"], measured=3, noise=0.01),
     # One survivor of ten cycles: numpy sums a lone column in another order.
     "ten_cycles": dict(
         EXAMPLES["full_compression_early"],
@@ -255,6 +258,11 @@ LOWEST_EXAMPLES = {
         noise=0.05,
     ),
 }
+
+
+def lowest(cycles, config, eta, cap):
+    """``_lowest`` on the cycles' traces, as ``fit_model`` calls it."""
+    return calibration._lowest(calibration._Measured(cycles, config), config, eta, cap)
 
 
 def lowest_of_objective(cycles, config, eta, cap):
@@ -276,13 +284,14 @@ def lowest_of_objective(cycles, config, eta, cap):
 @example(LOWEST_EXAMPLES["all_stalled"], list(range(8)), 0.01)
 @example(LOWEST_EXAMPLES["near_flat"], [0, 1, 2, 3], 0.01)
 @example(LOWEST_EXAMPLES["ten_cycles"], [0, 1, 2], 0.05)
+@example(LOWEST_EXAMPLES["short_cycles"], [2, 0, 1, 1, 0, 2], 0.01)
 def test_lowest_matches_objective(case, picks, noise):
     """The bounded grid minimum returns the first lowest lane of
     ``objective``, its sse bit for bit, its point count and the flat flag,
     on 1-60 lanes drawn with repeats from the case's lanes."""
     lanes = [case["lanes"][p % len(case["lanes"])] for p in picks]
     config, cycles, eta, cap = build(dict(case, lanes=lanes, noise=noise))
-    index, sse, count, flat = calibration._lowest(cycles, config, eta, cap)
+    index, sse, count, flat = lowest(cycles, config, eta, cap)
     assert (index, sse.hex(), count, flat) == lowest_of_objective(cycles, config, eta, cap)
 
 
@@ -292,13 +301,13 @@ def test_all_stalled_grid_is_flat():
     config, cycles, eta, cap = build(LOWEST_EXAMPLES["all_stalled"])
     for e, c in zip(eta, cap):
         assert isinstance(scalar_run(config, e, c, len(cycles))[1], StallError)
-    assert calibration._lowest(cycles, config, eta, cap)[::3] == (0, True)
+    assert lowest(cycles, config, eta, cap)[::3] == (0, True)
 
 
 def test_near_flat_grid_is_flat():
     config, cycles, eta, cap = build(LOWEST_EXAMPLES["near_flat"])
     values, _ = calibration.objective(cycles, config, eta, cap)
-    assert len(set(values)) > 1 and calibration._lowest(cycles, config, eta, cap)[3]
+    assert len(set(values)) > 1 and lowest(cycles, config, eta, cap)[3]
 
 
 def test_cap_range_tie_goes_to_force_cap():
