@@ -302,7 +302,7 @@ class _Measured:
     at_ends = cached_property(lambda m: [np.sum(np.interp(m.ends, *c) ** 2) for c in m.traces])
 
 
-def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple:
+def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple[float, int]:
     """``objective`` of one lane: one ``Run``, one ``_strokes`` call per block of strokes."""
     try:
         run = list(Run(config, len(m.traces), efficiency=eta, force_cap=cap))
