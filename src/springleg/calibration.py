@@ -275,14 +275,12 @@ def objective(
     defined.
 
     Lanes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest cycle)``
-    at a time per cycle, and one lane's strokes at once (``_point``).  The sums
-    equal those of ``simulate`` and ``np.interp`` to round-off, and ``_lowest``
-    finds the lowest lane with the same sums.
+    at a time per cycle, so temporaries stay within ``_BLOCK_ELEMENTS``
+    elements however many lanes there are.  The sums equal those of
+    ``simulate`` and ``np.interp`` to round-off; ``_lowest`` finds the lowest
+    lane with the same sums, and ``_point`` gives one lane's bit for bit.
     """
     measured = _Measured(cycles, config)
-    if len(eta) == 1:
-        (e,), (c,) = (np.asarray(v, dtype=float).tolist() for v in (eta, cap))
-        return tuple(np.array([v]) for v in _point(measured, config, e, c))
     columns, counts = _lanes(measured, config, eta, cap)
     return _errors(measured, config, columns).sum(axis=0), counts
 
@@ -316,14 +314,12 @@ def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple
         part = strokes[a : a + m.rows]
         x, start, stop = np.array([itemgetter(0, 2, 9)(run[i]) for i in part]).T
         grid, model = _strokes(config, x, start, stop)[::2]
-        traces = [(j, *m.traces[i]) for j, i in enumerate(part)]
-        errors[part] = _onto_model(grid, model, traces)
+        errors[part] = _onto_model(grid, model, [(j, *m.traces[i]) for j, i in enumerate(part)])
         ends = zip(part, x.tolist(), model[:, 0].tolist(), model[:, -1].tolist())
         for i, *stroke in ends:  # floats: faster than rows of one
             e = _onto_measured(config, *stroke, m.traces[i][1], m.leg_length[i])
             errors[i] += np.vecdot(e, e)
-    count = m.points + config.sample_count * len(strokes) + 2 * (len(run) - len(strokes))
-    return errors.sum(), count
+    return errors.sum(), m.points + (config.sample_count - 2) * len(strokes) + 2 * len(run)
 
 
 def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, float, int, bool]:
@@ -337,13 +333,14 @@ def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, 
     """
     columns, counts = _lanes(measured, config, eta, cap)
     last = len(measured.traces) - 1
-    strokes = columns[3, last] > 0
-    x, start, stop = columns[:3, last, strokes]
-    ends = _strokes(replace(config, sample_count=2), x, start, stop)[2]
     f, leg_length = (v[_BOUND_PICK] for v in (measured.traces[last][1], measured.leg_length[last]))
-    error = _onto_measured(config, x[:, None], ends[:, :1], ends[:, 1:], f, leg_length)
-    lower = np.full(len(strokes), measured.squared[last])
-    lower[strokes] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
+    lower = np.full(columns.shape[2], measured.squared[last])
+    strokes, rows = np.flatnonzero(columns[3, last]), max(1, _BLOCK_ELEMENTS // len(f))
+    for a in range(0, len(strokes), rows):  # blocks of lanes, as in ``_errors``
+        x, start, stop = columns[:3, last, strokes[a : a + rows]]
+        ends = _strokes(replace(config, sample_count=2), x, start, stop)[2]
+        error = _onto_measured(config, x[:, None], ends[:, :1], ends[:, 1:], f, leg_length)
+        lower[strokes[a : a + rows]] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
     errors = np.zeros(columns.shape[1:])
     errors[last] = np.inf  # until compared; an infinite error is compared again
 

@@ -104,13 +104,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return _exit_code(exc)
     try:
-        return args.func(args)
-    except (ConfigurationError, DomainError, DataError, SimulationError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed stdout is caught below, not at exit
+        return code
+    except (ConfigurationError, DomainError, DataError) as exc:
         print(f"springleg: error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, SimulationError) else 2
+        return 2
+    except SimulationError as exc:
+        print(f"springleg: error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
-        # Files are written before stdout (closed by ``| head``); keep the final flush quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # files came first
         return 0
 
 

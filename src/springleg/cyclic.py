@@ -197,21 +197,20 @@ def _recurrence(
     cap = config.force_cap if force_cap is None else force_cap
     cap = None if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
-    pitch, ceil = config.loss.ratchet_pitch, math.ceil
+    pitch = config.loss.ratchet_pitch
     full_length, tol_gain = solid + config.tol_abs, config.tol_gain
-    deepest, half_k = lstand - dlmax, 0.5 * k  # once per run: the same operands, the same floats
 
     def squat(n: int, x: float, s_start: float, dead_band: float) -> tuple:
         if s_start <= solid:
             raise StallError(f"squat {n}: spring already at solid length {solid}")
         ratio = x / seg
-        slope, s_range = ratio * k, ratio * deepest
+        s_range = ratio * (lstand - dlmax)
         # A later stop binds only when strictly larger, which gives the tie order.
         if cap is None:
             s_end, stop = s_range, _BY_RANGE
         else:
             try:
-                s_end = s0 - cap / slope  # k * ratio: products commute
+                s_end = s0 - cap / (k * ratio)
             except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
                 s_end = -math.inf
             stop = _BY_CAP
@@ -222,8 +221,8 @@ def _recurrence(
 
         if s_end < s_start:
             d_start, d_end = s0 - s_start, s0 - s_end  # as in spring_energy, in range here
-            f_start, f_end = slope * d_start, slope * d_end
-            e_before, e_after = half_k * d_start * d_start, half_k * d_end * d_end
+            f_start, f_end = ratio * k * d_start, ratio * k * d_end
+            e_before, e_after = 0.5 * k * d_start * d_start, 0.5 * k * d_end * d_end
             travel = lstand - s_end * seg / x
             return x, s_start, dead_band, s_end, stop, f_start, f_end, e_before, e_after, travel
         if stop is _BY_RANGE and dead_band > 0:
@@ -248,8 +247,8 @@ def _recurrence(
                 "no longer fits the standing leg"
             )
         if pitch > 0:
-            teeth = ceil(x_target / pitch)  # the first sits one pitch from the knee, never at it
-            x_next = pitch * teeth if teeth > 1 else pitch
+            teeth = math.ceil(x_target / pitch)  # the first sits one pitch from the knee,
+            x_next = pitch * teeth if teeth > 1 else pitch  # never at it
             x_next = seg if seg < x_next else x_next  # none past the hip
             return x_next, s_next, lstand - s_next * seg / x_next
         return x_target, s_next, 0.0

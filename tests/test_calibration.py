@@ -1,6 +1,7 @@
 """Work integration, efficiency estimation, and model fitting."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -495,6 +496,28 @@ class TestFitModel:
         _, cycles, base = self.criterion_8(seed)
         fit_model(cycles, base)
         assert compared == [pairs]
+
+    def test_bound_takes_lanes_in_blocks(self):
+        """The bound on a long last cycle holds a block of lanes at a time: on
+        the criterion-8 17 x 17 grid with a last cycle of 2**17 samples (16384
+        picked per lane), ``_lowest`` peaks below 8 MiB traced, where one array
+        of every lane's picks would take 36 MiB."""
+        truth, cycles, base = self.criterion_8()
+        d, f = cycles[-1].hip_displacement, cycles[-1].hip_force
+        long_d = np.linspace(d[0], d[-1], 2**17)
+        cycles[-1] = MeasuredCycle(cycles[-1].iteration, long_d, np.interp(long_d, d, f))
+        f_max = max(float(np.max(c.hip_force)) for c in cycles)
+        etas, caps = np.meshgrid(
+            np.linspace(0.05, 1.0, 17), np.linspace(0.5 * f_max, 1.25 * f_max, 17), indexing="ij"
+        )
+        measured = calibration._Measured(cycles, base)
+        tracemalloc.start()
+        try:
+            calibration._lowest(measured, base, etas.ravel(), caps.ravel())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23
 
     @pytest.mark.parametrize(
         "case", ["criterion_8", "noise_8005", "noise_8044", "cap_known", "fit_roundtrip_8x1000"]

@@ -169,6 +169,29 @@ class TestSimulateCommand:
             assert run.wait(timeout=60) == 0
         assert (tmp_path / "trajectory_summary.csv").read_text().count("\n") > 2000
 
+    def test_stdout_closed_before_the_summary_exits_0_quietly(self, tmp_path):
+        """A summary shorter than stdout's buffer is written only when it is
+        flushed; with the pipe's read end closed from the start, that flush
+        fails, and the command still exits 0 with an empty stderr.  Stdout
+        is block-buffered, as for a user, whatever PYTHONUNBUFFERED says here."""
+        src = str(Path(springleg.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        command = [sys.executable, "-m", "springleg.cli", "simulate", "--config", PROTO]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [*command, "--out", str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**env, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert (tmp_path / "trajectory_summary.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", PROTO, "--out", str(out_a)])

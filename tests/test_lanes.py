@@ -231,6 +231,21 @@ def test_lane_objective_matches_reference(case):
         assert (0 if isinstance(end, SimulationError) else len(squats)) == ref_modelled
 
 
+@settings(max_examples=150, deadline=None)
+@given(CASES)
+@with_examples
+def test_point_matches_objective_column(case):
+    """``_point``, which evaluates the fit's refinement points, gives each
+    lane's summed squared error and point count as ``objective``'s column
+    for that lane, bit for bit."""
+    config, cycles, eta, cap = build(case)
+    sse, n_points = calibration.objective(cycles, config, eta, cap)
+    measured = calibration._Measured(cycles, config)
+    for lane, (e, c) in enumerate(zip(eta.tolist(), cap.tolist())):
+        point_sse, point_n = calibration._point(measured, config, e, c)
+        assert (point_sse.hex(), point_n) == (sse[lane].hex(), n_points[lane])
+
+
 #: Lane sets the bounded grid minimum must get right, named by what their
 #: lanes reach; each lane is repeated, so ties are decided by lane order.
 LOWEST_EXAMPLES = {
