@@ -114,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"springleg: error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # files came first
-        return 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet final flush
+        return 0  # every command writes its files before it prints
 
 
 def _exit_code(exc: SystemExit) -> int:
