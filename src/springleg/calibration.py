@@ -4,13 +4,14 @@ Measured (or synthetic) per-squat hip force traces are compared against
 simulated strokes; the transition efficiency and the force cap are found by
 one deterministic search on the summed squared force residual: one grid,
 then Brent's bounded minimiser across and along the valley that cap-limited
-squats leave, sqrt(efficiency) * cap = const.  The objective takes many
-(efficiency, cap) points, one lane each: every lane runs the one squat map,
-``cyclic.Run``, and the strokes of all lanes are sampled by the one stroke
-sampler, ``cyclic._strokes``, and compared together in numpy.  The grid
-needs only its lowest lane, so a cycle is compared only for the lanes that
-an exact lower bound cannot rule out.  Forces are fitted because a load
-cell measures them; energies are derived by trapezoidal work integration.
+squats leave, sqrt(efficiency) * cap = const.  Each (efficiency, cap) point
+is one lane, evaluated one way for the grid and the minimiser alike: it runs
+the one squat map, ``cyclic.Run``, its strokes are sampled by the one stroke
+sampler, ``cyclic._strokes``, and its cycles' errors are added left to right.
+The grid needs only its lowest lane, so it visits lanes in the order of an
+exact lower bound on their last cycle's error and compares a lane only while
+it can still be the lowest.  Forces are fitted because a load cell measures
+them; energies are derived by trapezoidal work integration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ RATIO_TOL = 1e-9
 
 #: Search box of a fitted efficiency.
 _EFFICIENCY_BOX = (0.05, 1.0)
-#: Most lane-samples the objective holds in one temporary array.
+#: Most stroke-samples the objective holds in one temporary array.
 _BLOCK_ELEMENTS = 1 << 14
 #: Relative spread of objective values within which a fit grid is flat.
 _FLAT_RTOL = 1e-9
@@ -185,14 +186,18 @@ def fit_model(
     DomainError
         If ``grid_points`` is not an integer in [2, ``MAX_GRID_POINTS``].
     DataError
-        On fewer than two cycles, a cycle with fewer than two samples,
-        nothing to fit, a force cap to fit under ``full_range`` (which
-        ignores the cap), or a non-finite residual.
+        On cycles that are not an iterable of ``MeasuredCycle``, fewer than
+        two cycles, a cycle with fewer than two samples, nothing to fit, a
+        force cap to fit under ``full_range`` (which ignores the cap), or a
+        non-finite residual.
     """
     if not 2 <= _integer("grid_points", grid_points, DomainError) <= MAX_GRID_POINTS:
         raise DomainError(
             f"grid_points must be an integer in [2, {MAX_GRID_POINTS}], got {_repr(grid_points)}"
         )
+    cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
+    if not all(isinstance(c, MeasuredCycle) for c in cycles):
+        raise DataError("cycles must be an iterable of MeasuredCycle objects")
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
     if not (fit_efficiency or fit_force_cap):
@@ -261,7 +266,7 @@ def objective(
     with cycle ``i`` both ways, with endpoint clamping outside either stroke:
 
     * measured onto model: the measured trace ``np.interp``-olated at the
-      stroke's ``sample_count`` samples, one call per cycle and block;
+      stroke's ``sample_count`` samples;
     * model onto measured: the simulated force is affine in deformation
       within a stroke, so it is that line at each measured displacement
       clamped into the stroke, in closed form.
@@ -274,15 +279,16 @@ def objective(
     its run ended; this keeps the objective finite and the search well
     defined.
 
-    Lanes are sampled ``_BLOCK_ELEMENTS // max(sample_count, longest cycle)``
-    at a time per cycle, so temporaries stay within ``_BLOCK_ELEMENTS``
-    elements however many lanes there are.  The sums equal those of
-    ``simulate`` and ``np.interp`` to round-off; ``_lowest`` finds the lowest
-    lane with the same sums, and ``_point`` gives one lane's bit for bit.
+    Each lane is ``_point``: its strokes are sampled ``_BLOCK_ELEMENTS //
+    max(sample_count, longest cycle)`` at a time, so temporaries stay within
+    ``_BLOCK_ELEMENTS`` elements, and its cycles' errors are added left to
+    right (``_sum``).  The sums equal those of ``simulate`` and ``np.interp``
+    to round-off; ``_lowest`` finds the lowest lane with the same sums.
     """
     measured = _Measured(cycles, config)
-    columns, counts = _lanes(measured, config, eta, cap)
-    return _errors(measured, config, columns).sum(axis=0), counts
+    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap)))
+    sse, counts = list(zip(*(_point(measured, config, e, c) for e, c in lanes))) or [(), ()]
+    return np.array(sse), np.array(counts, dtype=int)
 
 
 class _Measured:
@@ -294,118 +300,96 @@ class _Measured:
         self.leg_length = [lstand - d for d, _ in self.traces]
         self.points = sum(len(f) for _, f in self.traces)
         longest = max(config.sample_count, *(len(f) for _, f in self.traces))
-        self.rows = max(1, _BLOCK_ELEMENTS // longest)  # strokes or lanes sampled at once
+        self.rows = max(1, _BLOCK_ELEMENTS // longest)  # strokes sampled at once
 
     squared = cached_property(lambda m: [np.sum(f**2) for _, f in m.traces])
     at_ends = cached_property(lambda m: [np.sum(np.interp(m.ends, *c) ** 2) for c in m.traces])
 
 
 def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple[float, int]:
-    """``objective`` of one lane: one ``Run``, one ``_strokes`` call per block of strokes."""
+    """``objective`` of one lane."""
+    run = _run(m, config, eta, cap)
+    return _sum(_errors(m, config, run, range(len(m.traces)))), _count(m, config, run)
+
+
+def _run(m: _Measured, config: Configuration, eta: float, cap: float) -> list[tuple]:
+    """The lane's squats, one per cycle at most, or none if its run raises."""
     try:
-        run = list(Run(config, len(m.traces), efficiency=eta, force_cap=cap))
+        return list(Run(config, len(m.traces), efficiency=eta, force_cap=cap))
     except SimulationError:
-        run = []
-    strokes = [i for i, squat in enumerate(run) if squat[1] != squat[3]]  # not slack
-    errors = np.zeros(len(m.traces))
-    for i in set(range(len(m.traces))) - set(strokes):
+        return []
+
+
+def _strokes_of(run: list[tuple], cycles) -> list[int]:
+    """The listed cycles whose squat has a stroke: run, and not slack (only an
+    ENGAGED_ONLY squat ends at the length it started from)."""
+    return [i for i in cycles if i < len(run) and run[i][1] != run[i][3]]
+
+
+def _errors(m: _Measured, config: Configuration, run: list[tuple], cycles) -> np.ndarray:
+    """Squared force error of each listed cycle against the run's squat of it,
+    with one ``_strokes`` call per block of ``m.rows`` strokes."""
+    errors = dict.fromkeys(cycles, 0.0)
+    strokes = _strokes_of(run, errors)
+    for i in errors.keys() - strokes:
         errors[i] = m.squared[i] + (m.at_ends[i] if i < len(run) else 0.0)
-    for a in range(0, len(strokes), m.rows):  # blocks of strokes, as the grid's of lanes
+    for a in range(0, len(strokes), m.rows):
         part = strokes[a : a + m.rows]
         x, start, stop = np.array([itemgetter(0, 2, 9)(run[i]) for i in part]).T
         grid, model = _strokes(config, x, start, stop)[::2]
-        errors[part] = _onto_model(grid, model, [(j, *m.traces[i]) for j, i in enumerate(part)])
-        ends = zip(part, x.tolist(), model[:, 0].tolist(), model[:, -1].tolist())
-        for i, *stroke in ends:  # floats: faster than rows of one
+        onto_model = _onto_model(grid, model, [(j, *m.traces[i]) for j, i in enumerate(part)])
+        ends = zip(part, onto_model, x.tolist(), model[:, 0].tolist(), model[:, -1].tolist())
+        for i, error, *stroke in ends:  # floats: faster than rows of one
             e = _onto_measured(config, *stroke, m.traces[i][1], m.leg_length[i])
-            errors[i] += np.vecdot(e, e)
-    return errors.sum(), m.points + (config.sample_count - 2) * len(strokes) + 2 * len(run)
+            errors[i] = error + np.vecdot(e, e)
+    return np.array(list(errors.values()))
+
+
+def _count(m: _Measured, config: Configuration, run: list[tuple]) -> int:
+    """Compared points: every measured one, and a stroke's samples or a slack squat's two ends."""
+    strokes = len(_strokes_of(run, range(len(run))))
+    return m.points + (config.sample_count - 2) * strokes + 2 * len(run)
+
+
+def _sum(errors: np.ndarray) -> float:
+    """The errors added left to right, at every length (numpy's ``sum`` is pairwise from 8)."""
+    return np.cumsum(errors)[-1]
 
 
 def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, float, int, bool]:
     """``objective``'s first lowest lane, its sse and point count, and whether
-    ``_is_flat`` holds over the lanes, comparing only pairs that can decide.
+    ``_is_flat`` holds over the lanes, comparing only the lanes that can decide.
 
     Each lane's last cycle, which follows the most error, gets a lower bound: the model onto
     every 8th measured point (``_BOUND_PICK``) from the end forces of 2-sample strokes, less
-    ``_BOUND_RTOL``.  It is compared where that bound is not above the lowest error found there
-    or the lowest lane's sse plus ``_FLAT_RTOL`` and round-off; the other cycles where it is not.
+    ``_BOUND_RTOL``.  Lanes are visited in ascending order of it, NaN last.  A lane is
+    compared while that bound, and then its last cycle's error, is not above the lowest sse
+    so far plus ``_FLAT_RTOL`` and round-off; its other cycles are compared only then.
     """
-    columns, counts = _lanes(measured, config, eta, cap)
+    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap)))
+    runs = [_run(measured, config, e, c) for e, c in lanes]
     last = len(measured.traces) - 1
     f, leg_length = (v[_BOUND_PICK] for v in (measured.traces[last][1], measured.leg_length[last]))
-    lower = np.full(columns.shape[2], measured.squared[last])
-    strokes, rows = np.flatnonzero(columns[3, last]), max(1, _BLOCK_ELEMENTS // len(f))
-    for a in range(0, len(strokes), rows):  # blocks of lanes, as in ``_errors``
-        x, start, stop = columns[:3, last, strokes[a : a + rows]]
+    lower = np.full(len(runs), measured.squared[last])
+    strokes = [lane for lane, run in enumerate(runs) if _strokes_of(run, [last])]
+    rows = max(1, _BLOCK_ELEMENTS // len(f))
+    for a in range(0, len(strokes), rows):  # blocks of lanes
+        part = strokes[a : a + rows]
+        x, start, stop = np.array([itemgetter(0, 2, 9)(runs[lane][last]) for lane in part]).T
         ends = _strokes(replace(config, sample_count=2), x, start, stop)[2]
         error = _onto_measured(config, x[:, None], ends[:, :1], ends[:, 1:], f, leg_length)
-        lower[strokes[a : a + rows]] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
-    errors = np.zeros(columns.shape[1:])
-    errors[last] = np.inf  # until compared; an infinite error is compared again
-
-    def compare(within: float) -> None:  # keeps NaN bounds
-        lanes = np.flatnonzero(~(lower > within) & (errors[last] == np.inf))
-        errors[last, lanes] = _errors(measured, config, columns[:, last:, lanes], last)[0]
-
-    compare(np.min(lower))
-    compare(np.min(errors[last]))
-    best = int(np.argmin(errors[last]))
-    errors[:last, [best]] = _errors(measured, config, columns[:, :last, [best]])
-    sse = errors.sum(axis=0)[best]
-    bound = (sse + _FLAT_RTOL * (1 + abs(sse))) * (1 + 4 * len(errors) * np.finfo(float).eps)
-    compare(bound)
-    alive = ~(errors[last] > bound)  # keeps NaN lanes
-    alive[best] = False  # complete
-    lanes = np.flatnonzero(alive)
-    errors[:last, lanes] = _errors(measured, config, columns[:, :last, lanes])
-    alive[best] = True
-    # Summed as ``objective`` sums them: an array of the same shape.
-    sse = np.where(alive, errors.sum(axis=0), np.inf)
+        lower[part] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
+    sse, best = np.full(len(runs), np.inf), np.inf
+    bound, round_off = np.inf, 1 + 4 * (last + 1) * np.finfo(float).eps
+    for lane in np.argsort(lower, kind="stable").tolist():  # NaN bounds last, still compared
+        if lower[lane] > bound or (error := _errors(measured, config, runs[lane], [last])) > bound:
+            continue
+        sse[lane] = _sum(np.append(_errors(measured, config, runs[lane], range(last)), error))
+        if sse[lane] < best:
+            best = sse[lane]
+            bound = (best + _FLAT_RTOL * (1 + abs(best))) * round_off
     lowest = int(np.argmin(sse))
-    return lowest, sse[lowest], counts[lowest], _is_flat(sse)
-
-
-def _lanes(measured: _Measured, config: Configuration, eta, cap) -> tuple[np.ndarray, np.ndarray]:
-    """(x, dead band, travel, stroke, slack) of squat i of each lane's run,
-    as (field, cycle i, lane) columns, all zeros where the run ended or
-    raised, and each lane's compared-point count."""
-    fields = itemgetter(0, 2, 9, 1, 3)  # x, dead_band, travel, s_start, s_end
-    table, cycles = [], len(measured.traces)
-    for e, c in zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap))):
-        try:
-            run = list(map(fields, Run(config, cycles, efficiency=e, force_cap=c)))
-        except SimulationError:
-            run = []
-        table += run + [(0.0,) * 5] * (cycles - len(run))
-    x, start, stop, s_start, s_end = np.array(table).reshape(-1, cycles, 5).transpose(2, 1, 0)
-    # Only a slack (ENGAGED_ONLY) squat ends at the length it started from.
-    slack = (x > 0) & (s_start == s_end)
-    strokes = (x > 0) & ~slack
-    counts = measured.points + config.sample_count * strokes.sum(axis=0) + 2 * slack.sum(axis=0)
-    return np.array([x, start, stop, strokes, slack]), counts
-
-
-def _errors(measured: _Measured, config: Configuration, squats, first: int = 0) -> np.ndarray:
-    """Squared force error of cycle ``first + i`` against squat i of each
-    lane, from (field, cycle i, lane) columns of ``_lanes``, as (cycle, lane)."""
-    # Every pair is sampled as a stroke, in blocks of lanes; those without one are replaced below.
-    m, lanes, rows = measured, squats.shape[2], measured.rows
-    errors = np.empty(squats.shape[1:])
-    for i, row in enumerate(errors, first):
-        (d, f), leg_length = m.traces[i], m.leg_length[i]
-        for a in range(0, lanes, rows):
-            x, start, stop = squats[:3, i - first, a : a + rows]
-            # One stroke per row, so that np.interp's search walks each in order.
-            grid, model = _strokes(config, x, start, stop)[::2]
-            e = _onto_measured(config, x[:, None], model[:, :1], model[:, -1:], f, leg_length)
-            row[a : a + rows] = _onto_model(grid, model, [(..., d, f)]) + np.vecdot(e, e)
-    strokes, slack = squats[3:] > 0
-    if strokes.all():
-        return errors
-    cut = slice(first, first + len(errors))
-    squared, at_ends = (np.array(v[cut])[:, None] for v in (m.squared, m.at_ends))
-    return np.where(strokes, errors, np.where(slack, at_ends + squared, squared))
+    return lowest, sse[lowest], _count(measured, config, runs[lowest]), _is_flat(sse)
 
 
 def _onto_model(grid, model, traces) -> np.ndarray:

@@ -388,28 +388,23 @@ class TestFitModel:
     ):
         """On the criterion-8 trace the search runs a fixed number of
         (efficiency, cap) points: one grid of 17 x 17 (or 13) lanes, then 72
-        (or 22) one-lane points of Brent's refinement.  Lanes and the bounded
-        grid minimum change how the points are evaluated, not which: the grid
-        runs through ``_lanes``, each refinement point through ``_point``."""
-        runs, point, lanes = calibration._lanes, calibration._point, []
+        (or 22) one-lane points of Brent's refinement.  The bounded grid
+        minimum changes how the points are evaluated, not which: every point,
+        grid or refinement, is one ``_run``."""
+        run, lanes = calibration._run, []
 
         def counted(measured, config, eta, cap):
-            lanes.append(len(eta))
-            return runs(measured, config, eta, cap)
+            lanes.append((eta, cap))
+            return run(measured, config, eta, cap)
 
-        def counted_point(measured, config, eta, cap):
-            lanes.append(1)
-            return point(measured, config, eta, cap)
-
-        monkeypatch.setattr(calibration, "_lanes", counted)
-        monkeypatch.setattr(calibration, "_point", counted_point)
+        monkeypatch.setattr(calibration, "_run", counted)
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         base = replace(truth, loss=LossModel(efficiency=1.0), force_cap=truth.body.weight)
         if not fit_force_cap:
             base = replace(base, force_cap=truth.force_cap)
         cycles = cycles_from_simulation(truth)
         fit_model(cycles, base, fit_force_cap=fit_force_cap, grid_points=grid_points)
-        assert sum(lanes) == evaluated
+        assert len(lanes) == evaluated
 
     @pytest.mark.parametrize("seed", [8005, 8044])
     def test_returns_no_point_worse_than_one_evaluated(self, monkeypatch, seed):
@@ -446,9 +441,9 @@ class TestFitModel:
         leaves at least half of them uncompared."""
         errors, lowest, compared, grids = calibration._errors, calibration._lowest, [0], []
 
-        def counted(measured, config, squats, *first):
-            compared[0] += squats[0].size
-            return errors(measured, config, squats, *first)
+        def counted(measured, config, run, cycles):
+            compared[0] += len(cycles)
+            return errors(measured, config, run, cycles)
 
         def grid(measured, config, eta, cap):
             before = compared[0]
@@ -480,16 +475,19 @@ class TestFitModel:
     def test_bound_leaves_few_pairs_to_compare(self, monkeypatch, seed, pairs):
         """On the criterion-8 2-unknown grid the bound on each lane's last
         cycle leaves 6 of its 867 (cycle, lane) pairs to compare at full
-        resolution (291 without it), and 22 with noise (297 without)."""
-        errors, lowest, compared = calibration._errors, calibration._lowest, []
+        resolution, and 22 with noise: lanes are compared in the order of
+        their bounds, and only while they can still be the lowest."""
+        errors, lowest, total, compared = calibration._errors, calibration._lowest, [0], []
 
-        def counted(measured, config, squats, *first):
-            compared[-1] += squats[0].size
-            return errors(measured, config, squats, *first)
+        def counted(measured, config, run, cycles):
+            total[0] += len(cycles)
+            return errors(measured, config, run, cycles)
 
-        def grid(*args):
-            compared.append(0)
-            return lowest(*args)
+        def grid(*args):  # the refinement's points, after the grid, are not counted
+            before = total[0]
+            found = lowest(*args)
+            compared.append(total[0] - before)
+            return found
 
         monkeypatch.setattr(calibration, "_errors", counted)
         monkeypatch.setattr(calibration, "_lowest", grid)
@@ -552,8 +550,7 @@ class TestFitModel:
             return [v.hex() for v in floats], report.flat_objective
 
         def all_pairs(measured, config, eta, cap):
-            columns, counts = calibration._lanes(measured, config, eta, cap)
-            values = calibration._errors(measured, config, columns).sum(axis=0)
+            values, counts = calibration.objective(cycles, config, eta, cap)
             lowest = int(np.argmin(values))
             return lowest, values[lowest], counts[lowest], calibration._is_flat(values)
 
@@ -562,10 +559,19 @@ class TestFitModel:
         assert hexed(fit_model(cycles, base, **options)) == bounded
 
     def test_one_sample_cycle_fails_before_the_search(self, monkeypatch):
-        monkeypatch.setattr(calibration, "_lanes", no_search)
+        monkeypatch.setattr(calibration, "_run", no_search)
         cycles = cycles_from_simulation(worked_config())
         cycles[1] = MeasuredCycle(2, np.array([0.0]), np.array([5.0]))
         with pytest.raises(DataError, match="2 samples"):
+            fit_model(cycles, worked_config())
+
+    @pytest.mark.parametrize(
+        "cycles", [None, [1, 2], "ab", [None, None], 3.0], ids=["none", "ints", "str", "nones", "float"]
+    )
+    def test_cycles_that_are_no_measured_cycles_rejected(self, monkeypatch, cycles):
+        """Whatever is passed for the cycles, only ``DataError`` escapes, before any point is run."""
+        monkeypatch.setattr(calibration, "_run", no_search)
+        with pytest.raises(DataError, match="^cycles must be an iterable of MeasuredCycle objects$"):
             fit_model(cycles, worked_config())
 
     def test_too_few_cycles_rejected(self):
@@ -608,13 +614,13 @@ class TestFitModel:
     def test_long_grid_rejected(self, monkeypatch, grid_points, shown):
         """A 2-unknown grid runs grid_points**2 lanes, so counts past
         MAX_GRID_POINTS are rejected before any point is run."""
-        monkeypatch.setattr(calibration, "_lanes", no_search)
+        monkeypatch.setattr(calibration, "_run", no_search)
         with pytest.raises(DomainError) as error:
             fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=grid_points)
         assert str(error.value) == f"grid_points must be an integer in [2, 256], got {shown}"
 
     def test_longest_grid_accepted(self, monkeypatch):
-        monkeypatch.setattr(calibration, "_lanes", no_search)
+        monkeypatch.setattr(calibration, "_run", no_search)
         with pytest.raises(AssertionError, match="objective evaluated"):
             fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=256)
 

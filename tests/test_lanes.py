@@ -11,6 +11,9 @@ hip, full compression before the last cycle and the ``tol_gain`` stop.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import replace
 from unittest import mock
 
@@ -50,7 +53,7 @@ CASES = st.fixed_dictionaries(
         "eta": st.floats(0.05, 1.0),
         "pitch": st.just(0.0) | st.floats(0.01, 0.6),
         "full_range": st.booleans(),
-        "cycles": st.integers(2, 6),
+        "cycles": st.integers(2, 10),  # numpy sums 8 or more values pairwise
         "samples": st.integers(2, 40),
         "tol_gain": st.just(1e-12) | st.floats(1e-4, 0.1),
         "lanes": st.lists(
@@ -217,7 +220,7 @@ def test_lane_objective_matches_reference(case):
     points and penalise the same cycles."""
     config, cycles, eta, cap = build(case)
     sse, n_points = calibration.objective(cycles, config, eta, cap)
-    # Blocks of 1-4 (cycle, lane) rows, which also split cycles.
+    # Blocks of 1-4 strokes, which also split a lane's cycles.
     longest = max(config.sample_count, *(len(c.hip_displacement) for c in cycles))
     with mock.patch.object(calibration, "_BLOCK_ELEMENTS", (1 + case["seed"] % 4) * longest):
         blocked, _ = calibration.objective(cycles, config, eta, cap)
@@ -231,19 +234,14 @@ def test_lane_objective_matches_reference(case):
         assert (0 if isinstance(end, SimulationError) else len(squats)) == ref_modelled
 
 
-@settings(max_examples=150, deadline=None)
-@given(CASES)
-@with_examples
-def test_point_matches_objective_column(case):
-    """``_point``, which evaluates the fit's refinement points, gives each
-    lane's summed squared error and point count as ``objective``'s column
-    for that lane, bit for bit."""
-    config, cycles, eta, cap = build(case)
-    sse, n_points = calibration.objective(cycles, config, eta, cap)
-    measured = calibration._Measured(cycles, config)
-    for lane, (e, c) in enumerate(zip(eta.tolist(), cap.tolist())):
-        point_sse, point_n = calibration._point(measured, config, e, c)
-        assert (point_sse.hex(), point_n) == (sse[lane].hex(), n_points[lane])
+def test_sum_adds_left_to_right():
+    """A lane's cycle errors are added left to right at every length: on these
+    values numpy's pairwise sum and a compensated sum (``math.fsum``, and the
+    builtin ``sum`` from Python 3.12) give another last digit."""
+    values = [1e16, 1.0, -1e16, 3.0, 1e-3, 7.0, 2.5, 1e15, 0.1]
+    left_to_right = functools.reduce(operator.add, values)
+    assert calibration._sum(np.array(values)).hex() == left_to_right.hex()
+    assert np.sum(values) != left_to_right and math.fsum(values) != left_to_right
 
 
 #: Lane sets the bounded grid minimum must get right, named by what their
@@ -264,7 +262,8 @@ LOWEST_EXAMPLES = {
     # Cycles of 3-4 samples, fewer than the bound's stride, whose last cycle
     # meets strokes and slack squats: the bound sees one point of it.
     "short_cycles": dict(EXAMPLES["engaged_only"], measured=3, noise=0.01),
-    # One survivor of ten cycles: numpy sums a lone column in another order.
+    # Ten cycles, past numpy's pairwise threshold of 8: the grid and ``objective``
+    # must both add a lane's cycles left to right.
     "ten_cycles": dict(
         EXAMPLES["full_compression_early"],
         cycles=10,
