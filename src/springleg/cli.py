@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--grid", required=True, help="grid specification file")
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit the loss model to measured cycles")
@@ -101,8 +100,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _exit_code(exc)
+    except SystemExit as exc:  # 0 after --help, 2 on a usage error
+        return exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()  # here, so that a closed stdout is caught below, not at exit
@@ -116,14 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet final flush
         return 0  # every command writes its files before it prints
-
-
-def _exit_code(exc: SystemExit) -> int:
-    if exc.code is None:
-        return 0
-    if isinstance(exc.code, int):
-        return exc.code
-    return 2
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -149,7 +140,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _print_run_summary(result) -> None:
-    e1, cap = result.normalization
+    e1 = result.normalization[0]
     rows = _format_squats(result.squats)
     for n, (x, s_start, s_end, f_start, f_end, _, e_after, stop) in enumerate(rows, 1):
         print(

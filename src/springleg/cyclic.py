@@ -179,7 +179,7 @@ def _recurrence(
     ``efficiency`` and ``force_cap`` in place of the configuration's if given.
 
     ``squat(n, x, s_start, dead_band)`` compresses at fixed position ``x`` to
-    the stop with the largest spring length: force cap (not under FULL_RANGE),
+    the stop with the largest spring length: force cap (infinite under FULL_RANGE),
     leg range or solid spring, ties going FORCE_CAP, LEG_RANGE, SPRING_SOLID.
     It returns the squat's tuple (see ``Squats``) and raises ``StallError`` if
     no stop lies below ``s_start``.  ``retract(n, s_end)`` returns the next
@@ -195,7 +195,7 @@ def _recurrence(
     seg, lstand, dlmax = geom.segment_length, geom.standing_length, geom.max_deformation
     k, s0, solid = spring.stiffness, spring.free_length, spring.solid_length
     cap = config.force_cap if force_cap is None else force_cap
-    cap = None if config.policy is CompressionPolicy.FULL_RANGE else cap
+    cap = math.inf if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
     pitch = config.loss.ratchet_pitch
     full_length, tol_gain = solid + config.tol_abs, config.tol_gain
@@ -206,16 +206,13 @@ def _recurrence(
         ratio = x / seg
         s_range = ratio * (lstand - dlmax)
         # A later stop binds only when strictly larger, which gives the tie order.
-        if cap is None:
+        try:
+            s_end = s0 - cap / (k * ratio)
+        except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
+            s_end = -math.inf
+        stop = _BY_CAP
+        if s_range > s_end:
             s_end, stop = s_range, _BY_RANGE
-        else:
-            try:
-                s_end = s0 - cap / (k * ratio)
-            except ZeroDivisionError:  # k * ratio underflowed: too soft ever to reach the cap
-                s_end = -math.inf
-            stop = _BY_CAP
-            if s_range > s_end:
-                s_end, stop = s_range, _BY_RANGE
         if solid > s_end:
             s_end, stop = solid, _BY_SOLID
 

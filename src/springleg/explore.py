@@ -284,7 +284,7 @@ def _evaluate_point(template: Configuration, point: object) -> SweepRow:
                 peak = last[6]
     except (ConfigurationError, DomainError) as exc:
         return SweepRow(params=params, status="invalid", reason=str(exc))
-    except (StallError, SimulationError) as exc:
+    except SimulationError as exc:
         return SweepRow(params=params, status="stall", reason=str(exc))
     full = run.termination is Termination.FULL_COMPRESSION
     return SweepRow(

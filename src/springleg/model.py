@@ -344,14 +344,10 @@ def spring_force(s: float, spring: SpringParams) -> float:
     Raises
     ------
     DomainError
-        If ``s`` exceeds the free length (slack) or is below the solid
-        length.
+        If ``s`` exceeds the free length (slack), is below the solid
+        length, or is nan.
     """
-    if s > spring.free_length:
-        raise DomainError(f"spring length s={s} exceeds free_length={spring.free_length} (slack)")
-    if s < spring.solid_length:
-        raise DomainError(f"spring length s={s} below solid_length={spring.solid_length}")
-    return spring.stiffness * (spring.free_length - s)
+    return spring.stiffness * _compression(s, spring)
 
 
 def hip_force(x: float, s: float, geom: LegGeometry, spring: SpringParams) -> float:
@@ -369,10 +365,15 @@ def hip_force(x: float, s: float, geom: LegGeometry, spring: SpringParams) -> fl
 
 
 def spring_energy(s: float, spring: SpringParams) -> float:
-    """Elastic energy stored at spring length ``s``: 0.5*k*(s0 - s)^2."""
+    """Elastic energy stored at spring length ``s``: 0.5*k*(s0 - s)^2; raises as ``spring_force``."""
+    d = _compression(s, spring)
+    return 0.5 * spring.stiffness * d * d
+
+
+def _compression(s: float, spring: SpringParams) -> float:
+    """``free_length - s``; ``DomainError`` unless solid_length <= s <= free_length."""
     if s > spring.free_length:
         raise DomainError(f"spring length s={s} exceeds free_length={spring.free_length} (slack)")
-    if s < spring.solid_length:
+    if not s >= spring.solid_length:  # a nan fails here, as it lies in no range
         raise DomainError(f"spring length s={s} below solid_length={spring.solid_length}")
-    d = spring.free_length - s
-    return 0.5 * spring.stiffness * d * d
+    return spring.free_length - s

@@ -93,6 +93,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", stall, "--out", str(tmp_path)]) == 3
         assert "no compression" in capsys.readouterr().err
 
+    def test_workers_option_is_a_usage_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("force_cap_n = 5.0\n")
+        argv = ["sweep", "--config", PROTO, "--grid", str(grid), "--out", str(tmp_path)]
+        assert main([*argv, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err and not (tmp_path / "sweep.csv").exists()
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
@@ -245,9 +254,7 @@ class TestSweepCommand:
         grid = tmp_path / "grid.txt"
         grid.write_text("spring_stiffness_n_per_m = 900.0, -5.0\n")
         out = tmp_path / "sweep"
-        assert main(
-            ["sweep", "--config", PROTO, "--grid", str(grid), "--out", str(out), "--workers", "2"]
-        ) == 0
+        assert main(["sweep", "--config", PROTO, "--grid", str(grid), "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert "(2 ok" not in capsys.readouterr().out  # one row is invalid

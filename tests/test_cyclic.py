@@ -111,11 +111,30 @@ class TestSquatStep:
         assert record.state.spring_length_end == pytest.approx(0.08, rel=1e-12)
         assert record.stop_reason in (StopReason.FORCE_CAP, StopReason.LEG_RANGE)
 
-    def test_full_range_policy_ignores_cap(self):
-        config = worked_config(force_cap=10.0, policy=CompressionPolicy.FULL_RANGE)
-        record = simulate(config).records[0]
-        assert record.stop_reason is StopReason.LEG_RANGE
-        assert record.end_force == pytest.approx(16.0, rel=1e-12)
+    @pytest.mark.parametrize("pitch", [0.004, 0.0], ids=["ratchet", "continuous"])
+    def test_full_range_policy_ignores_cap(self, pitch):
+        """Under FULL_RANGE no cap binds.  Caps that do and do not bind under
+        FORCE_LIMITED, set in the configuration or by ``Run``'s override, all
+        give the squats of the FORCE_LIMITED run whose cap does not bind, bit
+        for bit.  The ratchet run ends on an ENGAGED_ONLY squat, the
+        continuous one on the solid spring."""
+        slack = parse_config(CONFIG_DIR / "ratchet_slack.cfg")
+        config = replace(slack, loss=replace(slack.loss, ratchet_pitch=pitch))
+        binding, free = (simulate(replace(config, force_cap=cap)).squats for cap in (5.0, 1e3))
+        assert StopReason.FORCE_CAP in binding.stop and StopReason.FORCE_CAP not in free.stop
+        full = replace(config, policy=CompressionPolicy.FULL_RANGE)
+        lossy = replace(full, loss=replace(full.loss, efficiency=0.5))
+        runs = [simulate(replace(full, force_cap=cap)).squats for cap in (5.0, 1e3)]
+        for cap in (5.0, 1e3):  # the override restores efficiency 1.0
+            run = cyclic.Run(lossy, full.max_iterations, force_cap=cap, efficiency=1.0)
+            runs.append(cyclic.Squats(*zip(*run)))
+
+        def bits(squats):
+            return [[v.hex() if isinstance(v, float) else v for v in column] for column in squats]
+
+        assert all(bits(run) == bits(free) for run in runs)
+        last = StopReason.ENGAGED_ONLY if pitch else StopReason.SPRING_SOLID
+        assert free.stop[-1] is last and set(free.stop[:-1]) == {StopReason.LEG_RANGE}
 
     def test_solid_spring_stalls(self):
         # no run starts a squat at the solid length (it ends at full

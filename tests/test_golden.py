@@ -79,3 +79,19 @@ def test_demo_artifacts_match_golden(tmp_path):
     assert sorted(p.name for p in written) == sorted(p.name for p in GOLDEN.iterdir())
     for path in written:
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+def test_full_range_ratchet_slack_matches_its_golden(tmp_path):
+    """The ratchet config's 20 N cap never binds, so with ``policy = full_range``
+    it writes the ratchet_slack trajectory, summary and plots byte for byte."""
+    config = tmp_path / "full_range.cfg"
+    config.write_text((CONFIG_DIR / "ratchet_slack.cfg").read_text() + "policy = full_range\n")
+    result = simulate(parse_config(config))
+    written = [
+        emit_trajectory_csv(result, tmp_path / "ratchet_slack_trajectory.csv"),
+        tmp_path / "ratchet_slack_trajectory_summary.csv",
+        emit_plot_svg(result, "force_deflection", tmp_path / "ratchet_slack_force.svg"),
+        emit_plot_svg(result, "energy", tmp_path / "ratchet_slack_energy.svg"),
+    ]
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name

@@ -89,6 +89,8 @@ class TestSpringForce:
             spring_force(0.13, SPRING)
         with pytest.raises(DomainError, match="solid"):
             spring_force(0.03, SPRING)
+        with pytest.raises(DomainError, match="s=nan"):
+            spring_force(math.nan, SPRING)
 
 
 class TestHipForce:
@@ -106,6 +108,8 @@ class TestHipForce:
             hip_force(0.3, 0.10, GEOM, SPRING)
         with pytest.raises(DomainError):
             hip_force(0.1, 0.2, GEOM, SPRING)
+        with pytest.raises(DomainError, match="s=nan"):
+            hip_force(0.25 * GEOM.segment_length, math.nan, GEOM, SPRING)
 
     @given(
         x=st.floats(0.01, 0.2),
@@ -136,6 +140,11 @@ class TestSpringEnergy:
     def test_deep_compression(self):
         s = 0.12 - 0.2 / 3.0  # the two-squat worked example's end length
         assert spring_energy(s, SPRING) == pytest.approx(0.5 * 1000 * (0.2 / 3.0) ** 2)
+
+    def test_slack_solid_and_nan_rejected(self):
+        for s, message in ((0.13, "slack"), (0.03, "solid"), (math.nan, "s=nan")):
+            with pytest.raises(DomainError, match=message):
+                spring_energy(s, SPRING)
 
 
 class TestVirtualWorkConsistency:
