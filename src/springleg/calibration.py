@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -338,8 +338,7 @@ def _errors(m: _Measured, config: Configuration, run: list[tuple], cycles) -> np
         x, start, stop = np.array([itemgetter(0, 2, 9)(run[i]) for i in part]).T
         grid, model = _strokes(config, x, start, stop)[::2]
         onto_model = _onto_model(grid, model, [(j, *m.traces[i]) for j, i in enumerate(part)])
-        ends = zip(part, onto_model, x.tolist(), model[:, 0].tolist(), model[:, -1].tolist())
-        for i, error, *stroke in ends:  # floats: faster than rows of one
+        for i, error, *stroke in zip(part, onto_model, x.tolist(), start.tolist(), stop.tolist()):
             e = _onto_measured(config, *stroke, m.traces[i][1], m.leg_length[i])
             errors[i] = error + np.vecdot(e, e)
     return np.array(list(errors.values()))
@@ -361,7 +360,7 @@ def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, 
     ``_is_flat`` holds over the lanes, comparing only the lanes that can decide.
 
     Each lane's last cycle, which follows the most error, gets a lower bound: the model onto
-    every 8th measured point (``_BOUND_PICK``) from the end forces of 2-sample strokes, less
+    every 8th measured point (``_BOUND_PICK``), its leg length clamped into the stroke, less
     ``_BOUND_RTOL``.  Lanes are visited in ascending order of it, NaN last.  A lane is
     compared while that bound, and then its last cycle's error, is not above the lowest sse
     so far plus ``_FLAT_RTOL`` and round-off; its other cycles are compared only then.
@@ -376,8 +375,7 @@ def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, 
     for a in range(0, len(strokes), rows):  # blocks of lanes
         part = strokes[a : a + rows]
         x, start, stop = np.array([itemgetter(0, 2, 9)(runs[lane][last]) for lane in part]).T
-        ends = _strokes(replace(config, sample_count=2), x, start, stop)[2]
-        error = _onto_measured(config, x[:, None], ends[:, :1], ends[:, 1:], f, leg_length)
+        error = _onto_measured(config, *(v[:, None] for v in (x, start, stop)), f, leg_length)
         lower[part] = np.vecdot(error, error) * (1 - _BOUND_RTOL)
     sse, best = np.full(len(runs), np.inf), np.inf
     bound, round_off = np.inf, 1 + 4 * (last + 1) * np.finfo(float).eps
@@ -401,12 +399,12 @@ def _onto_model(grid, model, traces) -> np.ndarray:
     return np.vecdot(error, error)
 
 
-def _onto_measured(config: Configuration, x, lo, hi, f, leg_length) -> np.ndarray:
-    """Force error of the strokes at ``x`` at the measured leg lengths: their line, clamped to
-    the end forces ``lo``, ``hi`` (it rises with d, so this clamps d into the stroke)."""
-    ratio, spring = x / config.leg.segment_length, config.spring
-    line = ratio * spring.stiffness * (spring.free_length - ratio * leg_length)
-    return np.minimum(np.maximum(line, lo), hi) - f
+def _onto_measured(config: Configuration, x, start, stop, f, leg_length) -> np.ndarray:
+    """Force error of the strokes at ``x`` from deformation ``start`` to ``stop`` at the
+    measured leg lengths: their line at each length clamped into the stroke's range."""
+    ratio, spring, lstand = x / config.leg.segment_length, config.spring, config.leg.standing_length
+    leg_length = np.minimum(np.maximum(leg_length, lstand - stop), lstand - start)
+    return ratio * spring.stiffness * (spring.free_length - ratio * leg_length) - f
 
 
 def _is_flat(values: np.ndarray) -> bool:

@@ -17,6 +17,7 @@ from .config import parse_config, parse_grid
 from .cyclic import release_profile, simulate
 from .errors import ConfigurationError, DataError, DomainError, SimulationError
 from .explore import sweep
+from .model import Configuration
 from .output import (
     PLOT_KINDS,
     _format_squats,
@@ -37,9 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quasi-static floating-spring leg: simulation, calibration, design search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="configuration file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, type=Path, help="output directory for the artifacts")
 
-    p = sub.add_parser("baseline", help="single-squat fixed-spring reference quantities")
-    p.add_argument("--config", required=True, help="configuration file")
+    p = sub.add_parser(
+        "baseline", parents=[config], help="single-squat fixed-spring reference quantities"
+    )
     p.add_argument(
         "--bottom-force",
         type=float,
@@ -48,14 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("simulate", help="run the multi-squat accumulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="output directory for CSV artifacts")
+    p = sub.add_parser("simulate", parents=[config, out], help="run the multi-squat accumulation")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("release", help="release profile from the locked final state")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser(
+        "release", parents=[config, out], help="release profile from the locked final state"
+    )
     p.add_argument(
         "--x-release",
         type=float,
@@ -70,16 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_release)
 
-    p = sub.add_parser("sweep", help="evaluate a parameter grid")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[config, out], help="evaluate a parameter grid")
     p.add_argument("--grid", required=True, help="grid specification file")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fit", help="fit the loss model to measured cycles")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("fit", parents=[config, out], help="fit the loss model to measured cycles")
     p.add_argument("--data", required=True, help="measured-cycle CSV (trajectory schema)")
-    p.add_argument("--out", required=True)
     p.add_argument(
         "--unknowns",
         default="efficiency,force_cap",
@@ -87,9 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("plot", help="render a normalized SVG plot of a run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("plot", parents=[config, out], help="render a normalized SVG plot of a run")
     p.add_argument("--kind", choices=PLOT_KINDS, default="force_deflection")
     p.set_defaults(func=_cmd_plot)
 
@@ -103,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # 0 after --help, 2 on a usage error
         return exc.code
     try:
-        code = args.func(args)
+        code = args.func(parse_config(args.config), args)
         sys.stdout.flush()  # here, so that a closed stdout is caught below, not at exit
         return code
     except (ConfigurationError, DomainError, DataError) as exc:
@@ -117,8 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0  # every command writes its files before it prints
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
+def _cmd_baseline(config: Configuration, args: argparse.Namespace) -> int:
     res = baseline_result(args.bottom_force, config.body, config.leg)
     print(f"weight [N]              : {format_number(config.body.weight)}")
     print(f"bottom force [N]        : {format_number(res.bottom_force)}")
@@ -129,11 +126,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
+def _cmd_simulate(config: Configuration, args: argparse.Namespace) -> int:
     result = simulate(config)
-    out = Path(args.out)
-    csv_path = emit_trajectory_csv(result, out / "trajectory.csv")
+    csv_path = emit_trajectory_csv(result, args.out / "trajectory.csv")
     _print_run_summary(result)
     print(f"wrote {csv_path} and {csv_path.with_name(csv_path.stem + '_summary.csv')}")
     return 0
@@ -157,15 +152,13 @@ def _print_run_summary(result) -> None:
     print(f"termination             : {result.termination.value}")
 
 
-def _cmd_release(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
+def _cmd_release(config: Configuration, args: argparse.Namespace) -> int:
     if args.spring_length is not None:
         locked = args.spring_length
     else:
         locked = simulate(config).final_spring_length
     profile = release_profile(locked, config, x_release=args.x_release)
-    out = Path(args.out)
-    csv_path = emit_trajectory_csv(profile.trajectory, out / "release.csv", iteration=0)
+    csv_path = emit_trajectory_csv(profile.trajectory, args.out / "release.csv", iteration=0)
     print(f"locked spring length [m]: {format_number(locked)}")
     print(f"peak assistive force [N]: {format_number(profile.peak_force)}")
     print(f"released energy [J]     : {format_number(profile.released_energy)}")
@@ -173,22 +166,20 @@ def _cmd_release(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
+def _cmd_sweep(config: Configuration, args: argparse.Namespace) -> int:
     points = parse_grid(args.grid)
     rows = sweep(config, points)
     keys = list(points[0].keys())
-    path = emit_sweep_csv(rows, keys, Path(args.out) / "sweep.csv")
+    path = emit_sweep_csv(rows, keys, args.out / "sweep.csv")
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"evaluated {len(rows)} grid points ({ok} ok, {len(rows) - ok} flagged)")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(config: Configuration, args: argparse.Namespace) -> int:
     from .calibration import fit_model
 
-    config = parse_config(args.config)
     cycles = read_measured_cycles(args.data)
     unknowns = {u.strip() for u in args.unknowns.split(",") if u.strip()}
     bad = unknowns - {"efficiency", "force_cap"}
@@ -200,19 +191,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         fit_efficiency="efficiency" in unknowns,
         fit_force_cap="force_cap" in unknowns,
     )
-    out = Path(args.out)
     text = format_fit_report(report)
-    _write_lines(out / "fit.txt", text.splitlines())
-    csv_path = emit_fit_report_csv(report, out / "fit.csv")
+    _write_lines(args.out / "fit.txt", text.splitlines())
+    csv_path = emit_fit_report_csv(report, args.out / "fit.csv")
     print(text, end="")
-    print(f"wrote {out / 'fit.txt'} and {csv_path}")
+    print(f"wrote {args.out / 'fit.txt'} and {csv_path}")
     return 0
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
-    config = parse_config(args.config)
+def _cmd_plot(config: Configuration, args: argparse.Namespace) -> int:
     result = simulate(config)
-    path = emit_plot_svg(result, args.kind, Path(args.out) / f"{args.kind}.svg")
+    path = emit_plot_svg(result, args.kind, args.out / f"{args.kind}.svg")
     print(f"wrote {path}")
     return 0
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .baseline import e1_max
-from .errors import GeometryError, SimulationError, StallError
+from .errors import DomainError, GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
 from .model import _real, hip_force, initial_spring_length, spring_energy
 
@@ -280,7 +280,8 @@ class Run:
     A stall on the first squat raises ``StallError``, since the
     configuration can accumulate nothing at all.  ``termination`` says why
     the run ended once the iteration is exhausted.  ``efficiency`` and
-    ``force_cap`` override the configuration's values, as in ``_recurrence``.
+    ``force_cap`` override the configuration's values, as in ``_recurrence``,
+    and raise ``DomainError`` where the configuration would reject them.
     """
 
     def __init__(
@@ -291,6 +292,10 @@ class Run:
         efficiency: float | None = None,
         force_cap: float | None = None,
     ) -> None:
+        if efficiency is not None and not 0 < _real("efficiency", efficiency, DomainError) <= 1:
+            raise DomainError(f"efficiency must lie in (0, 1], got {efficiency}")
+        if force_cap is not None and not 0 < _real("force_cap", force_cap, DomainError) < math.inf:
+            raise DomainError(f"force_cap must be finite and > 0, got {force_cap}")
         self.config, self.max_iterations = config, max_iterations
         self.efficiency, self.force_cap = efficiency, force_cap
         self.termination: Termination | None = None

@@ -327,11 +327,8 @@ def spring_length_from_leg(x: float, leg_length: float, geom: LegGeometry) -> fl
         If ``x`` is outside [0, segment_length] or ``leg_length`` outside
         (0, standing_length].
     """
-    if not 0 <= x <= geom.segment_length:
-        raise DomainError(
-            f"spring position x={x} outside [0, segment_length={geom.segment_length}]"
-        )
-    if not 0 < leg_length <= geom.standing_length:
+    _position(x, geom)
+    if not 0 < _real("leg length l", leg_length, DomainError) <= geom.standing_length:
         raise DomainError(
             f"leg length l={leg_length} outside (0, standing_length={geom.standing_length}]"
         )
@@ -357,10 +354,7 @@ def hip_force(x: float, s: float, geom: LegGeometry, spring: SpringParams) -> fl
     to the hip through the mechanical-advantage ratio:
     ``F_hip = (x / segment_length) * k * (s0 - s)``.
     """
-    if not 0 <= x <= geom.segment_length:
-        raise DomainError(
-            f"spring position x={x} outside [0, segment_length={geom.segment_length}]"
-        )
+    _position(x, geom)
     return x / geom.segment_length * spring_force(s, spring)
 
 
@@ -370,10 +364,19 @@ def spring_energy(s: float, spring: SpringParams) -> float:
     return 0.5 * spring.stiffness * d * d
 
 
+def _position(x: float, geom: LegGeometry) -> None:
+    """``DomainError`` unless ``x`` is a number in [0, segment_length]."""
+    if not 0 <= _real("spring position x", x, DomainError) <= geom.segment_length:
+        raise DomainError(
+            f"spring position x={x} outside [0, segment_length={geom.segment_length}]"
+        )
+
+
 def _compression(s: float, spring: SpringParams) -> float:
-    """``free_length - s``; ``DomainError`` unless solid_length <= s <= free_length."""
-    if s > spring.free_length:
+    """``free_length - s``; ``DomainError`` unless s is a number in [solid_length, free_length]."""
+    length = _real("spring length s", s, DomainError)
+    if length > spring.free_length:
         raise DomainError(f"spring length s={s} exceeds free_length={spring.free_length} (slack)")
-    if not s >= spring.solid_length:  # a nan fails here, as it lies in no range
+    if not length >= spring.solid_length:  # a nan fails here, as it lies in no range
         raise DomainError(f"spring length s={s} below solid_length={spring.solid_length}")
-    return spring.free_length - s
+    return spring.free_length - length

@@ -106,6 +106,20 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["baseline", "simulate", "release", "sweep", "fit", "plot"])
+    def test_shared_options_in_every_command_help(self, capsys, command):
+        """Every command takes --config, and all but baseline take --out."""
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--config CONFIG" in text
+        assert ("--out OUT" in text) is (command != "baseline")
+
+    def test_missing_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "the following arguments are required: --config" in err
+        assert "Traceback" not in err and not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("below", ["", "x"], ids=["file", "below_file"])
     @pytest.mark.parametrize("command", ["simulate", "plot", "release", "sweep", "fit"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command, below):

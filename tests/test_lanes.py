@@ -26,6 +26,7 @@ from springleg import (
     BodyParams,
     CompressionPolicy,
     Configuration,
+    DomainError,
     LegGeometry,
     LossModel,
     MeasuredCycle,
@@ -35,7 +36,7 @@ from springleg import (
     calibration,
     simulate,
 )
-from springleg.cyclic import Run, StopReason, Termination
+from springleg.cyclic import Run, StopReason, Termination, _strokes
 
 from conftest import worked_config
 from oracle import reference_objective
@@ -232,6 +233,73 @@ def test_lane_objective_matches_reference(case):
         assert n_points[lane] == ref_points
         squats, end = scalar_run(config, e, c, len(cycles))
         assert (0 if isinstance(end, SimulationError) else len(squats)) == ref_modelled
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"efficiency": -1.0}, "efficiency must lie in (0, 1], got -1.0"),
+        ({"efficiency": 0.0}, "efficiency must lie in (0, 1], got 0.0"),
+        ({"efficiency": 1.5}, "efficiency must lie in (0, 1], got 1.5"),
+        ({"efficiency": math.nan}, "efficiency must lie in (0, 1], got nan"),
+        ({"efficiency": "x"}, "efficiency needs a number, got 'x'"),
+        ({"efficiency": True}, "efficiency needs a number, got True"),
+        ({"force_cap": math.nan}, "force_cap must be finite and > 0, got nan"),
+        ({"force_cap": math.inf}, "force_cap must be finite and > 0, got inf"),
+        ({"force_cap": 0.0}, "force_cap must be finite and > 0, got 0.0"),
+        ({"force_cap": -16.0}, "force_cap must be finite and > 0, got -16.0"),
+        ({"force_cap": "x"}, "force_cap needs a number, got 'x'"),
+    ],
+)
+def test_run_overrides_checked_where_they_enter(override, message):
+    """``Run`` rejects an override the configuration would reject, with
+    ``DomainError`` naming the keyword, before it runs a squat."""
+    with pytest.raises(DomainError) as raised:
+        Run(worked_config(), 5, **override)
+    assert str(raised.value) == message
+
+
+def test_run_overrides_take_any_real_number():
+    """An int or numpy integer override runs as its value's float; an
+    efficiency of 1, the top of its range, is accepted."""
+    config = worked_config()
+    want = hexed(Run(config, 5, efficiency=1.0, force_cap=16.0))
+    assert hexed(Run(config, 5, efficiency=1, force_cap=np.int64(16))) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(CASES)
+@with_examples
+def test_stroke_clamp_is_the_end_force_clamp(case):
+    """The model onto measured clamps each leg length into its stroke's range
+    before the force line; that is, bit for bit, the line clamped to the end
+    forces ``_strokes`` samples, because ``_strokes`` puts its first and last
+    samples at ``start`` and ``stop`` and the float line is monotone.  Checked
+    at every measured point, before, inside and past each stroke, and one ulp
+    around its ends, for one stroke and for a lane's strokes as rows."""
+    config, cycles, eta, cap = build(case)
+    lstand, seg, spring = config.leg.standing_length, config.leg.segment_length, config.spring
+    for e, c in zip(eta, cap):
+        squats, _ = scalar_run(config, e, c, len(cycles))
+        strokes = [squat for squat in squats if squat[1] != squat[3]]  # not slack
+        if not strokes:
+            continue
+        x, start, stop = np.array([(s[0], s[2], s[9]) for s in strokes]).T
+        ends = np.concatenate([start, stop, np.nextafter(start, -1), np.nextafter(stop, 2)])
+        beyond = [-0.01, 0.0, 1.01 * config.leg.max_deformation]
+        d = np.sort(np.concatenate([cycles[0].hip_displacement, ends, beyond]))
+        f = np.interp(d, cycles[0].hip_displacement, cycles[0].hip_force)
+        leg_length = lstand - d
+        ratio = (x / seg)[:, None]
+        line = ratio * spring.stiffness * (spring.free_length - ratio * leg_length)
+        force = np.array([_strokes(config, *stroke)[2] for stroke in zip(x, start, stop)])
+        want = np.minimum(np.maximum(line, force[:, :1]), force[:, -1:]) - f
+        columns = (v[:, None] for v in (x, start, stop))
+        rows = calibration._onto_measured(config, *columns, f, leg_length)
+        assert rows.tobytes() == want.tobytes()
+        for row, stroke in zip(want, zip(x.tolist(), start.tolist(), stop.tolist())):
+            one = calibration._onto_measured(config, *stroke, f, leg_length)
+            assert one.tobytes() == row.tobytes()
 
 
 def test_sum_adds_left_to_right():

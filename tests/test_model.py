@@ -50,12 +50,17 @@ class TestSpringLengthFromLeg:
     def test_out_of_range_position_rejected(self):
         with pytest.raises(DomainError, match="segment_length"):
             spring_length_from_leg(0.25, 0.30, GEOM)
+        for x in ("x", None):
+            with pytest.raises(DomainError, match="spring position x needs a number"):
+                spring_length_from_leg(x, 0.30, GEOM)
 
     def test_out_of_range_leg_length_rejected(self):
         with pytest.raises(DomainError, match="standing_length"):
             spring_length_from_leg(0.1, 0.35, GEOM)
         with pytest.raises(DomainError, match="standing_length"):
             spring_length_from_leg(0.1, 0.0, GEOM)
+        with pytest.raises(DomainError, match="leg length l needs a number"):
+            spring_length_from_leg(0.1, "x", GEOM)
 
     @given(
         x=st.floats(0.01, 0.2),
@@ -87,10 +92,14 @@ class TestSpringForce:
     def test_slack_and_solid_rejected(self):
         with pytest.raises(DomainError, match="slack"):
             spring_force(0.13, SPRING)
+        with pytest.raises(DomainError, match=r"^spring length s=1 exceeds"):  # as given
+            spring_force(1, SPRING)
         with pytest.raises(DomainError, match="solid"):
             spring_force(0.03, SPRING)
         with pytest.raises(DomainError, match="s=nan"):
             spring_force(math.nan, SPRING)
+        with pytest.raises(DomainError, match="spring length s needs a number, got 'x'"):
+            spring_force("x", SPRING)
 
 
 class TestHipForce:
@@ -110,6 +119,10 @@ class TestHipForce:
             hip_force(0.1, 0.2, GEOM, SPRING)
         with pytest.raises(DomainError, match="s=nan"):
             hip_force(0.25 * GEOM.segment_length, math.nan, GEOM, SPRING)
+        with pytest.raises(DomainError, match="spring position x needs a number, got 'x'"):
+            hip_force("x", 0.1, GEOM, SPRING)
+        with pytest.raises(DomainError, match="spring length s needs a number, got 'x'"):
+            hip_force(0.1, "x", GEOM, SPRING)
 
     @given(
         x=st.floats(0.01, 0.2),
@@ -142,7 +155,9 @@ class TestSpringEnergy:
         assert spring_energy(s, SPRING) == pytest.approx(0.5 * 1000 * (0.2 / 3.0) ** 2)
 
     def test_slack_solid_and_nan_rejected(self):
-        for s, message in ((0.13, "slack"), (0.03, "solid"), (math.nan, "s=nan")):
+        no_number = "spring length s needs a number"
+        cases = [(0.13, "slack"), (0.03, "solid"), (math.nan, "s=nan")]
+        for s, message in cases + [(s, no_number) for s in ("x", True, None)]:
             with pytest.raises(DomainError, match=message):
                 spring_energy(s, SPRING)
 
