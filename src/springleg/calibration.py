@@ -170,7 +170,7 @@ def fit_model(
 ) -> FitReport:
     """Fit the loss model to measured cycles by least-squares on force.
 
-    The objective (see ``objective``) is the sum of squared differences
+    The objective (see ``_errors``) is the sum of squared differences
     between simulated and measured hip forces, each resampled onto the
     other's displacements.  A fitted efficiency is searched in ``(0.05, 1)``,
     a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
@@ -255,42 +255,6 @@ def fit_model(
     )
 
 
-def objective(
-    cycles: Sequence[MeasuredCycle], config: Configuration, eta: np.ndarray, cap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Summed squared force error and compared-point count of each lane.
-
-    Lane ``l`` runs ``config`` with efficiency ``eta[l]`` and force cap
-    ``cap[l]`` (1-D, of one length) for ``len(cycles)`` squats, as
-    ``cyclic.Run`` with those overrides, and compares squat ``i``'s stroke
-    with cycle ``i`` both ways, with endpoint clamping outside either stroke:
-
-    * measured onto model: the measured trace ``np.interp``-olated at the
-      stroke's ``sample_count`` samples;
-    * model onto measured: the simulated force is affine in deformation
-      within a stroke, so it is that line at each measured displacement
-      clamped into the stroke, in closed form.
-
-    One-way resampling onto the (possibly shorter) simulated stroke would
-    ignore the measured tail a too-low cap fails to reach, leaving only the
-    product sqrt(efficiency)*cap identifiable on cap-limited cycles.  A lane
-    whose run raises (a first-squat stall, a retraction beyond the hip)
-    treats every measured force as unexplained, and so does a cycle after
-    its run ended; this keeps the objective finite and the search well
-    defined.
-
-    Each lane is ``_point``: its strokes are sampled ``_BLOCK_ELEMENTS //
-    max(sample_count, longest cycle)`` at a time, so temporaries stay within
-    ``_BLOCK_ELEMENTS`` elements, and its cycles' errors are added left to
-    right (``_sum``).  The sums equal those of ``simulate`` and ``np.interp``
-    to round-off; ``_lowest`` finds the lowest lane with the same sums.
-    """
-    measured = _Measured(cycles, config)
-    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap)))
-    sse, counts = list(zip(*(_point(measured, config, e, c) for e, c in lanes))) or [(), ()]
-    return np.array(sse), np.array(counts, dtype=int)
-
-
 class _Measured:
     """A fit's fixed cycle data: (d, f), l_stand - d, counts; lazily, errors without a stroke."""
 
@@ -307,7 +271,9 @@ class _Measured:
 
 
 def _point(m: _Measured, config: Configuration, eta: float, cap: float) -> tuple[float, int]:
-    """``objective`` of one lane."""
+    """One lane's summed squared force error and compared-point count: ``config`` run
+    with efficiency ``eta`` and force cap ``cap``, its cycles' ``_errors`` added left to
+    right (``_sum``), equal to those of ``simulate`` and ``np.interp`` to round-off."""
     run = _run(m, config, eta, cap)
     return _sum(_errors(m, config, run, range(len(m.traces)))), _count(m, config, run)
 
@@ -327,8 +293,15 @@ def _strokes_of(run: list[tuple], cycles) -> list[int]:
 
 
 def _errors(m: _Measured, config: Configuration, run: list[tuple], cycles) -> np.ndarray:
-    """Squared force error of each listed cycle against the run's squat of it,
-    with one ``_strokes`` call per block of ``m.rows`` strokes."""
+    """Squared force error of each listed cycle against the run's squat of it, resampled
+    both ways with endpoint clamping: the measured trace ``np.interp``-olated at the
+    stroke's samples (one ``_strokes`` call per block of ``m.rows`` strokes), and the
+    model at each measured leg length clamped into the stroke (``_onto_measured``), as
+    the force is a line within a stroke.  The first alone would ignore the measured tail
+    a too-low cap fails to reach, leaving only sqrt(efficiency) * cap identifiable on
+    cap-limited cycles.  A cycle whose lane's run raised (a first-squat stall, a
+    retraction beyond the hip) or ended before it counts every measured force as
+    unexplained; this keeps the sum finite and the search well defined."""
     errors = dict.fromkeys(cycles, 0.0)
     strokes = _strokes_of(run, errors)
     for i in errors.keys() - strokes:
@@ -356,7 +329,7 @@ def _sum(errors: np.ndarray) -> float:
 
 
 def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, float, int, bool]:
-    """``objective``'s first lowest lane, its sse and point count, and whether
+    """The first lowest lane by ``_point``, its sse and point count, and whether
     ``_is_flat`` holds over the lanes, comparing only the lanes that can decide.
 
     Each lane's last cycle, which follows the most error, gets a lower bound: the model onto

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .baseline import e1_max
 from .errors import DomainError, GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
-from .model import _real, hip_force, initial_spring_length, spring_energy
+from .model import _integer, _real, _repr, hip_force, initial_spring_length, spring_energy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -272,16 +272,19 @@ class Run:
     * convergence: net stored-energy progress since the previous squat below
       ``tol_gain`` (this detects both the vanishing-progress regime of the
       ideal mechanism and the loss/regain fixed point of a lossy one), or a
-      squat equal to its predecessor, which the map would repeat forever (a
-      ratchet cycle with a period above one still runs to the budget);
+      squat equal to its predecessor, which the map would repeat forever.  A
+      ratchet run ends by squat ``ceil(segment_length / ratchet_pitch) + 3``
+      at the latest: a squat's end length is a monotone function of the one
+      before, so from squat 2 its positions move one way along the teeth;
     * a stall on any squat after the first (no compression possible);
     * ``max_iterations`` squats, after the last of which nothing retracts.
 
     A stall on the first squat raises ``StallError``, since the
     configuration can accumulate nothing at all.  ``termination`` says why
     the run ended once the iteration is exhausted.  ``efficiency`` and
-    ``force_cap`` override the configuration's values, as in ``_recurrence``,
-    and raise ``DomainError`` where the configuration would reject them.
+    ``force_cap`` override the configuration's values, as in ``_recurrence``.
+    They and ``max_iterations`` raise ``DomainError`` where the configuration
+    would reject them.
     """
 
     def __init__(
@@ -292,6 +295,9 @@ class Run:
         efficiency: float | None = None,
         force_cap: float | None = None,
     ) -> None:
+        if type(max_iterations) is not int or max_iterations < 1:
+            if (max_iterations := _integer("max_iterations", max_iterations, DomainError)) < 1:
+                raise DomainError(f"max_iterations must be >= 1, got {_repr(max_iterations)}")
         if efficiency is not None and not 0 < _real("efficiency", efficiency, DomainError) <= 1:
             raise DomainError(f"efficiency must lie in (0, 1], got {efficiency}")
         if force_cap is not None and not 0 < _real("force_cap", force_cap, DomainError) < math.inf:

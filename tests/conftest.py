@@ -14,6 +14,7 @@ from springleg import (
     LegGeometry,
     LossModel,
     SpringParams,
+    calibration,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -87,6 +88,16 @@ def random_config(
         max_iterations=max_iterations,
         sample_count=sample_count,
     )
+
+
+def lane_points(cycles, config, eta, cap) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's summed squared force error and compared-point count, as two
+    arrays: ``calibration._point`` on lane ``l``'s efficiency ``eta[l]`` and
+    force cap ``cap[l]``, the one way the fit evaluates a lane."""
+    measured = calibration._Measured(cycles, config)
+    lanes = zip(*(np.asarray(v, dtype=float).tolist() for v in (eta, cap)))
+    sse, counts = zip(*(calibration._point(measured, config, e, c) for e, c in lanes))
+    return np.array(sse), np.array(counts, dtype=int)
 
 
 def oracle_params(config: Configuration, max_iter: int | None = None) -> dict:

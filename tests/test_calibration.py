@@ -27,7 +27,7 @@ from springleg import (
 )
 from springleg.model import MAX_GRID_POINTS
 
-from conftest import CONFIG_DIR, worked_config
+from conftest import CONFIG_DIR, lane_points, worked_config
 
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
 
@@ -429,9 +429,7 @@ class TestFitModel:
         cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(seed))
         base = replace(truth, loss=LossModel(efficiency=1.0))
         report = fit_model(cycles, base, fit_force_cap=False, grid_points=13)
-        (sse,), (n_points,) = calibration.objective(
-            cycles, base, [report.efficiency], [report.force_cap]
-        )
+        (sse,), (n_points,) = lane_points(cycles, base, [report.efficiency], [report.force_cap])
         assert sse <= min(evaluated)
         assert report.residual_rms == math.sqrt(sse / n_points)
 
@@ -550,7 +548,7 @@ class TestFitModel:
             return [v.hex() for v in floats], report.flat_objective
 
         def all_pairs(measured, config, eta, cap):
-            values, counts = calibration.objective(cycles, config, eta, cap)
+            values, counts = lane_points(cycles, config, eta, cap)
             lowest = int(np.argmin(values))
             return lowest, values[lowest], counts[lowest], calibration._is_flat(values)
 

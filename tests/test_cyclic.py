@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from springleg import (
@@ -449,6 +449,80 @@ class TestTermination:
         assert result.termination is Termination.ITERATION_CAP
         assert len(result.records) == 2
         assert result.iterations_to_full_compression is None
+
+
+def ratchet_config(
+    lt, stand, position, free, deform, solid, k, cap, eta, teeth, full_range, tol_gain
+):
+    """A ratchet configuration of these relative sizes (``teeth`` pitches to the
+    segment), or None where they make no valid one."""
+    lstand, x1 = lt * stand, lt * position
+    s1 = x1 / lt * lstand
+    try:
+        return Configuration(
+            body=BodyParams(mass=1.0),
+            leg=LegGeometry(lt, lstand, lstand * deform),
+            spring=SpringParams(k, s1 * free, s1 * solid),
+            initial_spring_position=x1,
+            force_cap=x1 / lt * k * s1 * free * cap,
+            loss=LossModel(eta, lt / teeth),
+            policy=CompressionPolicy.FULL_RANGE if full_range else CompressionPolicy.FORCE_LIMITED,
+            tol_gain=0.5 * k * (s1 * free) ** 2 * tol_gain,
+        )
+    except ConfigurationError:
+        return None
+
+
+RATCHET_CONFIGS = st.builds(
+    ratchet_config,
+    lt=st.floats(0.2, 0.6),
+    stand=st.floats(1.2, 1.95),
+    position=st.floats(0.25, 1.0),
+    free=st.floats(1.0, 1.25),
+    deform=st.floats(0.01, 0.75),  # short leg ranges make ENGAGED_ONLY squats
+    solid=st.floats(0.1, 0.9),
+    k=st.floats(300.0, 3000.0),
+    cap=st.floats(0.02, 1.2),
+    eta=st.floats(0.05, 1.0) | st.floats(1.0 - 1e-9, 1.0),
+    teeth=st.floats(1.0, 1e4),
+    full_range=st.booleans(),
+    tol_gain=st.just(0.0) | st.floats(1e-14, 1e-2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATCHET_CONFIGS)
+# Runs that end on ENGAGED_ONLY squats: ratchet_slack.cfg's, 13 squats at
+# tol_gain = 0 with the last two slack, and a coarse ratchet's second squat,
+# lossless and lossy.
+@example(
+    worked_config(
+        leg=LegGeometry(0.2, 0.3, 0.03), loss=LossModel(1.0, 0.004), force_cap=20.0, tol_gain=0.0
+    )
+)
+@example(worked_config(leg=LegGeometry(0.2, 0.3, 0.02), loss=LossModel(1.0, 0.19), force_cap=1e3))
+@example(
+    worked_config(
+        leg=LegGeometry(0.2, 0.3, 0.02), loss=LossModel(0.9, 0.19), force_cap=1e3, tol_gain=0.0
+    )
+)
+def test_ratchet_run_ends_within_its_tooth_bound(config):
+    """From squat 2 a ratchet run's spring positions are monotone, and the run
+    ends by squat ``ceil(segment_length / ratchet_pitch) + 3``: each squat's end
+    length is a monotone function of the one before, so the run settles on one
+    tooth, where it repeats a squat or loses energy, at ``tol_gain = 0`` too."""
+    assume(config is not None)
+    bound = math.ceil(config.leg.segment_length / config.loss.ratchet_pitch) + 3
+    run, squats = cyclic.Run(config, bound + 1), []
+    try:
+        for squat in run:
+            squats.append(squat)
+    except SimulationError:  # a stall on squat 1, or a retraction beyond the hip
+        pass
+    target(len(squats) / bound)
+    steps = np.diff([squat[0] for squat in squats[1:]])
+    assert (steps >= 0).all() or (steps <= 0).all()
+    assert len(squats) <= bound  # the budget, one above, would end it ITERATION_CAP
 
 
 class TestCyclicInvariants:

@@ -1,6 +1,6 @@
-"""``Run``'s efficiency and force-cap overrides, and the fit objective's
-lanes, against their scalar references, and the fit's bounded grid minimum
-against the objective.
+"""``Run``'s efficiency and force-cap overrides and its budget, and the fit
+objective's lanes, against their scalar references, and the fit's bounded
+grid minimum against evaluating every lane.
 
 Each case is one configuration with a few (efficiency, force cap) lanes and
 measured cycles made from the configuration's own run.  The explicit
@@ -38,7 +38,7 @@ from springleg import (
 )
 from springleg.cyclic import Run, StopReason, Termination, _strokes
 
-from conftest import worked_config
+from conftest import lane_points, worked_config
 from oracle import reference_objective
 
 CASES = st.fixed_dictionaries(
@@ -220,11 +220,12 @@ def test_lane_objective_matches_reference(case):
     1e-12 of the summed squared measured forces, and both compare as many
     points and penalise the same cycles."""
     config, cycles, eta, cap = build(case)
-    sse, n_points = calibration.objective(cycles, config, eta, cap)
-    # Blocks of 1-4 strokes, which also split a lane's cycles.
+    sse, n_points = lane_points(cycles, config, eta, cap)
+    # Blocks of 1-4 strokes, which also split a lane's cycles; ``_Measured`` fixes
+    # its block size when it is built, so the lanes are evaluated inside the patch.
     longest = max(config.sample_count, *(len(c.hip_displacement) for c in cycles))
     with mock.patch.object(calibration, "_BLOCK_ELEMENTS", (1 + case["seed"] % 4) * longest):
-        blocked, _ = calibration.objective(cycles, config, eta, cap)
+        blocked, _ = lane_points(cycles, config, eta, cap)
     squared = sum(float(np.sum(c.hip_force**2)) for c in cycles)
     for lane, (e, c) in enumerate(zip(eta, cap)):
         ref_sse, ref_points, ref_modelled = reference_objective(cycles, config, float(e), float(c))
@@ -249,14 +250,29 @@ def test_lane_objective_matches_reference(case):
         ({"force_cap": 0.0}, "force_cap must be finite and > 0, got 0.0"),
         ({"force_cap": -16.0}, "force_cap must be finite and > 0, got -16.0"),
         ({"force_cap": "x"}, "force_cap needs a number, got 'x'"),
+        ({"max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+        ({"max_iterations": -1}, "max_iterations must be >= 1, got -1"),
+        ({"max_iterations": True}, "max_iterations needs an integer, got True"),
+        ({"max_iterations": 2.0}, "max_iterations needs an integer, got 2.0"),
+        ({"max_iterations": None}, "max_iterations needs an integer, got None"),
     ],
 )
 def test_run_overrides_checked_where_they_enter(override, message):
-    """``Run`` rejects an override the configuration would reject, with
-    ``DomainError`` naming the keyword, before it runs a squat."""
+    """``Run`` rejects an override or a budget the configuration would reject,
+    with ``DomainError`` naming the keyword, before it runs a squat."""
     with pytest.raises(DomainError) as raised:
-        Run(worked_config(), 5, **override)
+        Run(worked_config(), **{"max_iterations": 5, **override})
     assert str(raised.value) == message
+
+
+def test_run_budget_takes_a_numpy_integer():
+    """A numpy integer budget runs as its ``int``: three squats of a run that
+    would go on (18 squats at a 12.25 N cap), ended by the budget."""
+    config = worked_config(force_cap=12.25)
+    run = Run(config, np.int64(3))
+    squats = hexed(run)
+    assert type(run.max_iterations) is int and len(squats) == 3
+    assert squats == hexed(Run(config, 3)) and run.termination is Termination.ITERATION_CAP
 
 
 def test_run_overrides_take_any_real_number():
@@ -330,7 +346,7 @@ LOWEST_EXAMPLES = {
     # Cycles of 3-4 samples, fewer than the bound's stride, whose last cycle
     # meets strokes and slack squats: the bound sees one point of it.
     "short_cycles": dict(EXAMPLES["engaged_only"], measured=3, noise=0.01),
-    # Ten cycles, past numpy's pairwise threshold of 8: the grid and ``objective``
+    # Ten cycles, past numpy's pairwise threshold of 8: the grid and ``_point``
     # must both add a lane's cycles left to right.
     "ten_cycles": dict(
         EXAMPLES["full_compression_early"],
@@ -348,8 +364,8 @@ def lowest(cycles, config, eta, cap):
 
 
 def lowest_of_objective(cycles, config, eta, cap):
-    """``_lowest``'s answer from ``objective``, ``np.argmin`` and ``_is_flat``."""
-    values, counts = calibration.objective(cycles, config, eta, cap)
+    """``_lowest``'s answer from every lane's ``_point``, ``np.argmin`` and ``_is_flat``."""
+    values, counts = lane_points(cycles, config, eta, cap)
     lowest = int(np.argmin(values))
     return lowest, values[lowest].hex(), counts[lowest], calibration._is_flat(values)
 
@@ -368,8 +384,8 @@ def lowest_of_objective(cycles, config, eta, cap):
 @example(LOWEST_EXAMPLES["ten_cycles"], [0, 1, 2], 0.05)
 @example(LOWEST_EXAMPLES["short_cycles"], [2, 0, 1, 1, 0, 2], 0.01)
 def test_lowest_matches_objective(case, picks, noise):
-    """The bounded grid minimum returns the first lowest lane of
-    ``objective``, its sse bit for bit, its point count and the flat flag,
+    """The bounded grid minimum returns the first lowest lane by ``_point``,
+    its sse bit for bit, its point count and the flat flag,
     on 1-60 lanes drawn with repeats from the case's lanes."""
     lanes = [case["lanes"][p % len(case["lanes"])] for p in picks]
     config, cycles, eta, cap = build(dict(case, lanes=lanes, noise=noise))
@@ -388,7 +404,7 @@ def test_all_stalled_grid_is_flat():
 
 def test_near_flat_grid_is_flat():
     config, cycles, eta, cap = build(LOWEST_EXAMPLES["near_flat"])
-    values, _ = calibration.objective(cycles, config, eta, cap)
+    values, _ = lane_points(cycles, config, eta, cap)
     assert len(set(values)) > 1 and lowest(cycles, config, eta, cap)[3]
 
 
