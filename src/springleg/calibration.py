@@ -27,7 +27,7 @@ import numpy as np
 
 from .cyclic import Run, _strokes
 from .errors import DataError, DomainError, SimulationError
-from .model import MAX_GRID_POINTS, CompressionPolicy, Configuration, SpringParams, _integer
+from .model import CompressionPolicy, Configuration, SpringParams, _integer
 from .model import _real, _repr
 from .model import spring_energy
 
@@ -40,6 +40,8 @@ RATIO_TOL = 1e-9
 
 #: Search box of a fitted efficiency.
 _EFFICIENCY_BOX = (0.05, 1.0)
+#: Grid points along each fitted unknown's box.
+_GRID_POINTS = 17
 #: Most stroke-samples the objective holds in one temporary array.
 _BLOCK_ELEMENTS = 1 << 14
 #: Relative spread of objective values within which a fit grid is flat.
@@ -166,7 +168,6 @@ def fit_model(
     config: Configuration,
     fit_efficiency: bool = True,
     fit_force_cap: bool = True,
-    grid_points: int = 17,
 ) -> FitReport:
     """Fit the loss model to measured cycles by least-squares on force.
 
@@ -175,26 +176,21 @@ def fit_model(
     other's displacements.  A fitted efficiency is searched in ``(0.05, 1)``,
     a fitted cap in ``(0.5, 1.25)`` times the largest measured force; the
     other parameter keeps its ``config`` value.  One grid's lowest point
-    (``_lowest``) is refined by Brent's bounded minimiser (``_brent_min``,
-    tolerance 1e-10) within one grid step: a cap-limited squat pins only
-    u = sqrt(efficiency) * cap, so each of three rounds (two for one
-    unknown) varies the efficiency at a fixed cap, then the cap at a fixed
-    u.  The deterministic search returns the lowest point it evaluated.
+    (``_lowest``, ``_GRID_POINTS`` per fitted unknown) is refined by Brent's
+    bounded minimiser (``_brent_min``, tolerance 1e-10) within one grid
+    step: a cap-limited squat pins only u = sqrt(efficiency) * cap, so each
+    of three rounds (two for one unknown) varies the efficiency at a fixed
+    cap, then the cap at a fixed u.  The deterministic search returns the
+    lowest point it evaluated.
 
     Raises
     ------
-    DomainError
-        If ``grid_points`` is not an integer in [2, ``MAX_GRID_POINTS``].
     DataError
         On cycles that are not an iterable of ``MeasuredCycle``, fewer than
         two cycles, a cycle with fewer than two samples, nothing to fit, a
         force cap to fit under ``full_range`` (which ignores the cap), or a
-        non-finite residual.
+        non-finite residual (forces whose squares overflow).
     """
-    if not 2 <= _integer("grid_points", grid_points, DomainError) <= MAX_GRID_POINTS:
-        raise DomainError(
-            f"grid_points must be an integer in [2, {MAX_GRID_POINTS}], got {_repr(grid_points)}"
-        )
     cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
     if not all(isinstance(c, MeasuredCycle) for c in cycles):
         raise DataError("cycles must be an iterable of MeasuredCycle objects")
@@ -205,40 +201,42 @@ def fit_model(
     if fit_force_cap and config.policy is CompressionPolicy.FULL_RANGE:
         raise DataError("force cap has no effect under full_range: fit the efficiency only")
     ordered = sorted(cycles, key=lambda c: c.iteration)
-    cycle_work = tuple(integrate_work(c) for c in ordered)
-    f_max = max(float(np.max(c.hip_force)) for c in ordered)
-    if not (math.isfinite(f_max) and f_max > 0):
-        raise DataError("measured forces must be finite and positive to bound the cap search")
-    eta, cap = config.loss.efficiency, config.force_cap
-    eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
-    cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
-    measured = _Measured(ordered, config)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a non-finite residual
+        cycle_work = tuple(integrate_work(c) for c in ordered)
+        f_max = max(float(np.max(c.hip_force)) for c in ordered)
+        if not (math.isfinite(f_max) and f_max > 0):
+            raise DataError("measured forces must be finite and positive to bound the cap search")
+        eta, cap = config.loss.efficiency, config.force_cap
+        eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
+        cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
+        measured = _Measured(ordered, config)
 
-    def at(e: float, c: float) -> float:
-        sse, n = _point(measured, config, e, c)
-        sse = float(sse)  # a numpy scalar would carry into the minimiser's points
-        evaluated.append((sse, n, e, c))
-        return sse
+        def at(e: float, c: float) -> float:
+            sse, n = _point(measured, config, e, c)
+            sse = float(sse)  # a numpy scalar would carry into the minimiser's points
+            evaluated.append((sse, n, e, c))
+            return sse
 
-    eta_grid = np.linspace(*eta_bounds, grid_points if fit_efficiency else 1)
-    cap_grid = np.linspace(*cap_bounds, grid_points if fit_force_cap else 1)
-    etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
-    lowest, sse, n, flat = _lowest(measured, config, etas.ravel(), caps.ravel())
-    eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
-    evaluated = [(sse, n, eta, cap)]  # (sse, points, efficiency, cap): the grid's best, Brent's
-    eta_step, cap_step = (float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in (eta_grid, cap_grid))
-    for _ in range(3 if fit_efficiency and fit_force_cap else 2):  # the valley bends a little
-        if fit_efficiency:  # across the valley: u, so the efficiency, at a fixed cap
-            eta = _brent_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
-        if fit_force_cap:  # along it: the cap at a fixed u, or at the known efficiency
-            u = math.sqrt(eta) * cap
-            held = (lambda c: (u / c) ** 2) if fit_efficiency else (lambda c: eta)
-            lo, hi = _clip(cap_bounds, cap, cap_step)
-            if fit_efficiency:  # keep (u / c)**2 in the efficiency box (0.05, 1)
-                lo, hi = max(lo, u), min(hi, u / math.sqrt(eta_bounds[0]))
-            eta = held(cap := _brent_min(lambda c: at(held(c), c), lo, hi))
+        eta_grid = np.linspace(*eta_bounds, _GRID_POINTS if fit_efficiency else 1)
+        cap_grid = np.linspace(*cap_bounds, _GRID_POINTS if fit_force_cap else 1)
+        etas, caps = np.meshgrid(eta_grid, cap_grid, indexing="ij")
+        lowest, sse, n, flat = _lowest(measured, config, etas.ravel(), caps.ravel())
+        eta, cap = float(etas.flat[lowest]), float(caps.flat[lowest])
+        evaluated = [(sse, n, eta, cap)]  # (sse, points, efficiency, cap): grid's best, Brent's
+        grids = (eta_grid, cap_grid)
+        eta_step, cap_step = (float(g[1] - g[0]) if len(g) > 1 else 0.0 for g in grids)
+        for _ in range(3 if fit_efficiency and fit_force_cap else 2):  # the valley bends a little
+            if fit_efficiency:  # across the valley: u, so the efficiency, at a fixed cap
+                eta = _brent_min(lambda e: at(e, cap), *_clip(eta_bounds, eta, eta_step))
+            if fit_force_cap:  # along it: the cap at a fixed u, or at the known efficiency
+                u = math.sqrt(eta) * cap
+                held = (lambda c: (u / c) ** 2) if fit_efficiency else (lambda c: eta)
+                lo, hi = _clip(cap_bounds, cap, cap_step)
+                if fit_efficiency:  # keep (u / c)**2 in the efficiency box (0.05, 1)
+                    lo, hi = max(lo, u), min(hi, u / math.sqrt(eta_bounds[0]))
+                eta = held(cap := _brent_min(lambda c: at(held(c), c), lo, hi))
 
-    sse, n_points, eta, cap = min(evaluated, key=lambda p: p[0])
+        sse, n_points, eta, cap = min(evaluated, key=lambda p: p[0])
     if not math.isfinite(sse):
         raise DataError("non-finite force residual at the fitted parameters")
     try:

@@ -33,9 +33,6 @@ SLACK_SNAP_RTOL = 1e-9
 #: Largest ``sample_count``: every emitted squat holds this many samples per
 #: array, so a larger count would only exhaust memory.
 MAX_SAMPLE_COUNT = 1_000_000
-#: Largest ``grid_points`` of a fit: a 2-unknown grid runs its square of
-#: lanes, so a larger count would only exhaust memory.
-MAX_GRID_POINTS = 256
 
 
 def _repr(value: object) -> str:

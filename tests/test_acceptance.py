@@ -280,7 +280,7 @@ def test_criterion_8_calibration_round_trip():
             )
             for c in cycles
         ]
-        noisy_fit = fit_model(noisy, noisy_base, fit_force_cap=False, grid_points=13)
+        noisy_fit = fit_model(noisy, noisy_base, fit_force_cap=False)
         worst_noise_err = max(worst_noise_err, abs(noisy_fit.efficiency - 0.84) / 0.84)
     assert worst_noise_err <= 0.05
     report(

@@ -85,6 +85,14 @@ class TestStoredEnergy:
     def test_partial(self):
         assert stored_energy_single(70.0, BODY, GEOM) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("avg_force", [49.0, 101.0])
+    def test_average_force_outside_half_weight_to_weight_rejected(self, avg_force):
+        with pytest.raises(DomainError) as info:
+            stored_energy_single(avg_force, BODY, GEOM)
+        assert str(info.value) == (
+            f"average force {avg_force} outside [weight/2, weight] = [50.0, 100.0]"
+        )
+
 
 class TestE1Max:
     def test_small_scale(self):

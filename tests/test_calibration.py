@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from springleg import (
     CompressionPolicy,
     DataError,
-    DomainError,
     LossModel,
     MeasuredCycle,
     SpringParams,
@@ -25,7 +25,6 @@ from springleg import (
     read_measured_cycles,
     simulate,
 )
-from springleg.model import MAX_GRID_POINTS
 
 from conftest import CONFIG_DIR, lane_points, worked_config
 
@@ -147,7 +146,7 @@ class TestMeasuredCycleValidation:
             replace(c, hip_displacement=c.hip_displacement.tolist(), hip_force=c.hip_force.tolist())
             for c in cycles
         ]
-        fits = [fit_model(c, config, fit_force_cap=False, grid_points=5) for c in (cycles, listed)]
+        fits = [fit_model(c, config, fit_force_cap=False) for c in (cycles, listed)]
         assert fits[0] == fits[1]
 
     def test_two_dimensional_trace_rejected(self):
@@ -380,15 +379,12 @@ class TestFitModel:
         assert all(type(value) is float for value in report.cycle_work + report.retention_ratios)
         assert len(report.retention_ratios) == len(report.cycle_work) - 1
 
-    @pytest.mark.parametrize(
-        "fit_force_cap, grid_points, evaluated", [(True, 17, 361), (False, 13, 35)]
-    )
-    def test_search_evaluates_the_same_points(
-        self, monkeypatch, fit_force_cap, grid_points, evaluated
-    ):
+    @pytest.mark.parametrize("fit_force_cap, evaluated", [(True, 361), (False, 39)])
+    def test_search_evaluates_the_same_points(self, monkeypatch, fit_force_cap, evaluated):
         """On the criterion-8 trace the search runs a fixed number of
-        (efficiency, cap) points: one grid of 17 x 17 (or 13) lanes, then 72
-        (or 22) one-lane points of Brent's refinement.  The bounded grid
+        (efficiency, cap) points: one grid of 17 x 17 lanes, then 72 one-lane
+        points of Brent's refinement, or 17 lanes and 22 points (39) with the
+        cap known.  The bounded grid
         minimum changes how the points are evaluated, not which: every point,
         grid or refinement, is one ``_run``."""
         run, lanes = calibration._run, []
@@ -403,7 +399,7 @@ class TestFitModel:
         if not fit_force_cap:
             base = replace(base, force_cap=truth.force_cap)
         cycles = cycles_from_simulation(truth)
-        fit_model(cycles, base, fit_force_cap=fit_force_cap, grid_points=grid_points)
+        fit_model(cycles, base, fit_force_cap=fit_force_cap)
         assert len(lanes) == evaluated
 
     @pytest.mark.parametrize("seed", [8005, 8044])
@@ -428,7 +424,7 @@ class TestFitModel:
         truth = replace(parse_config(CONFIG_DIR / "prototype_trend.cfg"), sample_count=250)
         cycles = cycles_from_simulation(truth, noise=0.01, rng=np.random.default_rng(seed))
         base = replace(truth, loss=LossModel(efficiency=1.0))
-        report = fit_model(cycles, base, fit_force_cap=False, grid_points=13)
+        report = fit_model(cycles, base, fit_force_cap=False)
         (sse,), (n_points,) = lane_points(cycles, base, [report.efficiency], [report.force_cap])
         assert sse <= min(evaluated)
         assert report.residual_rms == math.sqrt(sse / n_points)
@@ -521,7 +517,7 @@ class TestFitModel:
     def test_bounded_grid_fits_as_the_all_pairs_grid(self, monkeypatch, case):
         """``fit_model`` returns every ``FitReport`` field bit for bit as it
         does with a grid that compares every (cycle, lane) pair, on criterion
-        8 (noiseless and with two noise seeds), a cap-known fit of 13 points,
+        8 (noiseless and with two noise seeds), a cap-known fit,
         and an 8-cycle, 1000-sample truth drawn as the fit_roundtrip benchmark
         draws them (efficiency in 0.7-0.95, cap 0.6-0.72 of the critical cap)."""
         options = {}
@@ -540,7 +536,7 @@ class TestFitModel:
             truth, cycles, base = self.criterion_8(seed)
             if case == "cap_known":
                 base = replace(base, force_cap=truth.force_cap)
-                options = dict(fit_force_cap=False, grid_points=13)
+                options = dict(fit_force_cap=False)
 
         def hexed(report):
             floats = [report.efficiency, report.force_cap, report.residual_rms]
@@ -582,45 +578,45 @@ class TestFitModel:
         with pytest.raises(DataError, match="nothing to fit"):
             fit_model(cycles, worked_config(), fit_efficiency=False, fit_force_cap=False)
 
-    @pytest.mark.parametrize("grid_points", [0, 1, 2.5])
-    # Ids name the fit_force_cap flag of the efficiency fits; cap_only fits the cap alone.
-    @pytest.mark.parametrize(
-        "fit_efficiency, fit_force_cap",
-        [(True, True), (True, False), (False, True)],
-        ids=["True", "False", "cap_only"],
-    )
-    def test_short_grid_rejected(self, grid_points, fit_efficiency, fit_force_cap):
+    @pytest.mark.parametrize("sign", [0.0, -1.0], ids=["zero", "negated"])
+    def test_forces_that_are_not_positive_rejected(self, monkeypatch, sign):
+        monkeypatch.setattr(calibration, "_run", no_search)
         cycles = cycles_from_simulation(worked_config())
-        with pytest.raises(DomainError, match="grid_points"):
-            fit_model(
-                cycles,
-                worked_config(),
-                fit_efficiency=fit_efficiency,
-                fit_force_cap=fit_force_cap,
-                grid_points=grid_points,
-            )
+        cycles = [replace(c, hip_force=sign * c.hip_force) for c in cycles]
+        with pytest.raises(DataError) as error:
+            fit_model(cycles, worked_config())
+        assert str(error.value) == (
+            "measured forces must be finite and positive to bound the cap search"
+        )
 
+    @pytest.mark.parametrize("scale", [1e154, 1.5e307])
     @pytest.mark.parametrize(
-        "grid_points, shown",
-        [
-            (MAX_GRID_POINTS + 1, str(MAX_GRID_POINTS + 1)),
-            (10**20, "100000000000000000000"),
-            (10**5000, "<int too long to print>"),
-        ],
-        ids=["max_plus_1", "1e20", "1e5000"],
+        "fit_efficiency, fit_force_cap", [(True, True), (True, False), (False, True)]
     )
-    def test_long_grid_rejected(self, monkeypatch, grid_points, shown):
-        """A 2-unknown grid runs grid_points**2 lanes, so counts past
-        MAX_GRID_POINTS are rejected before any point is run."""
-        monkeypatch.setattr(calibration, "_run", no_search)
-        with pytest.raises(DomainError) as error:
-            fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=grid_points)
-        assert str(error.value) == f"grid_points must be an integer in [2, 256], got {shown}"
+    def test_overflowing_residual_is_a_data_error_without_warnings(
+        self, fit_efficiency, fit_force_cap, scale
+    ):
+        """Forces whose squares overflow (and at 1.5e307 their work integral too)
+        give one ``DataError`` and no numpy warning."""
+        _, cycles, base = self.criterion_8()
+        cycles = [replace(c, hip_force=c.hip_force * scale) for c in cycles]
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DataError) as error:
+            warnings.simplefilter("always")
+            fit_model(cycles, base, fit_efficiency=fit_efficiency, fit_force_cap=fit_force_cap)
+        assert str(error.value) == "non-finite force residual at the fitted parameters"
+        assert [str(w.message) for w in caught] == []
 
-    def test_longest_grid_accepted(self, monkeypatch):
-        monkeypatch.setattr(calibration, "_run", no_search)
-        with pytest.raises(AssertionError, match="objective evaluated"):
-            fit_model(cycles_from_simulation(worked_config()), worked_config(), grid_points=256)
+    def test_spring_lengths_outside_the_spring_give_no_ratios(self):
+        """Measured lengths the spring cannot take are no retention ratios; the
+        forces fit as they do without lengths."""
+        config = worked_config(loss=LossModel(efficiency=0.9), sample_count=50)
+        cycles = cycles_from_simulation(config)
+        unmeasured = [replace(c, spring_length_start=None, spring_length_end=None) for c in cycles]
+        too_long = [replace(c, spring_length_end=0.5) for c in cycles]
+        base = replace(config, loss=LossModel())
+        report = fit_model(too_long, base, fit_force_cap=False)
+        assert report.retention_ratios == ()
+        assert report == fit_model(unmeasured, base, fit_force_cap=False)
 
     def test_report_carries_work_and_ratios(self):
         config = worked_config(loss=LossModel(efficiency=0.9), sample_count=200)

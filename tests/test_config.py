@@ -152,6 +152,21 @@ class TestParseGrid:
         with pytest.raises(ConfigurationError, match="unknown key 'bogus'"):
             parse_grid(grid)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mass_kg = , ,", "no values for key 'mass_kg'"),
+            ("mass_kg 80", "expected 'key = value', got 'mass_kg 80'"),
+        ],
+        ids=["no_values", "no_equals_sign"],
+    )
+    def test_malformed_line_names_it(self, tmp_path, line, message):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(line + "\n")
+        with pytest.raises(ConfigurationError) as error:
+            parse_grid(grid)
+        assert str(error.value) == f"{grid}:1: {message}"
+
     def test_policy_points_stay_text_in_sweep_csv(self, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text("policy = force_limited, full_range\n")

@@ -686,6 +686,21 @@ class TestReleaseProfile:
             release_profile(**arguments)
         assert str(info.value) == f"{name} needs a number, got {shown}"
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"x_release": 0.0}, "x_release=0.0 outside (0, segment_length=0.2]"),
+            ({"x_release": 0.25}, "x_release=0.25 outside (0, segment_length=0.2]"),
+            ({"spring_length": 0.24}, "locked spring length 0.24 outside [0.04, 0.12]"),
+            ({"spring_length": 0.02}, "locked spring length 0.02 outside [0.04, 0.12]"),
+        ],
+        ids=["x_release_zero", "x_release_past_segment", "spring_too_long", "spring_too_short"],
+    )
+    def test_out_of_range_rejected(self, arguments, message):
+        with pytest.raises(GeometryError) as info:
+            release_profile(**{"spring_length": 0.06, "config": worked_config(), **arguments})
+        assert str(info.value) == message
+
     def test_release_trajectory_extends(self):
         config = exact_zero_preload_config(
             leg=LegGeometry(segment_length=0.25, standing_length=0.5, max_deformation=0.45),

@@ -118,6 +118,24 @@ class TestTrajectoryCsv:
         with pytest.raises(DomainError, match="empty"):
             emit_trajectory_csv(empty, tmp_path / "no.csv")
 
+    def test_unequal_trajectory_arrays_rejected(self):
+        with pytest.raises(DomainError, match="^trajectory arrays must have equal length$"):
+            Trajectory(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["trajectory", *PLOT_KINDS])
+    def test_empty_result_rejected(self, tmp_path, kind):
+        result = simulate(worked_config())
+        empty = replace(result, squats=cyclic.Squats(*[()] * len(result.squats)))
+        path = tmp_path / "empty"
+        with pytest.raises(DomainError) as error:
+            if kind == "trajectory":
+                emit_trajectory_csv(empty, path)
+            else:
+                emit_plot_svg(empty, kind, path)
+        verb = "emit" if kind == "trajectory" else "plot"
+        assert str(error.value) == f"cannot {verb} an empty simulation result"
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "iteration, message",
         [
@@ -199,8 +217,14 @@ class TestTrajectoryCsv:
                 f"{TRAJECTORY_HEADER}\r\n1,0,0.12,0,0\f\r\n1,x,0,0,0\r\n",
                 ":3: unparsable row '1,x,0,0,0'",
             ),
+            ("iteration,x\n1,0\n", f": expected header {TRAJECTORY_HEADER!r}"),
         ],
-        ids=["blank_lines_before_row", "blank_line_before_header", "crlf_and_form_feed"],
+        ids=[
+            "blank_lines_before_row",
+            "blank_line_before_header",
+            "crlf_and_form_feed",
+            "wrong_header",
+        ],
     )
     def test_reader_error_names_the_line_in_the_file(self, tmp_path, text, message):
         path = tmp_path / "gappy.csv"
@@ -208,6 +232,13 @@ class TestTrajectoryCsv:
         with pytest.raises(DataError) as error:
             read_measured_cycles(path)
         assert str(error.value) == f"{path}{message}"
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(DataError) as error:
+            read_measured_cycles(path)
+        assert str(error.value).startswith(f"cannot read measured-cycle CSV {path}: ")
+        assert isinstance(error.value.__cause__, FileNotFoundError)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
     @pytest.mark.parametrize("kind", ["trajectory", *PLOT_KINDS])
@@ -298,8 +329,9 @@ plotted = cells | st.floats(-72.0, 424.0)
 class TestSweepCsv:
     def test_every_row_has_the_header_width(self, tmp_path):
         # Flagged points keep their cells: a comma, quote or newline is quoted,
-        # an int past the int-to-str digit limit is named by its type.  Header
-        # keys are cells too: "a,b" is quoted and the key 1 printed.
+        # an int past the int-to-str digit limit is named by its type, a bool
+        # is printed in lower case.  Header keys are cells too: "a,b" is
+        # quoted and the key 1 printed.
         points = [
             {"policy": "fast,slow"},
             {"mass_kg": 10**5000},
@@ -307,10 +339,12 @@ class TestSweepCsv:
             {"policy": "a\nb\r"},
             {"mass_kg": (1, 2)},
             {"mass_kg": (10**5000,)},
+            {"mass_kg": True},
+            {"mass_kg": False},
             {"mass_kg": 12.0, "policy": "full_range"},
         ]
         rows = sweep(worked_config(), points)
-        assert [row.status for row in rows] == ["invalid"] * 6 + ["ok"]
+        assert [row.status for row in rows] == ["invalid"] * 8 + ["ok"]
         path = emit_sweep_csv(rows, ["policy", "mass_kg", "a,b", 1], tmp_path / "sweep.csv")
         with open(path, newline="") as handle:
             header, *table = csv.reader(handle)
@@ -324,6 +358,8 @@ class TestSweepCsv:
             ["a\nb\r", ""],
             ["", "(1, 2)"],
             ["", "<tuple too long to print>"],
+            ["", "true"],
+            ["", "false"],
             ["full_range", "12"],
         ]
 
