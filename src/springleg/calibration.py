@@ -108,10 +108,22 @@ class FitReport:
 
 
 def integrate_work(cycle: MeasuredCycle) -> float:
-    """Trapezoidal work integral of the measured force over displacement."""
+    """Trapezoidal work integral of the measured force over displacement;
+    ``DataError`` if the cycle has fewer than two samples or the integral
+    overflows."""
+    work = _work(cycle)
+    if not math.isfinite(work):
+        raise DataError(f"cycle {_repr(cycle.iteration)}: work integral overflows, got {work}")
+    return work
+
+
+def _work(cycle: MeasuredCycle) -> float:
+    """``integrate_work`` without its finiteness check: a fit that overflows
+    reports its non-finite residual instead."""
     if len(cycle.hip_displacement) < 2:
         raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
-    return float(np.trapezoid(cycle.hip_force, cycle.hip_displacement))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trapezoid(cycle.hip_force, cycle.hip_displacement))
 
 
 def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> list[float]:
@@ -202,7 +214,7 @@ def fit_model(
         raise DataError("force cap has no effect under full_range: fit the efficiency only")
     ordered = sorted(cycles, key=lambda c: c.iteration)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a non-finite residual
-        cycle_work = tuple(integrate_work(c) for c in ordered)
+        cycle_work = tuple(_work(c) for c in ordered)
         f_max = max(float(np.max(c.hip_force)) for c in ordered)
         if not (math.isfinite(f_max) and f_max > 0):
             raise DataError("measured forces must be finite and positive to bound the cap search")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .baseline import e1_max
 from .config import apply_overrides
@@ -258,32 +258,53 @@ class SweepRow:
 
 def sweep(
     config: Configuration,
-    points: Sequence[Mapping[str, object]],
+    points: Iterable[Mapping[str, object]],
     workers: int = 1,
 ) -> list[SweepRow]:
     """Simulate every override point of a parameter grid.
 
     Each point is a mapping of configuration keys (see ``config.ALL_KEYS``)
     merged over the template by ``config.apply_overrides``; a point's memory
-    does not grow with its squat count.
+    does not grow with its squat count.  A point with the keys of the last
+    point that built a configuration is built over that one from the values
+    that are not its very objects: a value object must not change meanwhile.
     Invalid, malformed or stalling points are flagged in their row and do not
-    abort the sweep.  Row order is grid order; ``workers`` has no effect.
+    abort the sweep; ``points`` that are not iterable raise ``DomainError``.
+    Row order is grid order; ``workers`` has no effect.
     """
-    return [_evaluate_point(config, point) for point in points]
-
-
-def _evaluate_point(template: Configuration, point: object) -> SweepRow:
-    if not hasattr(point, "keys"):  # dict()'s test for a mapping
-        return SweepRow(params={}, status="invalid", reason=f"not a mapping: {type(point).__name__}")
-    params = dict(point)
     try:
-        config = apply_overrides(template, params)
+        points = iter(points)
+    except TypeError:
+        kind = type(points).__name__
+        raise DomainError(f"points must be an iterable of mappings, got {kind}") from None
+    rows, last = [], ({}, config)  # the last point that built a Configuration, and its config
+    for point in points:
+        if not hasattr(point, "keys"):  # dict()'s test for a mapping
+            reason = f"not a mapping: {type(point).__name__}"
+            rows.append(SweepRow(params={}, status="invalid", reason=reason))
+            continue
+        params = dict(point)
+        before, built = last
+        if params.keys() == before.keys():
+            changed = {key: value for key, value in params.items() if value is not before[key]}
+        else:
+            changed, built = params, config
+        try:
+            built = apply_overrides(built, changed)
+        except (ConfigurationError, DomainError) as exc:
+            rows.append(SweepRow(params=params, status="invalid", reason=str(exc)))
+            continue
+        last = params, built
+        rows.append(_evaluate_point(built, params))
+    return rows
+
+
+def _evaluate_point(config: Configuration, params: dict[str, object]) -> SweepRow:
+    try:
         run, peak = Run(config, config.max_iterations), None  # streamed: nothing else is kept
         for iterations, last in enumerate(run, 1):  # a run yields a squat or raises
             if peak is None or last[6] > peak:  # max()'s comparisons
                 peak = last[6]
-    except (ConfigurationError, DomainError) as exc:
-        return SweepRow(params=params, status="invalid", reason=str(exc))
     except SimulationError as exc:
         return SweepRow(params=params, status="stall", reason=str(exc))
     full = run.termination is Termination.FULL_COMPRESSION

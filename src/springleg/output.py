@@ -203,25 +203,48 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     ]
 
 
-def emit_sweep_csv(rows: Sequence[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
-    """Write sweep rows in grid order; one row per point, failures flagged."""
+def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
+    """Write sweep rows in grid order; one row per point, failures flagged.
+    Columns are spelled one at a time, each distinct object in one once.
+    ``rows`` that are not an iterable of ``SweepRow``, an unhashable key and
+    an unwritable path raise ``DomainError``."""
     path = Path(path)
+    try:
+        rows = iter(rows)
+    except TypeError:
+        kind = type(rows).__name__
+        raise DomainError(f"rows must be an iterable of SweepRow, got {kind}") from None
+    rows = list(rows)
+    for row in rows:
+        if not isinstance(row, SweepRow):
+            raise DomainError(f"rows must be SweepRows, got {type(row).__name__}")
     for key in keys:
         try:
             hash(key)
         except TypeError:  # ``params.get`` would raise it
             raise DomainError(f"sweep key {_repr(key)} is not hashable") from None
+    columns = chain(  # each column's values are dropped once they are spelled
+        ([row.params.get(k) for row in rows] for k in keys),
+        ([getattr(row, field) for row in rows] for field in _SWEEP_COLUMNS.values()),
+    )
+    reasons = [_quoted(row.reason) if row.reason else "" for row in rows]
     lines = [",".join([*map(_cell, keys), *_SWEEP_COLUMNS, "reason"])]
-    for row in rows:
-        cells = [_cell(row.params.get(k)) for k in keys]
-        cells += [_cell(getattr(row, field)) for field in _SWEEP_COLUMNS.values()]
-        cells.append(_quoted(row.reason) if row.reason else "")
-        lines.append(",".join(cells))
+    lines += map(",".join, zip(*map(_cells, columns), reasons))
     _write_lines(path, ["\n".join(lines)])
     return path
 
 
+def _cells(column: list) -> list[str]:
+    """``_cell`` of each value, spelled once per distinct object: the list holds
+    every object it is given, so no two of them share an ``id``."""
+    distinct = {id(value): value for value in column}
+    spelled = {key: _cell(value) for key, value in distinct.items()}
+    return list(map(spelled.__getitem__, map(id, column)))
+
+
 def _cell(value: object) -> str:
+    if type(value) is float:
+        return format_number(value)
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -88,6 +88,22 @@ class TestIntegrateWork:
         message = f"cycle {printed(iteration)}: need at least 2 samples to integrate"
         assert str(error.value) == message
 
+    @ITERATIONS
+    @pytest.mark.parametrize(
+        "forces, work", [([1e308, 1.7e308], "inf"), ([1.7e308, 1.7e308, -1.7e308, -1.7e308], "nan")]
+    )
+    def test_overflowing_integral_is_a_data_error_without_warnings(self, iteration, forces, work):
+        """Finite forces whose adjacent sums overflow give one ``DataError``
+        naming the cycle, and no numpy warning escapes (pytest's ``-W error``
+        would raise it instead)."""
+        cycle = MeasuredCycle(iteration, [0.1 * n for n in range(len(forces))], forces)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(DataError) as error:
+            warnings.simplefilter("always")
+            integrate_work(cycle)
+        message = f"cycle {printed(iteration)}: work integral overflows, got {work}"
+        assert str(error.value) == message
+        assert [str(w.message) for w in caught] == []
+
     def test_model_energy_delta_matches_work(self):
         config = worked_config(sample_count=1001)
         result = simulate(config)

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
     ALL_KEYS,
@@ -402,6 +402,12 @@ class TestSweep:
         ]
         assert rows[4] == sweep(worked_config(), points[4:])[0]
 
+    @pytest.mark.parametrize("points, kind", [(None, "NoneType"), (5, "int")])
+    def test_points_that_are_not_iterable_rejected(self, points, kind):
+        with pytest.raises(DomainError) as error:
+            sweep(worked_config(), points)
+        assert str(error.value) == f"points must be an iterable of mappings, got {kind}"
+
     def test_point_with_listed_keys_runs_as_its_dict(self):
         class Listed:  # dict() takes it; its keys() is a list, not a set-like view
             def keys(self):
@@ -495,16 +501,18 @@ def templates(draw):
     )
 
 
+def near_values(template_value):
+    """A float template value times 0.5 to 1.5, or the template value."""
+    if isinstance(template_value, float):
+        return st.floats(0.5, 1.5).map(lambda f: template_value * f)
+    return st.just(template_value)
+
+
 def override_values(template_value):
     """Near-template, out-of-range, non-finite, wrong-type, integer and
     policy values for one key."""
-    near = (
-        st.floats(0.5, 1.5).map(lambda f: template_value * f)
-        if isinstance(template_value, float)
-        else st.just(template_value)
-    )
     return st.one_of(
-        near,
+        near_values(template_value),
         st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
         st.sampled_from(["abc", "", None, [1.0], True]),
         st.integers(-2, 200) | st.just(10**5000),
@@ -525,20 +533,61 @@ def row_bits(row: SweepRow) -> list:
     ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(template=templates(), data=st.data())
-def test_sweep_rows_equal_the_flat_mapping_path(template, data):
-    """Building each point from the template's validated parts gives the
-    row, bit for bit and reason text included, that converting and
-    validating every key of the merged mapping gives; malformed points and
-    keys are invalid rows."""
+@st.composite
+def sweep_cases(draw):
+    """A template and points for it, as a grid hands them over and not: variants
+    of one point of near-template values, each with 1-2 of its values replaced
+    (mostly by near ones) and the rest the very same objects, among points of
+    other keys (unknown ones too), invalid values and non-mappings."""
+    template = draw(templates())
     base = values_from_config(template)
     keys = st.lists(st.sampled_from(ALL_KEYS + ("bogus", None, 1)), unique=True, max_size=4)
-    point = keys.flatmap(
-        lambda point_keys: st.fixed_dictionaries(
-            {key: override_values(base.get(key, 1.0)) for key in point_keys}
-        )
+
+    def values(key):
+        return override_values(base.get(key, 1.0))
+
+    point = keys.flatmap(lambda ks: st.fixed_dictionaries({key: values(key) for key in ks}))
+    origin = draw(st.lists(st.sampled_from(ALL_KEYS), unique=True, max_size=4))
+    family = [{key: draw(near_values(base[key])) for key in origin}]
+    points = [family[0]]
+    for kind in draw(st.lists(st.sampled_from("vvvpn"), max_size=10)):
+        if kind == "v":  # a variant of a member of the family
+            source = draw(st.sampled_from(family))
+            replaced = st.lists(st.sampled_from(origin), min_size=1, max_size=2, unique=True)
+            new = {k: draw(near_values(base[k]) | values(k)) for k in draw(replaced)} if origin else {}
+            family.append({**source, **new})
+            points.append(family[-1])
+        else:
+            points.append(draw(point if kind == "p" else st.sampled_from([None, "ab"])))
+    return template, points
+
+
+#: One float object that an invalid point and the point after it share.
+_SHARED_CAP = 120.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases())
+# The second point's keys differ, so it is built over the template: it must not
+# inherit the first point's efficiency.
+@example(case=(worked_config(), [{"efficiency": 0.9}, {"force_cap_n": 100.0}]))
+# An invalid point between two with the same keys: the third is built over the
+# first, and the cap it shares with the invalid one is not taken as the first's.
+@example(
+    case=(
+        worked_config(),
+        [
+            {"efficiency": 0.9, "force_cap_n": 50.0},
+            {"efficiency": 1.5, "force_cap_n": _SHARED_CAP},
+            {"efficiency": 0.8, "force_cap_n": _SHARED_CAP},
+        ],
     )
-    points = data.draw(st.lists(point | st.sampled_from([None, "ab"]), min_size=1, max_size=3))
+)
+def test_sweep_rows_equal_the_flat_mapping_path(case):
+    """Building each point from validated parts, over the template or over the
+    last point that built a configuration, gives the row, bit for bit and
+    reason text included, that converting and validating every key of the
+    merged mapping gives; malformed points and keys are invalid rows."""
+    template, points = case
     rows = sweep(template, points)
     assert [row_bits(row) for row in rows] == [row_bits(reference_row(template, p)) for p in points]

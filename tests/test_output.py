@@ -1,6 +1,7 @@
 """CSV/SVG emission: schemas, round trips, determinism."""
 
 import csv
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -331,7 +332,10 @@ class TestSweepCsv:
         # Flagged points keep their cells: a comma, quote or newline is quoted,
         # an int past the int-to-str digit limit is named by its type, a bool
         # is printed in lower case.  Header keys are cells too: "a,b" is
-        # quoted and the key 1 printed.
+        # quoted and the key 1 printed.  Cells are spelled once per distinct
+        # object, so 0.0 and -0.0 (equal, but two objects) keep their signs,
+        # and one object on many rows is spelled on each.
+        repeated = 12.0
         points = [
             {"policy": "fast,slow"},
             {"mass_kg": 10**5000},
@@ -341,11 +345,18 @@ class TestSweepCsv:
             {"mass_kg": (10**5000,)},
             {"mass_kg": True},
             {"mass_kg": False},
-            {"mass_kg": 12.0, "policy": "full_range"},
+            {"mass_kg": 0.0},
+            {"mass_kg": -0.0},
+            {"mass_kg": math.nan},
+            *[{"mass_kg": repeated, "policy": "full_range"}] * 3,
         ]
         rows = sweep(worked_config(), points)
-        assert [row.status for row in rows] == ["invalid"] * 8 + ["ok"]
-        path = emit_sweep_csv(rows, ["policy", "mass_kg", "a,b", 1], tmp_path / "sweep.csv")
+        assert [row.status for row in rows] == ["invalid"] * 11 + ["ok"] * 3
+        keys = ["policy", "mass_kg", "a,b", 1]
+        path = emit_sweep_csv(rows, keys, tmp_path / "sweep.csv")
+        # A generator of the rows writes the same bytes as their list.
+        streamed = emit_sweep_csv((row for row in rows), keys, tmp_path / "streamed.csv")
+        assert streamed.read_bytes() == path.read_bytes()
         with open(path, newline="") as handle:
             header, *table = csv.reader(handle)
         assert header[:5] == ["policy", "mass_kg", "a,b", "1", "status"]
@@ -360,7 +371,10 @@ class TestSweepCsv:
             ["", "<tuple too long to print>"],
             ["", "true"],
             ["", "false"],
-            ["full_range", "12"],
+            ["", "0"],
+            ["", "-0"],
+            ["", "nan"],
+            *[["full_range", "12"]] * 3,
         ]
 
     @pytest.mark.parametrize("rows", [0, 1])
@@ -369,6 +383,23 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         with pytest.raises(DomainError, match=r"^sweep key \['a'\] is not hashable$"):
             emit_sweep_csv(rows, ["mass_kg", ["a"]], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "rows must be an iterable of SweepRow, got NoneType"),
+            (5, "rows must be an iterable of SweepRow, got int"),
+            ([object()], "rows must be SweepRows, got object"),
+            ([{"mass_kg": 12.0}], "rows must be SweepRows, got dict"),
+        ],
+        ids=["none", "int", "object", "mapping"],
+    )
+    def test_rows_that_are_no_sweep_rows_rejected_before_writing(self, tmp_path, rows, message):
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(DomainError) as error:
+            emit_sweep_csv(rows, ["mass_kg"], path)
+        assert str(error.value) == message
         assert not path.exists()
 
 
