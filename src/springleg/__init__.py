@@ -21,16 +21,14 @@ _MODULES = {
     "baseline": "BaselineResult average_force baseline_result e1_max required_stiffness "
     "stored_energy_single",
     "calibration": "FitReport MeasuredCycle estimate_efficiency fit_model integrate_work",
-    "config": "ALL_KEYS config_from_values parse_config parse_config_text parse_grid "
-    "values_from_config",
+    "config": "ALL_KEYS config_from_values parse_config parse_grid",
     "cyclic": "CycleState ReleaseProfile SimResult SquatRecord Squats StopReason Termination "
     "release_profile simulate",
     "errors": "ConfigurationError DataError DomainError GeometryError SimulationError "
     "SpringLegError StallError",
     "explore": "SweepRow max_energy min_squats spring_capacity sweep",
     "model": "BodyParams CompressionPolicy Configuration LegGeometry LossModel SpringParams "
-    "Trajectory hip_force initial_spring_length spring_energy spring_force "
-    "spring_length_from_leg",
+    "Trajectory hip_force initial_spring_length spring_energy spring_force",
     "output": "emit_fit_report_csv emit_plot_svg emit_sweep_csv emit_trajectory_csv "
     "read_measured_cycles",
 }

@@ -53,15 +53,6 @@ _INT_KEYS = frozenset({"max_iterations", "sample_count"})
 _NAMES = {key: f"key {key!r}" for key in _FIELDS}
 
 
-def parse_config_text(text: str, source: str = "<config>") -> Configuration:
-    """Parse configuration text; see :func:`parse_config` for the file form."""
-    values = {key: _file_value(key, value, source, n) for n, key, value in _lines(text, source)}
-    try:
-        return config_from_values(values)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{source}: {exc}") from exc
-
-
 def parse_config(path: str | Path) -> Configuration:
     """Read and validate a configuration file.
 
@@ -72,11 +63,18 @@ def parse_config(path: str | Path) -> Configuration:
         violated parameter bound; the message names the file, the key and
         the bound.
     """
-    return parse_config_text(_read(path, "config"), source=str(path))
+    source, text = str(path), _read(path, "config")
+    values = {key: _file_value(key, value, source, n) for n, key, value in _lines(text, source)}
+    try:
+        return config_from_values(values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: {exc}") from exc
 
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
+    if not isinstance(values, Mapping):
+        raise ConfigurationError(f"config values must be a mapping, got {type(values).__name__}")
     return apply_overrides(None, values)
 
 
@@ -97,17 +95,6 @@ def apply_overrides(template: Configuration | None, values: Mapping[str, object]
         if given or template is None:
             fields[part] = _PARTS[part](**({**vars(fields[part]), **given} if template else given))
     return Configuration(**fields)
-
-
-def values_from_config(config: Configuration) -> dict[str, object]:
-    """Flat key-value view of a Configuration; not a full inverse of
-    ``config_from_values``, as ``tol_abs`` and ``tol_gain`` have no key."""
-    values = {
-        key: getattr(getattr(config, part) if part else config, name)
-        for key, (part, name) in _FIELDS.items()
-    }
-    values["policy"] = config.policy.value
-    return values
 
 
 def parse_grid(path: str | Path) -> list[dict[str, object]]:
@@ -132,7 +119,7 @@ def parse_grid(path: str | Path) -> list[dict[str, object]]:
 def _read(path: str | Path, kind: str) -> str:
     try:
         return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:  # the decode error names the byte's offset
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # decode errors name the byte's offset
         raise ConfigurationError(f"cannot read {kind} file {path}: {exc}") from exc
 
 

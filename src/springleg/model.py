@@ -6,7 +6,8 @@ at a common distance ``x`` from the knee.  Similar triangles give the spring
 length as a fixed fraction of the hip-ankle distance, and virtual work maps
 the spring force to the hip through the same ratio.  Everything downstream
 (single-squat baseline, multi-squat accumulation, calibration, design
-sweeps) is built on the four operations defined here.
+sweeps) is built on the three relations defined here: spring force, hip
+force and stored energy.
 
 All quantities are SI: meters, newtons, joules, kilograms.
 """
@@ -310,26 +311,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Kinematic and force relations
 # ---------------------------------------------------------------------------
-
-
-def spring_length_from_leg(x: float, leg_length: float, geom: LegGeometry) -> float:
-    """Spring length for spring position ``x`` and hip-ankle distance ``leg_length``.
-
-    The spring endpoints sit at distance ``x`` from the knee on both
-    segments, so similar triangles give ``s = (x / segment_length) * l``.
-
-    Raises
-    ------
-    DomainError
-        If ``x`` is outside [0, segment_length] or ``leg_length`` outside
-        (0, standing_length].
-    """
-    _position(x, geom)
-    if not 0 < _real("leg length l", leg_length, DomainError) <= geom.standing_length:
-        raise DomainError(
-            f"leg length l={leg_length} outside (0, standing_length={geom.standing_length}]"
-        )
-    return x / geom.segment_length * leg_length
 
 
 def spring_force(s: float, spring: SpringParams) -> float:

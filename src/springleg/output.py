@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections.abc import Mapping
 from dataclasses import replace
 from functools import cache
 from itertools import chain, cycle
@@ -169,9 +170,9 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     """
     from .calibration import MeasuredCycle
 
-    path = Path(path)
     groups: dict[int, list] = {}  # displacements, forces, first and last spring length
     try:
+        path = Path(path)
         # Universal newlines end a line at \r\n, \r and \n, not at \f or \v; an
         # undecodable byte reads as a lone surrogate, so its line can be named.
         with path.open(errors="surrogateescape") as file:
@@ -195,7 +196,7 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
                 group[0].append(deformation)
                 group[1].append(f)
                 group[3] = s
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
     return [
         MeasuredCycle(iteration, displacement, force, first, last)
@@ -206,8 +207,8 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
     """Write sweep rows in grid order; one row per point, failures flagged.
     Columns are spelled one at a time, each distinct object in one once.
-    ``rows`` that are not an iterable of ``SweepRow``, an unhashable key and
-    an unwritable path raise ``DomainError``."""
+    ``rows`` that are not an iterable of ``SweepRow`` with mapping ``params``,
+    an unhashable key and an unwritable path raise ``DomainError``."""
     path = Path(path)
     try:
         rows = iter(rows)
@@ -218,6 +219,9 @@ def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Pa
     for row in rows:
         if not isinstance(row, SweepRow):
             raise DomainError(f"rows must be SweepRows, got {type(row).__name__}")
+        if not isinstance(row.params, Mapping):
+            kind = type(row.params).__name__
+            raise DomainError(f"sweep row params must be a mapping, got {kind}")
     for key in keys:
         try:
             hash(key)

@@ -15,7 +15,9 @@ from springleg import (
     LossModel,
     SpringParams,
     calibration,
+    parse_config,
 )
+from springleg.config import _FIELDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,6 +92,17 @@ def random_config(
     )
 
 
+def values_from_config(config: Configuration) -> dict[str, object]:
+    """Flat key-value view of ``config``, which ``config_from_values`` builds back
+    but for ``tol_abs`` and ``tol_gain``: they have no key."""
+    values = {
+        key: getattr(getattr(config, part) if part else config, name)
+        for key, (part, name) in _FIELDS.items()
+    }
+    values["policy"] = config.policy.value
+    return values
+
+
 def lane_points(cycles, config, eta, cap) -> tuple[np.ndarray, np.ndarray]:
     """Each lane's summed squared force error and compared-point count, as two
     arrays: ``calibration._point`` on lane ``l``'s efficiency ``eta[l]`` and
@@ -119,6 +132,18 @@ def oracle_params(config: Configuration, max_iter: int | None = None) -> dict:
         tol_abs=config.tol_abs,
         tol_gain=config.tol_gain,
     )
+
+
+@pytest.fixture
+def parse_text(tmp_path):
+    """``parse_config`` of config text, written to ``tmp_path / "config.cfg"``."""
+
+    def parse(text: str) -> Configuration:
+        path = tmp_path / "config.cfg"
+        path.write_text(text)
+        return parse_config(path)
+
+    return parse
 
 
 @pytest.fixture

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import springleg
-from springleg import ALL_KEYS, values_from_config
+from springleg import ALL_KEYS
 from springleg.cli import main
 from springleg.model import MAX_SAMPLE_COUNT
 
-from conftest import CONFIG_DIR, worked_config
+from conftest import CONFIG_DIR, values_from_config, worked_config
 
 PROTO = str(CONFIG_DIR / "prototype_trend.cfg")
 GOLDEN = Path(__file__).parent / "golden"

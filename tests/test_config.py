@@ -16,15 +16,13 @@ from springleg import (
     config_from_values,
     emit_sweep_csv,
     parse_config,
-    parse_config_text,
     parse_grid,
     simulate,
     sweep,
-    values_from_config,
 )
 from springleg.config import apply_overrides
 
-from conftest import CONFIG_DIR, worked_config
+from conftest import CONFIG_DIR, values_from_config, worked_config
 
 MINIMAL = """
 mass_kg = 70.0
@@ -40,8 +38,8 @@ initial_spring_position_m = 0.07303125
 
 
 class TestParseConfig:
-    def test_minimal_file_applies_defaults(self):
-        config = parse_config_text(MINIMAL)
+    def test_minimal_file_applies_defaults(self, parse_text):
+        config = parse_text(MINIMAL)
         assert config.force_cap == pytest.approx(70.0 * 9.80665)
         assert config.loss.efficiency == 1.0
         assert config.loss.ratchet_pitch == 0.0
@@ -56,51 +54,52 @@ class TestParseConfig:
             config = parse_config(CONFIG_DIR / name)
             assert config.spring.stiffness > 0
 
-    def test_comments_and_blanks_ignored(self):
-        config = parse_config_text(MINIMAL + "\n# comment\n\nefficiency = 0.9 # loss\n")
+    def test_comments_and_blanks_ignored(self, parse_text):
+        config = parse_text(MINIMAL + "\n# comment\n\nefficiency = 0.9 # loss\n")
         assert config.loss.efficiency == 0.9
 
-    def test_efficiency_bound_named(self):
+    def test_efficiency_bound_named(self, parse_text):
         with pytest.raises(ConfigurationError, match=r"efficiency.*\(0, 1\]"):
-            parse_config_text(MINIMAL + "efficiency = 1.2\n")
+            parse_text(MINIMAL + "efficiency = 1.2\n")
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="duplicate key 'mass_kg'"):
-            parse_config_text(MINIMAL + "mass_kg = 60\n")
+            parse_text(MINIMAL + "mass_kg = 60\n")
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="unknown key 'spring_rate'"):
-            parse_config_text(MINIMAL + "spring_rate = 900\n")
+            parse_text(MINIMAL + "spring_rate = 900\n")
 
-    def test_missing_required_key_rejected(self):
+    def test_missing_required_key_rejected(self, parse_text):
         text = MINIMAL.replace("mass_kg = 70.0", "")
         with pytest.raises(ConfigurationError, match="missing required keys: mass_kg"):
-            parse_config_text(text)
+            parse_text(text)
 
-    def test_bad_number_rejected(self):
+    def test_bad_number_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="mass_kg"):
-            parse_config_text(MINIMAL.replace("70.0", "seventy"))
+            parse_text(MINIMAL.replace("70.0", "seventy"))
 
-    def test_bad_policy_rejected(self):
+    def test_bad_policy_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="policy"):
-            parse_config_text(MINIMAL + "policy = unlimited\n")
+            parse_text(MINIMAL + "policy = unlimited\n")
 
-    def test_slack_initial_position_rejected(self):
+    def test_slack_initial_position_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="slack"):
-            parse_config_text(MINIMAL.replace("0.07303125", "0.09"))
+            parse_text(MINIMAL.replace("0.07303125", "0.09"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
-    def test_non_integer_iterations_rejected(self):
+    def test_non_integer_iterations_rejected(self, parse_text):
         with pytest.raises(ConfigurationError, match="max_iterations"):
-            parse_config_text(MINIMAL + "max_iterations = 2.5\n")
+            parse_text(MINIMAL + "max_iterations = 2.5\n")
 
-    def test_integral_number_accepted_for_integer_key(self):
-        assert parse_config_text(MINIMAL + "max_iterations = 1e2\n").max_iterations == 100
-        with pytest.raises(ConfigurationError, match=r"<config>:11: key 'max_iterations'"):
-            parse_config_text(MINIMAL + "max_iterations = 2.5\n")
+    def test_integral_number_accepted_for_integer_key(self, parse_text, tmp_path):
+        assert parse_text(MINIMAL + "max_iterations = 1e2\n").max_iterations == 100
+        with pytest.raises(ConfigurationError) as error:
+            parse_text(MINIMAL + "max_iterations = 2.5\n")
+        assert str(error.value).startswith(f"{tmp_path / 'config.cfg'}:11: key 'max_iterations'")
 
     def test_errors_name_the_source_file(self, tmp_path):
         path = tmp_path / "short.cfg"
@@ -120,6 +119,14 @@ class TestParseConfig:
         assert str(error.value).startswith(f"cannot read {kind} file {path}: ")
         assert "can't decode byte 0xff" in str(error.value)
 
+    @pytest.mark.parametrize("path", [None, 5], ids=["none", "int"])
+    @pytest.mark.parametrize("read, kind", [(parse_config, "config"), (parse_grid, "grid")])
+    def test_path_that_is_no_path_names_the_argument(self, read, kind, path):
+        with pytest.raises(ConfigurationError) as error:
+            read(path)
+        assert str(error.value).startswith(f"cannot read {kind} file {path}: ")
+        assert isinstance(error.value.__cause__, TypeError)
+
 
 class TestValuesRoundTrip:
     def test_config_to_values_to_config(self):
@@ -133,6 +140,14 @@ class TestValuesRoundTrip:
         values["typo"] = 1.0
         with pytest.raises(ConfigurationError, match="unknown keys: typo"):
             config_from_values(values)
+
+    @pytest.mark.parametrize(
+        "values", [None, 5, [("mass_kg", 70.0)], "abc"], ids=["none", "int", "pairs", "text"]
+    )
+    def test_non_mapping_rejected(self, values):
+        with pytest.raises(ConfigurationError) as error:
+            config_from_values(values)
+        assert str(error.value) == f"config values must be a mapping, got {type(values).__name__}"
 
 
 class TestParseGrid:

@@ -27,13 +27,12 @@ from springleg import (
     spring_capacity,
     spring_energy,
     sweep,
-    values_from_config,
 )
 from springleg.cyclic import Run, Termination, _recurrence
 from springleg.explore import _outcome
 from springleg.model import initial_spring_length
 
-from conftest import CONFIG_DIR, oracle_params, random_config, worked_config
+from conftest import CONFIG_DIR, oracle_params, random_config, values_from_config, worked_config
 from oracle import oracle_energy, oracle_simulate
 
 

@@ -27,55 +27,12 @@ from springleg import (
     simulate,
     spring_energy,
     spring_force,
-    spring_length_from_leg,
-    values_from_config,
 )
 
-from conftest import worked_config
+from conftest import values_from_config, worked_config
 
 GEOM = LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.1)
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
-
-
-class TestSpringLengthFromLeg:
-    def test_unity_ratio_spans_hip_to_ankle(self):
-        assert spring_length_from_leg(0.2, 0.30, GEOM) == pytest.approx(0.30)
-
-    def test_zero_position_collapses_onto_knee(self):
-        assert spring_length_from_leg(0.0, 0.30, GEOM) == 0.0
-
-    def test_interior_point(self):
-        assert spring_length_from_leg(0.10, 0.30, GEOM) == pytest.approx(0.15)
-
-    def test_out_of_range_position_rejected(self):
-        with pytest.raises(DomainError, match="segment_length"):
-            spring_length_from_leg(0.25, 0.30, GEOM)
-        for x in ("x", None):
-            with pytest.raises(DomainError, match="spring position x needs a number"):
-                spring_length_from_leg(x, 0.30, GEOM)
-
-    def test_out_of_range_leg_length_rejected(self):
-        with pytest.raises(DomainError, match="standing_length"):
-            spring_length_from_leg(0.1, 0.35, GEOM)
-        with pytest.raises(DomainError, match="standing_length"):
-            spring_length_from_leg(0.1, 0.0, GEOM)
-        with pytest.raises(DomainError, match="leg length l needs a number"):
-            spring_length_from_leg(0.1, "x", GEOM)
-
-    @given(
-        x=st.floats(0.01, 0.2),
-        leg=st.floats(0.05, 0.3),
-        scale=st.floats(1.0, 3.0),
-    )
-    def test_linear_and_scale_invariant(self, x, leg, scale):
-        s = spring_length_from_leg(x, leg, GEOM)
-        assert spring_length_from_leg(x, leg / 2, GEOM) == pytest.approx(s / 2)
-        scaled_geom = LegGeometry(
-            segment_length=GEOM.segment_length * scale,
-            standing_length=GEOM.standing_length * scale,
-            max_deformation=GEOM.max_deformation * scale,
-        )
-        assert spring_length_from_leg(x * scale, leg, scaled_geom) == pytest.approx(s, rel=1e-12)
 
 
 class TestSpringForce:
@@ -119,10 +76,11 @@ class TestHipForce:
             hip_force(0.1, 0.2, GEOM, SPRING)
         with pytest.raises(DomainError, match="s=nan"):
             hip_force(0.25 * GEOM.segment_length, math.nan, GEOM, SPRING)
-        with pytest.raises(DomainError, match="spring position x needs a number, got 'x'"):
-            hip_force("x", 0.1, GEOM, SPRING)
-        with pytest.raises(DomainError, match="spring length s needs a number, got 'x'"):
-            hip_force(0.1, "x", GEOM, SPRING)
+        for bad in ("x", None):
+            with pytest.raises(DomainError, match=f"spring position x needs a number, got {bad!r}"):
+                hip_force(bad, 0.1, GEOM, SPRING)
+            with pytest.raises(DomainError, match=f"spring length s needs a number, got {bad!r}"):
+                hip_force(0.1, bad, GEOM, SPRING)
 
     @given(
         x=st.floats(0.01, 0.2),
@@ -173,11 +131,10 @@ class TestVirtualWorkConsistency:
         assert l_b < l_a
         n = 2001
         legs = np.linspace(l_a, l_b, n)
-        forces = np.array([hip_force(x, spring_length_from_leg(x, l, GEOM), GEOM, SPRING) for l in legs])
+        ratio = x / GEOM.segment_length  # similar triangles: s = ratio * l
+        forces = np.array([hip_force(x, ratio * l, GEOM, SPRING) for l in legs])
         work = np.trapezoid(forces, -(legs - l_a))
-        gain = spring_energy(spring_length_from_leg(x, l_b, GEOM), SPRING) - spring_energy(
-            spring_length_from_leg(x, l_a, GEOM), SPRING
-        )
+        gain = spring_energy(ratio * l_b, SPRING) - spring_energy(ratio * l_a, SPRING)
         assert work == pytest.approx(gain, rel=1e-6)
 
 

@@ -16,6 +16,7 @@ from springleg import (
     DomainError,
     LossModel,
     SpringParams,
+    SweepRow,
     Trajectory,
     emit_plot_svg,
     emit_sweep_csv,
@@ -241,6 +242,13 @@ class TestTrajectoryCsv:
         assert str(error.value).startswith(f"cannot read measured-cycle CSV {path}: ")
         assert isinstance(error.value.__cause__, FileNotFoundError)
 
+    @pytest.mark.parametrize("path", [None, 5], ids=["none", "int"])
+    def test_path_that_is_no_path_is_a_data_error(self, path):
+        with pytest.raises(DataError) as error:
+            read_measured_cycles(path)
+        assert str(error.value).startswith(f"cannot read measured-cycle CSV {path}: ")
+        assert isinstance(error.value.__cause__, TypeError)
+
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
     @pytest.mark.parametrize("kind", ["trajectory", *PLOT_KINDS])
     def test_write_error_part_way_is_a_domain_error(self, kind):
@@ -392,8 +400,13 @@ class TestSweepCsv:
             (5, "rows must be an iterable of SweepRow, got int"),
             ([object()], "rows must be SweepRows, got object"),
             ([{"mass_kg": 12.0}], "rows must be SweepRows, got dict"),
+            (
+                [SweepRow({"mass_kg": 12.0}, "ok"), SweepRow(None, "ok")],
+                "sweep row params must be a mapping, got NoneType",
+            ),
+            ([SweepRow([1], "ok")], "sweep row params must be a mapping, got list"),
         ],
-        ids=["none", "int", "object", "mapping"],
+        ids=["none", "int", "object", "mapping", "params_none", "params_list"],
     )
     def test_rows_that_are_no_sweep_rows_rejected_before_writing(self, tmp_path, rows, message):
         path = tmp_path / "sweep.csv"
