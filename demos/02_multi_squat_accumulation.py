@@ -36,7 +36,6 @@ for record in result.records:
         f"[{record.stop_reason.value}]"
     )
 
-e1, cap = result.normalization
 print()
 print(f"stored after {len(result.records)} squats: {result.final_energy:.1f} J")
 print(f"one capped squat stores:                 {result.records[0].energy_after:.1f} J")
@@ -46,7 +45,7 @@ print(f"ratio: {result.final_energy / result.records[0].energy_after:.2f}x")
 released = release_profile(result.final_spring_length, config)
 print()
 print(f"release peak force: {released.peak_force:.0f} N = "
-      f"{released.peak_force / cap:.2f}x the compression cap")
+      f"{released.peak_force / config.force_cap:.2f}x the compression cap")
 print(f"released energy:    {released.released_energy:.1f} J")
 
 emit_trajectory_csv(result, out / "four_squat_trajectory.csv")

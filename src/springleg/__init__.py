@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 #: The public names of each module.
 _MODULES = {
-    "baseline": "BaselineResult average_force baseline_result e1_max required_stiffness "
-    "stored_energy_single",
+    "baseline": "BaselineResult baseline_result e1_max",
     "calibration": "FitReport MeasuredCycle estimate_efficiency fit_model integrate_work",
     "config": "ALL_KEYS config_from_values parse_config parse_grid",
     "cyclic": "CycleState ReleaseProfile SimResult SquatRecord Squats StopReason Termination "
@@ -28,7 +27,7 @@ _MODULES = {
     "SpringLegError StallError",
     "explore": "SweepRow max_energy min_squats spring_capacity sweep",
     "model": "BodyParams CompressionPolicy Configuration LegGeometry LossModel SpringParams "
-    "Trajectory hip_force initial_spring_length spring_energy spring_force",
+    "Trajectory hip_force initial_spring_length spring_energy",
     "output": "emit_fit_report_csv emit_plot_svg emit_sweep_csv emit_trajectory_csv "
     "read_measured_cycles",
 }

@@ -17,6 +17,7 @@ them; energies are derived by trapezoidal work integration.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -200,8 +201,9 @@ def fit_model(
     DataError
         On cycles that are not an iterable of ``MeasuredCycle``, fewer than
         two cycles, a cycle with fewer than two samples, nothing to fit, a
-        force cap to fit under ``full_range`` (which ignores the cap), or a
-        non-finite residual (forces whose squares overflow).
+        force cap to fit under ``full_range`` (which ignores the cap), a cap
+        search box that overflows or is subnormal, or a non-finite residual
+        (forces whose squares overflow).
     """
     cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
     if not all(isinstance(c, MeasuredCycle) for c in cycles):
@@ -221,6 +223,9 @@ def fit_model(
         eta, cap = config.loss.efficiency, config.force_cap
         eta_bounds = _EFFICIENCY_BOX if fit_efficiency else (eta, eta)
         cap_bounds = (0.5 * f_max, 1.25 * f_max) if fit_force_cap else (cap, cap)
+        # 1.25 * f_max may overflow; a subnormal box (0.5 * 5e-324 is 0) has too few floats.
+        if fit_force_cap and not sys.float_info.min <= cap_bounds[0] <= cap_bounds[1] < math.inf:
+            raise DataError(f"cap search box {cap_bounds} must be finite, not subnormal")
         measured = _Measured(ordered, config)
 
         def at(e: float, c: float) -> float:

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .baseline import baseline_result
+from .baseline import baseline_result, e1_max
 from .config import parse_config, parse_grid
 from .cyclic import release_profile, simulate
 from .errors import ConfigurationError, DataError, DomainError, SimulationError
@@ -135,7 +135,6 @@ def _cmd_simulate(config: Configuration, args: argparse.Namespace) -> int:
 
 
 def _print_run_summary(result) -> None:
-    e1 = result.normalization[0]
     rows = _format_squats(result.squats)
     for n, (x, s_start, s_end, f_start, f_end, _, e_after, stop) in enumerate(rows, 1):
         print(
@@ -144,6 +143,7 @@ def _print_run_summary(result) -> None:
         )
     reached = result.iterations_to_full_compression
     print(f"final energy [J]        : {format_number(result.final_energy)}")
+    e1 = e1_max(result.config.body, result.config.leg)
     print(f"final / single-squat    : {format_number(result.final_energy / e1)}")
     print(
         "full compression        : "

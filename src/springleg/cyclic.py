@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .baseline import e1_max
 from .errors import DomainError, GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
 from .model import _integer, _real, _repr, hip_force, initial_spring_length, spring_energy
@@ -108,7 +107,6 @@ class SimResult:
     """
 
     squats: Squats
-    normalization: tuple[float, float]  # (e1_max, force_cap)
     config: Configuration
     termination: Termination
 
@@ -340,12 +338,7 @@ def simulate(config: Configuration) -> SimResult:
     run = Run(config, config.max_iterations)
     # Through a list: ``*run`` would grow a tuple by resizing, which fragments the heap.
     squats = Squats(*zip(*list(run)))
-    return SimResult(
-        squats=squats,
-        normalization=(e1_max(config.body, config.leg), config.force_cap),
-        config=config,
-        termination=run.termination,
-    )
+    return SimResult(squats=squats, config=config, termination=run.termination)
 
 
 def release_profile(

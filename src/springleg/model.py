@@ -6,8 +6,8 @@ at a common distance ``x`` from the knee.  Similar triangles give the spring
 length as a fixed fraction of the hip-ankle distance, and virtual work maps
 the spring force to the hip through the same ratio.  Everything downstream
 (single-squat baseline, multi-squat accumulation, calibration, design
-sweeps) is built on the three relations defined here: spring force, hip
-force and stored energy.
+sweeps) is built on the two relations defined here: hip force and stored
+energy.
 
 All quantities are SI: meters, newtons, joules, kilograms.
 """
@@ -313,31 +313,20 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def spring_force(s: float, spring: SpringParams) -> float:
-    """Compressive force of the spring at length ``s``: k*(s0 - s), >= 0.
-
-    Raises
-    ------
-    DomainError
-        If ``s`` exceeds the free length (slack), is below the solid
-        length, or is nan.
-    """
-    return spring.stiffness * _compression(s, spring)
-
-
 def hip_force(x: float, s: float, geom: LegGeometry, spring: SpringParams) -> float:
     """Force required at the hip to hold the leg with the spring at length ``s``.
 
     Virtual work with ``s = (x / segment_length) * l`` maps the spring force
     to the hip through the mechanical-advantage ratio:
-    ``F_hip = (x / segment_length) * k * (s0 - s)``.
+    ``F_hip = (x / segment_length) * k * (s0 - s)``.  ``DomainError`` if ``x``
+    lies outside [0, segment_length], or ``s`` outside [solid, free] (nan too).
     """
     _position(x, geom)
-    return x / geom.segment_length * spring_force(s, spring)
+    return x / geom.segment_length * (spring.stiffness * _compression(s, spring))
 
 
 def spring_energy(s: float, spring: SpringParams) -> float:
-    """Elastic energy stored at spring length ``s``: 0.5*k*(s0 - s)^2; raises as ``spring_force``."""
+    """Energy 0.5*k*(s0 - s)^2 stored at spring length ``s``; raises as ``hip_force`` on ``s``."""
     d = _compression(s, spring)
     return 0.5 * spring.stiffness * d * d
 

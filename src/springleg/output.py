@@ -17,6 +17,7 @@ from itertools import chain, cycle
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .baseline import e1_max
 from .cyclic import SimResult, Squats, _trajectories
 from .errors import DataError, DomainError
 from .explore import SweepRow
@@ -207,21 +208,28 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:
     """Write sweep rows in grid order; one row per point, failures flagged.
     Columns are spelled one at a time, each distinct object in one once.
-    ``rows`` that are not an iterable of ``SweepRow`` with mapping ``params``,
-    an unhashable key and an unwritable path raise ``DomainError``."""
-    path = Path(path)
+    ``rows`` that are not an iterable of ``SweepRow`` with mapping ``params`` and
+    a string ``reason``, ``keys`` that are no iterable of hashables, and a path
+    that is ``None`` or unwritable raise ``DomainError``."""
     try:
-        rows = iter(rows)
+        path = Path(path)
     except TypeError:
-        kind = type(rows).__name__
-        raise DomainError(f"rows must be an iterable of SweepRow, got {kind}") from None
-    rows = list(rows)
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}") from None
+    for what, items, kind in (("rows", rows, "SweepRow"), ("keys", keys, "column names")):
+        try:
+            iter(items)
+        except TypeError:
+            got = type(items).__name__
+            raise DomainError(f"{what} must be an iterable of {kind}, got {got}") from None
+    rows, keys = list(rows), list(keys)
     for row in rows:
         if not isinstance(row, SweepRow):
             raise DomainError(f"rows must be SweepRows, got {type(row).__name__}")
         if not isinstance(row.params, Mapping):
             kind = type(row.params).__name__
             raise DomainError(f"sweep row params must be a mapping, got {kind}")
+        if not isinstance(row.reason, str):
+            raise DomainError(f"sweep row reason must be a string, got {type(row.reason).__name__}")
     for key in keys:
         try:
             hash(key)
@@ -348,8 +356,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         raise DomainError("cannot plot an empty simulation result")
     path = Path(path)
 
-    e1, cap = result.normalization
-    leg, spring = result.config.leg, result.config.spring
+    leg, spring, cap = result.config.leg, result.config.spring, result.config.force_cap
     if kind == "force_deflection":
         field, scale, title = "hip_force", cap, "Force vs. spring deflection"
         y_label = "hip force / force cap"
@@ -357,7 +364,8 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         ref_x = np.linspace(0.0, leg.max_deformation, 64)
         ref_y = result.config.body.weight * ref_x / leg.max_deformation
     else:
-        field, scale, title = "stored_energy", e1, "Stored energy vs. spring deflection"
+        field, scale = "stored_energy", e1_max(result.config.body, leg)
+        title = "Stored energy vs. spring deflection"
         y_label = "stored energy / single-squat bound"
         # One squat compresses the spring up to the cap, or to solid.
         d_cap = min(cap / spring.stiffness, spring.free_length - spring.solid_length)

@@ -18,8 +18,7 @@ from springleg import (
     LossModel,
     MeasuredCycle,
     SpringParams,
-    average_force,
-    e1_max,
+    baseline_result,
     emit_plot_svg,
     emit_sweep_csv,
     emit_trajectory_csv,
@@ -28,10 +27,8 @@ from springleg import (
     min_squats,
     parse_config,
     release_profile,
-    required_stiffness,
     simulate,
     spring_energy,
-    stored_energy_single,
     sweep,
 )
 
@@ -227,13 +224,14 @@ def test_criterion_7_baseline_identities():
     body = BodyParams(mass=10.0, gravity=10.0)
     geom = LegGeometry(segment_length=0.25, standing_length=0.5, max_deformation=0.2)
     for bottom_force in np.linspace(0.0, body.weight, 21):
-        energy = stored_energy_single(average_force(bottom_force, body), body, geom)
-        k = required_stiffness(bottom_force, body, geom)
-        assert energy == pytest.approx(0.5 * k * geom.max_deformation**2, rel=1e-12)
-        assert energy <= e1_max(body, geom) * (1 + 1e-12)
+        single = baseline_result(bottom_force, body, geom)
+        k = single.stiffness
+        assert single.stored_energy == pytest.approx(0.5 * k * geom.max_deformation**2, rel=1e-12)
+        assert single.stored_energy <= single.e1_max * (1 + 1e-12)
 
     # mechanism at unity advantage with the spring spanning the leg
-    k = required_stiffness(0.0, body, geom)
+    leg_free = baseline_result(0.0, body, geom)
+    k = leg_free.stiffness
     spring = SpringParams(stiffness=k, free_length=0.5, solid_length=0.2)
     config = Configuration(
         body=body, leg=geom, spring=spring, initial_spring_position=geom.segment_length
@@ -242,8 +240,7 @@ def test_criterion_7_baseline_identities():
         f = hip_force(geom.segment_length, geom.standing_length - deformation, geom, spring)
         assert f == pytest.approx(k * deformation, rel=1e-12, abs=1e-12)
     result = simulate(config)
-    expected = stored_energy_single(average_force(0.0, body), body, geom)
-    assert result.records[0].energy_after == pytest.approx(expected, rel=1e-12)
+    assert result.records[0].energy_after == pytest.approx(leg_free.stored_energy, rel=1e-12)
     report(7, True, "baseline chain identities and mechanism reduction at 1e-12")
 
 

@@ -605,6 +605,21 @@ class TestFitModel:
             "measured forces must be finite and positive to bound the cap search"
         )
 
+    @pytest.mark.parametrize(
+        "f_max, box",
+        [(5e-324, "(0.0, 5e-324)"), (1e-323, "(5e-324, 1e-323)"), (1.5e308, "(7.5e+307, inf)")],
+        ids=["underflow", "subnormal", "overflow"],
+    )
+    @pytest.mark.parametrize("fit_efficiency", [True, False])
+    def test_cap_search_box_out_of_range_rejected(self, monkeypatch, f_max, box, fit_efficiency):
+        """0.5 * f_max underflows to 0 or 1.25 * f_max overflows; on a subnormal box
+        Brent's search can step to a cap of 0. Each is one ``DataError`` before any point runs."""
+        monkeypatch.setattr(calibration, "_run", no_search)
+        cycles = [MeasuredCycle(n, np.array([0.0, 0.01]), np.array([0.0, f_max])) for n in (1, 2)]
+        with pytest.raises(DataError) as error:
+            fit_model(cycles, worked_config(), fit_efficiency=fit_efficiency)
+        assert str(error.value) == f"cap search box {box} must be finite, not subnormal"
+
     @pytest.mark.parametrize("scale", [1e154, 1.5e307])
     @pytest.mark.parametrize(
         "fit_efficiency, fit_force_cap", [(True, True), (True, False), (False, True)]

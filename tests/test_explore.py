@@ -20,6 +20,7 @@ from springleg import (
     StallError,
     SweepRow,
     config_from_values,
+    e1_max,
     max_energy,
     min_squats,
     parse_config,
@@ -468,7 +469,7 @@ def reference_row(template, point) -> SweepRow:
         return SweepRow(params=params, status="invalid", reason=str(exc))
     except (StallError, SimulationError) as exc:
         return SweepRow(params=params, status="stall", reason=str(exc))
-    e1, cap = result.normalization
+    e1, cap = e1_max(config.body, config.leg), config.force_cap
     peak = max(result.squats.f_end)
     return SweepRow(
         params=params,

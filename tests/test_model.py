@@ -26,7 +26,6 @@ from springleg import (
     min_squats,
     simulate,
     spring_energy,
-    spring_force,
 )
 
 from conftest import values_from_config, worked_config
@@ -35,45 +34,40 @@ GEOM = LegGeometry(segment_length=0.2, standing_length=0.3, max_deformation=0.1)
 SPRING = SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.04)
 
 
-class TestSpringForce:
-    def test_undeformed_spring_is_force_free(self):
-        assert spring_force(0.12, SPRING) == 0.0
-
-    def test_direct_substitution(self):
-        assert spring_force(0.10, SPRING) == pytest.approx(20.0)
-
-    def test_prototype_scale_constants(self):
-        proto = SpringParams(stiffness=900.0, free_length=0.114, solid_length=0.05)
-        assert spring_force(0.104, proto) == pytest.approx(9.0)
-
-    def test_slack_and_solid_rejected(self):
-        with pytest.raises(DomainError, match="slack"):
-            spring_force(0.13, SPRING)
-        with pytest.raises(DomainError, match=r"^spring length s=1 exceeds"):  # as given
-            spring_force(1, SPRING)
-        with pytest.raises(DomainError, match="solid"):
-            spring_force(0.03, SPRING)
-        with pytest.raises(DomainError, match="s=nan"):
-            spring_force(math.nan, SPRING)
-        with pytest.raises(DomainError, match="spring length s needs a number, got 'x'"):
-            spring_force("x", SPRING)
-
-
 class TestHipForce:
     def test_zero_moment_arm(self):
         assert hip_force(0.0, 0.10, GEOM, SPRING) == 0.0
 
+    def test_undeformed_spring_is_force_free(self):
+        assert hip_force(0.2, 0.12, GEOM, SPRING) == 0.0
+
     def test_unity_ratio_equals_spring_force(self):
+        # k * (s0 - s) at x = segment_length
         assert hip_force(0.2, 0.10, GEOM, SPRING) == pytest.approx(20.0)
+
+    def test_prototype_scale_constants(self):
+        proto = SpringParams(stiffness=900.0, free_length=0.114, solid_length=0.05)
+        assert hip_force(0.2, 0.104, GEOM, proto) == pytest.approx(9.0)
 
     def test_interior_point(self):
         assert hip_force(0.08, 0.08, GEOM, SPRING) == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("x", [0.05, 0.1, 0.15])
+    def test_scales_the_spring_force_by_the_moment_arm(self, x):
+        # (x / segment_length) * k * (s0 - s), with k * (s0 - s) = 20 N at s = 0.10
+        assert hip_force(x, 0.10, GEOM, SPRING) == pytest.approx(x / 0.2 * 20.0)
+
+    def test_spring_length_shown_as_given(self):
+        with pytest.raises(DomainError, match=r"^spring length s=1 exceeds"):
+            hip_force(0.2, 1, GEOM, SPRING)
+
     def test_propagates_domain_errors(self):
         with pytest.raises(DomainError):
             hip_force(0.3, 0.10, GEOM, SPRING)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="slack"):
             hip_force(0.1, 0.2, GEOM, SPRING)
+        with pytest.raises(DomainError, match="solid"):
+            hip_force(0.1, 0.03, GEOM, SPRING)
         with pytest.raises(DomainError, match="s=nan"):
             hip_force(0.25 * GEOM.segment_length, math.nan, GEOM, SPRING)
         for bad in ("x", None):
@@ -114,7 +108,8 @@ class TestSpringEnergy:
 
     def test_slack_solid_and_nan_rejected(self):
         no_number = "spring length s needs a number"
-        cases = [(0.13, "slack"), (0.03, "solid"), (math.nan, "s=nan")]
+        cases = [(0.13, "slack"), (1, "^spring length s=1 exceeds"), (0.03, "solid")]
+        cases += [(math.nan, "s=nan")]
         for s, message in cases + [(s, no_number) for s in ("x", True, None)]:
             with pytest.raises(DomainError, match=message):
                 spring_energy(s, SPRING)

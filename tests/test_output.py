@@ -18,6 +18,7 @@ from springleg import (
     SpringParams,
     SweepRow,
     Trajectory,
+    e1_max,
     emit_plot_svg,
     emit_sweep_csv,
     emit_trajectory_csv,
@@ -362,8 +363,8 @@ class TestSweepCsv:
         assert [row.status for row in rows] == ["invalid"] * 11 + ["ok"] * 3
         keys = ["policy", "mass_kg", "a,b", 1]
         path = emit_sweep_csv(rows, keys, tmp_path / "sweep.csv")
-        # A generator of the rows writes the same bytes as their list.
-        streamed = emit_sweep_csv((row for row in rows), keys, tmp_path / "streamed.csv")
+        # Generators of the rows and of the keys write the same bytes as their lists.
+        streamed = emit_sweep_csv((row for row in rows), iter(keys), tmp_path / "streamed.csv")
         assert streamed.read_bytes() == path.read_bytes()
         with open(path, newline="") as handle:
             header, *table = csv.reader(handle)
@@ -405,8 +406,9 @@ class TestSweepCsv:
                 "sweep row params must be a mapping, got NoneType",
             ),
             ([SweepRow([1], "ok")], "sweep row params must be a mapping, got list"),
+            ([SweepRow({}, "ok", reason=5)], "sweep row reason must be a string, got int"),
         ],
-        ids=["none", "int", "object", "mapping", "params_none", "params_list"],
+        ids=["none", "int", "object", "mapping", "params_none", "params_list", "reason_int"],
     )
     def test_rows_that_are_no_sweep_rows_rejected_before_writing(self, tmp_path, rows, message):
         path = tmp_path / "sweep.csv"
@@ -414,6 +416,21 @@ class TestSweepCsv:
             emit_sweep_csv(rows, ["mass_kg"], path)
         assert str(error.value) == message
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "keys, name, message",
+        [
+            (None, "sweep.csv", "keys must be an iterable of column names, got NoneType"),
+            (["mass_kg"], None, "path must be a str or os.PathLike, got NoneType"),
+        ],
+        ids=["keys_none", "path_none"],
+    )
+    def test_keys_and_path_checked_before_writing(self, tmp_path, keys, name, message):
+        rows = sweep(worked_config(), [{"mass_kg": 12.0}])
+        with pytest.raises(DomainError) as error:
+            emit_sweep_csv(rows, keys, name and tmp_path / name)
+        assert str(error.value) == message
+        assert not any(tmp_path.iterdir())
 
 
 class TestBlockFormatting:
@@ -539,7 +556,7 @@ class TestPlotSvg:
         # to the deflection at the force cap, or to solid.
         config = worked_config()
         result = simulate(config)
-        e1, cap = result.normalization
+        e1, cap = e1_max(config.body, config.leg), config.force_cap
         spring = config.spring
         with mock.patch.object(output, "_polyline", wraps=output._polyline) as spy:
             emit_plot_svg(result, kind, tmp_path / "plot.svg")
