@@ -25,21 +25,22 @@ out = here / "output"
 config = parse_config(here.parent / "configs" / "four_squat_demo.cfg")
 
 result = simulate(config)
+q = result.squats  # per-squat columns
 print(f"force cap: {config.force_cap:.0f} N (equal to the body weight)")
 print()
-for record in result.records:
-    state = record.state
+for n, squat in enumerate(zip(q.x, q.s_start, q.s_end, q.f_start, q.f_end, q.stop), 1):
+    x, s_start, s_end, f_start, f_end, stop = squat
     print(
-        f"squat {state.iteration}: spring position {state.spring_position * 1000:6.1f} mm, "
-        f"spring {state.spring_length_start * 1000:6.1f} -> {state.spring_length_end * 1000:6.1f} mm, "
-        f"hip force {record.start_force:6.1f} -> {record.end_force:6.1f} N  "
-        f"[{record.stop_reason.value}]"
+        f"squat {n}: spring position {x * 1000:6.1f} mm, "
+        f"spring {s_start * 1000:6.1f} -> {s_end * 1000:6.1f} mm, "
+        f"hip force {f_start:6.1f} -> {f_end:6.1f} N  "
+        f"[{stop.value}]"
     )
 
 print()
-print(f"stored after {len(result.records)} squats: {result.final_energy:.1f} J")
-print(f"one capped squat stores:                 {result.records[0].energy_after:.1f} J")
-print(f"ratio: {result.final_energy / result.records[0].energy_after:.2f}x")
+print(f"stored after {len(q.x)} squats: {result.final_energy:.1f} J")
+print(f"one capped squat stores:                 {q.e_after[0]:.1f} J")
+print(f"ratio: {result.final_energy / q.e_after[0]:.2f}x")
 
 # Reset the spring to the hip-to-ankle position and let it push back.
 released = release_profile(result.final_spring_length, config)

@@ -20,14 +20,15 @@ base = parse_config(here.parent / "configs" / "four_squat_demo.cfg")
 for efficiency in (1.0, 0.84):
     config = replace(base, loss=LossModel(efficiency=efficiency), max_iterations=8)
     result = simulate(config)
+    q = result.squats  # per-squat columns
     print(f"efficiency {efficiency:.2f}: "
-          f"{len(result.records)} squats, final energy {result.final_energy:7.1f} J, "
+          f"{len(q.x)} squats, final energy {result.final_energy:7.1f} J, "
           f"full compression "
           f"{'at squat %d' % result.iterations_to_full_compression if result.iterations_to_full_compression else 'not reached'}")
-    for prev, cur in zip(result.records, result.records[1:]):
-        locked = spring_energy(prev.state.spring_length_end, config.spring)
-        carried = spring_energy(cur.state.spring_length_start, config.spring)
-        print(f"   transition {prev.state.iteration} -> {cur.state.iteration}: "
+    for n in range(1, len(q.x)):
+        locked = spring_energy(q.s_end[n - 1], config.spring)
+        carried = spring_energy(q.s_start[n], config.spring)
+        print(f"   transition {n} -> {n + 1}: "
               f"{locked:7.1f} J locked, {carried:7.1f} J carried over "
               f"({carried / locked:.2f})")
     print()
@@ -36,11 +37,11 @@ for efficiency in (1.0, 0.84):
 # away from the knee, and the next squat spends leg travel re-tensioning.
 config = replace(base, loss=LossModel(efficiency=1.0, ratchet_pitch=0.02))
 result = simulate(config)
+q = result.squats
 print("ratchet pitch 20 mm:")
-for record in result.records:
-    state = record.state
-    print(f"  squat {state.iteration}: position {state.spring_position * 1000:6.1f} mm, "
-          f"dead band {state.dead_band * 1000:5.1f} mm, "
-          f"energy {record.energy_after:7.1f} J [{record.stop_reason.value}]")
+for n, (x, dead_band, e_after, stop) in enumerate(zip(q.x, q.dead_band, q.e_after, q.stop), 1):
+    print(f"  squat {n}: position {x * 1000:6.1f} mm, "
+          f"dead band {dead_band * 1000:5.1f} mm, "
+          f"energy {e_after:7.1f} J [{stop.value}]")
 print(f"final energy {result.final_energy:.1f} J vs {simulate(base).final_energy:.1f} J "
       "with continuous locking")

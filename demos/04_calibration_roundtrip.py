@@ -28,17 +28,18 @@ print(f"ground truth: efficiency {true_config.loss.efficiency}, "
       f"force cap {true_config.force_cap:.4f} N")
 
 result = simulate(true_config)
+q = result.squats  # per-squat columns
 rng = np.random.default_rng(7)
 cycles = []
-for record, trajectory in zip(result.records, result.trajectories):
+for n, (s_start, s_end, trajectory) in enumerate(zip(q.s_start, q.s_end, result.trajectories), 1):
     noise = rng.normal(0.0, 0.01 * float(np.max(trajectory.hip_force)), trajectory.hip_force.shape)
     cycles.append(
         MeasuredCycle(
-            iteration=record.state.iteration,
+            iteration=n,
             hip_displacement=trajectory.leg_deformation,
             hip_force=trajectory.hip_force + noise,
-            spring_length_start=record.state.spring_length_start,
-            spring_length_end=record.state.spring_length_end,
+            spring_length_start=s_start,
+            spring_length_end=s_end,
         )
     )
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cyclic import Run, _strokes
+from .cyclic import _BLOCK, _SLACK, Run, _strokes
 from .errors import DataError, DomainError, SimulationError
 from .model import CompressionPolicy, Configuration, SpringParams, _integer
 from .model import _real, _repr
@@ -43,8 +43,6 @@ RATIO_TOL = 1e-9
 _EFFICIENCY_BOX = (0.05, 1.0)
 #: Grid points along each fitted unknown's box.
 _GRID_POINTS = 17
-#: Most stroke-samples the objective holds in one temporary array.
-_BLOCK_ELEMENTS = 1 << 14
 #: Relative spread of objective values within which a fit grid is flat.
 _FLAT_RTOL = 1e-9
 #: The grid's bound sums the measured points this picks, less this share of the sum.
@@ -112,19 +110,13 @@ def integrate_work(cycle: MeasuredCycle) -> float:
     """Trapezoidal work integral of the measured force over displacement;
     ``DataError`` if the cycle has fewer than two samples or the integral
     overflows."""
-    work = _work(cycle)
-    if not math.isfinite(work):
-        raise DataError(f"cycle {_repr(cycle.iteration)}: work integral overflows, got {work}")
-    return work
-
-
-def _work(cycle: MeasuredCycle) -> float:
-    """``integrate_work`` without its finiteness check: a fit that overflows
-    reports its non-finite residual instead."""
     if len(cycle.hip_displacement) < 2:
         raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.trapezoid(cycle.hip_force, cycle.hip_displacement))
+        work = float(np.trapezoid(cycle.hip_force, cycle.hip_displacement))
+    if not math.isfinite(work):
+        raise DataError(f"cycle {_repr(cycle.iteration)}: work integral overflows, got {work}")
+    return work
 
 
 def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> list[float]:
@@ -200,10 +192,11 @@ def fit_model(
     ------
     DataError
         On cycles that are not an iterable of ``MeasuredCycle``, fewer than
-        two cycles, a cycle with fewer than two samples, nothing to fit, a
-        force cap to fit under ``full_range`` (which ignores the cap), a cap
-        search box that overflows or is subnormal, or a non-finite residual
-        (forces whose squares overflow).
+        two cycles, a cycle with fewer than two samples or a work integral
+        that overflows, nothing to fit, a force cap to fit under
+        ``full_range`` (which ignores the cap), a cap search box that
+        overflows or is subnormal, or a non-finite residual (forces whose
+        squares overflow).
     """
     cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
     if not all(isinstance(c, MeasuredCycle) for c in cycles):
@@ -216,7 +209,7 @@ def fit_model(
         raise DataError("force cap has no effect under full_range: fit the efficiency only")
     ordered = sorted(cycles, key=lambda c: c.iteration)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a non-finite residual
-        cycle_work = tuple(_work(c) for c in ordered)
+        cycle_work = tuple(map(integrate_work, ordered))
         f_max = max(float(np.max(c.hip_force)) for c in ordered)
         if not (math.isfinite(f_max) and f_max > 0):
             raise DataError("measured forces must be finite and positive to bound the cap search")
@@ -279,7 +272,7 @@ class _Measured:
         self.leg_length = [lstand - d for d, _ in self.traces]
         self.points = sum(len(f) for _, f in self.traces)
         longest = max(config.sample_count, *(len(f) for _, f in self.traces))
-        self.rows = max(1, _BLOCK_ELEMENTS // longest)  # strokes sampled at once
+        self.rows = max(1, _BLOCK // longest)  # strokes sampled at once
 
     squared = cached_property(lambda m: [np.sum(f**2) for _, f in m.traces])
     at_ends = cached_property(lambda m: [np.sum(np.interp(m.ends, *c) ** 2) for c in m.traces])
@@ -302,9 +295,8 @@ def _run(m: _Measured, config: Configuration, eta: float, cap: float) -> list[tu
 
 
 def _strokes_of(run: list[tuple], cycles) -> list[int]:
-    """The listed cycles whose squat has a stroke: run, and not slack (only an
-    ENGAGED_ONLY squat ends at the length it started from)."""
-    return [i for i in cycles if i < len(run) and run[i][1] != run[i][3]]
+    """The listed cycles whose squat has a stroke: run, and not ENGAGED_ONLY (slack)."""
+    return [i for i in cycles if i < len(run) and run[i][4] is not _SLACK]
 
 
 def _errors(m: _Measured, config: Configuration, run: list[tuple], cycles) -> np.ndarray:
@@ -359,7 +351,7 @@ def _lowest(measured: _Measured, config: Configuration, eta, cap) -> tuple[int, 
     f, leg_length = (v[_BOUND_PICK] for v in (measured.traces[last][1], measured.leg_length[last]))
     lower = np.full(len(runs), measured.squared[last])
     strokes = [lane for lane, run in enumerate(runs) if _strokes_of(run, [last])]
-    rows = max(1, _BLOCK_ELEMENTS // len(f))
+    rows = max(1, _BLOCK // len(f))
     for a in range(0, len(strokes), rows):  # blocks of lanes
         part = strokes[a : a + rows]
         x, start, stop = np.array([itemgetter(0, 2, 9)(runs[lane][last]) for lane in part]).T

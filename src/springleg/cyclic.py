@@ -39,9 +39,10 @@ class StopReason(enum.Enum):
 
 # Bound once: looking up an enum member costs more than a squat's arithmetic.
 _BY_CAP, _BY_RANGE, _BY_SOLID = StopReason.FORCE_CAP, StopReason.LEG_RANGE, StopReason.SPRING_SOLID
-#: Samples per array that one ``_sampled`` call of ``_trajectories`` builds at most
-#: (one squat's, if it has more): what emitting a run holds at once.
-_BLOCK_SAMPLES = 1 << 14
+_SLACK = StopReason.ENGAGED_ONLY  # the one stop whose squat has no stroke
+#: Values per numpy temporary, in every numpy layer: a ``_trajectories`` block's samples
+#: per array (one squat's, if it has more), the fit's stroke-samples, the speller's cells.
+_BLOCK = 1 << 14
 
 
 class Termination(enum.Enum):
@@ -146,15 +147,15 @@ def _trajectories(result: SimResult) -> Iterator[Trajectory]:
     """Sampled stroke of every squat of ``result``, in run order: the engaged
     stroke only, since the dead band carries no force and no spring motion.  An
     ENGAGED_ONLY squat is slack throughout, so two endpoints suffice.  One
-    ``_sampled`` call serves a block of squats of at most ``_BLOCK_SAMPLES``
+    ``_sampled`` call serves a block of squats of at most ``_BLOCK``
     samples, so a consumer that keeps no stroke holds one block at a time."""
     import numpy as np
 
     config, q = result.config, result.squats
-    size = max(1, _BLOCK_SAMPLES // config.sample_count)
+    size = max(1, _BLOCK // config.sample_count)
     for a in range(0, len(q.x), size):
         block = slice(a, a + size)
-        engaged = [stop is not StopReason.ENGAGED_ONLY for stop in q.stop[block]]
+        engaged = [stop is not _SLACK for stop in q.stop[block]]
         x, start, stop = (np.array(c[block])[engaged] for c in (q.x, q.dead_band, q.travel))
         sampled = map(Trajectory, *_sampled(config, x, start, stop))
         for stroke, s_start, travel in zip(engaged, q.s_start[block], q.travel[block]):
@@ -225,8 +226,7 @@ def _recurrence(
             # used up before (or exactly when) the cable re-tensions.
             force = hip_force(x, s_start, geom, spring)
             energy = spring_energy(s_start, spring)
-            stop = StopReason.ENGAGED_ONLY
-            return x, s_start, dead_band, s_start, stop, force, force, energy, energy, dlmax
+            return x, s_start, dead_band, s_start, _SLACK, force, force, energy, energy, dlmax
         raise StallError(
             f"squat {n}: no compression possible below spring length "
             f"{s_start} (binding stop: {stop.value} at {s_end})"

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .baseline import e1_max
-from .cyclic import SimResult, Squats, _trajectories
+from .cyclic import _BLOCK, SimResult, Squats, _trajectories
 from .errors import DataError, DomainError
 from .explore import SweepRow
 from .model import Trajectory, _integer, _repr
@@ -37,8 +37,6 @@ _SWEEP_COLUMNS = {
     "iterations_to_full": "iterations_to_full_compression", "peak_force_n": "peak_force",
     "final_over_e1max": "final_over_e1max", "peak_over_cap": "peak_over_cap",
 }
-#: Most rows one digit-table pass spells: temporaries stay small.
-_BLOCK_ROWS = 1 << 12
 #: What the "surrogateescape" error handler reads an undecodable byte as.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -64,10 +62,13 @@ def emit_trajectory_csv(
     per-squat summary next to it (``<stem>_summary.csv``).
 
     A SimResult's squats are sampled and written a block at a time, so memory
-    does not grow with the squat count.  A write error part-way (a full disk)
-    raises ``DomainError`` and leaves a partial file.  Returns the trajectory
-    CSV path.
+    does not grow with the squat count.  ``data`` of another type raises
+    ``DomainError`` before anything is written; a write error part-way (a full
+    disk) raises it too and leaves a partial file.  Returns the trajectory CSV
+    path.
     """
+    if not isinstance(data, (SimResult, Trajectory)):
+        raise DomainError(f"data must be a SimResult or a Trajectory, got {type(data).__name__}")
     path = Path(path)
     if isinstance(data, SimResult):
         if not data.squats.x:
@@ -100,8 +101,9 @@ def _trajectory_rows(trajectory: Trajectory, iteration: int | str) -> Iterator[s
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     prefix = f"{iteration},".encode()
     prefix = np.frombuffer(prefix + b"\0" * (-len(prefix) % 4), "<u4")
-    for a in range(0, len(table), _BLOCK_ROWS):
-        block = table[a : a + _BLOCK_ROWS]
+    rows = _BLOCK // 4  # one digit-table pass spells a block of four-cell rows
+    for a in range(0, len(table), rows):
+        block = table[a : a + rows]
         words, fast = _spell(block, prefix)
         start = 0
         for row in (*np.flatnonzero(~fast).tolist(), len(block)):
@@ -345,11 +347,14 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     single-squat energy bound, with the capped single-squat energy curve
     dashed.  Output bytes depend only on the result.  The axis bounds come
     from each stroke's two ends, and the squats are sampled a block at a time,
-    so memory does not grow with the squat count; a write error part-way
-    raises ``DomainError`` and leaves a partial file.
+    so memory does not grow with the squat count.  A ``result`` that is no
+    ``SimResult`` raises ``DomainError`` before anything is written; a write
+    error part-way raises it too and leaves a partial file.
     """
     import numpy as np
 
+    if not isinstance(result, SimResult):
+        raise DomainError(f"result must be a SimResult, got {type(result).__name__}")
     if kind not in PLOT_KINDS:
         raise DomainError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if not result.squats.x:
@@ -460,8 +465,8 @@ def _polyline(x, y, sx, sy, color: str, dashed: bool = False) -> str:
     separators = np.array([ord(","), ord(" ")], "<u4") << 16
     pieces, start = [], 0
     for row in (*np.flatnonzero(~fast.all(axis=1)).tolist(), len(table)):
-        for a in range(start, row, _BLOCK_ROWS):
-            whole, part = np.divmod(cent[a : min(a + _BLOCK_ROWS, row)].astype(np.int64), 100)
+        for a in range(start, row, _BLOCK // 4):  # the rows ``_trajectory_rows`` spells at once
+            whole, part = np.divmod(cent[a : min(a + _BLOCK // 4, row)].astype(np.int64), 100)
             words = np.stack((units[whole], cents[part] | separators), axis=-1)
             pieces.append(words.tobytes().translate(None, b"\0").decode())
         if row < len(table):

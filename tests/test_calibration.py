@@ -264,6 +264,18 @@ class TestEstimateEfficiency:
         with pytest.warns(UserWarning, match="cannot grow"):
             estimate_efficiency(cycles, SPRING)
 
+    def test_transition_from_a_free_spring_skipped(self):
+        # Cycle 2 locks the spring at its free length: no energy to retain, no ratio.
+        lengths = [(0.12, 0.09), (0.09, 0.12), (0.12, 0.08), (0.085, 0.07)]
+        cycles = [
+            MeasuredCycle(n, [0.0, 0.1], [0.0, 1.0], start, end)
+            for n, (start, end) in enumerate(lengths, 1)
+        ]
+        energy = [calibration.spring_energy(s, SPRING) for s in (0.08, 0.085)]
+        ratios = [1.0, energy[1] / energy[0]]  # transitions 1->2 and 3->4
+        assert calibration.retention_ratios(cycles, SPRING) == ratios
+        assert estimate_efficiency(cycles, SPRING) == math.exp(math.log(ratios[1]) / 2)
+
     @ITERATIONS
     def test_transition_messages(self, iteration):
         def pair(end, start):
@@ -625,16 +637,21 @@ class TestFitModel:
         "fit_efficiency, fit_force_cap", [(True, True), (True, False), (False, True)]
     )
     def test_overflowing_residual_is_a_data_error_without_warnings(
-        self, fit_efficiency, fit_force_cap, scale
+        self, monkeypatch, fit_efficiency, fit_force_cap, scale
     ):
-        """Forces whose squares overflow (and at 1.5e307 their work integral too)
-        give one ``DataError`` and no numpy warning."""
+        """Forces whose squares overflow give one ``DataError`` and no numpy
+        warning; at 1.5e307 their work integral overflows too, which
+        ``integrate_work`` reports before any point runs."""
         _, cycles, base = self.criterion_8()
         cycles = [replace(c, hip_force=c.hip_force * scale) for c in cycles]
+        message = "non-finite force residual at the fitted parameters"
+        if scale > 1e300:
+            monkeypatch.setattr(calibration, "_run", no_search)
+            message = "cycle 1: work integral overflows, got inf"
         with warnings.catch_warnings(record=True) as caught, pytest.raises(DataError) as error:
             warnings.simplefilter("always")
             fit_model(cycles, base, fit_efficiency=fit_efficiency, fit_force_cap=fit_force_cap)
-        assert str(error.value) == "non-finite force residual at the fitted parameters"
+        assert str(error.value) == message
         assert [str(w.message) for w in caught] == []
 
     def test_spring_lengths_outside_the_spring_give_no_ratios(self):

@@ -22,7 +22,7 @@ from springleg import (
     spring_energy,
 )
 from springleg.cyclic import Run, StopReason, Termination
-from springleg.explore import _jumped_run, _outcome
+from springleg.explore import _jumped_run, _orbits, _outcome
 from springleg.model import initial_spring_length
 
 from conftest import CONFIG_DIR, random_config, worked_config
@@ -300,6 +300,36 @@ def test_full_range_runs_of_many_squats(efficiency, termination):
     assert run.termination is termination
     for fraction in (0.1, 0.5, 0.9, 1.0):
         assert_answers_match(config, fraction * spring_capacity(config))
+
+
+@pytest.mark.parametrize(
+    "efficiency, squats, termination",
+    [(1.0, 9, Termination.FULL_COMPRESSION), (0.9, 63, Termination.CONVERGED)],
+)
+def test_cap_orbit_past_its_pole_ends_as_the_run(efficiency, squats, termination):
+    # At 0.9 times the critical cap, disc > 0 and the cap map s -> s0 - K/s has
+    # the fixed points s0/2 -+ sqrt(disc)/2.  A run started in the cap band, a
+    # quarter of the way down from the lower fixed point to the band's lower
+    # root r1, falls away from that point and leaves the band; the closed form
+    # of its cap squats passes its pole within a few squats, where it is -inf.
+    config = worked_config(
+        spring=SpringParams(1000.0, 0.12, 0.002), loss=LossModel(efficiency=efficiency)
+    )
+    leg, s0, cap = config.leg, config.spring.free_length, 0.9 * critical_cap(config)
+    ratio = (leg.standing_length - leg.max_deformation) / leg.standing_length
+    c = cap * leg.standing_length / config.spring.stiffness
+    s_low = 0.5 * (s0 - math.sqrt(s0 * s0 - 4 * math.sqrt(efficiency) * c))
+    r1 = 0.5 * (s0 - math.sqrt(s0 * s0 - 4 * ratio * c)) / ratio
+    x1 = (r1 + 0.75 * (s_low - r1)) * leg.segment_length / leg.standing_length
+    config = replace(config, force_cap=cap, initial_spring_position=x1)
+    orbit = _orbits(config)[0](StopReason.FORCE_CAP, initial_spring_length(config))
+    assert orbit(squats) == -math.inf
+    run = Run(config, QUERY_BUDGET)
+    stops, energies = zip(*((squat[4], squat[8]) for squat in run))
+    assert stops[0] is StopReason.FORCE_CAP
+    assert (len(energies), run.termination) == (squats, termination)
+    assert max_energy(config) == energies[-1]
+    assert min_squats(config, energies[-1]) == squats
 
 
 def test_cap_too_small_for_the_closed_form_streams():

@@ -398,7 +398,7 @@ class TestSimulate:
             assert len(result.squats.x) in (5, 12)
             whole = stroke_bytes(result.trajectories)
             size = config.sample_count * squats_per_block
-            with mock.patch.object(cyclic, "_BLOCK_SAMPLES", size):
+            with mock.patch.object(cyclic, "_BLOCK", size):
                 assert stroke_bytes(result.trajectories) == whole
 
 

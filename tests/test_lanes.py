@@ -224,7 +224,7 @@ def test_lane_objective_matches_reference(case):
     # Blocks of 1-4 strokes, which also split a lane's cycles; ``_Measured`` fixes
     # its block size when it is built, so the lanes are evaluated inside the patch.
     longest = max(config.sample_count, *(len(c.hip_displacement) for c in cycles))
-    with mock.patch.object(calibration, "_BLOCK_ELEMENTS", (1 + case["seed"] % 4) * longest):
+    with mock.patch.object(calibration, "_BLOCK", (1 + case["seed"] % 4) * longest):
         blocked, _ = lane_points(cycles, config, eta, cap)
     squared = sum(float(np.sum(c.hip_force**2)) for c in cycles)
     for lane, (e, c) in enumerate(zip(eta, cap)):

@@ -139,6 +139,21 @@ class TestTrajectoryCsv:
         assert str(error.value) == f"cannot {verb} an empty simulation result"
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["trajectory", *PLOT_KINDS])
+    @pytest.mark.parametrize("data", [None, "run.csv", 5], ids=["none", "str", "int"])
+    def test_wrong_type_rejected_before_writing(self, tmp_path, kind, data):
+        with pytest.raises(DomainError) as error:
+            if kind == "trajectory":
+                emit_trajectory_csv(data, tmp_path / "out.csv")
+            else:
+                emit_plot_svg(data, kind, tmp_path / "out.svg")
+        if kind == "trajectory":
+            expected = "data must be a SimResult or a Trajectory"
+        else:
+            expected = "result must be a SimResult"
+        assert str(error.value) == f"{expected}, got {type(data).__name__}"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "iteration, message",
         [
@@ -386,6 +401,13 @@ class TestSweepCsv:
             *[["full_range", "12"]] * 3,
         ]
 
+    def test_float_subclass_spelled_as_a_float(self, tmp_path):
+        # np.float64 is a float but not exactly one: format_number spells it, not str.
+        rows = sweep(worked_config(), [{"ratchet_pitch_m": np.float64(5e-05)}])
+        assert rows[0].status == "ok" and str(rows[0].params["ratchet_pitch_m"]) == "5e-05"
+        path = emit_sweep_csv(rows, ["ratchet_pitch_m"], tmp_path / "sweep.csv")
+        assert path.read_text().splitlines()[1].split(",")[:2] == ["0.00005", "ok"]
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_unhashable_key_rejected_before_writing(self, tmp_path, rows):
         rows = sweep(worked_config(), [{"mass_kg": 12.0}] * rows)
@@ -447,7 +469,7 @@ class TestBlockFormatting:
     @example(rows=[FAST] * 7, iteration=4, block=3)  # three blocks, the last one short
     def test_trajectory_rows_match_per_row_output(self, rows, iteration, block):
         columns = [np.array(c, dtype=float) for c in zip(*rows)]
-        with mock.patch.object(output, "_BLOCK_ROWS", block):
+        with mock.patch.object(output, "_BLOCK", 4 * block):
             pieces = list(output._trajectory_rows(Trajectory(*columns), iteration))
         expected = [",".join((str(iteration), *map(format_number, row))) for row in rows]
         assert "\n".join(pieces).split("\n") == expected
@@ -480,7 +502,7 @@ class TestBlockFormatting:
         for iteration, block in zip(prefixes, (4096, 3, 1, 2, 5, 4096, 1, 2, 3, 4, 4096)):
             size = len(rows) if block in (3, 4096) else 500
             trajectory = Trajectory(*(c[:size] for c in columns))
-            with mock.patch.object(output, "_BLOCK_ROWS", block):
+            with mock.patch.object(output, "_BLOCK", 4 * block):
                 pieces = list(output._trajectory_rows(trajectory, iteration))
             if block == 4096:  # a run of spelled rows per piece: most rows
                 assert len(pieces) < size / 2
@@ -507,7 +529,7 @@ class TestBlockFormatting:
         def sy(v):
             return 424.0 - v
 
-        with mock.patch.object(output, "_BLOCK_ROWS", block):
+        with mock.patch.object(output, "_BLOCK", 4 * block):
             svg = output._polyline(x, y, sx, sy, "#444444")
         expected = " ".join(map("%.2f,%.2f".__mod__, zip(sx(x).tolist(), sy(y).tolist())))
         assert svg.split(' points="')[1] == f'{expected}"/>'
@@ -663,7 +685,7 @@ class TestBoundedMemory:
         # The emitters add nothing; the reader keeps a small entry per group until
         # its cycles are built, which hold the group's arrays as they were read.
         peaks = {}
-        with mock.patch.object(cyclic, "_BLOCK_SAMPLES", 50):
+        with mock.patch.object(cyclic, "_BLOCK", 50):
             for squats in (50, 400):
                 result, path = distinct_squats(squats), tmp_path / f"{squats}.csv"
                 peaks[squats] = {
