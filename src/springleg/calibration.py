@@ -108,8 +108,9 @@ class FitReport:
 
 def integrate_work(cycle: MeasuredCycle) -> float:
     """Trapezoidal work integral of the measured force over displacement;
-    ``DataError`` if the cycle has fewer than two samples or the integral
-    overflows."""
+    ``DataError`` if ``cycle`` is no ``MeasuredCycle``, has fewer than two
+    samples or its integral overflows."""
+    (cycle,) = _as_cycles([cycle])
     if len(cycle.hip_displacement) < 2:
         raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,9 +124,13 @@ def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> l
     """Energy ratio across each lock/retract transition, from measured spring lengths.
 
     Ratio n is the stored energy at the start of cycle n+1 over the stored
-    energy locked in at the end of cycle n.
+    energy locked in at the end of cycle n.  ``cycles`` that are no iterable of
+    ``MeasuredCycle`` raise ``DataError``, a ``spring`` that is no
+    ``SpringParams`` raises ``DomainError``.
     """
-    ordered = sorted(cycles, key=lambda c: c.iteration)
+    if not isinstance(spring, SpringParams):
+        raise DomainError(f"spring must be a SpringParams, got {type(spring).__name__}")
+    ordered = sorted(_as_cycles(cycles), key=lambda c: c.iteration)
     ratios: list[float] = []
     for before, after in zip(ordered, ordered[1:]):
         if before.spring_length_end is None or after.spring_length_start is None:
@@ -157,8 +162,11 @@ def estimate_efficiency(cycles: Sequence[MeasuredCycle], spring: SpringParams) -
     Raises
     ------
     DataError
-        If fewer than two consecutive cycles carry the spring lengths needed
-        to evaluate a transition.
+        If ``cycles`` is no iterable of ``MeasuredCycle``, or fewer than two
+        consecutive cycles carry the spring lengths needed to evaluate a
+        transition.
+    DomainError
+        If ``spring`` is no ``SpringParams``.
     """
     ratios = retention_ratios(cycles, spring)
     if not ratios:
@@ -197,10 +205,12 @@ def fit_model(
         ``full_range`` (which ignores the cap), a cap search box that
         overflows or is subnormal, or a non-finite residual (forces whose
         squares overflow).
+    DomainError
+        If ``config`` is no ``Configuration``.
     """
-    cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
-    if not all(isinstance(c, MeasuredCycle) for c in cycles):
-        raise DataError("cycles must be an iterable of MeasuredCycle objects")
+    cycles = _as_cycles(cycles)
+    if not isinstance(config, Configuration):
+        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
     if not (fit_efficiency or fit_force_cap):
@@ -261,6 +271,14 @@ def fit_model(
         retention_ratios=ratios,
         flat_objective=flat,
     )
+
+
+def _as_cycles(cycles: object) -> list[MeasuredCycle]:
+    """``cycles`` as a list; ``DataError`` unless it is an iterable of ``MeasuredCycle``."""
+    cycles = list(cycles) if isinstance(cycles, Iterable) else [None]
+    if not all(isinstance(c, MeasuredCycle) for c in cycles):
+        raise DataError("cycles must be an iterable of MeasuredCycle objects")
+    return cycles
 
 
 class _Measured:

@@ -13,7 +13,8 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import replace
 from functools import cache
-from itertools import chain, cycle
+from itertools import chain, cycle, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -168,43 +169,88 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
 
     Rows are grouped by the ``iteration`` column; the first and last
     ``spring_length_m`` of each group become the pre-squat and locked
-    spring lengths.  The file is read a line at a time into one pair of
-    float arrays per group, which the cycles keep.
+    spring lengths.  numpy's C parser reads the rows a block at a time
+    (``_parsed``); a file it cannot vouch for is read again by the line reader
+    (``_read_lines``), which alone raises, naming the line.  Either way memory
+    holds one block of rows beyond the cycles' float arrays.
     """
     from .calibration import MeasuredCycle
 
-    groups: dict[int, list] = {}  # displacements, forces, first and last spring length
     try:
         path = Path(path)
         # Universal newlines end a line at \r\n, \r and \n, not at \f or \v; an
         # undecodable byte reads as a lone surrogate, so its line can be named.
         with path.open(errors="surrogateescape") as file:
-            lines = ((n, line.rstrip("\n")) for n, line in enumerate(file, 1) if line.strip())
-            if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
-                raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
-            for lineno, line in lines:
-                if not line.isascii() and _UNDECODABLE.search(line):
-                    raise DataError(f"{path}:{lineno}: undecodable bytes in row {line!r}")
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-                try:
-                    iteration = int(parts[0])
-                    deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
-                group = groups.get(iteration)
-                if group is None:
-                    group = groups[iteration] = [array("d"), array("d"), s, s]
-                group[0].append(deformation)
-                group[1].append(f)
-                group[3] = s
+            groups = _parsed(file) if file.seekable() else None  # a pipe is read once
+            if groups is None:
+                if file.seekable():
+                    file.seek(0)
+                groups = _read_lines(file, path)
     except (OSError, TypeError) as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
-    return [
-        MeasuredCycle(iteration, displacement, force, first, last)
-        for iteration, (displacement, force, first, last) in groups.items()
-    ]
+    return [MeasuredCycle(*group) for group in groups]
+
+
+def _parsed(file) -> list[tuple] | None:
+    """``_read_lines``' groups, parsed by ``np.loadtxt`` a block of ``_BLOCK`` lines at a
+    time, or ``None`` where it cannot vouch for them: another header, a row ``loadtxt``
+    refuses, or an iteration whose rows resume after another's (the line reader merges
+    them).  ``loadtxt`` takes a subset of what ``int`` and ``float`` take, to the same
+    values: no ``_``, non-ASCII digit, blank cell or whitespace-only line."""
+    import numpy as np
+
+    if file.readline() != TRAJECTORY_HEADER + "\n":
+        return None
+    names = TRAJECTORY_HEADER.split(",")
+    dtype = [(names[0], "i8"), *((name, "f8") for name in names[1:])]
+
+    def runs() -> Iterator[tuple[int, np.ndarray]]:
+        # A block is a row and up to _BLOCK - 1 lines after it: loadtxt warns on a
+        # block with no row and, given max_rows, on each blank line.
+        while (first := next((line for line in file if line != "\n"), None)) is not None:
+            block = chain([first], islice(file, _BLOCK - 1))
+            rows = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1)
+            iterations = rows[names[0]]
+            starts = [0, *(np.flatnonzero(np.diff(iterations)) + 1).tolist(), len(rows)]
+            yield from ((int(iterations[a]), rows[a:b]) for a, b in zip(starts, starts[1:]))
+
+    groups = []
+    try:
+        for iteration, group in groupby(runs(), itemgetter(0)):
+            parts = [rows for _, rows in group]  # one group's rows, from one or more blocks
+            d, s, f = (np.concatenate([rows[name] for rows in parts]) for name in names[1:4])
+            groups.append((iteration, d, f, float(s[0]), float(s[-1])))
+    except ValueError:  # a row loadtxt refuses
+        return None
+    return groups if len({group[0] for group in groups}) == len(groups) else None
+
+
+def _read_lines(file, path: Path) -> list[tuple]:
+    """The groups (iteration, displacements, forces, first and last spring length) of
+    ``file`` in order of first row, read a line at a time; ``DataError`` naming the line
+    of the first row that is no five cells of an integer, three floats and any text."""
+    groups: dict[int, list] = {}  # displacements, forces, first and last spring length
+    lines = ((n, line.rstrip("\n")) for n, line in enumerate(file, 1) if line.strip())
+    if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
+        raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
+    for lineno, line in lines:
+        if not line.isascii() and _UNDECODABLE.search(line):
+            raise DataError(f"{path}:{lineno}: undecodable bytes in row {line!r}")
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        try:
+            iteration = int(parts[0])
+            deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
+        group = groups.get(iteration)
+        if group is None:
+            group = groups[iteration] = [array("d"), array("d"), s, s]
+        group[0].append(deformation)
+        group[1].append(f)
+        group[3] = s
+    return [(iteration, *group) for iteration, group in groups.items()]
 
 
 def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:

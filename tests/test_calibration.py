@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from springleg import (
     CompressionPolicy,
     DataError,
+    DomainError,
     LossModel,
     MeasuredCycle,
     SpringParams,
@@ -298,6 +299,55 @@ class TestEstimateEfficiency:
             f"{transition}: measured spring length outside the spring's range "
             "(spring length s=0.2 exceeds free_length=0.12 (slack))"
         )
+
+
+CYCLES_MESSAGE = "cycles must be an iterable of MeasuredCycle objects"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda cycles: integrate_work(None), DataError, CYCLES_MESSAGE),
+        (lambda cycles: integrate_work(5), DataError, CYCLES_MESSAGE),
+        (lambda cycles: estimate_efficiency(None, SPRING), DataError, CYCLES_MESSAGE),
+        (lambda cycles: estimate_efficiency(5, SPRING), DataError, CYCLES_MESSAGE),
+        (lambda cycles: estimate_efficiency([None, None], SPRING), DataError, CYCLES_MESSAGE),
+        (
+            lambda cycles: estimate_efficiency(cycles, None),
+            DomainError,
+            "spring must be a SpringParams, got NoneType",
+        ),
+        (
+            lambda cycles: estimate_efficiency(cycles, worked_config()),
+            DomainError,
+            "spring must be a SpringParams, got Configuration",
+        ),
+        (
+            lambda cycles: fit_model(cycles, None),
+            DomainError,
+            "config must be a Configuration, got NoneType",
+        ),
+        (
+            lambda cycles: fit_model(cycles, SPRING),
+            DomainError,
+            "config must be a Configuration, got SpringParams",
+        ),
+    ],
+    ids=[
+        "work_of_none", "work_of_int", "efficiency_of_none", "efficiency_of_int",
+        "efficiency_of_nones", "efficiency_spring_none", "efficiency_spring_config",
+        "fit_config_none", "fit_config_spring",
+    ],
+)
+def test_argument_of_the_wrong_type_is_a_library_error(monkeypatch, call, error, message):
+    """Each entry point rejects cycles that are no ``MeasuredCycle`` objects with one
+    ``DataError``, and a spring or config of another type with ``DomainError`` naming
+    it, before any point of a fit runs."""
+    monkeypatch.setattr(calibration, "_run", no_search)
+    with pytest.raises(error) as raised:
+        call(cycles_from_simulation(worked_config()))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 class TestFitModel:

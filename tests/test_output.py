@@ -2,14 +2,16 @@
 
 import csv
 import math
+import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
     DataError,
@@ -342,6 +344,175 @@ def assert_cycles_equal(cycles, expected) -> None:
             assert got.tobytes() == want.tobytes()  # -0.0 too
         lengths = (cycle.spring_length_start, cycle.spring_length_end)
         assert [x.hex() for x in lengths] == [first.hex(), last.hex()]
+
+
+def read_both(path: Path, block: int | None = None) -> tuple:
+    """``read_measured_cycles`` of ``path``, whether the line reader served it, and the
+    line reader's own result; a result is the cycles or the ``DataError`` text."""
+
+    def outcome():
+        try:
+            return read_measured_cycles(path)
+        except DataError as error:
+            return str(error)
+
+    with mock.patch.object(output, "_BLOCK", block or output._BLOCK):
+        with mock.patch.object(output, "_read_lines", wraps=output._read_lines) as lines:
+            got = outcome()
+        with mock.patch.object(output, "_parsed", return_value=None):
+            want = outcome()
+    return got, lines.called, want
+
+
+def assert_same_outcome(got, want) -> None:
+    """Equal ``DataError`` texts, or cycles equal bit for bit, lengths by ``float.hex``."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert_cycles_equal(
+        got,
+        [
+            (c.iteration, c.hip_displacement, c.hip_force, c.spring_length_start, c.spring_length_end)
+            for c in want
+        ],
+    )
+
+
+READER_ROWS = ("1,0,0.12,0,0", "1,0.001,0.119,0.9,0.5", "2,0,0.118,0,0", "2,0.002,0.117,1.8,1")
+
+
+def reader_text(*rows: str, end: str = "\n") -> bytes:
+    """A trajectory CSV of ``rows`` after the header, each line ended by ``end``."""
+    return "".join(line + end for line in (TRAJECTORY_HEADER, *rows)).encode(errors="surrogateescape")
+
+
+class TestReaderPaths:
+    """The C parser serves what it can vouch for; the line reader serves the rest and
+    alone raises.  Either way the cycles or the error equal the line reader's."""
+
+    @pytest.mark.parametrize(
+        "data, line_reader, error",
+        [
+            (reader_text("1,1_0,0.12,0,0"), True, None),
+            (reader_text("1,0,0.1٢,0,0"), True, None),
+            (reader_text("+1,0,0.12,0,0", "01,0.1,0.11,2,0"), False, None),
+            (reader_text("9223372036854775808,0,0.12,0,0"), True, None),
+            (reader_text("1,0,0.12,1e400,0"), False, "cycle 1: displacements and forces must be finite"),
+            (reader_text("1,0,inf,1,0"), False, "spring_length_start must be None or a finite number"),
+            (reader_text("1,0,0.12,0,#", *READER_ROWS[1:]), True, None),
+            (reader_text(READER_ROWS[0], "1,0.001,0.119,0.9"), True, ":3: expected 5 columns, got 4"),
+            (reader_text(READER_ROWS[0], "1,0.001,0.119,0.9,0,0"), True, ":3: expected 5 columns, got 6"),
+            (reader_text(READER_ROWS[0], " \t", *READER_ROWS[1:]), True, None),
+            (reader_text(*READER_ROWS, end="\r"), False, None),
+            (reader_text(*READER_ROWS, end="\r\n"), False, None),
+            (reader_text(READER_ROWS[0], "1,0.001,0.119,0.9,\udcff"), True, ":3: undecodable bytes"),
+            (reader_text(*READER_ROWS[::2], *READER_ROWS[1::2]), True, None),
+        ],
+        ids=[
+            "underscore_digits", "arabic_indic_digit", "plus_and_leading_zero_iterations",
+            "iteration_past_int64", "overflowing_force", "infinite_length", "hash_in_energy",
+            "four_columns", "six_columns", "whitespace_line", "cr_ends", "crlf_ends",
+            "undecodable_byte", "interleaved_iterations",
+        ],
+    )
+    def test_hazard_read_as_the_line_reader_reads_it(self, tmp_path, data, line_reader, error):
+        path = tmp_path / "hazard.csv"
+        path.write_bytes(data)
+        got, served_by_lines, want = read_both(path)
+        assert_same_outcome(got, want)
+        assert served_by_lines is line_reader
+        if error is None:
+            assert not isinstance(got, str), got
+        else:
+            assert error in got
+
+    @pytest.mark.parametrize(
+        "rows, blocks, lengths",
+        [
+            ((READER_ROWS[0], *READER_ROWS), [2, 2, 1], [3, 2]),
+            (READER_ROWS, [2, 2], [2, 2]),
+            ((*READER_ROWS, "", ""), [2, 2], [2, 2]),
+            ((READER_ROWS[0], "", *READER_ROWS[1:]), [1, 2, 1], [2, 2]),
+        ],
+        ids=[
+            "group_spans_two_blocks", "exactly_two_blocks", "two_blocks_then_blank_lines",
+            "blank_line_in_a_block",
+        ],
+    )
+    def test_blocks_join_as_one_read(self, tmp_path, rows, blocks, lengths):
+        """``loadtxt`` parses blocks of at most ``_BLOCK`` lines, which join into the
+        cycles of one read; a file that ends at a block's end makes no warning
+        (``loadtxt`` warns on a block with no row)."""
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(reader_text(*rows))
+        parsed, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            block = loadtxt(*args, **kwargs)
+            parsed.append(len(block))
+            return block
+
+        with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", counted):
+            warnings.simplefilter("error")
+            got, served_by_lines, want = read_both(path, block=2)
+        assert_same_outcome(got, want)
+        assert not served_by_lines
+        assert parsed == blocks
+        assert [len(c.hip_force) for c in got] == lengths
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_is_read_once_by_the_line_reader(self):
+        read, write = os.pipe()
+        try:
+            os.write(write, reader_text(*READER_ROWS))
+            os.close(write)
+            with mock.patch.object(output, "_parsed", side_effect=AssertionError) as parsed:
+                cycles = read_measured_cycles(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert not parsed.called
+        assert [c.iteration for c in cycles] == [1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "insert", "delete", "duplicate_line"]),
+                st.integers(0, 10**6),
+                st.sampled_from(list(b"019-+.e,_# \t\f\r\n\x00\xff")),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_mutated_csv_read_as_the_line_reader_reads_it(self, tmp_path_factory, emitted, edits):
+        data = bytearray(emitted)
+        for kind, at, byte in edits:
+            at %= len(data) + (kind == "insert")
+            if kind == "replace" and at < len(data):
+                data[at] = byte
+            elif kind == "insert":
+                data.insert(at, byte)
+            elif kind == "delete" and at < len(data):
+                del data[at]
+            elif kind == "duplicate_line":
+                start = data.rfind(b"\n", 0, at) + 1
+                stop = data.find(b"\n", at)
+                stop = len(data) if stop < 0 else stop + 1
+                data[stop:stop] = data[start:stop]
+        path = tmp_path_factory.mktemp("mutated") / "mutated.csv"
+        path.write_bytes(bytes(data))
+        got, _, want = read_both(path, block=5)
+        assert_same_outcome(got, want)
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory) -> bytes:
+    """A small emitted trajectory CSV: 3 squats of 4 samples."""
+    path = tmp_path_factory.mktemp("emitted") / "base.csv"
+    emit_trajectory_csv(simulate(worked_config(max_iterations=3, sample_count=4)), path)
+    return path.read_bytes()
 
 
 # Values on either side of where %.9g switches to an exponent; st.floats() adds nan and inf.
@@ -680,12 +851,13 @@ def overhead(call) -> int:
 
 class TestBoundedMemory:
     def test_emit_and_read_peaks_do_not_grow_with_the_rows(self, tmp_path):
-        # Blocks of 10 squats of 5 samples: 50 squats make 5 blocks, 400 make 40.
+        # Blocks of 10 squats of 5 samples: 50 squats make 5 blocks, 400 make 40;
+        # the reader parses blocks of 50 lines.
         # Holding every row, curve or read cell would add about 1 kB a squat.
         # The emitters add nothing; the reader keeps a small entry per group until
         # its cycles are built, which hold the group's arrays as they were read.
         peaks = {}
-        with mock.patch.object(cyclic, "_BLOCK", 50):
+        with mock.patch.object(cyclic, "_BLOCK", 50), mock.patch.object(output, "_BLOCK", 50):
             for squats in (50, 400):
                 result, path = distinct_squats(squats), tmp_path / f"{squats}.csv"
                 peaks[squats] = {
