@@ -110,7 +110,8 @@ def integrate_work(cycle: MeasuredCycle) -> float:
     """Trapezoidal work integral of the measured force over displacement;
     ``DataError`` if ``cycle`` is no ``MeasuredCycle``, has fewer than two
     samples or its integral overflows."""
-    (cycle,) = _as_cycles([cycle])
+    if not isinstance(cycle, MeasuredCycle):
+        raise DataError(f"cycle must be a MeasuredCycle, got {type(cycle).__name__}")
     if len(cycle.hip_displacement) < 2:
         raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,6 +9,7 @@ hand-built SVG so that golden-file comparison is meaningful.
 from __future__ import annotations
 
 import re
+import warnings
 from array import array
 from collections.abc import Mapping
 from dataclasses import replace
@@ -172,7 +173,8 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     spring lengths.  numpy's C parser reads the rows a block at a time
     (``_parsed``); a file it cannot vouch for is read again by the line reader
     (``_read_lines``), which alone raises, naming the line.  Either way memory
-    holds one block of rows beyond the cycles' float arrays.
+    holds one block of rows beyond the cycles' float arrays, and the C parser
+    joins an iteration that spans blocks from copies of its runs.
     """
     from .calibration import MeasuredCycle
 
@@ -204,23 +206,33 @@ def _parsed(file) -> list[tuple] | None:
     names = TRAJECTORY_HEADER.split(",")
     dtype = [(names[0], "i8"), *((name, "f8") for name in names[1:])]
 
-    def runs() -> Iterator[tuple[int, np.ndarray]]:
+    def split(rows: np.ndarray) -> list[tuple]:
+        # Each run of one iteration: copies of its columns, so no run keeps the block.
+        iterations, d, s, f = (rows[name] for name in names[:4])
+        starts = [0, *(np.flatnonzero(np.diff(iterations)) + 1).tolist(), len(rows)]
+        return [
+            (int(iterations[a]), d[a:b].copy(), f[a:b].copy(), float(s[a]), float(s[b - 1]))
+            for a, b in zip(starts, starts[1:])
+        ]
+
+    def runs() -> Iterator[tuple]:
         # A block is a row and up to _BLOCK - 1 lines after it: loadtxt warns on a
         # block with no row and, given max_rows, on each blank line.
         while (first := next((line for line in file if line != "\n"), None)) is not None:
             block = chain([first], islice(file, _BLOCK - 1))
-            rows = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1)
-            iterations = rows[names[0]]
-            starts = [0, *(np.flatnonzero(np.diff(iterations)) + 1).tolist(), len(rows)]
-            yield from ((int(iterations[a]), rows[a:b]) for a, b in zip(starts, starts[1:]))
+            with warnings.catch_warnings():
+                # numpy before 2.4 reads an integer written as a float ("1.5") through
+                # the float with this warning; as an error, loadtxt refuses the row.
+                warnings.simplefilter("error", DeprecationWarning)
+                parsed = split(np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1))
+            yield from parsed
 
     groups = []
     try:
         for iteration, group in groupby(runs(), itemgetter(0)):
-            parts = [rows for _, rows in group]  # one group's rows, from one or more blocks
-            d, s, f = (np.concatenate([rows[name] for rows in parts]) for name in names[1:4])
-            groups.append((iteration, d, f, float(s[0]), float(s[-1])))
-    except ValueError:  # a row loadtxt refuses
+            _, d, f, first, last = zip(*group)  # one group's runs, from one or more blocks
+            groups.append((iteration, np.concatenate(d), np.concatenate(f), first[0], last[-1]))
+    except (ValueError, DeprecationWarning):  # a row loadtxt refuses
         return None
     return groups if len({group[0] for group in groups}) == len(groups) else None
 

@@ -307,8 +307,12 @@ CYCLES_MESSAGE = "cycles must be an iterable of MeasuredCycle objects"
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda cycles: integrate_work(None), DataError, CYCLES_MESSAGE),
-        (lambda cycles: integrate_work(5), DataError, CYCLES_MESSAGE),
+        (
+            lambda cycles: integrate_work(None),
+            DataError,
+            "cycle must be a MeasuredCycle, got NoneType",
+        ),
+        (lambda cycles: integrate_work(5), DataError, "cycle must be a MeasuredCycle, got int"),
         (lambda cycles: estimate_efficiency(None, SPRING), DataError, CYCLES_MESSAGE),
         (lambda cycles: estimate_efficiency(5, SPRING), DataError, CYCLES_MESSAGE),
         (lambda cycles: estimate_efficiency([None, None], SPRING), DataError, CYCLES_MESSAGE),

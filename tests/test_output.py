@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -398,6 +399,8 @@ class TestReaderPaths:
             (reader_text("1,0,0.1٢,0,0"), True, None),
             (reader_text("+1,0,0.12,0,0", "01,0.1,0.11,2,0"), False, None),
             (reader_text("9223372036854775808,0,0.12,0,0"), True, None),
+            (reader_text("1.5,0,0.12,0,0"), True, ":2: unparsable row"),
+            (reader_text("1e0,0,0.12,0,0"), True, ":2: unparsable row"),
             (reader_text("1,0,0.12,1e400,0"), False, "cycle 1: displacements and forces must be finite"),
             (reader_text("1,0,inf,1,0"), False, "spring_length_start must be None or a finite number"),
             (reader_text("1,0,0.12,0,#", *READER_ROWS[1:]), True, None),
@@ -411,7 +414,8 @@ class TestReaderPaths:
         ],
         ids=[
             "underscore_digits", "arabic_indic_digit", "plus_and_leading_zero_iterations",
-            "iteration_past_int64", "overflowing_force", "infinite_length", "hash_in_energy",
+            "iteration_past_int64", "iteration_one_and_a_half", "iteration_in_exponent_form",
+            "overflowing_force", "infinite_length", "hash_in_energy",
             "four_columns", "six_columns", "whitespace_line", "cr_ends", "crlf_ends",
             "undecodable_byte", "interleaved_iterations",
         ],
@@ -460,6 +464,34 @@ class TestReaderPaths:
         assert not served_by_lines
         assert parsed == blocks
         assert [len(c.hip_force) for c in got] == lengths
+
+    @pytest.mark.parametrize("iteration", ["1.5", "1e0"])
+    def test_integer_written_as_a_float_refused_with_warnings_ignored(self, tmp_path, iteration):
+        """numpy before 2.4 parses an ``i8`` cell such as ``1.5`` through the float, as 1,
+        and only warns (``DeprecationWarning``), which a filter may silence.  The C
+        parser's path makes that warning a refusal, so the line reader raises either
+        way; ``before_2_4`` stands in for such a numpy."""
+        path = tmp_path / "float_iteration.csv"
+        path.write_bytes(reader_text(f"{iteration},0,0.12,0,0", *READER_ROWS[1:]))
+        loadtxt = np.loadtxt
+
+        def before_2_4(lines, dtype, **kwargs):
+            lines = list(lines)
+            whole = [re.sub("^[^,]*", lambda i: str(int(float(i[0]))), line) for line in lines]
+            if whole != lines:
+                try:
+                    warnings.warn("Parsing an integer via a float", DeprecationWarning)
+                except DeprecationWarning as exc:  # loadtxt's error on a cell it cannot convert
+                    raise ValueError("could not convert string to int64") from exc
+            return loadtxt(whole, dtype, **kwargs)
+
+        for numpy_loadtxt in (loadtxt, before_2_4):
+            with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", numpy_loadtxt):
+                warnings.simplefilter("ignore")
+                got, served_by_lines, want = read_both(path)
+            assert served_by_lines
+            assert got == want
+            assert got.endswith(f":2: unparsable row '{iteration},0,0.12,0,0'")
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
     def test_pipe_is_read_once_by_the_line_reader(self):
@@ -871,3 +903,15 @@ class TestBoundedMemory:
         growth = {name: peaks[400][name] - peaks[50][name] for name in peaks[50]}
         assert max(growth[kind] for kind in ("csv", *PLOT_KINDS)) < 16 * 1024, peaks
         assert growth["read"] < 350 * 200, peaks
+
+    def test_read_of_one_long_iteration_keeps_no_blocks(self, tmp_path):
+        # One iteration over 5 and 40 blocks of 50 lines: the cycle holds 16 B a row,
+        # and joining it from copies of its runs adds as much again.  A run that kept
+        # its block (40 B a row) until the join would add 56 B a row.
+        peaks = {}
+        with mock.patch.object(output, "_BLOCK", 50):
+            for rows in (250, 2000):
+                path = tmp_path / f"{rows}.csv"
+                path.write_bytes(reader_text(*(f"1,{n}e-6,0.1,{n}e-3,0" for n in range(rows))))
+                peaks[rows] = overhead(lambda: read_measured_cycles(path))
+        assert peaks[2000] - peaks[250] < 32 * (2000 - 250), peaks
