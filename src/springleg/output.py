@@ -232,7 +232,7 @@ def _parsed(file) -> list[tuple] | None:
         for iteration, group in groupby(runs(), itemgetter(0)):
             _, d, f, first, last = zip(*group)  # one group's runs, from one or more blocks
             groups.append((iteration, np.concatenate(d), np.concatenate(f), first[0], last[-1]))
-    except (ValueError, DeprecationWarning):  # a row loadtxt refuses
+    except ValueError:  # a row loadtxt refuses
         return None
     return groups if len({group[0] for group in groups}) == len(groups) else None
 
