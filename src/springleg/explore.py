@@ -171,14 +171,16 @@ def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
 
     ``orbit_from(stop, s)(j)`` is the pre-squat length ``j > 0`` squats after
     one of length ``s`` that stopped on ``stop``, while the squats keep that
-    stop; -inf once the orbit has passed through infinity.  The leg range maps
+    stop; -inf once a rotation has passed through infinity.  The leg range maps
     ``s`` affinely.  The cap maps it by ``s -> s0 - K/s``, ``K = sqrt(efficiency)
     cap l_stand / k``: with ``d = s - s0/2`` and ``disc = s0**2 - 4K``, exact
     from the floats, ``j`` squats give ``s0/2 + (d C + disc/4 S) / (d S + C)``,
     where ``(C, S)`` is ``(cos(j a), sin(j a) / w)`` for ``disc < 0``, a
     rotation, and ``(1, tanh(j a) / w)`` otherwise, ``w = sqrt(|disc|) / 2``.
     A falling orbit changes its stop, and the gain of its cap squats turns from
-    falling to rising, only where it crosses one of the sorted ``thresholds``.
+    falling to rising, only where it crosses one of the sorted ``thresholds``;
+    past its pole, one falling from below the lower fixed point with
+    ``disc >= 0`` goes on above the upper one, beyond the gain's threshold.
     """
     leg, spring = config.leg, config.spring
     lstand, k, s0 = leg.standing_length, spring.stiffness, spring.free_length
@@ -230,10 +232,7 @@ def _orbits(config: Configuration) -> tuple[Callable, list[float]] | None:
                 cos, sin = math.cos(j * rate), math.sin(j * rate) / width
             else:
                 cos, sin = 1.0, math.tanh(j * rate) / width if disc else j / half
-            denominator = d * sin + cos
-            if denominator <= 0:  # past the pole
-                return -math.inf
-            return half + (d * cos + 0.25 * disc * sin) / denominator
+            return half + (d * cos + 0.25 * disc * sin) / (d * sin + cos)
 
         return orbit
 

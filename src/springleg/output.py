@@ -168,13 +168,14 @@ def _format_squats(q: Squats) -> Iterator[tuple[str, ...]]:
 def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     """Read a trajectory CSV back as measured cycles for calibration.
 
-    Rows are grouped by the ``iteration`` column; the first and last
-    ``spring_length_m`` of each group become the pre-squat and locked
-    spring lengths.  numpy's C parser reads the rows a block at a time
-    (``_parsed``); a file it cannot vouch for is read again by the line reader
-    (``_read_lines``), which alone raises, naming the line.  Either way memory
-    holds one block of rows beyond the cycles' float arrays, and the C parser
-    joins an iteration that spans blocks from copies of its runs.
+    Rows are grouped by the ``iteration`` column, in order of first row, an
+    iteration that resumes after another's rows joining its earlier group; the
+    first and last ``spring_length_m`` of each group become the pre-squat and
+    locked spring lengths.  The rows after the header are read in blocks of
+    ``_BLOCK`` lines, from a file or a pipe alike: numpy's C parser reads each
+    block, and a block it refuses is read a line at a time (``_rows``), which
+    alone raises, naming the line.  Memory holds one block beyond the cycles'
+    float arrays and copies of the open group's runs.
     """
     from .calibration import MeasuredCycle
 
@@ -183,26 +184,22 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
         # Universal newlines end a line at \r\n, \r and \n, not at \f or \v; an
         # undecodable byte reads as a lone surrogate, so its line can be named.
         with path.open(errors="surrogateescape") as file:
-            groups = _parsed(file) if file.seekable() else None  # a pipe is read once
-            if groups is None:
-                if file.seekable():
-                    file.seek(0)
-                groups = _read_lines(file, path)
+            groups = _groups(file, path)
     except (OSError, TypeError) as exc:
         raise DataError(f"cannot read measured-cycle CSV {path}: {exc}") from exc
     return [MeasuredCycle(*group) for group in groups]
 
 
-def _parsed(file) -> list[tuple] | None:
-    """``_read_lines``' groups, parsed by ``np.loadtxt`` a block of ``_BLOCK`` lines at a
-    time, or ``None`` where it cannot vouch for them: another header, a row ``loadtxt``
-    refuses, or an iteration whose rows resume after another's (the line reader merges
-    them).  ``loadtxt`` takes a subset of what ``int`` and ``float`` take, to the same
-    values: no ``_``, non-ASCII digit, blank cell or whitespace-only line."""
+def _groups(file, path: Path) -> Iterable[tuple]:
+    """The groups (iteration, displacements, forces, first and last spring length) of
+    ``file``, each joined from the runs of one iteration that ``np.loadtxt`` or ``_rows``
+    reads from a block.  ``loadtxt`` takes a subset of what ``int`` and ``float`` take,
+    to the same values: no ``_``, non-ASCII digit, blank cell or whitespace-only line."""
     import numpy as np
 
-    if file.readline() != TRAJECTORY_HEADER + "\n":
-        return None
+    lineno, header = next(((n, line) for n, line in enumerate(file, 1) if line.strip()), (0, ""))
+    if header.rstrip("\n") != TRAJECTORY_HEADER:
+        raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
     names = TRAJECTORY_HEADER.split(",")
     dtype = [(names[0], "i8"), *((name, "f8") for name in names[1:])]
 
@@ -215,54 +212,50 @@ def _parsed(file) -> list[tuple] | None:
             for a, b in zip(starts, starts[1:])
         ]
 
-    def runs() -> Iterator[tuple]:
-        # A block is a row and up to _BLOCK - 1 lines after it: loadtxt warns on a
-        # block with no row and, given max_rows, on each blank line.
-        while (first := next((line for line in file if line != "\n"), None)) is not None:
-            block = chain([first], islice(file, _BLOCK - 1))
-            with warnings.catch_warnings():
-                # numpy before 2.4 reads an integer written as a float ("1.5") through
-                # the float with this warning; as an error, loadtxt refuses the row.
-                warnings.simplefilter("error", DeprecationWarning)
-                parsed = split(np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1))
-            yield from parsed
+    def runs(lineno: int) -> Iterator[tuple]:
+        while block := list(islice(file, _BLOCK)):
+            try:
+                with warnings.catch_warnings():
+                    # As errors: numpy before 2.4 reads an integer written as a float
+                    # ("1.5") through the float, and loadtxt warns on a block with no row.
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1)
+            except (ValueError, Warning):
+                yield from _rows(block, lineno + 1, path)
+            else:
+                yield from split(rows)
+            lineno += len(block)
 
-    groups = []
-    try:
-        for iteration, group in groupby(runs(), itemgetter(0)):
-            _, d, f, first, last = zip(*group)  # one group's runs, from one or more blocks
-            groups.append((iteration, np.concatenate(d), np.concatenate(f), first[0], last[-1]))
-    except ValueError:  # a row loadtxt refuses
-        return None
-    return groups if len({group[0] for group in groups}) == len(groups) else None
+    groups: dict[int, tuple] = {}
+    for iteration, group in groupby(runs(lineno), itemgetter(0)):
+        _, d, f, first, last = zip(*group)  # one group's runs, from one or more blocks
+        if (earlier := groups.get(iteration)) is not None:  # the iteration resumes
+            d, f, first = (earlier[1], *d), (earlier[2], *f), (earlier[3],)
+        groups[iteration] = (iteration, np.concatenate(d), np.concatenate(f), first[0], last[-1])
+    return groups.values()
 
 
-def _read_lines(file, path: Path) -> list[tuple]:
-    """The groups (iteration, displacements, forces, first and last spring length) of
-    ``file`` in order of first row, read a line at a time; ``DataError`` naming the line
-    of the first row that is no five cells of an integer, three floats and any text."""
-    groups: dict[int, list] = {}  # displacements, forces, first and last spring length
-    lines = ((n, line.rstrip("\n")) for n, line in enumerate(file, 1) if line.strip())
-    if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
-        raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
-    for lineno, line in lines:
+def _rows(block: list[str], lineno: int, path: Path) -> Iterator[tuple]:
+    """The runs of one iteration in ``block``, whose first line is line ``lineno`` of
+    ``path``, read a line at a time; ``DataError`` naming the first line that is neither
+    blank nor five cells of an integer, three floats and any text.  A run is as long as
+    the block allows, in float arrays, so a group open across blocks holds 16 B a row."""
+    rows = []
+    for lineno, line in enumerate(block, lineno):
+        if not (line := line.rstrip("\n")).strip():
+            continue
         if not line.isascii() and _UNDECODABLE.search(line):
             raise DataError(f"{path}:{lineno}: undecodable bytes in row {line!r}")
         parts = line.split(",")
         if len(parts) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
         try:
-            iteration = int(parts[0])
-            deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
+            rows.append((int(parts[0]), *map(float, parts[1:4])))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
-        group = groups.get(iteration)
-        if group is None:
-            group = groups[iteration] = [array("d"), array("d"), s, s]
-        group[0].append(deformation)
-        group[1].append(f)
-        group[3] = s
-    return [(iteration, *group) for iteration, group in groups.items()]
+    for iteration, run in groupby(rows, itemgetter(0)):
+        _, d, s, f = zip(*run)
+        yield iteration, array("d", d), array("d", f), s[0], s[-1]
 
 
 def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:

@@ -10,14 +10,27 @@ Used to cross-check every recorded field of the simulator.
 objective for a single (efficiency, force cap) point, built on the package's
 scalar path (``simulate`` and its sampled trajectories) and ``np.interp``, to
 check the lane objective that the fit uses.
+
+``read_lines`` is the measured-cycle reader as it was before numpy's C parser
+read its blocks: one ``int`` and three ``float`` calls per line, the reference
+that ``read_measured_cycles`` must equal on every file.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+
+from springleg import DataError
+from springleg.output import TRAJECTORY_HEADER
+
+#: What the "surrogateescape" error handler reads an undecodable byte as.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def oracle_energy(s: float, k: float, s0: float) -> float:
@@ -180,3 +193,31 @@ def reference_objective(cycles, config, eta: float, cap: float) -> tuple[float, 
             sse += float(np.sum(cycle.hip_force**2))
             n_points += len(cycle.hip_force)
     return sse, n_points, min(len(trajectories), len(cycles))
+
+
+def read_lines(file, path: Path) -> list[tuple]:
+    """The groups (iteration, displacements, forces, first and last spring length) of
+    ``file`` in order of first row, read a line at a time; ``DataError`` naming the line
+    of the first row that is no five cells of an integer, three floats and any text."""
+    groups: dict[int, list] = {}  # displacements, forces, first and last spring length
+    lines = ((n, line.rstrip("\n")) for n, line in enumerate(file, 1) if line.strip())
+    if next(lines, (0, ""))[1] != TRAJECTORY_HEADER:
+        raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
+    for lineno, line in lines:
+        if not line.isascii() and _UNDECODABLE.search(line):
+            raise DataError(f"{path}:{lineno}: undecodable bytes in row {line!r}")
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        try:
+            iteration = int(parts[0])
+            deformation, s, f = float(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
+        group = groups.get(iteration)
+        if group is None:
+            group = groups[iteration] = [array("d"), array("d"), s, s]
+        group[0].append(deformation)
+        group[1].append(f)
+        group[3] = s
+    return [(iteration, *group) for iteration, group in groups.items()]

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from springleg import (
     CompressionPolicy,
@@ -311,7 +311,8 @@ def test_cap_orbit_past_its_pole_ends_as_the_run(efficiency, squats, termination
     # the fixed points s0/2 -+ sqrt(disc)/2.  A run started in the cap band, a
     # quarter of the way down from the lower fixed point to the band's lower
     # root r1, falls away from that point and leaves the band; the closed form
-    # of its cap squats passes its pole within a few squats, where it is -inf.
+    # of its cap squats passes its pole within a few squats and goes on above
+    # the fixed points, down to the upper one.
     config = worked_config(
         spring=SpringParams(1000.0, 0.12, 0.002), loss=LossModel(efficiency=efficiency)
     )
@@ -323,13 +324,50 @@ def test_cap_orbit_past_its_pole_ends_as_the_run(efficiency, squats, termination
     x1 = (r1 + 0.75 * (s_low - r1)) * leg.segment_length / leg.standing_length
     config = replace(config, force_cap=cap, initial_spring_position=x1)
     orbit = _orbits(config)[0](StopReason.FORCE_CAP, initial_spring_length(config))
-    assert orbit(squats) == -math.inf
+    assert orbit(squats) > 0.5 * s0
     run = Run(config, QUERY_BUDGET)
     stops, energies = zip(*((squat[4], squat[8]) for squat in run))
     assert stops[0] is StopReason.FORCE_CAP
     assert (len(energies), run.termination) == (squats, termination)
     assert max_energy(config) == energies[-1]
     assert min_squats(config, energies[-1]) == squats
+
+
+@st.composite
+def cap_orbits_below_the_lower_fixed_point(draw):
+    """Force-limited ratchet-free configs below the critical cap (disc > 0) whose
+    run starts in the cap band, between its lower root r1 and the lower fixed
+    point t of the cap map s -> s0 - e c / s, e = sqrt(efficiency): the cap
+    squats fall away from t, and their closed form passes its pole unless the
+    run ends first.  Budgets reach ten times the queries' least one."""
+    config = random_config(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        max_iterations=draw(st.integers(1, 10 * QUERY_BUDGET)),
+    )
+    leg, spring, s0 = config.leg, config.spring, config.spring.free_length
+    ratio = (leg.standing_length - leg.max_deformation) / leg.standing_length
+    # t lies in the band, where ratio t**2 - s0 t + c < 0, if (1 - ratio) t > (s0 - t) (1 - e) / e,
+    # which some t < s0/2 meets if e > 1 / (2 - ratio).
+    e = draw(st.floats(1 / (2 - ratio), 1.0, exclude_min=True))
+    least = s0 * (1 - e) / (e * (1 - ratio) + 1 - e)
+    t = least + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (0.5 * s0 - least)
+    c = t * (s0 - t) / e
+    r1 = max(0.5 * (s0 - math.sqrt(s0 * s0 - 4 * ratio * c)) / ratio, spring.solid_length)
+    s = r1 + draw(st.floats(0.0, 1.0)) * (t - r1)
+    assume(r1 < s < t)
+    return replace(
+        config,
+        loss=LossModel(efficiency=e * e),
+        force_cap=c * spring.stiffness / leg.standing_length,
+        initial_spring_position=s * leg.segment_length / leg.standing_length,
+        tol_gain=10 ** draw(st.floats(-12.0, 0.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=cap_orbits_below_the_lower_fixed_point(), fraction=st.floats(0.0, 1.0))
+def test_cap_orbit_from_below_its_lower_fixed_point_ends_as_the_run(config, fraction):
+    assert_answers_match(config, fraction * spring_capacity(config))
 
 
 def test_cap_too_small_for_the_closed_form_streams():

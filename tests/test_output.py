@@ -18,6 +18,7 @@ from springleg import (
     DataError,
     DomainError,
     LossModel,
+    MeasuredCycle,
     SpringParams,
     SweepRow,
     Trajectory,
@@ -34,6 +35,7 @@ from springleg import cyclic, output
 from springleg.output import PLOT_KINDS, SUMMARY_HEADER, TRAJECTORY_HEADER, format_number
 
 from conftest import CONFIG_DIR, random_config, worked_config
+from oracle import read_lines
 
 
 class TestFormatNumber:
@@ -348,21 +350,38 @@ def assert_cycles_equal(cycles, expected) -> None:
 
 
 def read_both(path: Path, block: int | None = None) -> tuple:
-    """``read_measured_cycles`` of ``path``, whether the line reader served it, and the
-    line reader's own result; a result is the cycles or the ``DataError`` text."""
+    """``read_measured_cycles`` of ``path``, the first line of each block that the line
+    rules read (``loadtxt`` refused it), and the reference line reader's result; a
+    result is the cycles or the ``DataError`` text."""
 
-    def outcome():
+    def outcome(read):
         try:
-            return read_measured_cycles(path)
+            return read()
         except DataError as error:
             return str(error)
 
+    def reference():
+        with path.open(errors="surrogateescape") as file:
+            return [MeasuredCycle(*group) for group in read_lines(file, path)]
+
     with mock.patch.object(output, "_BLOCK", block or output._BLOCK):
-        with mock.patch.object(output, "_read_lines", wraps=output._read_lines) as lines:
-            got = outcome()
-        with mock.patch.object(output, "_parsed", return_value=None):
-            want = outcome()
-    return got, lines.called, want
+        with mock.patch.object(output, "_rows", wraps=output._rows) as rows:
+            got = outcome(lambda: read_measured_cycles(path))
+    return got, [call.args[1] for call in rows.call_args_list], outcome(reference)
+
+
+def counting_loadtxt() -> tuple[list, object]:
+    """A list of the rows each ``np.loadtxt`` call parsed (``None`` where it refused the
+    block), and a stand-in for ``np.loadtxt`` that fills it."""
+    parsed, loadtxt = [], np.loadtxt
+
+    def counted(*args, **kwargs):
+        parsed.append(None)  # stays None where loadtxt refuses the block
+        block = loadtxt(*args, **kwargs)
+        parsed[-1] = len(block)
+        return block
+
+    return parsed, counted
 
 
 def assert_same_outcome(got, want) -> None:
@@ -389,11 +408,12 @@ def reader_text(*rows: str, end: str = "\n") -> bytes:
 
 
 class TestReaderPaths:
-    """The C parser serves what it can vouch for; the line reader serves the rest and
-    alone raises.  Either way the cycles or the error equal the line reader's."""
+    """The C parser reads each block it can vouch for; the line rules read the blocks
+    it refuses and alone raise.  Either way the cycles or the error equal the
+    reference line reader's."""
 
     @pytest.mark.parametrize(
-        "data, line_reader, error",
+        "data, line_rules, error",
         [
             (reader_text("1,1_0,0.12,0,0"), True, None),
             (reader_text("1,0,0.1٢,0,0"), True, None),
@@ -410,7 +430,7 @@ class TestReaderPaths:
             (reader_text(*READER_ROWS, end="\r"), False, None),
             (reader_text(*READER_ROWS, end="\r\n"), False, None),
             (reader_text(READER_ROWS[0], "1,0.001,0.119,0.9,\udcff"), True, ":3: undecodable bytes"),
-            (reader_text(*READER_ROWS[::2], *READER_ROWS[1::2]), True, None),
+            (reader_text(*READER_ROWS[::2], *READER_ROWS[1::2]), False, None),
         ],
         ids=[
             "underscore_digits", "arabic_indic_digit", "plus_and_leading_zero_iterations",
@@ -420,57 +440,79 @@ class TestReaderPaths:
             "undecodable_byte", "interleaved_iterations",
         ],
     )
-    def test_hazard_read_as_the_line_reader_reads_it(self, tmp_path, data, line_reader, error):
+    def test_hazard_read_as_the_line_reader_reads_it(self, tmp_path, data, line_rules, error):
         path = tmp_path / "hazard.csv"
         path.write_bytes(data)
-        got, served_by_lines, want = read_both(path)
+        got, refused, want = read_both(path)
         assert_same_outcome(got, want)
-        assert served_by_lines is line_reader
+        assert refused == ([2] if line_rules else [])  # one block, after the header
         if error is None:
             assert not isinstance(got, str), got
         else:
             assert error in got
 
     @pytest.mark.parametrize(
-        "rows, blocks, lengths",
+        "rows, blocks, refused, lengths",
         [
-            ((READER_ROWS[0], *READER_ROWS), [2, 2, 1], [3, 2]),
-            (READER_ROWS, [2, 2], [2, 2]),
-            ((*READER_ROWS, "", ""), [2, 2], [2, 2]),
-            ((READER_ROWS[0], "", *READER_ROWS[1:]), [1, 2, 1], [2, 2]),
+            ((READER_ROWS[0], *READER_ROWS), [2, 2, 1], [], [3, 2]),
+            (READER_ROWS, [2, 2], [], [2, 2]),
+            ((*READER_ROWS, "", ""), [2, 2, None], [6], [2, 2]),
+            ((READER_ROWS[0], "", *READER_ROWS[1:]), [1, 2, 1], [], [2, 2]),
         ],
         ids=[
             "group_spans_two_blocks", "exactly_two_blocks", "two_blocks_then_blank_lines",
             "blank_line_in_a_block",
         ],
     )
-    def test_blocks_join_as_one_read(self, tmp_path, rows, blocks, lengths):
+    def test_blocks_join_as_one_read(self, tmp_path, rows, blocks, refused, lengths):
         """``loadtxt`` parses blocks of at most ``_BLOCK`` lines, which join into the
-        cycles of one read; a file that ends at a block's end makes no warning
-        (``loadtxt`` warns on a block with no row)."""
+        cycles of one read; it warns on a block with no row, which the line rules then
+        read, and the warning does not escape."""
         path = tmp_path / "blocks.csv"
         path.write_bytes(reader_text(*rows))
-        parsed, loadtxt = [], np.loadtxt
-
-        def counted(*args, **kwargs):
-            block = loadtxt(*args, **kwargs)
-            parsed.append(len(block))
-            return block
-
+        parsed, counted = counting_loadtxt()
         with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", counted):
             warnings.simplefilter("error")
-            got, served_by_lines, want = read_both(path, block=2)
+            got, got_refused, want = read_both(path, block=2)
         assert_same_outcome(got, want)
-        assert not served_by_lines
+        assert got_refused == refused
         assert parsed == blocks
         assert [len(c.hip_force) for c in got] == lengths
+
+    def test_line_numbers_count_across_blocks(self, tmp_path):
+        """Blocks of 2 lines: the C parser reads the first and third, the line rules the
+        second (a whitespace-only line) and the fourth, whose 4-column row they name by
+        its line in the file.  Iterations 1 and 2 each resume after the other's rows."""
+        lines = [
+            TRAJECTORY_HEADER,  # line 1
+            READER_ROWS[0], "",  # lines 2-3: parsed
+            READER_ROWS[2], " \t",  # lines 4-5: refused
+            READER_ROWS[1], "1,0.002,0.118,1.2,0.7",  # lines 6-7: parsed
+            READER_ROWS[3], "1,0.003,0.117,1.5",  # lines 8-9: refused, line 9 has 4 columns
+        ]
+        path = tmp_path / "blocks.csv"
+
+        def read(rows: list[str]) -> tuple:
+            path.write_text("\n".join(rows) + "\n")
+            parsed, counted = counting_loadtxt()
+            with mock.patch.object(np, "loadtxt", counted):
+                got, refused, want = read_both(path, block=2)
+            assert_same_outcome(got, want)
+            return got, parsed, refused
+
+        got, parsed, refused = read(lines)
+        assert got.endswith(":9: expected 5 columns, got 4"), got
+        assert (parsed, refused) == ([1, None, 2, None], [4, 8])  # rows per loadtxt call
+        got, parsed, refused = read(lines[:-1])
+        assert (parsed, refused) == ([1, None, 2, 1], [4])
+        assert [(c.iteration, len(c.hip_force)) for c in got] == [(1, 3), (2, 2)]
 
     @pytest.mark.parametrize("iteration", ["1.5", "1e0"])
     def test_integer_written_as_a_float_refused_with_warnings_ignored(self, tmp_path, iteration):
         """numpy before 2.4 parses an ``i8`` cell such as ``1.5`` through the float, as 1,
-        and only warns (``DeprecationWarning``), which a filter may silence.  The C
-        parser's path makes that warning a refusal, so the line reader raises either
-        way; ``before_2_4`` stands in for such a numpy."""
+        and only warns (``DeprecationWarning``), which a filter may silence.  The reader
+        makes that warning a refusal, so the line rules raise either way; ``before_2_4``
+        stands in for such a numpy."""
         path = tmp_path / "float_iteration.csv"
         path.write_bytes(reader_text(f"{iteration},0,0.12,0,0", *READER_ROWS[1:]))
         loadtxt = np.loadtxt
@@ -488,23 +530,28 @@ class TestReaderPaths:
         for numpy_loadtxt in (loadtxt, before_2_4):
             with warnings.catch_warnings(), mock.patch.object(np, "loadtxt", numpy_loadtxt):
                 warnings.simplefilter("ignore")
-                got, served_by_lines, want = read_both(path)
-            assert served_by_lines
+                got, refused, want = read_both(path)
+            assert refused == [2]
             assert got == want
             assert got.endswith(f":2: unparsable row '{iteration},0,0.12,0,0'")
 
     @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
-    def test_pipe_is_read_once_by_the_line_reader(self):
+    def test_pipe_reads_as_the_file(self, tmp_path):
+        path = tmp_path / "file.csv"
+        path.write_bytes(reader_text(*READER_ROWS[::2], *READER_ROWS[1::2]))
         read, write = os.pipe()
         try:
-            os.write(write, reader_text(*READER_ROWS))
+            os.write(write, path.read_bytes())
             os.close(write)
-            with mock.patch.object(output, "_parsed", side_effect=AssertionError) as parsed:
-                cycles = read_measured_cycles(f"/dev/fd/{read}")
+            parsed, counted = counting_loadtxt()
+            with mock.patch.object(np, "loadtxt", counted):
+                with mock.patch.object(output, "_rows", side_effect=AssertionError) as rows:
+                    piped = read_measured_cycles(f"/dev/fd/{read}")
         finally:
             os.close(read)
-        assert not parsed.called
-        assert [c.iteration for c in cycles] == [1, 2]
+        assert (parsed, rows.called) == ([4], False)
+        assert_same_outcome(piped, read_measured_cycles(path))
+        assert [c.iteration for c in piped] == [1, 2]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -518,7 +565,8 @@ class TestReaderPaths:
             max_size=4,
         ),
     )
-    def test_mutated_csv_read_as_the_line_reader_reads_it(self, tmp_path_factory, emitted, edits):
+    @pytest.mark.parametrize("block", [2, 5, 16384])
+    def test_mutated_csv_read_as_the_line_reader_reads_it(self, tmp_path_factory, emitted, block, edits):
         data = bytearray(emitted)
         for kind, at, byte in edits:
             at %= len(data) + (kind == "insert")
@@ -535,7 +583,7 @@ class TestReaderPaths:
                 data[stop:stop] = data[start:stop]
         path = tmp_path_factory.mktemp("mutated") / "mutated.csv"
         path.write_bytes(bytes(data))
-        got, _, want = read_both(path, block=5)
+        got, _, want = read_both(path, block=block)
         assert_same_outcome(got, want)
 
 
