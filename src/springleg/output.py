@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from array import array
 from collections.abc import Mapping
 from dataclasses import replace
 from functools import cache
@@ -172,10 +171,11 @@ def read_measured_cycles(path: str | Path) -> list[MeasuredCycle]:
     iteration that resumes after another's rows joining its earlier group; the
     first and last ``spring_length_m`` of each group become the pre-squat and
     locked spring lengths.  The rows after the header are read in blocks of
-    ``_BLOCK`` lines, from a file or a pipe alike: numpy's C parser reads each
-    block, and a block it refuses is read a line at a time (``_rows``), which
-    alone raises, naming the line.  Memory holds one block beyond the cycles'
-    float arrays and copies of the open group's runs.
+    ``_BLOCK // 4`` lines (the writer's rows), from a file or a pipe alike:
+    numpy's C parser reads each block, and a block it refuses is read a line at
+    a time (``_rows``), which alone raises, naming the line; either way the rows
+    split into runs of one iteration.  Memory holds one block beyond the
+    cycles' float arrays and copies of the open group's runs.
     """
     from .calibration import MeasuredCycle
 
@@ -202,6 +202,7 @@ def _groups(file, path: Path) -> Iterable[tuple]:
         raise DataError(f"{path}: expected header {TRAJECTORY_HEADER!r}")
     names = TRAJECTORY_HEADER.split(",")
     dtype = [(names[0], "i8"), *((name, "f8") for name in names[1:])]
+    lines_dtype = [(names[0], object), *dtype[1:4]]  # ``int`` reads iterations past int64
 
     def split(rows: np.ndarray) -> list[tuple]:
         # Each run of one iteration: copies of its columns, so no run keeps the block.
@@ -210,10 +211,11 @@ def _groups(file, path: Path) -> Iterable[tuple]:
         return [
             (int(iterations[a]), d[a:b].copy(), f[a:b].copy(), float(s[a]), float(s[b - 1]))
             for a, b in zip(starts, starts[1:])
+            if a < b  # a block of blank lines has no row
         ]
 
     def runs(lineno: int) -> Iterator[tuple]:
-        while block := list(islice(file, _BLOCK)):
+        while block := list(islice(file, _BLOCK // 4)):
             try:
                 with warnings.catch_warnings():
                     # As errors: numpy before 2.4 reads an integer written as a float
@@ -221,9 +223,8 @@ def _groups(file, path: Path) -> Iterable[tuple]:
                     warnings.simplefilter("error")
                     rows = np.loadtxt(block, dtype, delimiter=",", comments=None, ndmin=1)
             except (ValueError, Warning):
-                yield from _rows(block, lineno + 1, path)
-            else:
-                yield from split(rows)
+                rows = np.array(_rows(block, lineno + 1, path), lines_dtype)
+            yield from split(rows)
             lineno += len(block)
 
     groups: dict[int, tuple] = {}
@@ -235,11 +236,10 @@ def _groups(file, path: Path) -> Iterable[tuple]:
     return groups.values()
 
 
-def _rows(block: list[str], lineno: int, path: Path) -> Iterator[tuple]:
-    """The runs of one iteration in ``block``, whose first line is line ``lineno`` of
-    ``path``, read a line at a time; ``DataError`` naming the first line that is neither
-    blank nor five cells of an integer, three floats and any text.  A run is as long as
-    the block allows, in float arrays, so a group open across blocks holds 16 B a row."""
+def _rows(block: list[str], lineno: int, path: Path) -> list[tuple]:
+    """The rows (iteration, displacement, spring length, force) of ``block``, from line
+    ``lineno`` of ``path``, read a line at a time; ``DataError`` naming the first line
+    that is neither blank nor five cells of an integer, three floats and any text."""
     rows = []
     for lineno, line in enumerate(block, lineno):
         if not (line := line.rstrip("\n")).strip():
@@ -253,9 +253,7 @@ def _rows(block: list[str], lineno: int, path: Path) -> Iterator[tuple]:
             rows.append((int(parts[0]), *map(float, parts[1:4])))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: unparsable row {line!r}") from exc
-    for iteration, run in groupby(rows, itemgetter(0)):
-        _, d, s, f = zip(*run)
-        yield iteration, array("d", d), array("d", f), s[0], s[-1]
+    return rows
 
 
 def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Path) -> Path:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from springleg import (
     DataError,
     DomainError,
+    LegGeometry,
     LossModel,
     MeasuredCycle,
     SpringParams,
@@ -364,7 +365,7 @@ def read_both(path: Path, block: int | None = None) -> tuple:
         with path.open(errors="surrogateescape") as file:
             return [MeasuredCycle(*group) for group in read_lines(file, path)]
 
-    with mock.patch.object(output, "_BLOCK", block or output._BLOCK):
+    with mock.patch.object(output, "_BLOCK", 4 * block if block else output._BLOCK):
         with mock.patch.object(output, "_rows", wraps=output._rows) as rows:
             got = outcome(lambda: read_measured_cycles(path))
     return got, [call.args[1] for call in rows.call_args_list], outcome(reference)
@@ -465,7 +466,7 @@ class TestReaderPaths:
         ],
     )
     def test_blocks_join_as_one_read(self, tmp_path, rows, blocks, refused, lengths):
-        """``loadtxt`` parses blocks of at most ``_BLOCK`` lines, which join into the
+        """``loadtxt`` parses blocks of at most ``_BLOCK // 4`` lines, which join into the
         cycles of one read; it warns on a block with no row, which the line rules then
         read, and the warning does not escape."""
         path = tmp_path / "blocks.csv"
@@ -898,8 +899,21 @@ class TestPlotSvg:
             polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
             assert len(polylines) == len(result.records) + 1  # curves + reference
 
+    def test_energy_plot_of_no_deflection_is_finite(self, tmp_path):
+        # One slack squat at the free length, and cap / k underflows to 0: the
+        # reference and the squat both span no deflection, so the x axis takes 1.
+        leg = LegGeometry(segment_length=0.5, standing_length=0.9, max_deformation=0.1)
+        spring = SpringParams(1e300, 0.9, 0.898)
+        config = worked_config(leg=leg, spring=spring, initial_spring_position=0.5, force_cap=1e-30)
+        slack = (0.5, 0.9, 0.0, 0.9, cyclic.StopReason.ENGAGED_ONLY, 0.0, 0.0, 0.0, 0.0, 0.0)
+        squats = cyclic.Squats(*zip(slack))
+        result = cyclic.SimResult(squats, config, cyclic.Termination.STALLED)
+        svg = emit_plot_svg(result, "energy", tmp_path / "energy.svg").read_text()
+        assert "<polyline" in svg
+        assert not re.search("nan|inf", svg, re.IGNORECASE), svg
 
-def distinct_squats(squats: int):
+
+def distinct_squats(squats: int, samples: int = 5):
     """``simulate`` of ``test_samples_not_stored_per_squat``'s config at fewer
     squats and samples: just below the critical cap every squat differs from
     the one before, so the run stops at the budget."""
@@ -907,7 +921,7 @@ def distinct_squats(squats: int):
         spring=SpringParams(stiffness=1000.0, free_length=0.12, solid_length=0.002),
         force_cap=12.0 * (1 - 1e-7),
         max_iterations=squats,
-        sample_count=5,
+        sample_count=samples,
         tol_gain=0.0,
     )
     result = simulate(config)
@@ -932,12 +946,12 @@ def overhead(call) -> int:
 class TestBoundedMemory:
     def test_emit_and_read_peaks_do_not_grow_with_the_rows(self, tmp_path):
         # Blocks of 10 squats of 5 samples: 50 squats make 5 blocks, 400 make 40;
-        # the reader parses blocks of 50 lines.
+        # the writer spells and the reader parses blocks of 50 lines.
         # Holding every row, curve or read cell would add about 1 kB a squat.
         # The emitters add nothing; the reader keeps a small entry per group until
         # its cycles are built, which hold the group's arrays as they were read.
         peaks = {}
-        with mock.patch.object(cyclic, "_BLOCK", 50), mock.patch.object(output, "_BLOCK", 50):
+        with mock.patch.object(cyclic, "_BLOCK", 50), mock.patch.object(output, "_BLOCK", 200):
             for squats in (50, 400):
                 result, path = distinct_squats(squats), tmp_path / f"{squats}.csv"
                 peaks[squats] = {
@@ -957,9 +971,16 @@ class TestBoundedMemory:
         # and joining it from copies of its runs adds as much again.  A run that kept
         # its block (40 B a row) until the join would add 56 B a row.
         peaks = {}
-        with mock.patch.object(output, "_BLOCK", 50):
+        with mock.patch.object(output, "_BLOCK", 200):
             for rows in (250, 2000):
                 path = tmp_path / f"{rows}.csv"
                 path.write_bytes(reader_text(*(f"1,{n}e-6,0.1,{n}e-3,0" for n in range(rows))))
                 peaks[rows] = overhead(lambda: read_measured_cycles(path))
         assert peaks[2000] - peaks[250] < 32 * (2000 - 250), peaks
+
+    def test_read_at_the_default_block_holds_one_block(self, tmp_path):
+        # artifact_emit's largest run, 40 squats of 1000 samples (40,001 lines), read
+        # in blocks of 4096 lines holds one block's lines and parsed rows, about 1 MB,
+        # and the open group's runs; blocks of 16,384 lines would hold about 3.7 MB.
+        path = emit_trajectory_csv(distinct_squats(40, samples=1000), tmp_path / "t.csv")
+        assert overhead(lambda: read_measured_cycles(path)) < 1.5 * 2**20
