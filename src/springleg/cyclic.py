@@ -48,7 +48,7 @@ _BLOCK = 1 << 14
 class Termination(enum.Enum):
     """Why a run ended; a stalled run stalled on the squat after its last record."""
 
-    FULL_COMPRESSION = "full_compression"  # spring within tol_abs of solid
+    FULL_COMPRESSION = "full_compression"  # last squat on the solid stop, at capacity
     CONVERGED = "converged"  # gain below tol_gain, or a squat repeating its predecessor
     STALLED = "stalled"  # the next squat could not compress
     ITERATION_CAP = "iteration_cap"  # max_iterations squats run
@@ -196,8 +196,7 @@ def _recurrence(
     cap = config.force_cap if force_cap is None else force_cap
     cap = math.inf if config.policy is CompressionPolicy.FULL_RANGE else cap
     root_efficiency = math.sqrt(config.loss.efficiency if efficiency is None else efficiency)
-    pitch = config.loss.ratchet_pitch
-    full_length, tol_gain = solid + config.tol_abs, config.tol_gain
+    pitch, tol_gain = config.loss.ratchet_pitch, config.tol_gain
 
     def squat(n: int, x: float, s_start: float, dead_band: float) -> tuple:
         if s_start <= solid:
@@ -249,7 +248,7 @@ def _recurrence(
         return x_target, s_next, 0.0
 
     def ended(done: tuple, last: tuple | None) -> Termination | None:
-        if done[3] <= full_length:
+        if done[3] <= solid:
             return Termination.FULL_COMPRESSION
         gain = done[8] - (done[7] if last is None else last[8])
         if gain < tol_gain or gain == 0.0 and done == last:
@@ -265,8 +264,8 @@ class Run:
     Iterating yields one tuple per squat, in the field order of ``Squats``,
     and keeps nothing.  Termination, in order of precedence per iteration:
 
-    * full compression: post-squat spring length within ``tol_abs`` of the
-      solid length;
+    * full compression: post-squat spring length at the solid length, so
+      the squat stores exactly the spring capacity;
     * convergence: net stored-energy progress since the previous squat below
       ``tol_gain`` (this detects both the vanishing-progress regime of the
       ideal mechanism and the loss/regain fixed point of a lossy one), or a

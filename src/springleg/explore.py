@@ -66,20 +66,17 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
 def max_energy(config: Configuration) -> float:
     """Supremum of the stored energy the recurrence can reach.
 
-    The spring capacity if full compression is reached; otherwise the energy
-    where the run converges (a gain below ``tol_gain`` or a squat repeating
-    its predecessor) or after the query's budget of squats.  A ratchet-free
-    run jumps from event to event in closed form, at O(log n) squat
-    evaluations for n squats; a ratchet run streams its squats.
+    The last squat's energy of the run to termination: the spring capacity,
+    bit for bit, on full compression; else where it converges (a gain below
+    ``tol_gain`` or a squat repeating its predecessor) or after the query's
+    budget of squats.  A ratchet-free run jumps from event to event in closed
+    form, in O(log n) squat evaluations; a ratchet run streams its squats.
     """
     try:
-        termination, last, _ = _outcome(config, math.inf)
+        return _outcome(config, math.inf)[1][8]
     except StallError:
         # Not even one squat is possible; the fixed point is the start.
         return spring_energy(initial_spring_length(config), config.spring)
-    if termination is Termination.FULL_COMPRESSION:
-        return spring_capacity(config)
-    return last[8]
 
 
 def _outcome(config: Configuration, target: float) -> tuple[Termination, tuple, int | None]:

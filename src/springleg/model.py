@@ -198,9 +198,8 @@ class CompressionPolicy(enum.Enum):
 class Configuration:
     """Complete, validated description of one simulation setup.
 
-    ``force_cap`` defaults to the body weight.  ``tol_abs`` (spring length,
-    m) and ``tol_gain`` (stored energy, J) are the termination tolerances of
-    the multi-squat recurrence; both may be overridden.
+    ``force_cap`` defaults to the body weight; ``tol_gain`` (stored energy, J)
+    is the convergence tolerance of the multi-squat recurrence.
     """
 
     body: BodyParams
@@ -212,17 +211,16 @@ class Configuration:
     policy: CompressionPolicy = CompressionPolicy.FORCE_LIMITED
     max_iterations: int = 100
     sample_count: int = 1000
-    tol_abs: float = 1e-9
     tol_gain: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.force_cap is None:
             object.__setattr__(self, "force_cap", self.body.weight)
         if not (
-            type(self.initial_spring_position) is type(self.force_cap) is type(self.tol_abs)
-            is type(self.tol_gain) is float
+            type(self.initial_spring_position) is type(self.force_cap) is type(self.tol_gain)
+            is float
         ):
-            for name in ("initial_spring_position", "force_cap", "tol_abs", "tol_gain"):
+            for name in ("initial_spring_position", "force_cap", "tol_gain"):
                 object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not type(self.max_iterations) is type(self.sample_count) is int:
             for name in ("max_iterations", "sample_count"):
@@ -253,8 +251,6 @@ class Configuration:
             raise ConfigurationError(
                 f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}], got {_repr(self.sample_count)}"
             )
-        if not 0 <= self.tol_abs < math.inf:  # tol_abs = inf ends every run at its first squat
-            raise ConfigurationError(f"tol_abs must be finite and >= 0, got {self.tol_abs}")
         if not 0 <= self.tol_gain < math.inf:
             raise ConfigurationError(f"tol_gain must be finite and >= 0, got {self.tol_gain}")
         # Validate the derived initial spring length: pre-compression is

@@ -70,7 +70,7 @@ def emit_trajectory_csv(
     """
     if not isinstance(data, (SimResult, Trajectory)):
         raise DomainError(f"data must be a SimResult or a Trajectory, got {type(data).__name__}")
-    path = Path(path)
+    path = _path(path)
     if isinstance(data, SimResult):
         if not data.squats.x:
             raise DomainError("cannot emit an empty simulation result")
@@ -262,10 +262,7 @@ def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Pa
     ``rows`` that are not an iterable of ``SweepRow`` with mapping ``params`` and
     a string ``reason``, ``keys`` that are no iterable of hashables, and a path
     that is ``None`` or unwritable raise ``DomainError``."""
-    try:
-        path = Path(path)
-    except TypeError:
-        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}") from None
+    path = _path(path)
     for what, items, kind in (("rows", rows, "SweepRow"), ("keys", keys, "column names")):
         try:
             iter(items)
@@ -306,14 +303,12 @@ def _cells(column: list) -> list[str]:
 
 
 def _cell(value: object) -> str:
-    if type(value) is float:
+    if isinstance(value, float):  # no bool is a float
         return format_number(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return format_number(value)
     try:
         text = str(value)
     except ValueError:  # an int past the int-to-str digit limit, or a container of one
@@ -347,8 +342,12 @@ def format_fit_report(report: FitReport) -> str:
 
 
 def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
-    """Write the fitted scalars and the per-iteration table as CSV."""
-    path = Path(path)
+    """Write the fitted scalars and the per-iteration table of a ``FitReport`` as CSV."""
+    from .calibration import FitReport
+
+    if not isinstance(report, FitReport):
+        raise DomainError(f"report must be a FitReport, got {type(report).__name__}")
+    path = _path(path)
     scalars = (report.efficiency, report.force_cap, report.residual_rms)
     ratios = [*map(format_number, report.retention_ratios), *[""] * len(report.cycle_work)]
     works = map(format_number, report.cycle_work)
@@ -360,6 +359,14 @@ def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
     ]
     _write_lines(path, ["\n".join(lines)])
     return path
+
+
+def _path(path: str | Path) -> Path:
+    """``Path(path)``; a path that is no str or os.PathLike raises ``DomainError``."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}") from None
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -408,7 +415,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
         raise DomainError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if not result.squats.x:
         raise DomainError("cannot plot an empty simulation result")
-    path = Path(path)
+    path = _path(path)
 
     leg, spring, cap = result.config.leg, result.config.spring, result.config.force_cap
     if kind == "force_deflection":

@@ -94,7 +94,7 @@ def random_config(
 
 def values_from_config(config: Configuration) -> dict[str, object]:
     """Flat key-value view of ``config``, which ``config_from_values`` builds back
-    but for ``tol_abs`` and ``tol_gain``: they have no key."""
+    but for ``tol_gain``: it has no key."""
     values = {
         key: getattr(getattr(config, part) if part else config, name)
         for key, (part, name) in _FIELDS.items()
@@ -129,7 +129,6 @@ def oracle_params(config: Configuration, max_iter: int | None = None) -> dict:
         pitch=config.loss.ratchet_pitch,
         force_limited=config.policy is CompressionPolicy.FORCE_LIMITED,
         max_iter=config.max_iterations if max_iter is None else max_iter,
-        tol_abs=config.tol_abs,
         tol_gain=config.tol_gain,
     )
 

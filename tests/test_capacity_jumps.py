@@ -18,6 +18,7 @@ from springleg import (
     max_energy,
     min_squats,
     parse_config,
+    simulate,
     spring_capacity,
     spring_energy,
 )
@@ -73,7 +74,6 @@ def exact_ceiling(config) -> float:
         ))
         span = Decimal(leg.standing_length - leg.max_deformation)
         root_efficiency = Decimal(math.sqrt(config.loss.efficiency))
-        full_length = solid + Decimal(config.tol_abs)
         x, s = Decimal(config.initial_spring_position), Decimal(initial_spring_length(config))
         previous = k * (s0 - s) ** 2 / 2
         for n in range(1, max(config.max_iterations, QUERY_BUDGET) + 1):
@@ -84,7 +84,7 @@ def exact_ceiling(config) -> float:
             if s_end >= s:
                 break  # a stall: the run ends on the squat before
             energy = k * (s0 - s_end) ** 2 / 2
-            if s_end <= full_length:
+            if s_end <= solid:
                 return spring_capacity(config)
             if energy - previous < Decimal(config.tol_gain):
                 return float(energy)
@@ -146,6 +146,32 @@ def ratchet_free_configs(draw):
 @given(config=ratchet_free_configs(), fraction=st.floats(0.0, 1.0))
 def test_queries_match_the_streamed_run(config, fraction):
     assert_answers_match(config, fraction * spring_capacity(config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=ratchet_free_configs())
+def test_full_compression_stores_the_capacity(config):
+    # A full run ends on the solid stop, so its last squat stores the spring
+    # capacity bit for bit, and the queries answer for that squat.
+    run = Run(config, config.max_iterations)
+    try:
+        count = sum(1 for _ in run)
+    except SimulationError:
+        count = None
+    assume(count is not None and run.termination is Termination.FULL_COMPRESSION)
+    energies = max_energy(config), spring_capacity(config), simulate(config).final_energy
+    assert len({energy.hex() for energy in energies}) == 1
+    assert min_squats(config, max_energy(config)) == count
+
+
+def test_full_compression_ends_on_the_solid_stop():
+    # Squat 18 ends 0.5 mm above the solid length, storing 3.15996 J of the
+    # 3.2 J capacity; that is no full compression, and squat 19 stores it all.
+    config = worked_config(force_cap=12.25)
+    result = simulate(config)
+    assert result.termination is Termination.FULL_COMPRESSION
+    assert result.squats.stop[-2:] == (StopReason.FORCE_CAP, StopReason.SPRING_SOLID)
+    assert min_squats(config, max_energy(config)) == len(result.squats.x) == 19
 
 
 def four_squat_config(**changes):
@@ -258,17 +284,15 @@ def test_beyond_hip_error_after_the_first_squat():
     assert_answers_match(config, 0.5 * spring_capacity(config))
 
 
-@pytest.mark.parametrize("tol_gain, tol_abs", [(1e-12, 1e-9), (0.0, 0.01)])
-def test_leg_range_then_cap_then_leg_range(tol_gain, tol_abs):
+@pytest.mark.parametrize("tol_gain", [1e-12, 0.0])
+def test_leg_range_then_cap_then_leg_range(tol_gain):
     # A short leg range binds while the spring is long and again near the
     # solid length; the cap binds in between, 1.2e-6 above its critical value.
-    # With tol_gain 0 the squats after full compression would run on, and
-    # with tol_abs 0.01 full compression comes a squat before the solid length.
+    # With tol_gain 0 the squats after full compression would run on.
     config = four_squat_config(
         leg=replace(four_squat_config().leg, max_deformation=0.05),
         loss=LossModel(efficiency=0.98),
         tol_gain=tol_gain,
-        tol_abs=tol_abs,
     )
     config = replace(config, force_cap=critical_cap(config) * (1 + 1.2e-6))
     stops = [squat[4].value for squat in Run(config, QUERY_BUDGET)]
@@ -277,6 +301,7 @@ def test_leg_range_then_cap_then_leg_range(tol_gain, tol_abs):
     assert len(stops) > 1000
     for fraction in (0.2, 0.6, 0.95, 1.0):
         assert_answers_match(config, fraction * spring_capacity(config))
+    assert min_squats(config, spring_capacity(config)) == len(stops)
 
 
 @pytest.mark.parametrize(

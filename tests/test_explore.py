@@ -300,7 +300,7 @@ class TestSweep:
         assert rows[0].iterations == len(result.records)
 
     def test_point_keeps_the_template_tolerances(self):
-        # tol_abs and tol_gain have no flat key; points ran with the defaults
+        # tol_gain has no flat key; points ran with the default
         config = tolerant_four_squat_config()
         (row,) = sweep(config, [{}])
         result = simulate(config)
@@ -464,7 +464,7 @@ def reference_row(template, point) -> SweepRow:
     params = dict(point)
     try:
         config = config_from_values({**values_from_config(template), **point})
-        result = simulate(replace(config, tol_abs=template.tol_abs, tol_gain=template.tol_gain))
+        result = simulate(replace(config, tol_gain=template.tol_gain))
     except (ConfigurationError, DomainError) as exc:
         return SweepRow(params=params, status="invalid", reason=str(exc))
     except (StallError, SimulationError) as exc:
@@ -494,11 +494,7 @@ def templates(draw):
         allow_preload=draw(st.booleans()),
         max_iterations=draw(st.integers(1, 60)),
     )
-    return replace(
-        config,
-        tol_abs=draw(st.sampled_from([1e-9, 0.0, 1e-4])),
-        tol_gain=draw(st.sampled_from([1e-12, 0.0, 1e-3, 0.5])),
-    )
+    return replace(config, tol_gain=draw(st.sampled_from([1e-12, 0.0, 1e-3, 0.5])))
 
 
 def near_values(template_value):

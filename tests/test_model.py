@@ -155,6 +155,11 @@ class TestParameterValidation:
         with pytest.raises(ConfigurationError, match="spring capacity"):
             SpringParams(stiffness=1.7e308, free_length=2.0)
 
+    def test_no_length_tolerance(self):
+        # Full compression is the solid length itself: there is no tolerance to set.
+        with pytest.raises(TypeError, match="tol_abs"):
+            worked_config(tol_abs=1e-9)
+
     def test_loss_bounds(self):
         with pytest.raises(ConfigurationError, match=r"\(0, 1\]"):
             LossModel(efficiency=1.2)
@@ -280,18 +285,9 @@ VALIDATION_MESSAGES = {
         lambda: worked_config(sample_count=10**5000),
         "sample_count must lie in [2, 1000000], got <int too long to print>",
     ),
-    "tol_abs": (
-        lambda: worked_config(tol_abs=-1e-9),
-        "tol_abs must be finite and >= 0, got -1e-09",
-    ),
     "tol_gain": (
         lambda: worked_config(tol_gain=-1.0),
         "tol_gain must be finite and >= 0, got -1.0",
-    ),
-    # tol_abs = inf ended every run at its first squat as full compression.
-    "tol_abs_inf": (
-        lambda: worked_config(tol_abs=math.inf),
-        "tol_abs must be finite and >= 0, got inf",
     ),
     "tol_gain_inf": (
         lambda: worked_config(tol_gain=math.inf),
@@ -387,7 +383,6 @@ NUMBER_FIELDS = {
     "force_cap": (None, "force_cap_n"),
     "max_iterations": (None, "max_iterations"),
     "sample_count": (None, "sample_count"),
-    "tol_abs": (None, None),
     "tol_gain": (None, None),
 }
 INTEGER_FIELDS = ("max_iterations", "sample_count")

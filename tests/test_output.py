@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from springleg import (
     DataError,
     DomainError,
+    FitReport,
     LegGeometry,
     LossModel,
     MeasuredCycle,
@@ -24,6 +25,7 @@ from springleg import (
     SweepRow,
     Trajectory,
     e1_max,
+    emit_fit_report_csv,
     emit_plot_svg,
     emit_sweep_csv,
     emit_trajectory_csv,
@@ -691,20 +693,40 @@ class TestSweepCsv:
         assert str(error.value) == message
         assert not path.exists()
 
-    @pytest.mark.parametrize(
-        "keys, name, message",
-        [
-            (None, "sweep.csv", "keys must be an iterable of column names, got NoneType"),
-            (["mass_kg"], None, "path must be a str or os.PathLike, got NoneType"),
-        ],
-        ids=["keys_none", "path_none"],
-    )
-    def test_keys_and_path_checked_before_writing(self, tmp_path, keys, name, message):
+    def test_keys_checked_before_writing(self, tmp_path):
         rows = sweep(worked_config(), [{"mass_kg": 12.0}])
         with pytest.raises(DomainError) as error:
-            emit_sweep_csv(rows, keys, name and tmp_path / name)
-        assert str(error.value) == message
+            emit_sweep_csv(rows, None, tmp_path / "sweep.csv")
+        assert str(error.value) == "keys must be an iterable of column names, got NoneType"
         assert not any(tmp_path.iterdir())
+
+
+REPORT = FitReport(0.9, 12.0, (0.5, 0.25), 0.01, (0.9,), False)
+#: Each public emitter, called with its data and a path.
+EMITTERS = {
+    "trajectory": lambda path: emit_trajectory_csv(simulate(worked_config()), path),
+    "plot": lambda path: emit_plot_svg(simulate(worked_config()), "energy", path),
+    "sweep": lambda path: emit_sweep_csv(sweep(worked_config(), [{}]), ["mass_kg"], path),
+    "fit_report": lambda path: emit_fit_report_csv(REPORT, path),
+}
+
+
+@pytest.mark.parametrize("path", [None, 5, b"out.csv"], ids=["none", "int", "bytes"])
+@pytest.mark.parametrize("emitter", EMITTERS)
+def test_path_that_is_no_path_rejected(tmp_path, monkeypatch, emitter, path):
+    monkeypatch.chdir(tmp_path)  # where a path taken as one would be written
+    with pytest.raises(DomainError) as error:
+        EMITTERS[emitter](path)
+    assert str(error.value) == f"path must be a str or os.PathLike, got {type(path).__name__}"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("report", [None, "fit", {"efficiency": 0.9}], ids=["none", "str", "dict"])
+def test_fit_report_of_another_type_rejected_before_writing(tmp_path, report):
+    with pytest.raises(DomainError) as error:
+        emit_fit_report_csv(report, tmp_path / "fit.csv")
+    assert str(error.value) == f"report must be a FitReport, got {type(report).__name__}"
+    assert not any(tmp_path.iterdir())
 
 
 class TestBlockFormatting:
