@@ -22,9 +22,14 @@ from .model import CompressionPolicy, Configuration, _real, initial_spring_lengt
 #: termination rather than to the configured iteration cap.
 _EXHAUSTIVE_ITERATIONS = 10_000
 
+#: The last streamed run, replaced whole: its config and ``_outcome`` but the target squat.
+_streamed: tuple = (None, None)
+
 
 def spring_capacity(config: Configuration) -> float:
     """Energy stored by the spring at its solid length."""
+    if not isinstance(config, Configuration):
+        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
     return spring_energy(config.spring.solid_length, config.spring)
 
 
@@ -32,22 +37,23 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     """Smallest squat count whose stored energy reaches ``target_energy``.
 
     Returns 0 when the pre-squat (preload) energy already suffices, and
-    None when the recurrence converges below the target (infeasible).  The
+    None when the run stores less than the target (infeasible).  The
     run is extended beyond ``config.max_iterations`` if needed, so the
     answer is a property of the mechanism rather than of the iteration cap.
-    The run is followed to its end, also past the answer: a run that fails
-    raises here as in ``simulate`` and ``max_energy``.  A ratchet-free run
-    costs O(log n) squat evaluations (see ``max_energy``); a ratchet run is
-    streamed squat by squat.
+    The answer is for the whole run, which ``max_energy`` shares: a run that
+    fails raises here as in ``simulate`` and ``max_energy``.  A ratchet-free
+    run costs O(log n) squat evaluations (see ``max_energy``); a ratchet run
+    is streamed squat by squat (see ``_outcome``).
 
     Raises
     ------
     DomainError
-        If ``target_energy`` is not a real number (a bool is not one), does
-        not fit a float, is NaN or exceeds the spring capacity.
+        If ``config`` is no ``Configuration``, or ``target_energy`` is not a
+        real number (a bool is not one), does not fit a float, is NaN or
+        exceeds the spring capacity.
     """
-    target = _real("target energy", target_energy, DomainError)
     capacity = spring_capacity(config)
+    target = _real("target energy", target_energy, DomainError)
     if math.isnan(target):
         raise DomainError("target energy must be a number, got nan")
     if target > capacity:
@@ -58,7 +64,7 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
     if target <= preload_energy:
         return 0
     try:
-        return _outcome(config, target)[2]
+        return _outcome(config, target)[4]
     except StallError:
         return None
 
@@ -66,32 +72,50 @@ def min_squats(config: Configuration, target_energy: float) -> int | None:
 def max_energy(config: Configuration) -> float:
     """Supremum of the stored energy the recurrence can reach.
 
-    The last squat's energy of the run to termination: the spring capacity,
-    bit for bit, on full compression; else where it converges (a gain below
-    ``tol_gain`` or a squat repeating its predecessor) or after the query's
-    budget of squats.  A ratchet-free run jumps from event to event in closed
-    form, in O(log n) squat evaluations; a ratchet run streams its squats.
+    The peak squat energy of the run to termination: the spring capacity,
+    bit for bit, on full compression; else the last squat's, where it converges
+    (a gain below ``tol_gain`` or a squat repeating its predecessor) or after
+    the query's budget, but squat 1's where squat 2 stores less.  A ratchet-free
+    run jumps from event to event in closed form, in O(log n) squat
+    evaluations; a ratchet run streams its squats (see ``_outcome``).  Raises
+    ``DomainError`` if ``config`` is no ``Configuration``.
     """
+    if not isinstance(config, Configuration):
+        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
     try:
-        return _outcome(config, math.inf)[1][8]
+        return _outcome(config, math.inf)[2]
     except StallError:
         # Not even one squat is possible; the fixed point is the start.
         return spring_energy(initial_spring_length(config), config.spring)
 
 
-def _outcome(config: Configuration, target: float) -> tuple[Termination, tuple, int | None]:
-    """``(termination, last squat, first squat storing target)`` of the run of
-    ``config`` to termination, which keeps no squats."""
+def _outcome(config: Configuration, target: float) -> tuple:
+    """``(termination, last squat, peak stored energy, squat count, first
+    squat storing target)`` of the run of ``config`` to termination, which
+    keeps no squats.  The last streamed run that did not raise is recorded:
+    on its config, a target above the peak has no squat, and another one
+    streams the run only up to its first squat storing it.
+    """
+    global _streamed
     # A larger budget changes nothing: by 2**60 squats every orbit has settled.
     budget = min(max(config.max_iterations, _EXHAUSTIVE_ITERATIONS), 2**60)
     jumped = None if config.loss.ratchet_pitch else _jumped_run(config, target, budget)
     if jumped is not None:
         return jumped
-    run, reached = Run(config, budget), None
+    known, record = _streamed
+    if known == config:
+        if target > record[2]:
+            return *record, None
+        run = enumerate(Run(config, record[3]), 1)
+        return *record, next(n for n, squat in run if squat[8] >= target)
+    run, peak, reached = Run(config, budget), -math.inf, None
     for n, squat in enumerate(run, 1):
-        if reached is None and squat[8] >= target:
-            reached = n
-    return run.termination, squat, reached
+        if squat[8] > peak:
+            peak = squat[8]
+            if reached is None and peak >= target:
+                reached = n
+    _streamed = config, (run.termination, squat, peak, n)
+    return *_streamed[1], reached
 
 
 def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | None:
@@ -130,16 +154,20 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
             return True
         return ended(following, done) is not None or following[8] >= target
 
-    done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
+    def outcome(termination: Termination, done: tuple, count: int) -> tuple:
+        # The orbit is monotone from squat 2 on: the peak is squat 1 or the last.
+        return termination, done, max(first[8], done[8]), count, reached
+
+    first = done = squat(1, config.initial_spring_position, initial_spring_length(config), 0.0)
     n, last, reached = 1, None, None
     while True:
         if reached is None and done[8] >= target:
             reached, target = n, math.inf
         termination = ended(done, last)
         if termination is not None:
-            return termination, done, reached
+            return outcome(termination, done, n)
         if n == budget:
-            return Termination.ITERATION_CAP, done, reached
+            return outcome(Termination.ITERATION_CAP, done, n)
         if n > 1:
             start, orbit, side = n, orbit_from(done[4], s), bisect(thresholds, s)
             later = range(n + 1, budget + 1)
@@ -150,15 +178,15 @@ def _jumped_run(config: Configuration, target: float, budget: int) -> tuple | No
             try:
                 n, done = stop - 1, at(stop - 1)
             except StallError:  # as ``ends`` saw it
-                return Termination.STALLED, at(stop - 2), reached
+                return outcome(Termination.STALLED, at(stop - 2), stop - 2)
             if stop > budget:  # a closed form settled by then has repeated a squat
                 if orbit(budget - start) == orbit(budget - 1 - start):
-                    return Termination.CONVERGED, done, reached
-                return Termination.ITERATION_CAP, done, reached
+                    return outcome(Termination.CONVERGED, done, n)
+                return outcome(Termination.ITERATION_CAP, done, n)
         try:
             s, following = after(n, done)
         except StallError:
-            return Termination.STALLED, done, reached
+            return outcome(Termination.STALLED, done, n)
         n, last, done = n + 1, done, following
 
 

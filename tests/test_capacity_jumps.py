@@ -57,7 +57,7 @@ def streamed(config, target):
     if run.termination is Termination.FULL_COMPRESSION:
         ceiling = spring_capacity(config)
     else:
-        ceiling = energies[-1]
+        ceiling = max(energies)
     reached = next((n for n, e in enumerate(energies, 1) if e >= target), None)
     return ceiling, 0 if target <= preload else reached, run.termination, energies
 
@@ -86,8 +86,8 @@ def exact_ceiling(config) -> float:
             energy = k * (s0 - s_end) ** 2 / 2
             if s_end <= solid:
                 return spring_capacity(config)
-            if energy - previous < Decimal(config.tol_gain):
-                return float(energy)
+            if energy - previous < Decimal(config.tol_gain):  # squat 1 or the last is the peak
+                return float(max(energy, previous) if n > 1 else energy)
             s = s0 - root_efficiency * (s0 - s_end)
             x, previous = s * seg / lstand, energy
         return float(previous)
@@ -243,14 +243,16 @@ def test_stall_after_the_first_squat():
 def test_jump_landing_on_a_stall_ends_as_the_run():
     # Lossless at half the critical cap, the orbit falls to the cap's fixed
     # point, which is a stall point: the closed form stalls on the squat the
-    # jump lands on, and the run stalls after its 21st squat.
+    # jump lands on, after squat 20, and the run after its 21st squat, whose end
+    # length is one float step shorter.
     config = four_squat_config(loss=LossModel(efficiency=1.0), tol_gain=0.0)
     config = replace(config, force_cap=critical_cap(config) / 2)
     run = Run(config, QUERY_BUDGET)
     squats = list(run)
     assert run.termination is Termination.STALLED and len(squats) == 21
-    termination, last, reached = _jumped_run(config, math.inf, QUERY_BUDGET)
-    assert termination is Termination.STALLED and reached is None
+    termination, last, peak, count, reached = _jumped_run(config, math.inf, QUERY_BUDGET)
+    assert termination is Termination.STALLED and count == 20 and reached is None
+    assert peak == last[8] == pytest.approx(squats[-1][8], rel=1e-14)
     assert last[4] is squats[-1][4] is StopReason.FORCE_CAP
     numbers = [0, 1, 2, 3, 5, 6, 7, 8, 9]  # all but the stop
     assert [last[i] for i in numbers] == pytest.approx([squats[-1][i] for i in numbers], rel=1e-14)
@@ -266,7 +268,8 @@ def test_budget_reached_before_the_first_jump_ends_as_the_run(budget):
     run = Run(config, budget)
     *_, last = run
     assert run.termination is Termination.ITERATION_CAP
-    assert _jumped_run(config, math.inf, budget) == (run.termination, last, None)
+    outcome = (run.termination, last, last[8], budget, None)
+    assert _jumped_run(config, math.inf, budget) == outcome
 
 
 def test_beyond_hip_error_after_the_first_squat():

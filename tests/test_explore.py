@@ -1,8 +1,10 @@
 """Design-space queries: squat counts, energy ceilings, sweeps."""
 
 import math
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,9 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
     ALL_KEYS,
+    BodyParams,
     CompressionPolicy,
+    Configuration,
     ConfigurationError,
     DomainError,
+    LegGeometry,
     LossModel,
     SimulationError,
     SpringParams,
@@ -29,6 +34,7 @@ from springleg import (
     spring_energy,
     sweep,
 )
+from springleg import explore
 from springleg.cyclic import Run, Termination, _recurrence
 from springleg.explore import _outcome
 from springleg.model import initial_spring_length
@@ -51,7 +57,7 @@ def oracle_answers(config, target: float) -> tuple[float, int | None, set[str]]:
     if ref["full_at"] is not None:
         ceiling = oracle_energy(params["smin"], k, s0)
     else:
-        ceiling = records[-1]["e_after"]
+        ceiling = max(r["e_after"] for r in records)
     reached = (n for n, r in enumerate(records, 1) if r["e_after"] >= target)
     squats = 0 if target <= preload else next(reached, None)
     return ceiling, squats, {r["reason"] for r in records}
@@ -280,6 +286,209 @@ class TestQueryMemory:
         for target in (reached, spring_capacity(config)):
             with pytest.raises(SimulationError, match="beyond the hip"):
                 min_squats(config, target)
+
+
+#: Runs whose squat 2 stores less than squat 1 and so ends them, converged:
+#: without and with a ratchet.
+FALLING_AT_SQUAT_2 = [
+    Configuration(
+        body=BodyParams(mass=20.095448031631175),
+        leg=LegGeometry(0.5879235602177149, 0.9615879067112949, 0.579940248677526),
+        spring=SpringParams(1057.1186651167172, 0.9615879067112949, 0.3001408090754659),
+        initial_spring_position=0.5011338372023378,
+        force_cap=197.06902543939586,
+        loss=LossModel(efficiency=0.3927293868834501),
+    ),
+    Configuration(
+        body=BodyParams(mass=1.763224510693749),
+        leg=LegGeometry(0.21859945852165788, 0.34399072991939084, 0.10155997637023079),
+        spring=SpringParams(1403.038027211501, 0.2026620364859014, 0.06306348883848416),
+        initial_spring_position=0.1266879196261869,
+        force_cap=17.291325647794853,
+        loss=LossModel(efficiency=0.9124892609104325, ratchet_pitch=0.014392569235215754),
+    ),
+]
+
+
+@pytest.mark.parametrize("config", FALLING_AT_SQUAT_2, ids=["ratchet_free", "ratchet"])
+def test_max_energy_is_the_peak_not_the_last_squat(config):
+    run = Run(config, 10_000)
+    first, second = run
+    assert run.termination is Termination.CONVERGED and second[8] < first[8]
+    assert max_energy(config) == first[8]
+    assert min_squats(config, max_energy(config)) == 1
+    assert min_squats(config, math.nextafter(first[8], math.inf)) is None
+
+
+@pytest.mark.parametrize("query", [max_energy, spring_capacity, lambda c: min_squats(c, 1.0)])
+@pytest.mark.parametrize("config", [None, [], {}, SpringParams(1000.0, 0.12, 0.04)])
+def test_queries_reject_a_config_of_another_type(query, config):
+    # Also an unhashable one, which must not reach the record of the last run.
+    with pytest.raises(DomainError) as info:
+        query(config)
+    assert str(info.value) == f"config must be a Configuration, got {type(config).__name__}"
+
+
+def near_critical_ratchet_config():
+    """capacity_queries' ratchet input: four_squat_demo at efficiency 0.95, its
+    cap 1e-6 above critical and a 4e-7 m pitch; the run takes 1092 squats."""
+    config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+    s0, k, lstand = config.spring.free_length, config.spring.stiffness, config.leg.standing_length
+    critical = s0 * s0 * k / (4 * math.sqrt(0.95) * lstand)
+    return replace(
+        config,
+        force_cap=critical * (1 + 1e-6),
+        loss=LossModel(efficiency=0.95, ratchet_pitch=4e-7),
+        max_iterations=10_000,
+    )
+
+
+def two_ratchet_configs():
+    """The near-critical ratchet config and a settling one: two runs whose
+    answers differ."""
+    settling = settling_ratchet_config(232.70286216318496, 0.9329731716499092, 2.9461106082787717e-06, 100)
+    return near_critical_ratchet_config(), settling
+
+
+def uncached(query, *args):
+    """``query(*args)`` with no run recorded before it."""
+    explore._streamed = (None, None)
+    return query(*args)
+
+
+class CountingRun(Run):
+    """``Run`` that counts the squats every run yields."""
+
+    squats = 0
+
+    def __iter__(self):
+        for squat in super().__iter__():
+            CountingRun.squats += 1
+            yield squat
+
+
+class TestStreamedRecord:
+    @pytest.fixture(autouse=True)
+    def no_record(self, monkeypatch):
+        monkeypatch.setattr(explore, "_streamed", (None, None))
+
+    def test_both_queries_stream_the_run_once(self, monkeypatch):
+        config = near_critical_ratchet_config()
+        energies = [squat[8] for squat in Run(config, 10_000)]
+        target = energies[600]
+        answer = next(n for n, e in enumerate(energies, 1) if e >= target)
+        assert len(energies) == 1092 and 500 < answer < len(energies)
+        monkeypatch.setattr(explore, "Run", CountingRun)
+        CountingRun.squats = 0
+        assert max_energy(config) == max(energies)
+        assert min_squats(config, target) == answer
+        assert CountingRun.squats == len(energies) + answer
+        assert min_squats(config, math.nextafter(max(energies), math.inf)) is None
+        assert CountingRun.squats == len(energies) + answer
+        explore._streamed, CountingRun.squats = (None, None), 0
+        assert min_squats(config, target) == answer
+        assert max_energy(config) == max(energies)
+        assert CountingRun.squats == len(energies)
+
+    def test_each_config_answers_for_its_own_run(self):
+        # Queries on c1, c2, c1 answer as each query does with no run recorded.
+        configs = two_ratchet_configs()
+
+        def answers(config, ask):
+            peak = max(squat[8] for squat in Run(config, 10_000))
+            targets = [0.5 * peak, 0.999 * peak, peak, math.nextafter(peak, math.inf)]
+            return [ask(max_energy, config)] + [ask(min_squats, config, t) for t in targets]
+
+        expected = [answers(config, uncached) for config in configs]
+        explore._streamed = (None, None)
+        got = [answers(configs[i], lambda query, *args: query(*args)) for i in (0, 1, 0)]
+        assert got == [expected[0], expected[1], expected[0]]
+        assert expected[0] != expected[1] and expected[0][-1] is expected[1][-1] is None
+
+    @pytest.mark.parametrize("first", ["max_energy", "min_squats"])
+    def test_a_failing_run_raises_from_both_queries(self, first):
+        # The lossy retraction after squat 1 needs a position beyond the hip;
+        # squat 1 already reaches the target, and nothing of the run is recorded.
+        config = worked_config(
+            spring=SpringParams(stiffness=1000.0, free_length=0.35, solid_length=0.01),
+            initial_spring_position=0.2,
+            force_cap=400.0,
+            loss=LossModel(efficiency=0.01, ratchet_pitch=0.001),
+        )
+        (squat,) = Run(config, 1)
+        queries = {"max_energy": lambda: max_energy(config), "min_squats": lambda: min_squats(config, squat[8])}
+        for name in (first, *(name for name in queries if name != first)):
+            with pytest.raises(SimulationError, match="retraction after squat 1 .* beyond the hip"):
+                queries[name]()
+            assert explore._streamed == (None, None)
+
+    def test_distinct_configs_keep_constant_memory(self):
+        config = parse_config(CONFIG_DIR / "four_squat_demo.cfg")
+        config = replace(config, loss=LossModel(efficiency=0.9, ratchet_pitch=1e-3))
+        max_energy(config)
+        tracemalloc.start()
+        try:
+            for i in range(1000):
+                changed = replace(config, force_cap=200.0 + 0.1 * i)
+                assert min_squats(changed, max_energy(changed)) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_threads_answer_as_each_query_alone(self):
+        # The record is replaced whole, so threads that replace it in turn
+        # still answer for their own configs.
+        configs = two_ratchet_configs()
+        targets = [0.9 * uncached(max_energy, config) for config in configs]
+        expected = [(uncached(max_energy, c), uncached(min_squats, c, t)) for c, t in zip(configs, targets)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda c, t: (max_energy(c), min_squats(c, t)), configs[i % 2], targets[i % 2])
+                    for i in range(16)
+                ]
+                answers = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [expected[i % 2] for i in range(16)]
+
+
+@st.composite
+def ratchet_configs(draw):
+    """random_config draws with a ratchet pitch of 1e-5 to 3e-2 m (log-uniform),
+    efficiency 0.5 to 1, and tol_gain the default or 0."""
+    config = random_config(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        efficiency=draw(st.floats(0.5, 1.0)),
+        ratchet_pitch=10 ** draw(st.floats(-5.0, math.log10(3e-2))),
+    )
+    return replace(config, tol_gain=draw(st.sampled_from([config.tol_gain, 0.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=ratchet_configs())
+def test_ratchet_queries_answer_for_the_streamed_run(config):
+    # Targets at the preload, mid-run, at the peak, just above it and at the
+    # capacity, with each query first: min_squats is the first squat of the
+    # whole run storing the target, and None exactly above max_energy.
+    energies = [squat[8] for squat in Run(config, 10_000)]
+    peak = max(energies)
+    preload = spring_energy(initial_spring_length(config), config.spring)
+    targets = [preload, energies[len(energies) // 2], peak, math.nextafter(peak, math.inf)]
+    targets = [target for target in targets if target <= spring_capacity(config)]
+    targets.append(spring_capacity(config))
+    for target in targets:
+        reached = 0 if target <= preload else next(
+            (n for n, e in enumerate(energies, 1) if e >= target), None
+        )
+        assert uncached(max_energy, config) == peak
+        assert min_squats(config, target) == reached
+        assert uncached(min_squats, config, target) == reached
+        assert max_energy(config) == peak
+        assert (reached is None) == (target > peak)
 
 
 def tolerant_four_squat_config():
