@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import BodyParams, LegGeometry, _real
+from .model import BodyParams, LegGeometry, _expect, _real
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,9 @@ class BaselineResult:
 
 def e1_max(body: BodyParams, geom: LegGeometry) -> float:
     """Maximum energy storable in a single squat: half the weight times the range."""
+    if type(body) is not BodyParams or type(geom) is not LegGeometry:
+        _expect(body, BodyParams, "body")
+        _expect(geom, LegGeometry, "geom")
     return 0.5 * body.weight * geom.max_deformation
 
 
@@ -37,8 +40,8 @@ def baseline_result(bottom_force: float, body: BodyParams, geom: LegGeometry) ->
     leg force ``(weight + F) / 2`` as the force ramps down from the weight, the energy
     ``(weight - mean) * max_deformation`` left in the spring, and the stiffness
     ``(weight - F) / max_deformation`` that balances the body at the bottom."""
+    e1, weight = e1_max(body, geom), body.weight  # e1_max checks the parts
     bottom_force = _real("bottom force", bottom_force, DomainError)
-    weight = body.weight
     if not 0 <= bottom_force <= weight:
         raise DomainError(
             f"bottom force {bottom_force} outside [0, weight={weight}]: "
@@ -53,6 +56,6 @@ def baseline_result(bottom_force: float, body: BodyParams, geom: LegGeometry) ->
         bottom_force=bottom_force,
         average_force=favg,
         stored_energy=(weight - favg) * geom.max_deformation,
-        e1_max=e1_max(body, geom),
+        e1_max=e1,
         stiffness=(weight - bottom_force) / geom.max_deformation,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cyclic import _BLOCK, _SLACK, Run, _strokes
 from .errors import DataError, DomainError, SimulationError
-from .model import CompressionPolicy, Configuration, SpringParams, _integer
+from .model import CompressionPolicy, Configuration, SpringParams, _expect, _integer
 from .model import _real, _repr
 from .model import spring_energy
 
@@ -110,8 +110,7 @@ def integrate_work(cycle: MeasuredCycle) -> float:
     """Trapezoidal work integral of the measured force over displacement;
     ``DataError`` if ``cycle`` is no ``MeasuredCycle``, has fewer than two
     samples or its integral overflows."""
-    if not isinstance(cycle, MeasuredCycle):
-        raise DataError(f"cycle must be a MeasuredCycle, got {type(cycle).__name__}")
+    _expect(cycle, MeasuredCycle, "cycle", DataError)
     if len(cycle.hip_displacement) < 2:
         raise DataError(f"cycle {_repr(cycle.iteration)}: need at least 2 samples to integrate")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -129,8 +128,7 @@ def retention_ratios(cycles: Sequence[MeasuredCycle], spring: SpringParams) -> l
     ``MeasuredCycle`` raise ``DataError``, a ``spring`` that is no
     ``SpringParams`` raises ``DomainError``.
     """
-    if not isinstance(spring, SpringParams):
-        raise DomainError(f"spring must be a SpringParams, got {type(spring).__name__}")
+    _expect(spring, SpringParams, "spring")
     ordered = sorted(_as_cycles(cycles), key=lambda c: c.iteration)
     ratios: list[float] = []
     for before, after in zip(ordered, ordered[1:]):
@@ -210,8 +208,7 @@ def fit_model(
         If ``config`` is no ``Configuration``.
     """
     cycles = _as_cycles(cycles)
-    if not isinstance(config, Configuration):
-        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
+    _expect(config, Configuration, "config")
     if len(cycles) < 2:
         raise DataError("need at least 2 measured cycles to fit the loss model")
     if not (fit_efficiency or fit_force_cap):

@@ -15,10 +15,7 @@ from collections.abc import Iterator, Mapping
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .model import (
-    BodyParams, CompressionPolicy, Configuration, LegGeometry, LossModel, SpringParams, _integer,
-    _real, _repr,
-)
+from .model import _PARTS, CompressionPolicy, Configuration, _expect, _integer, _real, _repr
 
 #: Flat key -> (Configuration part, field), in file order.  Part None is a
 #: field of Configuration itself.
@@ -39,7 +36,6 @@ _FIELDS: dict[str, tuple[str | None, str]] = {
     "max_iterations": (None, "max_iterations"),
     "sample_count": (None, "sample_count"),
 }
-_PARTS = {"body": BodyParams, "leg": LegGeometry, "spring": SpringParams, "loss": LossModel}
 
 #: Keys that may be left out; the defaults of ``model`` then apply.
 OPTIONAL_KEYS = (
@@ -73,8 +69,7 @@ def parse_config(path: str | Path) -> Configuration:
 
 def config_from_values(values: Mapping[str, object]) -> Configuration:
     """Build a validated Configuration from a flat key-value mapping."""
-    if not isinstance(values, Mapping):
-        raise ConfigurationError(f"config values must be a mapping, got {type(values).__name__}")
+    _expect(values, Mapping, "config values", ConfigurationError, "mapping")
     return apply_overrides(None, values)
 
 

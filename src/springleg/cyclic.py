@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DomainError, GeometryError, SimulationError, StallError
 from .model import CompressionPolicy, Configuration, SpringParams, Trajectory
-from .model import _integer, _real, _repr, hip_force, initial_spring_length, spring_energy
+from .model import _expect, _integer, _real, _repr, hip_force, initial_spring_length, spring_energy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -281,7 +281,7 @@ class Run:
     the run ended once the iteration is exhausted.  ``efficiency`` and
     ``force_cap`` override the configuration's values, as in ``_recurrence``.
     They and ``max_iterations`` raise ``DomainError`` where the configuration
-    would reject them.
+    would reject them, and so does a ``config`` that is no ``Configuration``.
     """
 
     def __init__(
@@ -292,6 +292,8 @@ class Run:
         efficiency: float | None = None,
         force_cap: float | None = None,
     ) -> None:
+        if type(config) is not Configuration:
+            _expect(config, Configuration, "config")
         if type(max_iterations) is not int or max_iterations < 1:
             if (max_iterations := _integer("max_iterations", max_iterations, DomainError)) < 1:
                 raise DomainError(f"max_iterations must be >= 1, got {_repr(max_iterations)}")
@@ -334,6 +336,7 @@ def simulate(config: Configuration) -> SimResult:
     of the configuration: identical configurations give bit-identical
     results.
     """
+    _expect(config, Configuration, "config")
     run = Run(config, config.max_iterations)
     # Through a list: ``*run`` would grow a tuple by resizing, which fragments the heap.
     squats = Squats(*zip(*list(run)))
@@ -358,7 +361,10 @@ def release_profile(
         starting posture lies outside the leg's deformation range: deeper
         than ``max_deformation``, or beyond standing, where the spring
         would compress as the leg extends.
+    DomainError
+        If ``config`` is no ``Configuration``.
     """
+    _expect(config, Configuration, "config")
     geom, spring = config.leg, config.spring
     spring_length = _real("spring_length", spring_length, GeometryError)
     if x_release is None:

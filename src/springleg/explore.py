@@ -16,7 +16,8 @@ from .baseline import e1_max
 from .config import apply_overrides
 from .cyclic import Run, StopReason, Termination, _recurrence
 from .errors import ConfigurationError, DomainError, SimulationError, StallError
-from .model import CompressionPolicy, Configuration, _real, initial_spring_length, spring_energy
+from .model import CompressionPolicy, Configuration, _expect, _real, initial_spring_length
+from .model import spring_energy
 
 #: Iteration budget used when a query needs the recurrence run to
 #: termination rather than to the configured iteration cap.
@@ -28,8 +29,7 @@ _streamed: tuple = (None, None)
 
 def spring_capacity(config: Configuration) -> float:
     """Energy stored by the spring at its solid length."""
-    if not isinstance(config, Configuration):
-        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
+    _expect(config, Configuration, "config")
     return spring_energy(config.spring.solid_length, config.spring)
 
 
@@ -80,8 +80,7 @@ def max_energy(config: Configuration) -> float:
     evaluations; a ratchet run streams its squats (see ``_outcome``).  Raises
     ``DomainError`` if ``config`` is no ``Configuration``.
     """
-    if not isinstance(config, Configuration):
-        raise DomainError(f"config must be a Configuration, got {type(config).__name__}")
+    _expect(config, Configuration, "config")
     try:
         return _outcome(config, math.inf)[2]
     except StallError:
@@ -293,9 +292,10 @@ def sweep(
     point that built a configuration is built over that one from the values
     that are not its very objects: a value object must not change meanwhile.
     Invalid, malformed or stalling points are flagged in their row and do not
-    abort the sweep; ``points`` that are not iterable raise ``DomainError``.
-    Row order is grid order; ``workers`` has no effect.
+    abort the sweep; a ``config`` that is no ``Configuration`` and ``points`` that
+    are not iterable raise ``DomainError``.  Row order is grid order; ``workers`` has no effect.
     """
+    _expect(config, Configuration, "config")
     try:
         points = iter(points)
     except TypeError:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from operator import index
 from typing import TYPE_CHECKING
@@ -61,6 +62,13 @@ def _integer(what: str, value: object, error: type[SpringLegError] = Configurati
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise error(f"{what} needs an integer, got {_repr(value)}")
     return index(value)
+
+
+def _expect(value, kind, what: str, error: type[SpringLegError] = DomainError, name: str = ""):
+    """``value`` if it is a ``kind`` (a type or a tuple of types), else ``error`` naming it."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be a {name or kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 # Checks format their message only on failure: a float's text costs more than its check.
@@ -194,6 +202,10 @@ class CompressionPolicy(enum.Enum):
     FULL_RANGE = "full_range"
 
 
+#: The parts of a ``Configuration``: field -> type.
+_PARTS = {"body": BodyParams, "leg": LegGeometry, "spring": SpringParams, "loss": LossModel}
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Complete, validated description of one simulation setup.
@@ -214,6 +226,13 @@ class Configuration:
     tol_gain: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not (  # chained, as the numbers below: a tuple per configuration would cost memory
+            type(self.body) is BodyParams and type(self.leg) is LegGeometry
+            and type(self.spring) is SpringParams and type(self.loss) is LossModel
+            and type(self.policy) is CompressionPolicy
+        ):
+            for name, kind in {**_PARTS, "policy": CompressionPolicy}.items():
+                _expect(getattr(self, name), kind, name, ConfigurationError)
         if self.force_cap is None:
             object.__setattr__(self, "force_cap", self.body.weight)
         if not (
@@ -264,6 +283,8 @@ def initial_spring_length(config: Configuration) -> float:
     Lengths that overshoot the free length by round-off only are snapped to
     the free length; genuinely slack or solid configurations are rejected.
     """
+    if type(config) is not Configuration:
+        _expect(config, Configuration, "config")
     s = config.initial_spring_position / config.leg.segment_length * config.leg.standing_length
     s0 = config.spring.free_length
     if s > s0:
@@ -296,8 +317,8 @@ class Trajectory:
     stored_energy: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.leg_deformation)
-        if not (len(self.spring_length) == len(self.hip_force) == len(self.stored_energy) == n):
+        arrays = self.leg_deformation, self.spring_length, self.hip_force, self.stored_energy
+        if len({len(_expect(a, Sized, "trajectory array", name="sequence")) for a in arrays}) > 1:
             raise DomainError("trajectory arrays must have equal length")
 
     def __len__(self) -> int:
@@ -317,8 +338,13 @@ def hip_force(x: float, s: float, geom: LegGeometry, spring: SpringParams) -> fl
     ``F_hip = (x / segment_length) * k * (s0 - s)``.  ``DomainError`` if ``x``
     lies outside [0, segment_length], or ``s`` outside [solid, free] (nan too).
     """
-    _position(x, geom)
-    return x / geom.segment_length * (spring.stiffness * _compression(s, spring))
+    _expect(geom, LegGeometry, "geom")
+    if not 0 <= _real("spring position x", x, DomainError) <= geom.segment_length:
+        raise DomainError(
+            f"spring position x={x} outside [0, segment_length={geom.segment_length}]"
+        )
+    compression = _compression(s, spring)  # checks the spring before its stiffness is read
+    return x / geom.segment_length * (spring.stiffness * compression)
 
 
 def spring_energy(s: float, spring: SpringParams) -> float:
@@ -327,16 +353,10 @@ def spring_energy(s: float, spring: SpringParams) -> float:
     return 0.5 * spring.stiffness * d * d
 
 
-def _position(x: float, geom: LegGeometry) -> None:
-    """``DomainError`` unless ``x`` is a number in [0, segment_length]."""
-    if not 0 <= _real("spring position x", x, DomainError) <= geom.segment_length:
-        raise DomainError(
-            f"spring position x={x} outside [0, segment_length={geom.segment_length}]"
-        )
-
-
 def _compression(s: float, spring: SpringParams) -> float:
     """``free_length - s``; ``DomainError`` unless s is a number in [solid_length, free_length]."""
+    if type(spring) is not SpringParams:
+        _expect(spring, SpringParams, "spring")
     length = _real("spring length s", s, DomainError)
     if length > spring.free_length:
         raise DomainError(f"spring length s={s} exceeds free_length={spring.free_length} (slack)")

@@ -8,6 +8,7 @@ hand-built SVG so that golden-file comparison is meaningful.
 
 from __future__ import annotations
 
+import os
 import re
 import warnings
 from collections.abc import Mapping
@@ -22,7 +23,7 @@ from .baseline import e1_max
 from .cyclic import _BLOCK, SimResult, Squats, _trajectories
 from .errors import DataError, DomainError
 from .explore import SweepRow
-from .model import Trajectory, _integer, _repr
+from .model import Trajectory, _expect, _integer, _repr
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +69,7 @@ def emit_trajectory_csv(
     disk) raises it too and leaves a partial file.  Returns the trajectory CSV
     path.
     """
-    if not isinstance(data, (SimResult, Trajectory)):
-        raise DomainError(f"data must be a SimResult or a Trajectory, got {type(data).__name__}")
+    _expect(data, (SimResult, Trajectory), "data", name="SimResult or a Trajectory")
     path = _path(path)
     if isinstance(data, SimResult):
         if not data.squats.x:
@@ -273,11 +273,8 @@ def emit_sweep_csv(rows: Iterable[SweepRow], keys: Sequence[str], path: str | Pa
     for row in rows:
         if not isinstance(row, SweepRow):
             raise DomainError(f"rows must be SweepRows, got {type(row).__name__}")
-        if not isinstance(row.params, Mapping):
-            kind = type(row.params).__name__
-            raise DomainError(f"sweep row params must be a mapping, got {kind}")
-        if not isinstance(row.reason, str):
-            raise DomainError(f"sweep row reason must be a string, got {type(row.reason).__name__}")
+        _expect(row.params, Mapping, "sweep row params", name="mapping")
+        _expect(row.reason, str, "sweep row reason", name="string")
     for key in keys:
         try:
             hash(key)
@@ -345,8 +342,7 @@ def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
     """Write the fitted scalars and the per-iteration table of a ``FitReport`` as CSV."""
     from .calibration import FitReport
 
-    if not isinstance(report, FitReport):
-        raise DomainError(f"report must be a FitReport, got {type(report).__name__}")
+    _expect(report, FitReport, "report")
     path = _path(path)
     scalars = (report.efficiency, report.force_cap, report.residual_rms)
     ratios = [*map(format_number, report.retention_ratios), *[""] * len(report.cycle_work)]
@@ -362,11 +358,11 @@ def emit_fit_report_csv(report: FitReport, path: str | Path) -> Path:
 
 
 def _path(path: str | Path) -> Path:
-    """``Path(path)``; a path that is no str or os.PathLike raises ``DomainError``."""
+    """``Path(path)``; a path that is no str or os.PathLike of a str raises ``DomainError``."""
     try:
-        return Path(path)
-    except TypeError:
-        raise DomainError(f"path must be a str or os.PathLike, got {type(path).__name__}") from None
+        return Path(_expect(path, (str, os.PathLike), "path", name="str or os.PathLike"))
+    except TypeError as exc:  # an os.PathLike of bytes, such as an os.DirEntry
+        raise DomainError(f"cannot use path {_repr(path)}: {exc}") from None
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -409,8 +405,7 @@ def emit_plot_svg(result: SimResult, kind: str, path: str | Path) -> Path:
     """
     import numpy as np
 
-    if not isinstance(result, SimResult):
-        raise DomainError(f"result must be a SimResult, got {type(result).__name__}")
+    _expect(result, SimResult, "result")
     if kind not in PLOT_KINDS:
         raise DomainError(f"plot kind must be one of {PLOT_KINDS}, got {kind!r}")
     if not result.squats.x:

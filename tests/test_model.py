@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from springleg import (
     BodyParams,
+    CompressionPolicy,
     Configuration,
     ConfigurationError,
     DomainError,
@@ -25,6 +26,7 @@ from springleg import (
     max_energy,
     min_squats,
     simulate,
+    spring_capacity,
     spring_energy,
 )
 
@@ -159,6 +161,24 @@ class TestParameterValidation:
         # Full compression is the solid length itself: there is no tolerance to set.
         with pytest.raises(TypeError, match="tol_abs"):
             worked_config(tol_abs=1e-9)
+
+    @pytest.mark.parametrize("policy", ["full_range", "force_limited", None])
+    def test_policy_that_is_no_member_rejected(self, policy):
+        # Once accepted: simulate then ran the capped map for any of these (35
+        # squats, converged at 3.754 J), and max_energy raised NameError.
+        parts = BodyParams(70.0), LegGeometry(0.45, 0.85, 0.3), SpringParams(2000.0, 0.2, 0.05)
+        with pytest.raises(ConfigurationError) as error:
+            Configuration(*parts, 0.08, force_cap=20.0, policy=policy)
+        expected = f"policy must be a CompressionPolicy, got {type(policy).__name__}"
+        assert str(error.value) == expected
+        full = Configuration(*parts, 0.08, force_cap=20.0, policy=CompressionPolicy.FULL_RANGE)
+        result = simulate(full)
+        assert (len(result.squats.x), result.termination.value) == (3, "full_compression")
+        assert result.final_energy == max_energy(full) == spring_capacity(full)
+        assert result.final_energy == pytest.approx(22.5)
+        # Files and flat mappings still read the policy by name.
+        named = config_from_values({**values_from_config(full), "policy": "full_range"})
+        assert named == full
 
     def test_loss_bounds(self):
         with pytest.raises(ConfigurationError, match=r"\(0, 1\]"):

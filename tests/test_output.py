@@ -721,6 +721,17 @@ def test_path_that_is_no_path_rejected(tmp_path, monkeypatch, emitter, path):
     assert not any(tmp_path.iterdir())
 
 
+def test_path_like_of_bytes_rejected(tmp_path, monkeypatch):
+    class BytesPath:  # an os.PathLike that Path refuses, as an os.DirEntry of a bytes folder
+        def __fspath__(self):
+            return b"out.csv"
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DomainError, match="^cannot use path <.*BytesPath object at .*>: "):
+        emit_fit_report_csv(REPORT, BytesPath())
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("report", [None, "fit", {"efficiency": 0.9}], ids=["none", "str", "dict"])
 def test_fit_report_of_another_type_rejected_before_writing(tmp_path, report):
     with pytest.raises(DomainError) as error:
